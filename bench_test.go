@@ -136,7 +136,7 @@ func BenchmarkAlgoGreedyAll(b *testing.B) {
 	fx := twitter(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(fp.GreedyAll(fx.ev, 10)) == 0 {
+		if len(place(b, fx.ev, 10, fp.StrategyGreedyAll)) == 0 {
 			b.Fatal("no filters placed")
 		}
 	}
@@ -146,7 +146,7 @@ func BenchmarkAlgoGreedyMax(b *testing.B) {
 	fx := twitter(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(fp.GreedyMax(fx.ev, 10)) == 0 {
+		if len(place(b, fx.ev, 10, fp.StrategyGreedyMax)) == 0 {
 			b.Fatal("no filters placed")
 		}
 	}
@@ -156,7 +156,7 @@ func BenchmarkAlgoGreedy1(b *testing.B) {
 	fx := twitter(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(fp.Greedy1(fx.g, 10)) == 0 {
+		if len(place(b, fx.ev, 10, fp.StrategyGreedy1)) == 0 {
 			b.Fatal("no filters placed")
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkAlgoGreedyL(b *testing.B) {
 	fx := twitter(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(fp.GreedyL(fx.ev, 10)) == 0 {
+		if len(place(b, fx.ev, 10, fp.StrategyGreedyL)) == 0 {
 			b.Fatal("no filters placed")
 		}
 	}
@@ -221,7 +221,7 @@ func layeredModel(b *testing.B, x float64) *fp.Model {
 
 func BenchmarkPhiFloat(b *testing.B) {
 	ev := fp.NewFloat(layeredModel(b, 1))
-	filters := fp.MaskOf(ev.Model().N(), fp.GreedyAll(ev, 10))
+	filters := fp.MaskOf(ev.Model().N(), place(b, ev, 10, fp.StrategyGreedyAll))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ev.Phi(filters)
@@ -230,7 +230,7 @@ func BenchmarkPhiFloat(b *testing.B) {
 
 func BenchmarkPhiBig(b *testing.B) {
 	ev := fp.NewBig(layeredModel(b, 1))
-	filters := fp.MaskOf(ev.Model().N(), fp.GreedyAll(ev, 10))
+	filters := fp.MaskOf(ev.Model().N(), place(b, ev, 10, fp.StrategyGreedyAll))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ev.Phi(filters)
@@ -318,7 +318,7 @@ func BenchmarkTreeDP(b *testing.B) {
 // --- Dynamic-graph maintenance (internal/dyn). One iteration = apply one
 // mutation batch to a ~10K-node churned Twitter-style graph and refresh a
 // k = 10 placement, either incrementally (Maintainer) or from scratch
-// (snapshot → NewModel → NewFloat → GreedyAll). BENCH_dyn.json records the
+// (snapshot → NewModel → NewFloat → greedy-all). BENCH_dyn.json records the
 // baseline; the acceptance target is maintain ≥ 5× faster at 1% churn with
 // F(A) within 1% of from-scratch (quality asserted by
 // dyn.TestMaintainQualityUnderChurn).
@@ -410,7 +410,7 @@ func BenchmarkMaintainVsRecompute(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(fp.GreedyAll(fp.NewFloat(m), dynBenchK)) == 0 {
+				if len(place(b, fp.NewFloat(m), dynBenchK, fp.StrategyGreedyAll)) == 0 {
 					b.Fatal("no filters placed")
 				}
 			}

@@ -18,18 +18,18 @@
 //   - Propagation models and objective evaluation: NewModel, NewFloat
 //     (fast float64, supports probabilistic edge weights), NewBig (exact
 //     big-integer arithmetic), FR.
-//   - Placement: Place, the unified engine — every algorithm of the paper
-//     (greedy-all, its celf/naive cost profiles, greedy-max, greedy-1,
-//     greedy-l, the rand-* baselines, prop1) behind one entry point with
-//     context cancellation, oracle accounting and a Parallelism option
-//     that shards per-round marginal-gain evaluation across cloned
-//     evaluators (results are bit-for-bit identical to serial). All
-//     parallel work executes on a process-wide work-stealing scheduler
+//   - Placement: Place, the one entry point for every algorithm of the
+//     paper (greedy-all, its celf/naive cost profiles, greedy-max,
+//     greedy-1, greedy-l, the rand-* baselines, prop1) and the approx-celf
+//     and ml-celf extensions, with context cancellation, oracle accounting
+//     and a Parallelism option that shards per-round marginal-gain
+//     evaluation across cloned evaluators (results are bit-for-bit
+//     identical to serial). PlaceOptions.Strategy takes a core name
+//     (greedy-all) or its short form (gall); PlaceStrategies lists them.
+//     All parallel work executes on a process-wide work-stealing scheduler
 //     (SetSchedulerWorkers), and PlaceBatch gang-submits placements over
-//     many graphs onto it at once. The per-algorithm names (GreedyAll,
-//     GreedyAllCELF, …) remain as thin deprecated wrappers; TreeDP (exact
-//     on communication trees) and Exhaustive (tiny instances) stay
-//     separate.
+//     many graphs onto it at once. TreeDP (exact on communication trees)
+//     and Exhaustive (tiny instances) stay separate.
 //   - Cyclic inputs: Acyclic and AcyclicBestRoot extract a maximal
 //     connected acyclic subgraph first (paper §4.3).
 //   - Dataset generators used by the paper's evaluation, from the layered
@@ -39,8 +39,8 @@
 //     atomic batched edge mutations and incremental topological-order
 //     maintenance (cycle-creating edges are rejected with ErrWouldCycle),
 //     and NewMaintainer keeps a placement fresh across mutation batches —
-//     incremental dirty-cone repair, falling back to a full GreedyAll when
-//     drift grows. TwitterChurn generates benchmarkable mutation streams.
+//     incremental dirty-cone repair, falling back to a full greedy-all
+//     placement when drift grows. TwitterChurn generates benchmarkable mutation streams.
 //   - The full experiment harness: RunExperiment regenerates any figure of
 //     the paper's evaluation section.
 //
@@ -186,17 +186,16 @@ type PlaceStrategy = core.Strategy
 // paper-cost-profile variants (same filter sets, counted oracle calls);
 // the rest are the paper's heuristics and baselines.
 const (
-	StrategyGreedyAll   = core.StrategyGreedyAll
-	StrategyCELF        = core.StrategyCELF
-	StrategyNaive       = core.StrategyNaive
-	StrategyGreedyMax   = core.StrategyGreedyMax
-	StrategyGreedy1     = core.StrategyGreedy1
-	StrategyGreedyL     = core.StrategyGreedyL
-	StrategyGreedyLFast = core.StrategyGreedyLFast
-	StrategyRandK       = core.StrategyRandK
-	StrategyRandI       = core.StrategyRandI
-	StrategyRandW       = core.StrategyRandW
-	StrategyProp1       = core.StrategyProp1
+	StrategyGreedyAll = core.StrategyGreedyAll
+	StrategyCELF      = core.StrategyCELF
+	StrategyNaive     = core.StrategyNaive
+	StrategyGreedyMax = core.StrategyGreedyMax
+	StrategyGreedy1   = core.StrategyGreedy1
+	StrategyGreedyL   = core.StrategyGreedyL
+	StrategyRandK     = core.StrategyRandK
+	StrategyRandI     = core.StrategyRandI
+	StrategyRandW     = core.StrategyRandW
+	StrategyProp1     = core.StrategyProp1
 	// StrategyApproxCELF is the approximate engine: CELF's lazy greedy
 	// driven by sampled gain estimates, with exact re-checks only at heap
 	// tops — exact oracle work scales with k, not V·k. Quality (or
@@ -326,60 +325,8 @@ type CloneableEvaluator = flow.Cloner
 // parallelize internally by level (NewFloat's engine qualifies).
 type ParallelEvaluator = flow.ParallelEvaluator
 
-// GreedyAll is the paper's Greedy_All (1−1/e)-approximation: k rounds of
-// exact marginal-gain maximization, O(k·|E|) total.
-//
-// Deprecated: use Place with StrategyGreedyAll.
-func GreedyAll(ev Evaluator, k int) []int { return core.GreedyAll(ev, k) }
-
-// GreedyAllCtx is GreedyAll with a cancellation check between rounds; it
-// returns ctx.Err() when canceled mid-placement.
-//
-// Deprecated: use Place with StrategyGreedyAll.
-func GreedyAllCtx(ctx context.Context, ev Evaluator, k int) ([]int, error) {
-	return core.GreedyAllCtx(ctx, ev, k)
-}
-
 // OracleStats counts objective evaluations spent by a greedy variant.
 type OracleStats = core.OracleStats
-
-// GreedyAllCELF is GreedyAll with CELF lazy evaluation; identical output,
-// counted gain evaluations.
-//
-// Deprecated: use Place with StrategyCELF.
-func GreedyAllCELF(ev Evaluator, k int) ([]int, OracleStats) { return core.GreedyAllCELF(ev, k) }
-
-// GreedyAllCELFCtx is GreedyAllCELF with a cancellation check on every
-// lazy-evaluation step.
-//
-// Deprecated: use Place with StrategyCELF.
-func GreedyAllCELFCtx(ctx context.Context, ev Evaluator, k int) ([]int, OracleStats, error) {
-	return core.GreedyAllCELFCtx(ctx, ev, k)
-}
-
-// GreedyMax computes all impacts once and keeps the top k (paper's
-// Greedy_Max).
-//
-// Deprecated: use Place with StrategyGreedyMax.
-func GreedyMax(ev Evaluator, k int) []int { return core.GreedyMax(ev, k) }
-
-// Greedy1 ranks nodes by din·dout and keeps the top k (paper's Greedy_1).
-//
-// Deprecated: use Place with StrategyGreedy1.
-func Greedy1(g *Graph, k int) []int { return core.Greedy1(g, k) }
-
-// GreedyL iteratively places filters at the maximizer of Prefix(v)·dout(v)
-// (paper's Greedy_L).
-//
-// Deprecated: use Place with StrategyGreedyL.
-func GreedyL(ev Evaluator, k int) []int { return core.GreedyL(ev, k) }
-
-// GreedyLFast is GreedyL with incremental prefix maintenance (the paper's
-// "clever bookkeeping" running-time remark); identical output, updates
-// proportional to the affected cone instead of |E| per round.
-//
-// Deprecated: use Place with StrategyGreedyLFast.
-func GreedyLFast(ev Evaluator, k int) []int { return core.GreedyLFast(ev, k) }
 
 // RandK, RandI and RandW are the paper's randomized baselines.
 func RandK(m *Model, k int, rng *rand.Rand) []int { return core.RandK(m, k, rng) }
@@ -493,8 +440,8 @@ func NewDynamic(g *Graph, sources []int) (*DynamicGraph, error) {
 func ParseMutations(text string) (MutationBatch, error) { return dyn.ParseBatch(text) }
 
 // Maintainer refreshes a filter placement after mutation batches: warm
-// incremental repair inside the dirty cone, with a full GreedyAll fallback
-// when the drift bound is exceeded.
+// incremental repair inside the dirty cone, with a full greedy-all
+// fallback when the drift bound is exceeded.
 type Maintainer = dyn.Maintainer
 
 // MaintainOptions configures a Maintainer (budget K, drift bound, swap

@@ -152,7 +152,7 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	var (
 		in        = fs.String("in", "", "edge-list input file ('-' for stdin); additional files may be passed as positional arguments for batched placement")
 		k         = fs.Int("k", 10, "filter budget")
-		algo      = fs.String("algo", "gall", "gall | gmax | g1 | gl | glfast | celf | approx | ml-celf | naive | randk | randi | randw | prop1 | tree")
+		algo      = fs.String("algo", "gall", algoUsage())
 		engine    = fs.String("engine", "float", "float | big (exact)")
 		source    = fs.Int("source", -1, "source node id (-1: all in-degree-0 nodes, or best root with -acyclic)")
 		acyclicF  = fs.Bool("acyclic", false, "extract a maximal acyclic subgraph first (paper §4.3)")
@@ -177,6 +177,16 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	if len(inputs) == 0 {
 		return fmt.Errorf("fpplace: -in (or positional input files) required")
 	}
+	// The options are built once, before any input is read, so the solo
+	// and batch paths read every flag alike and reject a bad one with the
+	// same error.
+	var opts core.Options
+	if *algo != "tree" {
+		var err error
+		if opts, err = placeOptions(*algo, *procs, *seed, *quality, *coarsenR, *coarsenL); err != nil {
+			return fmt.Errorf("fpplace: %w", err)
+		}
+	}
 	if len(inputs) > 1 {
 		if *acyclicF || *weighted || *impacts || *dotOut != "" || *algo == "tree" {
 			return fmt.Errorf("fpplace: batched placement over %d files supports plain placement only (no -acyclic, -weighted, -impacts, -dot or tree)", len(inputs))
@@ -184,7 +194,7 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 		if slices.Contains(inputs, "-") {
 			return fmt.Errorf("fpplace: stdin ('-') cannot be combined with batched placement; pass files only")
 		}
-		return runFpplaceBatch(inputs, *k, *algo, *engine, *source, *seed, *procs, *quiet, stdout, stderr)
+		return runFpplaceBatch(inputs, *k, opts, *engine, *source, *quiet, stdout, stderr)
 	}
 	*in = inputs[0]
 
@@ -274,28 +284,7 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	var filters []int
 	var phiCI *flow.MCResult
 	var coarsenStats *flow.CoarsenStats
-	if strat, ok := cliStrategies[*algo]; ok {
-		opts := core.Options{
-			Strategy:    strat,
-			Parallelism: *procs,
-			Seed:        *seed,
-			Quality:     *quality,
-			SampleSeed:  *seed,
-			Coarsen:     flow.CoarsenOptions{TargetRatio: *coarsenR, Lossless: *coarsenL},
-		}
-		// The same Validate the HTTP layer runs, so a bad knob reads
-		// identically from either surface.
-		if err := opts.Validate(); err != nil {
-			return fmt.Errorf("fpplace: %w", err)
-		}
-		res, err := core.Place(context.Background(), ev, *k, opts)
-		if err != nil {
-			return fmt.Errorf("fpplace: %w", err)
-		}
-		filters = res.Filters
-		phiCI = res.PhiCI
-		coarsenStats = res.CoarsenStats
-	} else if *algo == "tree" {
+	if *algo == "tree" {
 		if len(m.Sources()) != 1 {
 			return fmt.Errorf("fpplace: tree DP needs exactly one source, have %d", len(m.Sources()))
 		}
@@ -304,7 +293,13 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 			return fmt.Errorf("fpplace: %w", err)
 		}
 	} else {
-		return fmt.Errorf("fpplace: unknown algorithm %q", *algo)
+		res, err := core.Place(context.Background(), ev, *k, opts)
+		if err != nil {
+			return fmt.Errorf("fpplace: %w", err)
+		}
+		filters = res.Filters
+		phiCI = res.PhiCI
+		coarsenStats = res.CoarsenStats
 	}
 
 	mask := flow.MaskOf(g.N(), filters)
@@ -356,33 +351,38 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	return nil
 }
 
-// cliStrategies maps CLI algorithm names onto core.Place strategies;
-// "tree" stays separate (the exact DP has a different signature and
-// tree-only semantics).
-var cliStrategies = map[string]core.Strategy{
-	"gall":    core.StrategyGreedyAll,
-	"celf":    core.StrategyCELF,
-	"approx":  core.StrategyApproxCELF,
-	"ml-celf": core.StrategyMLCELF,
-	"naive":   core.StrategyNaive,
-	"gmax":    core.StrategyGreedyMax,
-	"g1":      core.StrategyGreedy1,
-	"gl":      core.StrategyGreedyL,
-	"glfast":  core.StrategyGreedyLFast,
-	"randk":   core.StrategyRandK,
-	"randi":   core.StrategyRandI,
-	"randw":   core.StrategyRandW,
-	"prop1":   core.StrategyProp1,
+// algoUsage is the -algo help text: every strategy's short name from the
+// core table, plus the tree DP.
+func algoUsage() string {
+	var names []string
+	for _, s := range core.StrategyTable() {
+		names = append(names, s.Short)
+	}
+	return strings.Join(append(names, "tree"), " | ") + " (core names such as greedy-all are accepted too)"
 }
 
-// runFpplaceBatch places the same spec on every input file as one gang
+// placeOptions resolves -algo and the placement flags into validated core
+// options. The solo and batch paths share them.
+func placeOptions(algo string, procs int, seed int64, quality, coarsenRatio float64, lossless bool) (core.Options, error) {
+	info, err := core.LookupStrategy(algo)
+	if err != nil {
+		return core.Options{}, err
+	}
+	opts := core.Options{
+		Strategy:    info.Name,
+		Parallelism: procs,
+		Seed:        seed,
+		Quality:     quality,
+		SampleSeed:  seed,
+		Coarsen:     flow.CoarsenOptions{TargetRatio: coarsenRatio, Lossless: lossless},
+	}
+	return opts, opts.Validate()
+}
+
+// runFpplaceBatch places the same options on every input file as one gang
 // through core.PlaceBatch. Results per graph are bit-identical to a solo
 // fpplace run on that file; only scheduling is shared.
-func runFpplaceBatch(inputs []string, k int, algo, engine string, source int, seed int64, procs int, quiet bool, stdout, stderr io.Writer) error {
-	strat, ok := cliStrategies[algo]
-	if !ok {
-		return fmt.Errorf("fpplace: unknown algorithm %q", algo)
-	}
+func runFpplaceBatch(inputs []string, k int, opts core.Options, engine string, source int, quiet bool, stdout, stderr io.Writer) error {
 	graphs := make([]*graph.Digraph, len(inputs))
 	evs := make([]flow.Evaluator, len(inputs))
 	for i, path := range inputs {
@@ -413,11 +413,7 @@ func runFpplaceBatch(inputs []string, k int, algo, engine string, source int, se
 			return fmt.Errorf("fpplace: unknown engine %q", engine)
 		}
 	}
-	results, err := core.PlaceBatch(context.Background(), evs, k, core.Options{
-		Strategy:    strat,
-		Parallelism: procs,
-		Seed:        seed,
-	})
+	results, err := core.PlaceBatch(context.Background(), evs, k, opts)
 	if err != nil {
 		return fmt.Errorf("fpplace: %w", err)
 	}
@@ -442,6 +438,6 @@ func runFpplaceBatch(inputs []string, k int, algo, engine string, source int, se
 		fmt.Fprintf(stdout, "F(A):       %.6g\n", ev.F(mask))
 		fmt.Fprintf(stdout, "FR(A):      %.4f\n", flow.FR(ev, mask))
 	}
-	fmt.Fprintf(stderr, "fpplace: batch-placed %d graphs (algo %s, k=%d)\n", len(inputs), algo, k)
+	fmt.Fprintf(stderr, "fpplace: batch-placed %d graphs (algo %s, k=%d)\n", len(inputs), opts.Strategy, k)
 	return nil
 }

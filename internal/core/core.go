@@ -5,12 +5,14 @@
 // dynamic program for communication trees, an exhaustive optimal solver for
 // validation, and Proposition 1's unbounded-budget optimal set.
 //
-// Place is the unified entry point: one engine with pluggable strategies,
-// shared context/cancellation plumbing, oracle accounting and an optional
-// parallel inner loop that shards per-round marginal-gain evaluation
-// across cloned evaluators with results bit-for-bit identical to the
-// serial path. The per-algorithm functions (GreedyAll, GreedyAllCELF,
-// GreedyL, …) remain as thin deprecated wrappers.
+// Place is the only entry point to the greedy algorithms and heuristics:
+// one engine with pluggable strategies, shared context/cancellation
+// plumbing, oracle accounting and an optional parallel inner loop that
+// shards per-round marginal-gain evaluation across cloned evaluators with
+// results bit-for-bit identical to the serial path. The strategy table
+// (StrategyTable, LookupStrategy) is the one definition of every
+// strategy's names and of the options it reads; the fpd daemon, the
+// fpplace CLI and the experiment harness all read it.
 //
 // All algorithms return the placed filter nodes in the order chosen (greedy
 // algorithms) or ascending order (set-valued algorithms); the returned slice
@@ -18,39 +20,12 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 
 	"repro/internal/flow"
 	"repro/internal/graph"
 )
-
-// GreedyAll is the paper's Greedy_All: repeatedly add the node with the
-// largest exact marginal gain F(A∪{v}) − F(A). By the Nemhauser–Wolsey–
-// Fisher bound it is a (1 − 1/e)-approximation for the monotone submodular
-// objective F. This implementation computes all marginal gains with one
-// forward and one backward topological pass per iteration (O(k·|E|) total),
-// improving on the paper's O(k·Δ·|E|) plist bookkeeping.
-//
-// Deprecated: use Place with StrategyGreedyAll, which adds cancellation,
-// oracle accounting and a parallel inner loop behind the same semantics.
-func GreedyAll(ev flow.Evaluator, k int) []int {
-	chosen, _ := GreedyAllCtx(context.Background(), ev, k)
-	return chosen
-}
-
-// GreedyAllCtx is GreedyAll with a cancellation check between greedy
-// rounds. It returns ctx.Err() when canceled.
-//
-// Deprecated: use Place with StrategyGreedyAll.
-func GreedyAllCtx(ctx context.Context, ev flow.Evaluator, k int) ([]int, error) {
-	res, err := Place(ctx, ev, k, Options{Strategy: StrategyGreedyAll})
-	if err != nil {
-		return nil, err
-	}
-	return res.Filters, nil
-}
 
 // OracleStats counts objective-function work done by an algorithm, used by
 // the CELF ablation experiment and surfaced per-job by the fpd service.
@@ -66,98 +41,15 @@ type OracleStats struct {
 	Iterations int `json:"iterations"`
 }
 
-// GreedyAllNaive is Greedy_All at the paper's cost profile: in every round
-// it recomputes the marginal gain of every candidate node by re-evaluating
-// Φ, exactly as "an update of the impact of every node is required"
-// describes. It returns the same filter set as GreedyAll and reports how
-// many gain evaluations it spent; it exists as the baseline for the CELF
-// ablation.
-//
-// Deprecated: use Place with StrategyNaive.
-func GreedyAllNaive(ev flow.Evaluator, k int) ([]int, OracleStats) {
-	res, _ := Place(context.Background(), ev, k, Options{Strategy: StrategyNaive})
-	return res.Filters, res.Stats
-}
-
-// GreedyAllCELF is the lazy-evaluation variant of GreedyAllNaive
-// (Leskovec et al.'s CELF applied to filter placement — an extension beyond
-// the paper). Submodularity guarantees a node's gain never increases as the
-// filter set grows, so stale upper bounds can defer most re-evaluations.
-// It returns the same filter set as GreedyAll, typically with far fewer
-// gain evaluations than GreedyAllNaive.
-//
-// Deprecated: use Place with StrategyCELF.
-func GreedyAllCELF(ev flow.Evaluator, k int) ([]int, OracleStats) {
-	chosen, st, _ := GreedyAllCELFCtx(context.Background(), ev, k)
-	return chosen, st
-}
-
-// GreedyAllCELFCtx is GreedyAllCELF with a cancellation check on every
-// heap pop, returning ctx.Err() when canceled.
-//
-// Deprecated: use Place with StrategyCELF.
-func GreedyAllCELFCtx(ctx context.Context, ev flow.Evaluator, k int) ([]int, OracleStats, error) {
-	res, err := Place(ctx, ev, k, Options{Strategy: StrategyCELF})
-	if err != nil {
-		return nil, res.Stats, err
-	}
-	return res.Filters, res.Stats, nil
-}
-
-// GreedyMax is the paper's Greedy_Max heuristic: compute every node's
-// impact once in the empty-filter state and keep the k largest, with no
-// recomputation. Runs in O(|E| + n log n).
-//
-// Deprecated: use Place with StrategyGreedyMax.
-func GreedyMax(ev flow.Evaluator, k int) []int {
-	gains := ev.Impacts(nil)
-	return topK(gains, k)
-}
-
-// Greedy1 is the paper's Greedy_1 heuristic: rank nodes by the local
+// greedy1 is the paper's Greedy_1 heuristic: rank nodes by the local
 // redundancy lower bound m(v) = din(v)·dout(v) and keep the k largest.
 // Runs in O(|E| + n log n).
-//
-// Deprecated: use Place with StrategyGreedy1.
-func Greedy1(g *graph.Digraph, k int) []int {
+func greedy1(g *graph.Digraph, k int) []int {
 	m := make([]float64, g.N())
 	for v := range m {
 		m[v] = float64(g.InDegree(v)) * float64(g.OutDegree(v))
 	}
 	return topK(m, k)
-}
-
-// GreedyL is the paper's Greedy_L heuristic: in each of k rounds compute
-// the simplified impact I′(v) = Prefix(v)·dout(v) under the current filter
-// set — the number of copies v pushes to its immediate children — and place
-// a filter at the maximizer. Runs in O(k·|E|).
-//
-// Deprecated: use Place with StrategyGreedyL.
-func GreedyL(ev flow.Evaluator, k int) []int {
-	m := ev.Model()
-	g := m.Graph()
-	n := m.N()
-	filters := make([]bool, n)
-	chosen := make([]int, 0, k)
-	for len(chosen) < k {
-		prefix := ev.Received(filters)
-		best, bestScore := -1, 0.0
-		for v := 0; v < n; v++ {
-			if filters[v] || m.IsSource(v) {
-				continue
-			}
-			score := prefix[v] * float64(g.OutDegree(v))
-			if score > bestScore {
-				best, bestScore = v, score
-			}
-		}
-		if best < 0 {
-			break
-		}
-		filters[best] = true
-		chosen = append(chosen, best)
-	}
-	return chosen
 }
 
 // topK returns the indices of the k largest strictly-positive scores,

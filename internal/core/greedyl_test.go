@@ -9,14 +9,18 @@ import (
 	"repro/internal/gen"
 )
 
+// The greedy-l tests compare Place's greedy-l, which takes the
+// incremental path on the float engine, against greedyLPasses, the
+// one-forward-pass-per-round reference.
+
 func TestGreedyLFastMatchesGreedyL(t *testing.T) {
 	f := func(seed int64) bool {
 		g, src := gen.RandomDAG(40, 0.12, seed)
 		ev := flow.NewFloat(flow.MustModel(g, []int{src}))
-		a := GreedyL(ev, 6)
-		b := GreedyLFast(ev, 6)
+		a := greedyLPasses(ev, 6)
+		b := placeFilters(t, ev, 6, StrategyGreedyL)
 		if !reflect.DeepEqual(a, b) {
-			t.Logf("seed %d: plain %v vs fast %v", seed, a, b)
+			t.Logf("seed %d: passes %v vs incremental %v", seed, a, b)
 			return false
 		}
 		return true
@@ -46,10 +50,14 @@ func TestGreedyLFastOnDatasets(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ev := flow.NewFloat(m)
-		a := GreedyL(ev, 10)
-		b := GreedyLFast(ev, 10)
+		a := greedyLPasses(ev, 10)
+		b := placeFilters(t, ev, 10, StrategyGreedyL)
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: plain %v vs fast %v", name, a, b)
+			t.Errorf("%s: passes %v vs incremental %v", name, a, b)
+		}
+		// The legacy name resolves to the same strategy.
+		if c := placeFilters(t, ev, 10, "greedy-l-fast"); !reflect.DeepEqual(a, c) {
+			t.Errorf("%s: greedy-l-fast %v vs greedy-l %v", name, c, a)
 		}
 	}
 }
@@ -58,8 +66,8 @@ func TestGreedyLFastWeightedFallback(t *testing.T) {
 	g, src := gen.RandomDAG(30, 0.15, 2)
 	m := flow.MustModel(g, []int{src}).WithWeights(func(u, v int) float64 { return 0.8 })
 	ev := flow.NewFloat(m)
-	a := GreedyL(ev, 4)
-	b := GreedyLFast(ev, 4)
+	a := greedyLPasses(ev, 4)
+	b := placeFilters(t, ev, 4, StrategyGreedyL)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("weighted fallback differs: %v vs %v", a, b)
 	}
@@ -70,7 +78,7 @@ func BenchmarkGreedyLPlain(b *testing.B) {
 	ev := flow.NewFloat(flow.MustModel(g, []int{src}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GreedyL(ev, 10)
+		greedyLPasses(ev, 10)
 	}
 }
 
@@ -79,6 +87,6 @@ func BenchmarkGreedyLFast(b *testing.B) {
 	ev := flow.NewFloat(flow.MustModel(g, []int{src}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GreedyLFast(ev, 10)
+		greedyLIncremental(ev, 10)
 	}
 }

@@ -82,7 +82,7 @@ func placeMultilevel(ctx context.Context, ev flow.Evaluator, k int, opts Options
 	// approx-celf when the caller asked for sampled quality (the same
 	// knobs approx-celf itself reads).
 	sub := Result{}
-	if opts.Quality != 0 || opts.SampleBudget > 0 {
+	if sampleRequested(opts.Quality, opts.SampleBudget) {
 		err = placeApproxCELF(ctx, qev, k, opts, &sub)
 	} else {
 		err = placeCELF(ctx, qev, k, opts, &sub)

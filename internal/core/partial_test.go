@@ -13,7 +13,7 @@ func TestGreedyAllPartialZeroLeakMatchesGreedyAll(t *testing.T) {
 	f := func(seed int64) bool {
 		g, src := gen.RandomDAG(25, 0.2, seed)
 		e := flow.NewFloat(flow.MustModel(g, []int{src}))
-		a := GreedyAll(e, 4)
+		a := placeFilters(t, e, 4, StrategyGreedyAll)
 		b := GreedyAllPartial(e, 4, 0)
 		if !reflect.DeepEqual(a, b) {
 			t.Logf("seed %d: %v vs %v", seed, a, b)
@@ -68,7 +68,7 @@ func TestGreedyAllOnMultiEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := GreedyAll(me, 3)
+	plan := placeFilters(t, me, 3, StrategyGreedyAll)
 	if len(plan) == 0 {
 		t.Fatal("no filters placed")
 	}

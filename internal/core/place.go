@@ -10,70 +10,10 @@ import (
 	"repro/internal/sched"
 )
 
-// Strategy names a placement algorithm accepted by Place.
-type Strategy string
-
-const (
-	// StrategyGreedyAll is the paper's Greedy_All via the closed-form
-	// marginal gain: one forward + one backward pass per round. With
-	// Parallelism > 1 on a flow.ParallelEvaluator the passes shard by
-	// topological level.
-	StrategyGreedyAll Strategy = "greedy-all"
-	// StrategyCELF is Greedy_All at the paper's per-candidate cost profile
-	// with CELF lazy evaluation; stale heap entries re-evaluate in
-	// round-stamped batches across cloned evaluators.
-	StrategyCELF Strategy = "celf"
-	// StrategyNaive is Greedy_All at the paper's cost profile with no
-	// laziness: every candidate re-evaluates every round. Candidates shard
-	// across cloned evaluators.
-	StrategyNaive Strategy = "naive"
-	// StrategyApproxCELF is CELF on SAMPLED gain estimates: the lazy heap
-	// is seeded by a flow.SamplingEngine's edge-sampled estimates and only
-	// the heap-top handful is re-checked exactly before each commit, so
-	// exact oracle work scales with k instead of V·k. Options.Quality sets
-	// the target relative error; Result.PhiCI reports the sampled
-	// confidence interval on Φ(A).
-	StrategyApproxCELF Strategy = "approx-celf"
-	// StrategyMLCELF is multilevel CELF: coarsen the graph losslessly (or,
-	// with Options.Coarsen.Lossless false, further via bounded twin
-	// merging), run CELF — exact, or approx-celf when Quality/SampleBudget
-	// ask for sampling — on the quotient, project the picks back to their
-	// supernode heads and locally refine each pick within its fiber by
-	// exact gains. When only lossless rules fired the result is bit-for-bit
-	// StrategyCELF's. Result.CoarsenStats reports the contraction.
-	StrategyMLCELF Strategy = "ml-celf"
-	// StrategyGreedyMax is the paper's Greedy_Max (impacts once, top k).
-	StrategyGreedyMax Strategy = "greedy-max"
-	// StrategyGreedy1 is the paper's Greedy_1 (rank by din·dout).
-	StrategyGreedy1 Strategy = "greedy-1"
-	// StrategyGreedyL is the paper's Greedy_L.
-	StrategyGreedyL Strategy = "greedy-l"
-	// StrategyGreedyLFast is Greedy_L with incremental prefix maintenance;
-	// identical output to StrategyGreedyL.
-	StrategyGreedyLFast Strategy = "greedy-l-fast"
-	// StrategyRandK, StrategyRandI and StrategyRandW are the paper's
-	// randomized baselines.
-	StrategyRandK Strategy = "rand-k"
-	StrategyRandI Strategy = "rand-i"
-	StrategyRandW Strategy = "rand-w"
-	// StrategyProp1 is Proposition 1's unbounded-budget optimal set; the
-	// budget k is ignored.
-	StrategyProp1 Strategy = "prop1"
-)
-
-// Strategies lists every strategy Place accepts, in documentation order.
-func Strategies() []Strategy {
-	return []Strategy{
-		StrategyGreedyAll, StrategyCELF, StrategyNaive, StrategyApproxCELF,
-		StrategyMLCELF,
-		StrategyGreedyMax, StrategyGreedy1, StrategyGreedyL, StrategyGreedyLFast,
-		StrategyRandK, StrategyRandI, StrategyRandW, StrategyProp1,
-	}
-}
-
 // Options configures Place. The zero value runs serial greedy-all.
 type Options struct {
-	// Strategy selects the algorithm; empty means StrategyGreedyAll.
+	// Strategy selects the algorithm by core, short or legacy name (see
+	// LookupStrategy); empty means StrategyGreedyAll.
 	Strategy Strategy
 	// Parallelism bounds how many shards one greedy round's marginal-gain
 	// evaluation splits into; values ≤ 1 run serially. Shards execute on
@@ -136,15 +76,8 @@ type Options struct {
 // no matter which surface it arrived through.
 func (o Options) Validate() error {
 	if o.Strategy != "" {
-		known := false
-		for _, s := range Strategies() {
-			if s == o.Strategy {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("core: unknown strategy %q (have %v)", o.Strategy, Strategies())
+		if _, err := LookupStrategy(string(o.Strategy)); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 	}
 	if o.Parallelism < 0 {
@@ -174,7 +107,7 @@ type Result struct {
 	// Stats counts the objective-function work done. For a given
 	// strategy it is identical at every Parallelism setting.
 	Stats OracleStats
-	// Strategy echoes the algorithm that ran.
+	// Strategy echoes the core name of the algorithm that ran.
 	Strategy Strategy
 	// Parallelism is the worker count actually used (1 when the
 	// evaluator cannot parallelize or the strategy is inherently serial).
@@ -214,12 +147,13 @@ type PassStats struct {
 // but does report the oracle work done up to the abort. For many graphs
 // at once, PlaceBatch shares the pool across all of them.
 func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result, error) {
-	if opts.Strategy == "" {
-		opts.Strategy = StrategyGreedyAll
-	}
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
+	if opts.Strategy == "" {
+		opts.Strategy = StrategyGreedyAll
+	}
+	opts.Strategy = strategyByName[string(opts.Strategy)].Name
 	if opts.Parallelism < 1 {
 		opts.Parallelism = 1
 	}
@@ -251,11 +185,9 @@ func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result,
 		res.Filters = topK(impactsOf(ev, nil, opts.Parallelism, &res), k)
 		res.Stats.GainEvaluations += n
 	case StrategyGreedy1:
-		res.Filters = Greedy1(ev.Model().Graph(), k)
+		res.Filters = greedy1(ev.Model().Graph(), k)
 	case StrategyGreedyL:
-		res.Filters = GreedyL(ev, k)
-	case StrategyGreedyLFast:
-		res.Filters = GreedyLFast(ev, k)
+		res.Filters = greedyL(ev, k)
 	case StrategyRandK:
 		res.Filters = RandK(ev.Model(), k, opts.rng())
 	case StrategyRandI:
@@ -265,7 +197,7 @@ func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result,
 	case StrategyProp1:
 		res.Filters = UnboundedOptimal(ev.Model().Graph())
 	default:
-		return Result{}, fmt.Errorf("core: unknown strategy %q (have %v)", opts.Strategy, Strategies())
+		return Result{}, fmt.Errorf("core: strategy %q has no implementation", opts.Strategy)
 	}
 	if hasPasses {
 		// Accumulate rather than assign: ml-celf has already charged its

@@ -135,7 +135,7 @@ func TestTreeDPMatchesGreedyOnTrees(t *testing.T) {
 		m := flow.MustModel(g, []int{src})
 		ev := flow.NewBig(m)
 		k := 3
-		a := GreedyAll(ev, k)
+		a := placeFilters(t, ev, k, StrategyGreedyAll)
 		greedyF := ev.F(flow.MaskOf(g.N(), a))
 		_, dpF, err := TreeDP(g, src, k)
 		if err != nil {

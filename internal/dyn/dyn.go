@@ -16,7 +16,7 @@
 // batches: it warm-starts from the previous filter set and repairs it over
 // dirty-cone incremental state (flow.Incremental) — the Φ/suffix/gain
 // recomputation is cone-bounded while candidate selection is a plain O(n)
-// scan over the cached gains — falling back to a full GreedyAllCtx
+// scan over the cached gains — falling back to a full greedy-all
 // recompute when the accumulated drift bound is exceeded.
 package dyn
 

@@ -55,7 +55,7 @@ const (
 	StrategyInitial = "initial"
 	// StrategyIncremental repaired the previous placement in place.
 	StrategyIncremental = "incremental"
-	// StrategyRecompute fell back to a full GreedyAllCtx run (drift bound
+	// StrategyRecompute fell back to a full greedy-all run (drift bound
 	// exceeded, or the Maintainer lost sync with the overlay).
 	StrategyRecompute = "recompute"
 )

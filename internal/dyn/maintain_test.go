@@ -22,8 +22,11 @@ func greedyF(t *testing.T, d *Dynamic, k int) float64 {
 		t.Fatal(err)
 	}
 	ev := flow.NewFloat(m)
-	filters := core.GreedyAll(ev, k)
-	return ev.F(flow.MaskOf(m.N(), filters))
+	res, err := core.Place(context.Background(), ev, k, core.Options{Strategy: core.StrategyGreedyAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev.F(flow.MaskOf(m.N(), res.Filters))
 }
 
 func TestMaintainInitialMatchesGreedyAll(t *testing.T) {

@@ -45,67 +45,41 @@ func place(ev flow.Evaluator, strat core.Strategy, k, parallelism int, rng *rand
 }
 
 // StandardAlgorithms returns the paper's seven algorithms in legend order.
-// The optional argument is the core.Place parallelism for the greedy
-// strategies (results are identical at any setting; it only changes how
-// many goroutines evaluate marginal gains).
+// The optional argument is the core.Place parallelism (results are
+// identical at any setting; it only changes how many goroutines evaluate
+// marginal gains).
 func StandardAlgorithms(parallelism ...int) []Algorithm {
 	par := 1
 	if len(parallelism) > 0 {
 		par = parallelism[0]
 	}
-	return []Algorithm{
-		{
-			Name: "G_ALL",
-			Place: func(ev flow.Evaluator, k int, _ *rand.Rand) []int {
-				return place(ev, core.StrategyGreedyAll, k, par, nil)
-			},
-			Incremental: true,
-		},
-		{
-			Name: "G_Max",
-			Place: func(ev flow.Evaluator, k int, _ *rand.Rand) []int {
-				return place(ev, core.StrategyGreedyMax, k, par, nil)
-			},
-			Incremental: true,
-		},
-		{
-			Name: "G_1",
-			Place: func(ev flow.Evaluator, k int, _ *rand.Rand) []int {
-				return place(ev, core.StrategyGreedy1, k, 1, nil)
-			},
-			Incremental: true,
-		},
-		{
-			// greedy-l-fast implements the paper's "clever bookkeeping"
-			// remark; output is identical to plain Greedy_L.
-			Name: "G_L",
-			Place: func(ev flow.Evaluator, k int, _ *rand.Rand) []int {
-				return place(ev, core.StrategyGreedyLFast, k, 1, nil)
-			},
-			Incremental: true,
-		},
-		{
-			Name: "Rand_W",
-			Place: func(ev flow.Evaluator, k int, rng *rand.Rand) []int {
-				return place(ev, core.StrategyRandW, k, 1, rng)
-			},
-			Randomized: true,
-		},
-		{
-			Name: "Rand_I",
-			Place: func(ev flow.Evaluator, k int, rng *rand.Rand) []int {
-				return place(ev, core.StrategyRandI, k, 1, rng)
-			},
-			Randomized: true,
-		},
-		{
-			Name: "Rand_K",
-			Place: func(ev flow.Evaluator, k int, rng *rand.Rand) []int {
-				return place(ev, core.StrategyRandK, k, 1, rng)
-			},
-			Randomized: true,
-		},
+	legend := []struct {
+		name  string
+		strat core.Strategy
+	}{
+		{"G_ALL", core.StrategyGreedyAll},
+		{"G_Max", core.StrategyGreedyMax},
+		{"G_1", core.StrategyGreedy1},
+		{"G_L", core.StrategyGreedyL},
+		{"Rand_W", core.StrategyRandW},
+		{"Rand_I", core.StrategyRandI},
+		{"Rand_K", core.StrategyRandK},
 	}
+	algos := make([]Algorithm, len(legend))
+	for i, l := range legend {
+		info, _ := core.LookupStrategy(string(l.strat))
+		algos[i] = Algorithm{
+			Name: l.name,
+			Place: func(ev flow.Evaluator, k int, rng *rand.Rand) []int {
+				return place(ev, l.strat, k, par, rng)
+			},
+			Randomized: info.Randomized,
+			// The legend's deterministic strategies are all greedy: their
+			// budget-i output is the prefix of their budget-k output.
+			Incremental: !info.Randomized,
+		}
+	}
+	return algos
 }
 
 // GreedyAlgorithms returns only the four deterministic algorithms, the set

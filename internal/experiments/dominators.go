@@ -60,7 +60,7 @@ func AblationDominators(opt Options) (*Report, error) {
 		topDom = append(topDom, ranked[i].v)
 	}
 
-	gall := core.GreedyAll(ev, 10)
+	gall := place(ev, core.StrategyGreedyAll, 10, 1, nil)
 	frDom := flow.FR(ev, flow.MaskOf(g.N(), topDom))
 	frAll := flow.FR(ev, flow.MaskOf(g.N(), gall))
 	rep.Note("Greedy_All's first pick: node %d; top dominator: node %d", gall[0], ranked[0].v)

@@ -46,8 +46,8 @@ func AblationBetweenness(opt Options) (*Report, error) {
 		}
 		ev := flow.NewFloat(flow.MustModel(g, []int{src}))
 		between := centrality.TopK(g, d.k)
-		gall := core.GreedyAll(ev, d.k)
-		g1 := core.Greedy1(g, d.k)
+		gall := place(ev, core.StrategyGreedyAll, d.k, 1, nil)
+		g1 := place(ev, core.StrategyGreedy1, d.k, 1, nil)
 		rep.AddRow(d.name, d.k,
 			flow.FR(ev, flow.MaskOf(g.N(), between)),
 			flow.FR(ev, flow.MaskOf(g.N(), gall)),
@@ -143,8 +143,8 @@ func AblationMultiItem(opt Options) (*Report, error) {
 	// Single-item tuning: optimize only the heaviest item.
 	heavy := flow.NewFloat(flow.MustModel(g, []int{src}))
 	rep.Header = []string{"k", "multi-aware FR", "heavy-item-only FR"}
-	multiPlan := core.GreedyAll(me, 12)
-	heavyPlan := core.GreedyAll(heavy, 12)
+	multiPlan := place(me, core.StrategyGreedyAll, 12, 1, nil)
+	heavyPlan := place(heavy, core.StrategyGreedyAll, 12, 1, nil)
 	for _, k := range []int{0, 2, 4, 6, 8, 10, 12} {
 		mp, hp := multiPlan, heavyPlan
 		if k < len(mp) {

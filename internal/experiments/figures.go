@@ -61,9 +61,9 @@ func Fig2(opt Options) (*Report, error) {
 		name  string
 		nodes []int
 	}{
-		{"G_1", core.Greedy1(g, 1)},
-		{"G_Max", core.GreedyMax(ev, 1)},
-		{"G_ALL", core.GreedyAll(ev, 1)},
+		{"G_1", place(ev, core.StrategyGreedy1, 1, 1, nil)},
+		{"G_Max", place(ev, core.StrategyGreedyMax, 1, 1, nil)},
+		{"G_ALL", place(ev, core.StrategyGreedyAll, 1, 1, nil)},
 	} {
 		label := "-"
 		if len(algo.nodes) > 0 {
@@ -89,7 +89,7 @@ func Fig3(opt Options) (*Report, error) {
 	for _, v := range []int{gen.Fig3A, gen.Fig3B, gen.Fig3C} {
 		rep.AddRow(g.Label(v), imp0[v], impA[v])
 	}
-	greedy := core.GreedyAll(ev, 2)
+	greedy := place(ev, core.StrategyGreedyAll, 2, 1, nil)
 	optSet, optF := core.Exhaustive(ev, 2)
 	rep.Note("Φ(∅,V) = %.0f (paper: 26)", ev.Phi(nil))
 	rep.Note("Greedy_All picks %s: Φ = %.0f (paper: {A,C} → 15)", labelSet(g, greedy), ev.Phi(flow.MaskOf(g.N(), greedy)))
@@ -362,7 +362,7 @@ func AblationEngines(opt Options) (*Report, error) {
 	} {
 		start := time.Now()
 		ev := e.mk()
-		set := core.GreedyAll(ev, 3)
+		set := place(ev, core.StrategyGreedyAll, 3, 1, nil)
 		secs := time.Since(start).Seconds()
 		rep.AddRow(e.name, fmt.Sprintf("%.4f", secs), fmt.Sprintf("%.6g", ev.Phi(nil)), fmt.Sprintf("%v", set))
 	}
@@ -391,7 +391,7 @@ func AblationProbabilistic(opt Options) (*Report, error) {
 	}
 	placements := make([][]int, len(evs))
 	for i, ev := range evs {
-		placements[i] = core.GreedyAll(ev, 10)
+		placements[i] = place(ev, core.StrategyGreedyAll, 10, 1, nil)
 	}
 	for k := 0; k <= 10; k++ {
 		row := []any{k}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/sched"
 )
@@ -24,12 +25,35 @@ type errorBody struct {
 	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON sends v with status. json.Encoder writes nothing when v fails
+// to encode (NaN, say), and the status line goes out with the first
+// write, so such a value is answered with a 500 error body instead of a
+// bodiless success.
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.logf("fpd: encode response: %v", err)
+	sw := &statusWriter{ResponseWriter: w, status: status}
+	if err := json.NewEncoder(sw).Encode(v); err != nil {
+		if !sw.wrote {
+			s.writeError(w, r, http.StatusInternalServerError, "encode response: %v", err)
+			return
+		}
+		s.logf("fpd: write response: %v", err)
 	}
+}
+
+// statusWriter defers WriteHeader to the first Write.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+	wrote  bool
+}
+
+func (sw *statusWriter) Write(p []byte) (int, error) {
+	if !sw.wrote {
+		sw.wrote = true
+		sw.ResponseWriter.WriteHeader(sw.status)
+	}
+	return sw.ResponseWriter.Write(p)
 }
 
 // requestIDOf recovers the request id for error bodies: from the stamped
@@ -44,7 +68,7 @@ func requestIDOf(w http.ResponseWriter, r *http.Request) string {
 
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
 	s.metrics.RequestErrors.Add(1)
-	s.writeJSON(w, status, errorBody{
+	s.writeJSON(w, r, status, errorBody{
 		Error:     fmt.Sprintf(format, args...),
 		RequestID: requestIDOf(w, r),
 	})
@@ -62,7 +86,7 @@ func (s *Server) writeQueueFull(w http.ResponseWriter, r *http.Request, err erro
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	s.metrics.RequestErrors.Add(1)
-	s.writeJSON(w, http.StatusServiceUnavailable, errorBody{
+	s.writeJSON(w, r, http.StatusServiceUnavailable, errorBody{
 		Error:             fmt.Sprintf("%v; retry later", err),
 		RequestID:         requestIDOf(w, r),
 		RetryAfterSeconds: secs,
@@ -102,12 +126,12 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	info := s.registry.Add(spec.Name, m)
 	w.Header().Set("Location", "/v1/graphs/"+info.ID)
-	s.writeJSON(w, http.StatusCreated, info)
+	s.writeJSON(w, r, http.StatusCreated, info)
 }
 
 // handleListGraphs is GET /v1/graphs.
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"graphs": s.registry.List()})
+	s.writeJSON(w, r, http.StatusOK, map[string]any{"graphs": s.registry.List()})
 }
 
 // handleGetGraph is GET /v1/graphs/{id}.
@@ -118,7 +142,7 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, "unknown graph %q", id)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, info)
+	s.writeJSON(w, r, http.StatusOK, info)
 }
 
 // handleDeleteGraph is DELETE /v1/graphs/{id}.
@@ -172,21 +196,21 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tc := s.tenantCounters(r)
-	if !algo.async {
-		res, err := spec.execute(r.Context(), algo, m, id, s.metrics, tc)
+	if algo.Serve != core.ServeAsync {
+		res, err := spec.execute(r.Context(), m, id, s.metrics, tc)
 		if err != nil {
 			s.writeError(w, r, http.StatusInternalServerError, "placement: %v", err)
 			return
 		}
 		s.metrics.SyncPlacements.Add(1)
-		s.writeJSON(w, http.StatusOK, res)
+		s.writeJSON(w, r, http.StatusOK, res)
 		return
 	}
 
 	key := spec.cacheKey(id, info.Patches, sources)
 	if res, ok := s.cache.get(key); ok {
 		tc.AddCacheHit()
-		s.writeJSON(w, http.StatusOK, res)
+		s.writeJSON(w, r, http.StatusOK, res)
 		return
 	}
 	tc.AddCacheMiss()
@@ -195,7 +219,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// in-flight computation instead of duplicating it; runShared also
 	// fills the cache slot.
 	job, err := s.jobs.SubmitFunc(id, spec, key, jobMetaOf(r), func(ctx context.Context) (*PlaceResult, error) {
-		return s.runShared(ctx, key, spec, algo, m, id, tc)
+		return s.runShared(ctx, key, spec, m, id, tc)
 	})
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -206,7 +230,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	s.writeJSON(w, http.StatusAccepted, job)
+	s.writeJSON(w, r, http.StatusAccepted, job)
 }
 
 // handleEvaluate is GET /v1/graphs/{id}/evaluate?filters=3,17,42: report
@@ -237,7 +261,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	ev := flow.NewFloat(m)
 	mask := flow.MaskOf(m.N(), filters)
 	s.metrics.Evaluations.Add(1)
-	s.writeJSON(w, http.StatusOK, &PlaceResult{
+	s.writeJSON(w, r, http.StatusOK, &PlaceResult{
 		GraphID:   id,
 		Algorithm: "evaluate",
 		K:         len(filters),
@@ -277,7 +301,7 @@ func parseNodeList(s string, n int) ([]int, error) {
 
 // handleListJobs is GET /v1/jobs.
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.List()})
+	s.writeJSON(w, r, http.StatusOK, map[string]any{"jobs": s.jobs.List()})
 }
 
 // handleGetJob is GET /v1/jobs/{id}.
@@ -288,7 +312,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, info)
+	s.writeJSON(w, r, http.StatusOK, info)
 }
 
 // handleCancelJob is DELETE /v1/jobs/{id}: request cancellation and return
@@ -300,14 +324,14 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, info)
+	s.writeJSON(w, r, http.StatusOK, info)
 }
 
 // handleHealthz is GET /healthz: liveness. It answers 200 whenever the
 // process can serve HTTP at all; readiness (can it take work?) is
 // /readyz's job.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, r, http.StatusOK, map[string]any{
 		"status": "ok",
 		"graphs": s.registry.Len(),
 	})
@@ -334,7 +358,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, status, map[string]any{"ready": ready, "checks": checks})
+	s.writeJSON(w, r, status, map[string]any{"ready": ready, "checks": checks})
 }
 
 // handleMetrics is GET /metrics. The counter snapshot is augmented with
@@ -354,7 +378,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.writeJSON(w, http.StatusOK, snap)
+	s.writeJSON(w, r, http.StatusOK, snap)
 }
 
 // sampleSnapshot couples the counter snapshot with the point-in-time

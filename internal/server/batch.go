@@ -135,7 +135,6 @@ func (s *Server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 	spec := breq.Spec
 	tc := s.tenantCounters(r)
 	var (
-		algo   algoSpec
 		items  = make([]BatchItem, 0, len(ids))
 		misses = make([]batchMiss, 0, len(ids))
 		keys   = make([]string, 0, len(ids))
@@ -149,8 +148,7 @@ func (s *Server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 		// validate normalizes the spec in place; the normalization is
 		// idempotent and graph-independent, only the k/sources range
 		// checks differ per graph.
-		var err error
-		if algo, err = spec.validate(m, s.maxParallelism); err != nil {
+		if _, err := spec.validate(m, s.maxParallelism); err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "place spec (graph %s): %v", id, err)
 			return
 		}
@@ -172,7 +170,7 @@ func (s *Server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if len(misses) == 0 {
-		s.writeJSON(w, http.StatusOK, BatchResult{Graphs: items})
+		s.writeJSON(w, r, http.StatusOK, BatchResult{Graphs: items})
 		return
 	}
 
@@ -182,7 +180,7 @@ func (s *Server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 	// keys exclude parallelism, so the gang key does too.
 	bs := newBatchState(items)
 	gangKey := "batch|" + strings.Join(keys, "&")
-	job, err := s.jobs.SubmitBatch(strings.Join(ids, ","), spec, gangKey, jobMetaOf(r), bs, s.runBatch(misses, spec, algo, bs, tc))
+	job, err := s.jobs.SubmitBatch(strings.Join(ids, ","), spec, gangKey, jobMetaOf(r), bs, s.runBatch(misses, spec, bs, tc))
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.writeQueueFull(w, r, err)
@@ -192,7 +190,7 @@ func (s *Server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	s.writeJSON(w, http.StatusAccepted, job)
+	s.writeJSON(w, r, http.StatusAccepted, job)
 }
 
 // runBatch builds the gang closure: every miss becomes one scheduler task
@@ -201,7 +199,7 @@ func (s *Server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 // mid-flight still leaves every finished graph cached and marked done.
 // The gang is tagged with the submitting tenant so its scheduler queue
 // waits are attributed in the per-tenant accounting.
-func (s *Server) runBatch(misses []batchMiss, spec PlaceSpec, algo algoSpec, bs *batchState, tc *obs.TenantCounters) func(context.Context) (*PlaceResult, error) {
+func (s *Server) runBatch(misses []batchMiss, spec PlaceSpec, bs *batchState, tc *obs.TenantCounters) func(context.Context) (*PlaceResult, error) {
 	return func(ctx context.Context) (*PlaceResult, error) {
 		errs := make([]error, len(misses))
 		gang := sched.Default().NewBatch().SetTag(tc.Name())
@@ -221,7 +219,7 @@ func (s *Server) runBatch(misses []batchMiss, spec PlaceSpec, algo algoSpec, bs 
 				// queued), registers the per-graph key in the flight table
 				// so identical work in flight is joined instead of
 				// duplicated, and fills the cache slot on success.
-				res, err := s.runShared(ctx, ms.key, spec, algo, ms.model, ms.graphID, tc)
+				res, err := s.runShared(ctx, ms.key, spec, ms.model, ms.graphID, tc)
 				s.metrics.BatchGraphsInflight.Add(-1)
 				if err != nil {
 					errs[i] = err

@@ -73,7 +73,7 @@ func (t *flightTable) finish(key string, f *flight, res *PlaceResult, err error)
 // tc is the tenant the computation is charged to. Only the leader's
 // tenant pays for the oracle work — the work runs once, so charging the
 // followers too would double-bill shared computations.
-func (s *Server) runShared(ctx context.Context, key string, spec PlaceSpec, algo algoSpec, m *flow.Model, graphID string, tc *obs.TenantCounters) (*PlaceResult, error) {
+func (s *Server) runShared(ctx context.Context, key string, spec PlaceSpec, m *flow.Model, graphID string, tc *obs.TenantCounters) (*PlaceResult, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -83,7 +83,7 @@ func (s *Server) runShared(ctx context.Context, key string, spec PlaceSpec, algo
 		}
 		f, leader := s.flights.join(key)
 		if leader {
-			res, err := spec.execute(ctx, algo, m, graphID, s.metrics, tc)
+			res, err := spec.execute(ctx, m, graphID, s.metrics, tc)
 			if err == nil {
 				s.cache.put(key, res)
 			}

@@ -54,8 +54,7 @@ func TestCrossKindDedupGangSoloRace(t *testing.T) {
 	}
 	info := srv.registry.Add("diamond", m)
 	spec := PlaceSpec{Algorithm: "gall", K: 1}
-	algo, err := spec.validate(m, 4)
-	if err != nil {
+	if _, err := spec.validate(m, 4); err != nil {
 		t.Fatal(err)
 	}
 	key := spec.cacheKey(info.ID, 0, m.Sources())
@@ -68,7 +67,7 @@ func TestCrossKindDedupGangSoloRace(t *testing.T) {
 
 	// Solo job, exactly as handlePlace submits it.
 	solo, err := srv.jobs.SubmitFunc(info.ID, spec, key, JobMeta{}, func(ctx context.Context) (*PlaceResult, error) {
-		return srv.runShared(ctx, key, spec, algo, m, info.ID, nil)
+		return srv.runShared(ctx, key, spec, m, info.ID, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +75,7 @@ func TestCrossKindDedupGangSoloRace(t *testing.T) {
 	// Gang job over the same graph, exactly as handlePlaceBatch submits it.
 	bs := newBatchState([]BatchItem{{GraphID: info.ID, State: JobQueued}})
 	gang, err := srv.jobs.SubmitBatch(info.ID, spec, "batch|"+key, JobMeta{}, bs,
-		srv.runBatch([]batchMiss{{graphID: info.ID, model: m, key: key}}, spec, algo, bs, nil))
+		srv.runBatch([]batchMiss{{graphID: info.ID, model: m, key: key}}, spec, bs, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +135,7 @@ func TestFlightFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	}
 	info := srv.registry.Add("diamond-tail", m)
 	spec := PlaceSpec{Algorithm: "gall", K: 1}
-	algo, err := spec.validate(m, 4)
-	if err != nil {
+	if _, err := spec.validate(m, 4); err != nil {
 		t.Fatal(err)
 	}
 	key := spec.cacheKey(info.ID, 0, m.Sources())
@@ -152,7 +150,7 @@ func TestFlightFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	}
 	got := make(chan out, 1)
 	go func() {
-		res, err := srv.runShared(context.Background(), key, spec, algo, m, info.ID, nil)
+		res, err := srv.runShared(context.Background(), key, spec, m, info.ID, nil)
 		got <- out{res, err}
 	}()
 	// Wait for the follower to park, then fail the leader.

@@ -97,7 +97,7 @@ func (s *Server) handleStatsHistory(w http.ResponseWriter, r *http.Request) {
 	if samples == nil {
 		samples = []obs.Sample{} // serialize as [], not null
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, r, http.StatusOK, map[string]any{
 		"interval_ms":  s.historyInterval.Milliseconds(),
 		"retention_ms": s.historyRetention.Milliseconds(),
 		"capacity":     s.history.Cap(),

@@ -310,7 +310,7 @@ func TestGreedyCtxCancel(t *testing.T) {
 	cancel()
 	for _, algo := range []string{"gall", "celf"} {
 		spec := PlaceSpec{Algorithm: algo, K: 2, Engine: "float"}
-		if _, err := spec.execute(ctx, algos[algo], m, "g1", nil, nil); !errors.Is(err, context.Canceled) {
+		if _, err := spec.execute(ctx, m, "g1", nil, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", algo, err)
 		}
 	}

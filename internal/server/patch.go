@@ -177,7 +177,7 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 			s.jobs.ObserveStage(job.ID, "plan-splice", patchStart, patchDur)
 		}
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, r, http.StatusOK, out)
 }
 
 // submitMaintain enqueues the auto-maintain job kind: refresh graph id's

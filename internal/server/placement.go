@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -47,14 +46,6 @@ type PlaceSpec struct {
 	CoarsenRatio float64 `json:"coarsen_ratio,omitempty"`
 }
 
-// coarsenOptions maps the spec's validated coarsen fields to core options.
-func (sp *PlaceSpec) coarsenOptions() flow.CoarsenOptions {
-	return flow.CoarsenOptions{
-		TargetRatio: sp.CoarsenRatio,
-		Lossless:    sp.Coarsen == "lossless",
-	}
-}
-
 // PlaceResult is the placement outcome, returned inline for synchronous
 // algorithms and through the job API for asynchronous ones.
 type PlaceResult struct {
@@ -91,106 +82,75 @@ type PlaceResult struct {
 	Coarsen *flow.CoarsenStats `json:"coarsen,omitempty"`
 }
 
-// algoSpec describes one placement algorithm: which core.Place strategy
-// runs it, whether it is expensive enough to route through the async job
-// engine, and which request fields (seed, k) actually matter for its
-// result.
-type algoSpec struct {
-	async      bool
-	randomized bool
-	kless      bool // ignores the budget (prop1 places at every merge node)
-	approx     bool // estimate-driven: quality/sample_budget apply, result carries phi_ci
-	coarsen    bool // multilevel: coarsen/coarsen_ratio apply, result carries coarsen stats
-	strategy   core.Strategy
-}
-
-var algos = map[string]algoSpec{
-	"gall":   {async: true, strategy: core.StrategyGreedyAll},
-	"celf":   {async: true, strategy: core.StrategyCELF},
-	"approx": {async: true, approx: true, strategy: core.StrategyApproxCELF},
-	"mlcelf": {async: true, approx: true, coarsen: true, strategy: core.StrategyMLCELF},
-	"gmax":   {strategy: core.StrategyGreedyMax},
-	"g1":     {strategy: core.StrategyGreedy1},
-	"gl":     {strategy: core.StrategyGreedyL},
-	"glfast": {strategy: core.StrategyGreedyLFast},
-	"randk":  {randomized: true, strategy: core.StrategyRandK},
-	"randi":  {randomized: true, strategy: core.StrategyRandI},
-	"randw":  {randomized: true, strategy: core.StrategyRandW},
-	"prop1":  {kless: true, strategy: core.StrategyProp1},
-}
-
-// Algorithms lists the accepted algorithm names, asynchronous ones first.
-func Algorithms() []string {
-	names := make([]string, 0, len(algos))
-	for name := range algos {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		ai, aj := algos[names[i]].async, algos[names[j]].async
-		if ai != aj {
-			return ai
-		}
-		return names[i] < names[j]
-	})
-	return names
-}
-
 // validate normalizes the spec in place against a model and returns the
-// algorithm table entry. k must satisfy 1 ≤ k ≤ n and parallelism is
+// strategy's table row. k must satisfy 1 ≤ k ≤ n and parallelism is
 // clamped to [0, maxParallelism]. Normalization canonicalizes the cache
-// key: the default engine becomes explicit and the seed is dropped for
-// deterministic algorithms, so requests differing only in irrelevant
-// fields share a cache slot.
-func (sp *PlaceSpec) validate(m *flow.Model, maxParallelism int) (algoSpec, error) {
-	spec, ok := algos[sp.Algorithm]
-	if !ok {
-		return algoSpec{}, fmt.Errorf("unknown algorithm %q (have %s)",
-			sp.Algorithm, strings.Join(Algorithms(), ", "))
+// key: the algorithm becomes its short name, the default engine becomes
+// explicit, and every field the strategy does not read is zeroed, so
+// requests differing only in irrelevant fields share a cache slot.
+func (sp *PlaceSpec) validate(m *flow.Model, maxParallelism int) (core.StrategyInfo, error) {
+	info, err := core.LookupStrategy(sp.Algorithm)
+	if err != nil {
+		return info, err
 	}
-	if spec.kless {
+	if info.Serve == core.ServeNone {
+		return info, fmt.Errorf("strategy %q is not served over HTTP", sp.Algorithm)
+	}
+	sp.Algorithm = info.Short
+	if info.Kless {
 		sp.K = 0 // the budget is ignored; one cache slot for all k
 	} else if n := m.N(); sp.K < 1 || sp.K > n {
-		return algoSpec{}, fmt.Errorf("k = %d outside [1, %d]", sp.K, n)
+		return info, fmt.Errorf("k = %d outside [1, %d]", sp.K, n)
 	}
 	switch sp.Engine {
 	case "":
 		sp.Engine = "float"
 	case "float", "big":
 	default:
-		return algoSpec{}, fmt.Errorf("unknown engine %q (have float, big)", sp.Engine)
+		return info, fmt.Errorf("unknown engine %q (have float, big)", sp.Engine)
 	}
-	if !spec.randomized && !spec.approx {
-		sp.Seed = 0 // deterministic algorithms: one cache slot for all seeds
+	if info.Sampling == core.NoSampling {
+		sp.Quality, sp.SampleBudget = 0, 0
 	}
-	if !spec.approx {
-		sp.Quality, sp.SampleBudget = 0, 0 // irrelevant: don't fragment cache slots
+	if !info.ReadsSeed(sp.Quality, sp.SampleBudget) {
+		sp.Seed = 0
 	}
-	if spec.coarsen {
+	if info.Coarsens {
 		switch sp.Coarsen {
 		case "":
 			sp.Coarsen = "bounded" // canonical: one cache slot for the default
 		case "bounded", "lossless":
 		default:
-			return algoSpec{}, fmt.Errorf("unknown coarsen mode %q (have lossless, bounded)", sp.Coarsen)
+			return info, fmt.Errorf("unknown coarsen mode %q (have lossless, bounded)", sp.Coarsen)
 		}
 	} else {
-		sp.Coarsen, sp.CoarsenRatio = "", 0 // irrelevant: don't fragment cache slots
+		sp.Coarsen, sp.CoarsenRatio = "", 0
 	}
 	// The numeric knobs share core's validation, so a bad value produces
 	// the same error through HTTP, the CLI and direct core callers.
-	if err := (core.Options{
-		Strategy:     spec.strategy,
-		Parallelism:  sp.Parallelism,
-		Quality:      sp.Quality,
-		SampleBudget: sp.SampleBudget,
-		Coarsen:      sp.coarsenOptions(),
-	}).Validate(); err != nil {
-		return algoSpec{}, err
+	if err := sp.options().Validate(); err != nil {
+		return info, err
 	}
 	if sp.Parallelism > maxParallelism {
 		sp.Parallelism = maxParallelism
 	}
-	return spec, nil
+	return info, nil
+}
+
+// options maps the validated spec onto core options.
+func (sp *PlaceSpec) options() core.Options {
+	return core.Options{
+		Strategy:     core.Strategy(sp.Algorithm),
+		Parallelism:  sp.Parallelism,
+		Seed:         sp.Seed,
+		Quality:      sp.Quality,
+		SampleBudget: sp.SampleBudget,
+		SampleSeed:   sp.Seed,
+		Coarsen: flow.CoarsenOptions{
+			TargetRatio: sp.CoarsenRatio,
+			Lossless:    sp.Coarsen == "lossless",
+		},
+	}
 }
 
 // newEvaluator builds a fresh evaluator for the model. Engines reuse
@@ -227,7 +187,11 @@ func (sp *PlaceSpec) cacheKey(graphID string, version int64, sources []int) stri
 // charges it post-algorithm, so accounting can never perturb placements.
 // A trace carried by ctx (async jobs attach one) records the evaluator
 // build and the per-stage placement timing.
-func (sp *PlaceSpec) execute(ctx context.Context, spec algoSpec, m *flow.Model, graphID string, metrics *Metrics, tc *obs.TenantCounters) (*PlaceResult, error) {
+func (sp *PlaceSpec) execute(ctx context.Context, m *flow.Model, graphID string, metrics *Metrics, tc *obs.TenantCounters) (*PlaceResult, error) {
+	info, err := core.LookupStrategy(sp.Algorithm)
+	if err != nil {
+		return nil, err
+	}
 	tr := obs.TraceFrom(ctx)
 	bsp := tr.Begin("build-evaluator")
 	ev := sp.newEvaluator(m)
@@ -236,18 +200,9 @@ func (sp *PlaceSpec) execute(ctx context.Context, spec algoSpec, m *flow.Model, 
 		metrics.PlaceWorkersBusy.Add(int64(max(sp.Parallelism, 1)))
 		defer metrics.PlaceWorkersBusy.Add(-int64(max(sp.Parallelism, 1)))
 	}
-	pres, err := core.Place(ctx, ev, sp.K, core.Options{
-		Strategy:     spec.strategy,
-		Parallelism:  sp.Parallelism,
-		Seed:         sp.Seed,
-		Quality:      sp.Quality,
-		SampleBudget: sp.SampleBudget,
-		SampleSeed:   sp.Seed,
-		Coarsen:      sp.coarsenOptions(),
-		Trace:        tr,
-		Tenant:       tc.Name(),
-		Account:      tc,
-	})
+	opts := sp.options()
+	opts.Trace, opts.Tenant, opts.Account = tr, tc.Name(), tc
+	pres, err := core.Place(ctx, ev, sp.K, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -265,10 +220,9 @@ func (sp *PlaceSpec) execute(ctx context.Context, spec algoSpec, m *flow.Model, 
 	}
 	if metrics != nil {
 		metrics.OracleEvaluations.Add(int64(pres.Stats.GainEvaluations))
-		// mlcelf is approx-capable but only estimate-driven when the
-		// quality knobs are set; exact quotient solves stay out of the
-		// Approx* series.
-		if spec.approx && pres.Stats.SampledEvaluations > 0 {
+		// Only estimate-driven runs enter the Approx* series: mlcelf
+		// samples only when the quality knobs ask it to.
+		if pres.Stats.SampledEvaluations > 0 {
 			metrics.ApproxPlacements.Add(1)
 			metrics.ApproxSampledEvaluations.Add(int64(pres.Stats.SampledEvaluations))
 			metrics.ApproxExactRechecks.Add(int64(pres.Stats.GainEvaluations))
@@ -279,7 +233,7 @@ func (sp *PlaceSpec) execute(ctx context.Context, spec algoSpec, m *flow.Model, 
 		filters = []int{} // serialize as [], not null
 	}
 	k := sp.K
-	if spec.kless {
+	if info.Kless {
 		k = len(filters) // report the budget actually used
 	}
 	mask := flow.MaskOf(m.N(), filters)

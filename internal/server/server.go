@@ -8,8 +8,9 @@
 //     edge mutations apply atomically, stale cached placements are
 //     invalidated, and an optional auto-maintain job refreshes the filter
 //     placement incrementally.
-//   - An async JobEngine: expensive placements (GreedyAll/CELF) run on a
-//     worker pool with queued/running/done/failed/canceled states,
+//   - An async JobEngine: expensive placements (the async rows of the
+//     core strategy table) run on a worker pool with
+//     queued/running/done/failed/canceled states,
 //     context-based cancellation, and an LRU result cache keyed by
 //     (graph, sources, algorithm, k, engine, seed) so repeated queries
 //     are O(1). A gang-submitted batch (POST /v1/placements:batch) is

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -192,7 +193,11 @@ func TestSyncPlacementHeuristics(t *testing.T) {
 			if res.PhiEmpty != 6 {
 				t.Errorf("phi_empty = %v, want 6", res.PhiEmpty)
 			}
-			if res.GraphID != info.ID || res.Algorithm != algo {
+			want := algo
+			if algo == "glfast" {
+				want = "gl" // the retired name echoes its successor
+			}
+			if res.GraphID != info.ID || res.Algorithm != want {
 				t.Errorf("result = %+v", res)
 			}
 		})
@@ -244,7 +249,7 @@ func TestPlaceErrors(t *testing.T) {
 
 // TestAsyncGreedyMatchesLibraryAndCaches is the end-to-end acceptance
 // path: upload → async greedy job → polled result equals a direct
-// fp.GreedyAll + fp.FR call, and an identical second request is served
+// fp.Place + fp.FR call, and an identical second request is served
 // from the result cache (observed via /metrics).
 func TestAsyncGreedyMatchesLibraryAndCaches(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
@@ -276,7 +281,11 @@ func TestAsyncGreedyMatchesLibraryAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := fp.NewFloat(model)
-	filters := fp.GreedyAll(ev, 5)
+	want, err := fp.Place(context.Background(), ev, 5, fp.PlaceOptions{Strategy: fp.StrategyGreedyAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := want.Filters
 	wantFR := fp.FR(ev, fp.MaskOf(g.N(), filters))
 
 	res := done.Result

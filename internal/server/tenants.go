@@ -14,7 +14,7 @@ func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, "tenant accounting disabled")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"tenants": s.acct.Snapshot()})
+	s.writeJSON(w, r, http.StatusOK, map[string]any{"tenants": s.acct.Snapshot()})
 }
 
 // handleTenantUsage is GET /v1/tenants/{id}/usage: one tenant's
@@ -31,5 +31,5 @@ func (s *Server) handleTenantUsage(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, "no usage recorded for tenant %q", id)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, tc.Usage())
+	s.writeJSON(w, r, http.StatusOK, tc.Usage())
 }
