@@ -1,7 +1,7 @@
 // Command fpd is the filter-placement daemon: a long-running HTTP/JSON
 // service over the fp library. It keeps an LRU-bounded registry of uploaded
 // or generated communication graphs, answers cheap placement heuristics
-// synchronously, runs expensive greedy placements on an async worker pool
+// synchronously, runs expensive greedy placements as queued async jobs
 // with a result cache, and serves dynamic graphs: PATCHed edge mutations
 // apply atomically with incremental topological-order maintenance, stale
 // cached placements are invalidated, and an optional auto-maintain job
@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	fpd -addr :8080 -workers 8 -max-graphs 64 -cache-size 512
+//	fpd -addr :8080 -sched-workers 8 -max-graphs 64 -cache-size 512
 //
 // Endpoints (see internal/server for the full API):
 //
@@ -31,7 +31,9 @@
 // All placement work — solo jobs, gang batches, auto-maintain recomputes —
 // executes on one process-wide work-stealing scheduler sized by
 // -sched-workers, so concurrent placements share a bounded pool instead
-// of spawning goroutines per call.
+// of spawning goroutines per call. The same number caps how many async
+// jobs run at once; up to -queue more wait in one FIFO (gang batches get
+// twice that room).
 //
 // Observability: /metrics serves JSON by default and the Prometheus text
 // format for scrapers (?format=prometheus or Accept: text/plain),
@@ -42,7 +44,7 @@
 // runtime profiler under /debug/pprof/.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener drains, running
-// jobs are canceled, and the worker pool exits.
+// jobs are canceled, and queued jobs end canceled without running.
 package main
 
 import (
@@ -83,13 +85,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		workers   = fs.Int("workers", 0, "job worker pool size (0: GOMAXPROCS)")
 		queue     = fs.Int("queue", 64, "pending-job queue depth")
 		maxJobs   = fs.Int("max-jobs", 1024, "retained job records (older terminal jobs are pruned)")
 		maxGraphs = fs.Int("max-graphs", 32, "graph registry capacity (LRU)")
 		cacheSize = fs.Int("cache-size", 256, "placement result cache capacity (LRU)")
 		maxPar    = fs.Int("max-parallelism", 0, "cap on the per-placement 'parallelism' request field (0: GOMAXPROCS)")
-		schedW    = fs.Int("sched-workers", 0, "process-wide placement scheduler pool size shared by all jobs (0: GOMAXPROCS)")
+		schedW    = fs.Int("sched-workers", 0, "process-wide placement scheduler pool size shared by all jobs, and the number of async jobs run at once (0: GOMAXPROCS)")
 		grace     = fs.Duration("grace", 10*time.Second, "graceful shutdown timeout")
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, error (debug includes per-request logs)")
 		slowPlace = fs.Duration("slow-place", 0, "warn with the stage timeline when a job's run exceeds this (0: disabled)")
@@ -115,7 +116,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 
 	srv := server.New(server.Config{
-		Workers:            *workers,
 		QueueDepth:         *queue,
 		MaxJobs:            *maxJobs,
 		MaxGraphs:          *maxGraphs,

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	// An fpd instance on an ephemeral port, exactly as cmd/fpd wires it.
-	srv := server.New(server.Config{Workers: 4})
+	srv := server.New(server.Config{})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -9,10 +9,10 @@ import (
 // ParseBatch parses the text form of a mutation batch, one mutation per
 // line:
 //
-//	+ u v    insert edge (u, v)
-//	- u v    remove edge (u, v)
-//	n k      append k fresh nodes
-//	# ...    comment (blank lines are skipped)
+//   - u v    insert edge (u, v)
+//   - u v    remove edge (u, v)
+//     n k      append k fresh nodes
+//     # ...    comment (blank lines are skipped)
 //
 // Node ids are decimal and non-negative. Multiple "n" lines accumulate.
 // The format is the PATCH /v1/graphs/{id}/edges "patch" field; parse

@@ -26,82 +26,44 @@ func okFn(ctx context.Context) (*PlaceResult, error) {
 	return &PlaceResult{Filters: []int{1}}, nil
 }
 
-// forceProbe installs a controllable saturation probe on the engine.
-func forceProbe(e *JobEngine) *atomic.Bool {
-	var saturated atomic.Bool
-	e.mu.Lock()
-	e.satProbe = func() bool { return saturated.Load() }
-	e.mu.Unlock()
-	return &saturated
-}
-
-// TestGangDeferredWhenSchedSaturated pins the ROADMAP behavior: a gang
-// job arriving while the shared scheduler is saturated is parked (202,
-// state queued) instead of rejected, counted in jobs_deferred, and runs
-// as soon as the scheduler drains.
-func TestGangDeferredWhenSchedSaturated(t *testing.T) {
-	e, metrics := newTestEngine(1, 4)
-	defer e.Close()
-	saturated := forceProbe(e)
-	saturated.Store(true)
-
-	info := gangJob(t, e, "batch|k1", okFn)
-	if info.State != JobQueued {
-		t.Fatalf("deferred gang state %s, want queued", info.State)
-	}
-	if d := e.DeferredDepth(); d != 1 {
-		t.Fatalf("deferred depth %d, want 1", d)
-	}
-	if got := metrics.JobsDeferred.Load(); got != 1 {
-		t.Fatalf("jobs_deferred = %d, want 1", got)
-	}
-	// Saturated: the dispatcher must NOT admit it.
-	time.Sleep(20 * time.Millisecond)
-	if in, _ := e.Get(info.ID); in.State != JobQueued {
-		t.Fatalf("gang advanced to %s while scheduler saturated", in.State)
-	}
-
-	saturated.Store(false)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	done, err := e.Wait(ctx, info.ID)
-	if err != nil || done.State != JobDone {
-		t.Fatalf("deferred gang finished as %s (err %v), want done", done.State, err)
-	}
-}
-
-// TestGangDeferredWhenQueueFull: a full worker queue 503s solo jobs as
-// before, but parks gang jobs.
-func TestGangDeferredWhenQueueFull(t *testing.T) {
-	e, metrics := newTestEngine(1, 1)
-	defer e.Close()
+// holdSlot occupies one run slot with a job that blocks until the
+// returned channel is closed, so everything submitted next stays queued.
+func holdSlot(t *testing.T, e *JobEngine) chan struct{} {
+	t.Helper()
 	release := make(chan struct{})
-
-	// Occupy the single worker, then the single queue slot.
-	running, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "run", JobMeta{}, blockingFn(release))
+	info, err := e.SubmitFunc("g0", PlaceSpec{Algorithm: "gall", K: 1}, "hold", JobMeta{}, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, e, running.ID, JobRunning)
+	waitState(t, e, info.ID, JobRunning)
+	return release
+}
+
+// TestGangWaitsWhenQueueFull: a full queue 503s solo jobs, but a gang is
+// still admitted, up to twice the queue depth.
+func TestGangWaitsWhenQueueFull(t *testing.T) {
+	e, metrics := newTestEngine(1, 1)
+	defer e.Close()
+	release := holdSlot(t, e)
 	if _, err := e.SubmitFunc("g2", PlaceSpec{Algorithm: "gall", K: 1}, "queued", JobMeta{}, blockingFn(release)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Solo: immediate back pressure, exactly as before.
+	// Solo: immediate back pressure.
 	if _, err := e.SubmitFunc("g3", PlaceSpec{Algorithm: "gall", K: 1}, "solo", JobMeta{}, okFn); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("solo on full queue: err %v, want ErrQueueFull", err)
 	}
-	// Gang: parked instead.
+	// Gang: waits in the queue instead.
 	gang := gangJob(t, e, "batch|k1", okFn)
-	if got := metrics.JobsDeferred.Load(); got != 1 {
-		t.Fatalf("jobs_deferred = %d, want 1", got)
+	if gang.State != JobQueued {
+		t.Fatalf("gang state %s, want queued", gang.State)
 	}
 
-	// The deferred bound is still a bound: maxDeferred defaults to the
-	// queue depth (1 here), so a second gang is rejected.
+	// The gang bound is still a bound: 2×queueDepth (2 here) pending jobs,
+	// so a second gang is rejected.
 	bs := newBatchState([]BatchItem{{GraphID: "g", State: JobQueued}})
 	if _, err := e.SubmitBatch("g", PlaceSpec{Algorithm: "gall", K: 1}, "batch|k2", JobMeta{}, bs, okFn); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("gang beyond deferred bound: err %v, want ErrQueueFull", err)
+		t.Fatalf("gang beyond the gang bound: err %v, want ErrQueueFull", err)
 	}
 	if got := metrics.JobsRejected.Load(); got != 2 {
 		t.Fatalf("jobs_rejected = %d, want 2", got)
@@ -112,19 +74,16 @@ func TestGangDeferredWhenQueueFull(t *testing.T) {
 	defer cancel()
 	done, err := e.Wait(ctx, gang.ID)
 	if err != nil || done.State != JobDone {
-		t.Fatalf("parked gang finished as %s (err %v), want done", done.State, err)
+		t.Fatalf("queued gang finished as %s (err %v), want done", done.State, err)
 	}
 }
 
-// TestDeferredGangsRunOldestFirst: parked gangs are admitted in
-// submission order once the scheduler drains — later arrivals (which
-// also park while older gangs wait, rather than jumping the queue) never
-// overtake.
-func TestDeferredGangsRunOldestFirst(t *testing.T) {
+// TestQueuedJobsRunOldestFirst: gangs and solo jobs share one FIFO and
+// start in submission order once a slot frees up.
+func TestQueuedJobsRunOldestFirst(t *testing.T) {
 	e, _ := newTestEngine(1, 8)
 	defer e.Close()
-	saturated := forceProbe(e)
-	saturated.Store(true)
+	release := holdSlot(t, e)
 
 	var mu sync.Mutex
 	var order []string
@@ -136,34 +95,43 @@ func TestDeferredGangsRunOldestFirst(t *testing.T) {
 			return &PlaceResult{Filters: []int{1}}, nil
 		}
 	}
-	a := gangJob(t, e, "batch|a", record("a"))
-	b := gangJob(t, e, "batch|b", record("b"))
-	c := gangJob(t, e, "batch|c", record("c"))
-	if d := e.DeferredDepth(); d != 3 {
-		t.Fatalf("deferred depth %d, want 3", d)
+	solo := func(tag string) JobInfo {
+		info, err := e.SubmitFunc("g", PlaceSpec{Algorithm: "gall", K: 1}, "solo|"+tag, JobMeta{}, record(tag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
 	}
-	saturated.Store(false)
+	ids := []string{
+		gangJob(t, e, "batch|a", record("a")).ID,
+		solo("b").ID,
+		gangJob(t, e, "batch|c", record("c")).ID,
+		solo("d").ID,
+	}
+	if d := e.QueueDepth(); d != 4 {
+		t.Fatalf("queue depth %d, want 4", d)
+	}
+	close(release)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	for _, id := range []string{a.ID, b.ID, c.ID} {
+	for _, id := range ids {
 		if done, err := e.Wait(ctx, id); err != nil || done.State != JobDone {
-			t.Fatalf("gang %s: state %s err %v", id, done.State, err)
+			t.Fatalf("job %s: state %s err %v", id, done.State, err)
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("execution order %v, want [a b c]", order)
+	if len(order) != 4 || order[0] != "a" || order[1] != "b" || order[2] != "c" || order[3] != "d" {
+		t.Fatalf("execution order %v, want [a b c d]", order)
 	}
 }
 
-// TestCancelDeferredGang: canceling a parked gang terminates it without it
-// ever reaching a worker.
-func TestCancelDeferredGang(t *testing.T) {
+// TestCancelQueuedGang: canceling a queued gang terminates it and its
+// batch items without the closure ever running.
+func TestCancelQueuedGang(t *testing.T) {
 	e, metrics := newTestEngine(1, 4)
 	defer e.Close()
-	saturated := forceProbe(e)
-	saturated.Store(true)
+	release := holdSlot(t, e)
 
 	var ran atomic.Bool
 	info := gangJob(t, e, "batch|k1", func(ctx context.Context) (*PlaceResult, error) {
@@ -172,29 +140,63 @@ func TestCancelDeferredGang(t *testing.T) {
 	})
 	canceled, ok := e.Cancel(info.ID)
 	if !ok || canceled.State != JobCanceled {
-		t.Fatalf("cancel deferred: ok=%v state=%s", ok, canceled.State)
+		t.Fatalf("cancel queued gang: ok=%v state=%s", ok, canceled.State)
 	}
 	for _, item := range canceled.Batch {
 		if item.State != JobCanceled {
 			t.Fatalf("batch item state %s, want canceled", item.State)
 		}
 	}
-	saturated.Store(false)
-	time.Sleep(20 * time.Millisecond) // give the dispatcher a chance to misbehave
+	// Free the slot and let a later job through: the canceled gang must
+	// not run ahead of it.
+	close(release)
+	next, err := e.SubmitFunc("g", PlaceSpec{Algorithm: "gall", K: 1}, "next", JobMeta{}, okFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if done, err := e.Wait(ctx, next.ID); err != nil || done.State != JobDone {
+		t.Fatalf("next job: state %s err %v", done.State, err)
+	}
 	if ran.Load() {
-		t.Fatal("canceled deferred gang still executed")
+		t.Fatal("canceled queued gang still executed")
 	}
 	if got := metrics.JobsCanceled.Load(); got != 1 {
 		t.Fatalf("jobs_canceled = %d, want 1", got)
 	}
 }
 
-// TestCloseCancelsDeferred: engine shutdown terminates parked gangs as
-// canceled without executing them.
-func TestCloseCancelsDeferred(t *testing.T) {
+// TestCancelQueuedFreesSlot: a canceled queued job leaves the queue at
+// once, so it no longer counts toward the depth and the next solo job is
+// admitted.
+func TestCancelQueuedFreesSlot(t *testing.T) {
+	e, _ := newTestEngine(1, 1)
+	defer e.Close()
+	release := holdSlot(t, e)
+	defer close(release)
+
+	queued, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "queued", JobMeta{}, okFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.Cancel(queued.ID); !ok {
+		t.Fatal("cancel failed")
+	}
+	if d := e.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth after cancel = %d, want 0", d)
+	}
+	if _, err := e.SubmitFunc("g2", PlaceSpec{Algorithm: "gall", K: 1}, "next", JobMeta{}, okFn); err != nil {
+		t.Fatalf("submit after cancel: %v", err)
+	}
+}
+
+// TestCloseCancelsQueuedGang: engine shutdown terminates a queued gang as
+// canceled without executing it.
+func TestCloseCancelsQueuedGang(t *testing.T) {
 	e, _ := newTestEngine(1, 4)
-	saturated := forceProbe(e)
-	saturated.Store(true)
+	release := holdSlot(t, e)
+	defer close(release)
 
 	var ran atomic.Bool
 	info := gangJob(t, e, "batch|k1", func(ctx context.Context) (*PlaceResult, error) {
@@ -203,10 +205,15 @@ func TestCloseCancelsDeferred(t *testing.T) {
 	})
 	e.Close()
 	if ran.Load() {
-		t.Fatal("deferred gang executed during Close")
+		t.Fatal("queued gang executed during Close")
 	}
 	got, ok := e.Get(info.ID)
 	if !ok || got.State != JobCanceled {
 		t.Fatalf("after Close: ok=%v state=%s, want canceled", ok, got.State)
+	}
+	for _, item := range got.Batch {
+		if item.State != JobCanceled {
+			t.Fatalf("batch item state %s, want canceled", item.State)
+		}
 	}
 }

@@ -362,12 +362,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics is GET /metrics. The counter snapshot is augmented with
-// sampled gauges: the job-queue depth (auto-maintain backlog), the
-// placement-cache population, the deferred-gang wait queue, and the
-// shared scheduler's queue depth and worker count. The default response
-// is JSON; Prometheus text format (0.0.4) — including the latency
-// histograms — is served for ?format=prometheus or an Accept header
-// preferring text/plain (what a Prometheus scraper sends).
+// sampled gauges: the job-queue depth (auto-maintain and gang backlog),
+// the placement-cache population, and the shared scheduler's queue depth
+// and worker count. The default response is JSON; Prometheus text format
+// (0.0.4) — including the latency histograms — is served for
+// ?format=prometheus or an Accept header preferring text/plain (what a
+// Prometheus scraper sends).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.sampleSnapshot()
 
@@ -390,9 +390,6 @@ func (s *Server) sampleSnapshot() MetricsSnapshot {
 	snap.CacheEntries = int64(s.cache.len())
 	snap.SchedQueueDepth = int64(sched.Default().QueueDepth())
 	snap.SchedWorkers = int64(sched.Default().Workers())
-	waiting, oldest := s.jobs.DeferredStats()
-	snap.JobsDeferredWaiting = int64(waiting)
-	snap.OldestDeferredAgeSeconds = oldest.Seconds()
 	snap.EventsSubscribers = int64(s.events.subscribers())
 	snap.HistorySamples = int64(s.history.Len())
 	snap.TenantsTracked = int64(s.acct.Len())

@@ -23,7 +23,7 @@ func uploadLayered(t *testing.T, base string, seed int64) server.GraphInfo {
 // TestBatchPlaceEndToEnd drives the gang path: N graphs, one job, one
 // terminal state per graph, per-graph cache entries populated.
 func TestBatchPlaceEndToEnd(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 2})
+	ts := newTestServer(t, server.Config{})
 	ids := make([]string, 4)
 	for i := range ids {
 		ids[i] = uploadLayered(t, ts.URL, int64(i+1)).ID
@@ -83,7 +83,7 @@ func TestBatchPlaceEndToEnd(t *testing.T) {
 // batch's cache entries, and (b) a solo request at yet another
 // parallelism hits too.
 func TestBatchCacheKeyNormalization(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 2})
+	ts := newTestServer(t, server.Config{})
 	g1 := uploadLayered(t, ts.URL, 11).ID
 	g2 := uploadLayered(t, ts.URL, 12).ID
 
@@ -131,7 +131,7 @@ func TestBatchCacheKeyNormalization(t *testing.T) {
 // runs the misses: the cached graph comes back done immediately in the
 // 202 body.
 func TestBatchPartialCachePrefill(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 2})
+	ts := newTestServer(t, server.Config{})
 	g1 := uploadLayered(t, ts.URL, 21).ID
 	g2 := uploadLayered(t, ts.URL, 22).ID
 
@@ -171,7 +171,7 @@ func TestBatchPartialCachePrefill(t *testing.T) {
 // TestBatchDedupsInFlight checks two identical gangs (modulo order and
 // parallelism) share one job while in flight.
 func TestBatchDedupsInFlight(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 1})
+	ts := newTestServer(t, server.Config{})
 	g1 := uploadLayered(t, ts.URL, 31).ID
 	g2 := uploadLayered(t, ts.URL, 32).ID
 

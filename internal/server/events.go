@@ -9,7 +9,7 @@ import (
 )
 
 // Live job lifecycle events over Server-Sent Events (GET /v1/events).
-// Every job transition — submitted, deferred, started, stage entries,
+// Every job transition — submitted, started, stage entries,
 // finished/failed/canceled — is published to an in-process bus;
 // subscribers get a bounded buffered channel each, and a subscriber that
 // cannot keep up loses events (counted in events_dropped) rather than
@@ -22,8 +22,8 @@ type JobEvent struct {
 	// per-subscriber gaps indicate dropped events.
 	Seq  int64     `json:"seq"`
 	Time time.Time `json:"time"`
-	// Type is the transition: submitted, deferred, started, stage,
-	// finished, failed or canceled.
+	// Type is the transition: submitted, started, stage, finished,
+	// failed or canceled.
 	Type      string `json:"type"`
 	JobID     string `json:"job_id"`
 	GraphID   string `json:"graph_id,omitempty"`
@@ -41,7 +41,6 @@ type JobEvent struct {
 // Event type names.
 const (
 	EventSubmitted = "submitted"
-	EventDeferred  = "deferred"
 	EventStarted   = "started"
 	EventStage     = "stage"
 	EventFinished  = "finished"

@@ -11,10 +11,10 @@ import (
 
 // newEventedEngine builds a job engine wired to an event bus only — the
 // minimal engineObs the lifecycle-event tests need.
-func newEventedEngine(workers, depth int) (*JobEngine, *eventBus, *Metrics) {
+func newEventedEngine(slots, depth int) (*JobEngine, *eventBus, *Metrics) {
 	m := &Metrics{}
 	bus := newEventBus(m)
-	e := NewJobEngine(workers, depth, 64, newResultCache(8, m), m, &engineObs{events: bus})
+	e := NewJobEngine(slots, depth, 64, m, &engineObs{events: bus})
 	return e, bus, m
 }
 
@@ -193,7 +193,7 @@ func TestRetryAfterEstimate(t *testing.T) {
 }
 
 func TestWriteQueueFullResponse(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1})
+	s := New(Config{QueueDepth: 1})
 	defer s.Close()
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("POST", "/v1/graphs/g/place", nil)

@@ -8,7 +8,20 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
+
+// newTwoSlotServer builds a Server that runs two jobs at once whatever the
+// CPU count: its run slots follow the process-wide scheduler, which is
+// sized to 2 for the test and restored afterwards.
+func newTwoSlotServer(t *testing.T) *Server {
+	t.Helper()
+	old := sched.Default().Workers()
+	t.Cleanup(func() { sched.SetDefaultWorkers(old) })
+	srv := New(Config{SchedWorkers: 2, QueueDepth: 8})
+	t.Cleanup(srv.Close)
+	return srv
+}
 
 // TestFlightTableJoinFinish pins the leader/follower contract.
 func TestFlightTableJoinFinish(t *testing.T) {
@@ -44,8 +57,7 @@ func TestFlightTableJoinFinish(t *testing.T) {
 // followers (flights_joined reaches 2 with zero oracle evaluations), then
 // finish with the leader's sentinel result — neither ever computed.
 func TestCrossKindDedupGangSoloRace(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueDepth: 8})
-	defer srv.Close()
+	srv := newTwoSlotServer(t)
 
 	g := graph.MustFromEdges(4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	m, err := flow.NewModel(g, nil)
@@ -123,8 +135,7 @@ func TestCrossKindDedupGangSoloRace(t *testing.T) {
 // TestFlightFollowerRetriesAfterLeaderFailure: a follower whose leader
 // fails recomputes instead of inheriting the failure.
 func TestFlightFollowerRetriesAfterLeaderFailure(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueDepth: 8})
-	defer srv.Close()
+	srv := newTwoSlotServer(t)
 
 	// A diamond with a tail: node 3 receives 2 copies and relays them to 4,
 	// so greedy places its one filter at 3.

@@ -14,7 +14,7 @@ import (
 // MetricsSnapshot field plus latency quantiles derived from the live
 // histograms — to a fixed-size ring. GET /v1/stats/history serves a
 // window of it, so an operator can see the last N minutes of queue
-// depth, deferred-gang backlog and job latency without running a
+// depth, scheduler backlog and job latency without running a
 // Prometheus server at all.
 
 // historyQuantiles are the quantiles sampled from each tracked latency

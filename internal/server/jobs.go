@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // JobState is the lifecycle of an asynchronous placement job.
@@ -64,8 +64,8 @@ type JobInfo struct {
 	Started   *time.Time  `json:"started_at,omitempty"`
 	Finished  *time.Time  `json:"finished_at,omitempty"`
 	ElapsedMS int64       `json:"elapsed_ms,omitempty"`
-	// Timeline is the job's stage trace: lifecycle phases (queued,
-	// deferred-wait, run) plus the placement stages core.Place recorded
+	// Timeline is the job's stage trace: lifecycle phases (queued, run)
+	// plus the placement stages core.Place recorded
 	// (greedy-round, celf-init, …), each with a start offset relative to
 	// submission and a total duration, merged by stage name. Present as
 	// soon as a job starts; complete once the job is terminal.
@@ -96,51 +96,36 @@ type job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	// admitted is when a deferred gang moved from the admission wait
-	// queue into the worker queue; zero for jobs admitted directly.
-	admitted time.Time
-	// trace records the job's stage timeline from submission on; the
-	// worker threads it through the run context so core.Place stages land
+	// trace records the job's stage timeline from submission on; run
+	// threads it through the run context so core.Place stages land
 	// on it too.
 	trace  *obs.Trace
 	cancel context.CancelFunc
 	done   chan struct{}
 }
 
-// JobEngine runs expensive placements on a fixed worker pool, tracks job
-// lifecycles, supports cancellation via context, and feeds completed
-// results into the shared result cache.
+// JobEngine runs expensive placements as asynchronous jobs: one FIFO of
+// queued jobs, at most slots of them running at once (one goroutine per
+// running job), lifecycle tracking and cancellation via context.
 type JobEngine struct {
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string        // submission order, for listing
-	active  map[string]*job // non-terminal jobs by cache key, for dedup
-	queue   chan *job
-	closed  bool
-	nextID  int
-	maxJobs int
-	cache   *resultCache
-	metrics *Metrics
+	mu     sync.Mutex
+	jobs   map[string]*job
+	order  []string        // submission order, for listing
+	active map[string]*job // non-terminal jobs by cache key, for dedup
+	// pending is the FIFO of queued jobs, oldest first. running counts the
+	// started jobs that have not finished, at most slots of them.
+	// queueDepth bounds pending (see enqueue).
+	pending    []*job
+	running    int
+	slots      int
+	queueDepth int
+	closed     bool
+	nextID     int
+	maxJobs    int
+	metrics    *Metrics
 	// obs carries the engine's latency histograms, stage sink and slow
 	// log; nil (direct library use) disables all of it.
 	obs *engineObs
-
-	// Scheduler-aware gang admission: a gang (batch) job arriving while
-	// the shared oracle scheduler is saturated — or while the worker
-	// queue is full — is parked in this bounded FIFO instead of being
-	// rejected with 503; the dispatcher goroutine feeds it to the queue
-	// once the scheduler drains. Solo jobs keep the plain bounded-queue
-	// contract (clients poll a single placement and should see back
-	// pressure immediately; gangs represent minutes of fleet work and are
-	// worth queueing for).
-	deferred    []*job
-	maxDeferred int
-	// satProbe reports whether the shared scheduler is saturated; tests
-	// inject their own. Guarded by mu (set before any Submit).
-	satProbe func() bool
-	dispStop chan struct{}
-	dispKick chan struct{} // 1-buffered nudge: a gang was just parked
-	dispWG   sync.WaitGroup
 
 	// doneTimes is a ring of recent job completion instants; the observed
 	// drain rate prices the Retry-After hint on 503 admission rejections.
@@ -150,63 +135,37 @@ type JobEngine struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	wg         sync.WaitGroup
+	wg         sync.WaitGroup // one count per running job
 }
 
-// schedSaturated is the default saturation probe: the process-wide pool
-// has more unstarted oracle tasks than 4× its workers — adding a gang's
-// worth of sub-placements now would only deepen the backlog.
-func schedSaturated() bool {
-	p := sched.Default()
-	w := p.Workers()
-	if w < 1 {
-		w = 1
-	}
-	return p.QueueDepth() > 4*w
-}
-
-// NewJobEngine starts workers goroutines consuming a queue of queueDepth
-// pending jobs. At most maxJobs job records are retained: once a job is
+// NewJobEngine builds an engine that runs at most slots jobs at once and
+// queues up to queueDepth more (2×queueDepth for gang jobs, which wait
+// rather than fail: they represent minutes of fleet work and are worth
+// queueing for, while a solo client should see back pressure
+// immediately). At most maxJobs job records are retained: once a job is
 // terminal its model is released and the oldest terminal records beyond
 // the bound are pruned, so a long-running daemon's memory stays bounded.
 // o (optional, may be nil) wires the engine's observability: lifecycle
 // histograms, the stage sink and the slow-placement log.
-func NewJobEngine(workers, queueDepth, maxJobs int, cache *resultCache, m *Metrics, o *engineObs) *JobEngine {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
-	// The retention bound must leave room for every job that can be live
-	// at once (queued + running), or fresh jobs would starve pruning and a
-	// just-issued job id could 404 while its client polls.
-	if min := workers + queueDepth + 1; maxJobs < min {
-		maxJobs = min
-	}
+func NewJobEngine(slots, queueDepth, maxJobs int, m *Metrics, o *engineObs) *JobEngine {
+	slots = max(slots, 1)
+	queueDepth = max(queueDepth, 1)
+	// The retention bound must leave room for every solo job that can be
+	// live at once (queued + running), or fresh jobs would starve pruning
+	// and a just-issued job id could 404 while its client polls.
+	maxJobs = max(maxJobs, slots+queueDepth+1)
 	ctx, cancel := context.WithCancel(context.Background())
-	e := &JobEngine{
-		jobs:        make(map[string]*job),
-		active:      make(map[string]*job),
-		queue:       make(chan *job, queueDepth),
-		maxJobs:     maxJobs,
-		maxDeferred: queueDepth,
-		satProbe:    schedSaturated,
-		dispStop:    make(chan struct{}),
-		dispKick:    make(chan struct{}, 1),
-		cache:       cache,
-		metrics:     m,
-		obs:         o,
-		baseCtx:     ctx,
-		baseCancel:  cancel,
+	return &JobEngine{
+		jobs:       make(map[string]*job),
+		active:     make(map[string]*job),
+		slots:      slots,
+		queueDepth: queueDepth,
+		maxJobs:    maxJobs,
+		metrics:    m,
+		obs:        o,
+		baseCtx:    ctx,
+		baseCancel: cancel,
 	}
-	e.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go e.worker()
-	}
-	e.dispWG.Add(1)
-	go e.dispatch()
-	return e
 }
 
 // SubmitFunc enqueues a job whose work is the given closure — solo
@@ -263,8 +222,9 @@ func (e *JobEngine) tenant(name string) *obs.TenantCounters {
 }
 
 // enqueue assigns the job id and runs the shared admission bookkeeping:
-// closed check, in-flight dedup by cache key, bounded queue push with id
-// rollback on rejection.
+// closed check, in-flight dedup by cache key, and the one admission rule —
+// a solo job is refused once queueDepth jobs are pending, a gang once
+// 2×queueDepth are.
 func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
 	e.mu.Lock()
 	if e.closed {
@@ -277,6 +237,15 @@ func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
 		e.metrics.JobsDeduped.Add(1)
 		return info, nil
 	}
+	limit := e.queueDepth
+	if j.batch != nil {
+		limit *= 2
+	}
+	if len(e.pending) >= limit {
+		e.mu.Unlock()
+		e.metrics.JobsRejected.Add(1)
+		return JobInfo{}, ErrQueueFull
+	}
 	e.nextID++
 	j.id = fmt.Sprintf("j%d", e.nextID)
 	j.state = JobQueued
@@ -284,179 +253,44 @@ func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
 	j.trace = obs.NewTrace() // t0 = submission; stage offsets are relative to it
 	j.trace.SetTraceParent(j.meta.Traceparent)
 	j.done = make(chan struct{})
-	deferredJob := false
-	admit := true
-	// A gang parks when the scheduler is saturated, and also whenever
-	// older gangs are already parked — jumping the deferred queue would
-	// starve them behind a sustained arrival rate.
-	if j.batch != nil && (len(e.deferred) > 0 || e.satProbe()) {
-		admit = false
-	}
-	if admit {
-		select {
-		case e.queue <- j:
-		default:
-			admit = false // queue full
-		}
-	}
-	if !admit {
-		// Gangs get the bounded wait queue; solo jobs keep immediate back
-		// pressure.
-		if j.batch == nil || len(e.deferred) >= e.maxDeferred {
-			e.nextID-- // slot unused
-			e.mu.Unlock()
-			e.metrics.JobsRejected.Add(1)
-			return JobInfo{}, ErrQueueFull
-		}
-		e.deferred = append(e.deferred, j)
-		deferredJob = true
-		select {
-		case e.dispKick <- struct{}{}: // wake the idle dispatcher
-		default:
-		}
-	}
 	e.jobs[j.id] = j
 	e.order = append(e.order, j.id)
 	e.active[j.key] = j
+	e.pending = append(e.pending, j)
 	info := e.infoLocked(j)
-	// Published under the lock so a worker grabbing the job cannot emit
-	// "started" ahead of "submitted"; the bus never blocks or re-enters.
+	// Published under the lock and before startLocked, so "started" can
+	// never precede "submitted"; the bus never blocks or re-enters.
 	e.publish(j.event(EventSubmitted))
-	if deferredJob {
-		e.publish(j.event(EventDeferred))
-	}
+	e.startLocked()
 	e.mu.Unlock()
 	e.tenant(j.meta.Tenant).AddJobSubmitted()
 	e.metrics.JobsSubmitted.Add(1)
-	if deferredJob {
-		e.metrics.JobsDeferred.Add(1)
-	}
 	if j.batch != nil {
 		e.metrics.BatchesSubmitted.Add(1)
 	}
 	return info, nil
 }
 
-// dispatch is the deferred-gang feeder: while gangs are parked it
-// re-probes the shared scheduler every few milliseconds (saturation
-// clearing has no event to wait on) and moves them into the worker
-// queue, oldest first, once the scheduler has drained and a queue slot
-// is free; with nothing parked it sleeps until enqueue kicks it. It
-// stops (leaving any remaining parked jobs to Close's cancellation
-// sweep) when the engine shuts down.
-func (e *JobEngine) dispatch() {
-	defer e.dispWG.Done()
-	for {
-		if e.DeferredDepth() == 0 {
-			select {
-			case <-e.dispStop:
-				return
-			case <-e.dispKick:
-			}
-			continue
-		}
-		tick := time.NewTicker(2 * time.Millisecond)
-		for e.DeferredDepth() > 0 {
-			select {
-			case <-e.dispStop:
-				tick.Stop()
-				return
-			case <-tick.C:
-				e.admitDeferred()
-			}
-		}
-		tick.Stop()
-	}
-}
-
-// admitDeferred drains the front of the deferred queue into the worker
-// queue while the scheduler has room.
-func (e *JobEngine) admitDeferred() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.deferred) > 0 {
-		j := e.deferred[0]
-		if j.state != JobQueued { // canceled while parked
-			e.deferred = e.deferred[1:]
-			continue
-		}
-		if e.satProbe() {
-			return
-		}
-		select {
-		case e.queue <- j:
-			j.admitted = time.Now().UTC()
-			j.trace.Observe("deferred-wait", j.created, j.admitted.Sub(j.created))
-			e.deferred = e.deferred[1:]
-		default:
-			return // worker queue still full
-		}
-	}
-}
-
-// DeferredDepth returns the number of gang jobs parked in the admission
-// wait queue.
-func (e *JobEngine) DeferredDepth() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.deferred)
-}
-
-// DeferredStats samples the admission wait queue for /metrics: how many
-// gangs are parked and how long the oldest has been waiting. The
-// deferred queue is FIFO, so the front entry is the oldest.
-func (e *JobEngine) DeferredStats() (waiting int, oldest time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	waiting = len(e.deferred)
-	if waiting > 0 {
-		oldest = time.Since(e.deferred[0].created)
-	}
-	return waiting, oldest
-}
-
-// QueueDepth returns the number of jobs waiting for a worker; surfaced in
-// /metrics so auto-maintain backlog is observable.
-func (e *JobEngine) QueueDepth() int { return len(e.queue) }
-
-func (e *JobEngine) worker() {
-	defer e.wg.Done()
-	for j := range e.queue {
-		e.mu.Lock()
-		if j.state != JobQueued { // canceled while waiting
-			e.mu.Unlock()
-			continue
-		}
-		if e.baseCtx.Err() != nil {
-			// The engine is closing: don't start the job at all. Running
-			// it with a pre-canceled context would still pay evaluator
-			// construction (full Φ passes on a large graph) per queued
-			// job, stalling Close behind the whole backlog.
-			j.state = JobCanceled
-			j.finished = time.Now().UTC()
-			j.trace.Observe("queued", j.queuedFrom(), j.finished.Sub(j.queuedFrom()))
-			if j.batch != nil {
-				j.batch.cancelPending()
-			}
-			e.retireLocked(j)
-			e.publish(j.event(EventCanceled))
-			e.mu.Unlock()
-			e.tenant(j.meta.Tenant).AddJobOutcome(string(JobCanceled))
-			e.metrics.JobsCanceled.Add(1)
-			close(j.done)
-			continue
-		}
+// startLocked starts queued jobs, oldest first, while a run slot is free.
+// enqueue calls it after every admission and a finishing job after
+// releasing its slot. A closed engine starts nothing: Close has already
+// canceled the queue.
+func (e *JobEngine) startLocked() {
+	for !e.closed && e.running < e.slots && len(e.pending) > 0 {
+		j := e.pending[0]
+		e.pending[0] = nil
+		e.pending = e.pending[1:]
 		ctx, cancel := context.WithCancel(e.baseCtx)
 		j.state = JobRunning
 		j.started = time.Now().UTC()
 		j.cancel = cancel
-		j.trace.Observe("queued", j.queuedFrom(), j.started.Sub(j.queuedFrom()))
+		j.trace.Observe("queued", j.created, j.started.Sub(j.created))
 		if e.obs != nil {
 			if e.obs.queueWait != nil {
 				e.obs.queueWait.Observe(j.started.Sub(j.created))
 			}
 			// Core placement stages recorded between here and SetSink(nil)
-			// below also feed the fpd_place_stage_seconds histograms, and
+			// in run also feed the fpd_place_stage_seconds histograms, and
 			// each first-seen stage name becomes one live "stage" event.
 			j.trace.SetSink(e.obs.stageSink)
 			j.trace.SetStageObserver(func(name string) {
@@ -466,58 +300,75 @@ func (e *JobEngine) worker() {
 			})
 		}
 		e.publish(j.event(EventStarted))
-		e.mu.Unlock()
-		e.tenant(j.meta.Tenant).AddQueueWait(j.started.Sub(j.created))
-
-		e.metrics.JobsRunning.Add(1)
-		res, err := j.runFn(obs.NewContext(ctx, j.trace))
-		e.metrics.JobsRunning.Add(-1)
-		cancel()
-
-		e.mu.Lock()
-		j.finished = time.Now().UTC()
-		j.trace.SetSink(nil)
-		j.trace.SetStageObserver(nil)
-		elapsed := j.finished.Sub(j.started)
-		j.trace.Observe("run", j.started, elapsed)
-		if e.obs != nil && e.obs.runTime != nil {
-			e.obs.runTime.Observe(elapsed)
-		}
-		switch {
-		case err == nil:
-			j.state = JobDone
-			j.result = res
-			// Caching is the closure's business: solo placements fill
-			// their per-graph slot inside runShared (where in-flight
-			// dedup lives), batch closures fill per-graph slots as
-			// sub-placements complete, and auto-maintain keys are
-			// write-only version stamps nothing reads back.
-			e.metrics.JobsCompleted.Add(1)
-		case errors.Is(err, context.Canceled):
-			j.state = JobCanceled
-			e.metrics.JobsCanceled.Add(1)
-		default:
-			j.state = JobFailed
-			j.errMsg = err.Error()
-			e.metrics.JobsFailed.Add(1)
-		}
-		e.retireLocked(j)
-		e.doneTimes[e.doneIdx] = j.finished
-		e.doneIdx = (e.doneIdx + 1) % completionRingSize
-		if e.doneN < completionRingSize {
-			e.doneN++
-		}
-		terminal := j.event(terminalEvent(j.state))
-		terminal.Error = j.errMsg
-		e.publish(terminal)
-		state, errMsg := j.state, j.errMsg
-		e.mu.Unlock()
-		tc := e.tenant(j.meta.Tenant)
-		tc.AddRunTime(elapsed)
-		tc.AddJobOutcome(string(state))
-		e.logJobDone(j, state, errMsg, elapsed)
-		close(j.done)
+		e.running++
+		e.wg.Add(1)
+		go e.run(ctx, j)
 	}
+}
+
+// QueueDepth returns the number of jobs waiting for a run slot; surfaced
+// in /metrics so auto-maintain backlog is observable.
+func (e *JobEngine) QueueDepth() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.pending)
+}
+
+// run executes one started job, records its terminal state, and hands its
+// slot to the next queued job.
+func (e *JobEngine) run(ctx context.Context, j *job) {
+	defer e.wg.Done()
+	e.tenant(j.meta.Tenant).AddQueueWait(j.started.Sub(j.created))
+	e.metrics.JobsRunning.Add(1)
+	res, err := j.runFn(obs.NewContext(ctx, j.trace))
+	e.metrics.JobsRunning.Add(-1)
+	j.cancel()
+
+	e.mu.Lock()
+	j.finished = time.Now().UTC()
+	j.trace.SetSink(nil)
+	j.trace.SetStageObserver(nil)
+	elapsed := j.finished.Sub(j.started)
+	j.trace.Observe("run", j.started, elapsed)
+	if e.obs != nil && e.obs.runTime != nil {
+		e.obs.runTime.Observe(elapsed)
+	}
+	switch {
+	case err == nil:
+		j.state = JobDone
+		j.result = res
+		// Caching is the closure's business: solo placements fill their
+		// per-graph slot inside runShared (where in-flight dedup lives),
+		// batch closures fill per-graph slots as sub-placements complete,
+		// and auto-maintain keys are write-only version stamps nothing
+		// reads back.
+		e.metrics.JobsCompleted.Add(1)
+	case errors.Is(err, context.Canceled):
+		j.state = JobCanceled
+		e.metrics.JobsCanceled.Add(1)
+	default:
+		j.state = JobFailed
+		j.errMsg = err.Error()
+		e.metrics.JobsFailed.Add(1)
+	}
+	e.retireLocked(j)
+	e.doneTimes[e.doneIdx] = j.finished
+	e.doneIdx = (e.doneIdx + 1) % completionRingSize
+	if e.doneN < completionRingSize {
+		e.doneN++
+	}
+	terminal := j.event(terminalEvent(j.state))
+	terminal.Error = j.errMsg
+	e.publish(terminal)
+	state, errMsg := j.state, j.errMsg
+	e.running--
+	e.startLocked()
+	e.mu.Unlock()
+	tc := e.tenant(j.meta.Tenant)
+	tc.AddRunTime(elapsed)
+	tc.AddJobOutcome(string(state))
+	e.logJobDone(j, state, errMsg, elapsed)
+	close(j.done)
 }
 
 // terminalEvent maps a terminal job state to its event type.
@@ -542,7 +393,7 @@ const completionRingSize = 32
 // keeps clients polling rather than stampeding.
 func (e *JobEngine) RetryAfterEstimate() time.Duration {
 	e.mu.Lock()
-	pending := len(e.queue) + len(e.deferred)
+	pending := len(e.pending)
 	n := e.doneN
 	var oldest, newest time.Time
 	if n >= 2 {
@@ -576,15 +427,6 @@ func (e *JobEngine) Closed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.closed
-}
-
-// queuedFrom is the instant the job last entered the worker queue: its
-// deferred-queue admission for parked gangs, its submission otherwise.
-func (j *job) queuedFrom() time.Time {
-	if !j.admitted.IsZero() {
-		return j.admitted
-	}
-	return j.created
 }
 
 // logJobDone emits the job's terminal log line, plus the slow-placement
@@ -650,9 +492,9 @@ func (e *JobEngine) ObserveStage(id, name string, start time.Time, d time.Durati
 	}
 }
 
-// Cancel requests cancellation of job id: a queued job is canceled
-// immediately, a running job has its context canceled (the worker records
-// the terminal state), and a terminal job is left untouched.
+// Cancel requests cancellation of job id: a queued job leaves the queue
+// and is canceled immediately, a running job has its context canceled
+// (run records the terminal state), and a terminal job is left untouched.
 func (e *JobEngine) Cancel(id string) (JobInfo, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -662,21 +504,28 @@ func (e *JobEngine) Cancel(id string) (JobInfo, bool) {
 	}
 	switch j.state {
 	case JobQueued:
-		j.state = JobCanceled
-		j.finished = time.Now().UTC()
-		j.trace.Observe("queued", j.queuedFrom(), j.finished.Sub(j.queuedFrom()))
-		if j.batch != nil {
-			j.batch.cancelPending()
-		}
-		e.metrics.JobsCanceled.Add(1)
-		e.retireLocked(j)
-		e.publish(j.event(EventCanceled))
-		e.tenant(j.meta.Tenant).AddJobOutcome(string(JobCanceled))
-		close(j.done)
+		e.pending = slices.DeleteFunc(e.pending, func(q *job) bool { return q == j })
+		e.cancelQueuedLocked(j)
 	case JobRunning:
 		j.cancel()
 	}
 	return e.infoLocked(j), true
+}
+
+// cancelQueuedLocked terminates a job that never started; the caller has
+// already taken it out of the queue.
+func (e *JobEngine) cancelQueuedLocked(j *job) {
+	j.state = JobCanceled
+	j.finished = time.Now().UTC()
+	j.trace.Observe("queued", j.created, j.finished.Sub(j.created))
+	if j.batch != nil {
+		j.batch.cancelPending()
+	}
+	e.retireLocked(j)
+	e.publish(j.event(EventCanceled))
+	e.tenant(j.meta.Tenant).AddJobOutcome(string(JobCanceled))
+	e.metrics.JobsCanceled.Add(1)
+	close(j.done)
 }
 
 // retireLocked releases a terminal job's heavyweight references (the
@@ -738,8 +587,8 @@ func (e *JobEngine) List() []JobInfo {
 	return out
 }
 
-// Close cancels running jobs, drains the queue and stops the workers.
-// Queued and deferred jobs finish as canceled.
+// Close cancels every queued job without running it, cancels the running
+// ones and waits for them to finish.
 func (e *JobEngine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -747,33 +596,12 @@ func (e *JobEngine) Close() {
 		return
 	}
 	e.closed = true
+	for _, j := range e.pending {
+		e.cancelQueuedLocked(j)
+	}
+	e.pending = nil
 	e.mu.Unlock()
 	e.baseCancel()
-	// Stop the dispatcher before closing the queue channel (it sends on
-	// it), then cancel whatever is still parked: those jobs never reached
-	// the queue, so no worker will retire them.
-	close(e.dispStop)
-	e.dispWG.Wait()
-	e.mu.Lock()
-	for _, j := range e.deferred {
-		if j.state != JobQueued {
-			continue
-		}
-		j.state = JobCanceled
-		j.finished = time.Now().UTC()
-		j.trace.Observe("deferred-wait", j.created, j.finished.Sub(j.created))
-		if j.batch != nil {
-			j.batch.cancelPending()
-		}
-		e.retireLocked(j)
-		e.publish(j.event(EventCanceled))
-		e.tenant(j.meta.Tenant).AddJobOutcome(string(JobCanceled))
-		e.metrics.JobsCanceled.Add(1)
-		close(j.done)
-	}
-	e.deferred = nil
-	e.mu.Unlock()
-	close(e.queue)
 	e.wg.Wait()
 }
 

@@ -24,7 +24,7 @@ func testModel(t *testing.T) *flow.Model {
 }
 
 // blockingFn returns a job closure that parks until release is closed (or
-// the job context is canceled), so tests can hold a worker busy
+// the job context is canceled), so tests can hold a run slot busy
 // deterministically.
 func blockingFn(release <-chan struct{}) func(context.Context) (*PlaceResult, error) {
 	return func(ctx context.Context) (*PlaceResult, error) {
@@ -37,9 +37,9 @@ func blockingFn(release <-chan struct{}) func(context.Context) (*PlaceResult, er
 	}
 }
 
-func newTestEngine(workers, depth int) (*JobEngine, *Metrics) {
+func newTestEngine(slots, depth int) (*JobEngine, *Metrics) {
 	m := &Metrics{}
-	return NewJobEngine(workers, depth, 64, newResultCache(8, m), m, nil), m
+	return NewJobEngine(slots, depth, 64, m, nil), m
 }
 
 func waitState(t *testing.T, e *JobEngine, id string, want JobState) JobInfo {
@@ -104,7 +104,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The single worker is parked, so the second job is still queued and
+	// The single run slot is held, so the second job is still queued and
 	// cancels synchronously.
 	info, ok := e.Cancel(queued.ID)
 	if !ok || info.State != JobCanceled {
@@ -116,7 +116,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if done, err := e.Wait(ctx, running.ID); err != nil || done.State != JobDone {
 		t.Errorf("first job = %+v, err %v", done, err)
 	}
-	// The worker must skip the canceled job without re-running it.
+	// The canceled job must never run once the slot frees up.
 	if info, _ := e.Get(queued.ID); info.State != JobCanceled {
 		t.Errorf("canceled job re-entered state %s", info.State)
 	}
@@ -241,7 +241,7 @@ func TestCloseRacesSubmitAndCancel(t *testing.T) {
 }
 
 // TestCloseDoesNotRunQueuedBacklog checks the Close fast path directly: a
-// deep queue behind a parked worker must reach canceled without any of
+// deep queue behind a held run slot must reach canceled without any of
 // the queued closures executing.
 func TestCloseDoesNotRunQueuedBacklog(t *testing.T) {
 	e, _ := newTestEngine(1, 16)
@@ -343,11 +343,11 @@ func TestSubmitDeduplicatesInFlight(t *testing.T) {
 }
 
 // TestTerminalJobRetentionBound checks that old terminal jobs are pruned
-// beyond MaxJobs (clamped to workers+queueDepth+1 = 3 here) while the
+// beyond MaxJobs (clamped to slots+queueDepth+1 = 3 here) while the
 // newest records are kept.
 func TestTerminalJobRetentionBound(t *testing.T) {
 	metrics := &Metrics{}
-	e := NewJobEngine(1, 1, 1, newResultCache(8, metrics), metrics, nil)
+	e := NewJobEngine(1, 1, 1, metrics, nil)
 	defer e.Close()
 	instant := func(context.Context) (*PlaceResult, error) {
 		return &PlaceResult{Filters: []int{1}}, nil

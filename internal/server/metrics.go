@@ -29,9 +29,6 @@ type Metrics struct {
 	JobsFailed     atomic.Int64
 	JobsCanceled   atomic.Int64
 	JobsRejected   atomic.Int64
-	// JobsDeferred counts gang jobs admitted into the bounded wait queue
-	// instead of the worker queue (scheduler saturated or queue full).
-	JobsDeferred atomic.Int64
 	// FlightsJoined counts placements that joined an identical in-flight
 	// computation (cross-kind dedup) instead of executing their own.
 	FlightsJoined atomic.Int64
@@ -85,8 +82,8 @@ type Metrics struct {
 
 // MetricsSnapshot is the JSON shape served by GET /metrics. JobQueueDepth
 // and CacheEntries are gauges sampled at snapshot time by the caller —
-// queue depth is what an operator watches to see auto-maintain load pile
-// up behind the worker pool.
+// queue depth is what an operator watches to see auto-maintain and gang
+// load pile up behind the running jobs.
 type MetricsSnapshot struct {
 	RequestsTotal      int64 `json:"requests_total"`
 	RequestErrors      int64 `json:"request_errors"`
@@ -105,7 +102,6 @@ type MetricsSnapshot struct {
 	JobsFailed         int64 `json:"jobs_failed"`
 	JobsCanceled       int64 `json:"jobs_canceled"`
 	JobsRejected       int64 `json:"jobs_rejected"`
-	JobsDeferred       int64 `json:"jobs_deferred"`
 	FlightsJoined      int64 `json:"flights_joined"`
 	JobQueueDepth      int64 `json:"job_queue_depth"`
 	MaintainJobs       int64 `json:"maintain_jobs"`
@@ -123,13 +119,6 @@ type MetricsSnapshot struct {
 	BatchGraphsInflight int64 `json:"batch_graphs_inflight"`
 	SchedQueueDepth     int64 `json:"sched_queue_depth"`
 	SchedWorkers        int64 `json:"sched_workers"`
-	// JobsDeferredWaiting is a gauge of gang jobs currently parked in the
-	// admission wait queue, and OldestDeferredAgeSeconds the age of the
-	// one waiting longest — together they tell an operator whether
-	// deferred gangs are draining or starving. Both are sampled at
-	// snapshot time by the /metrics handler.
-	JobsDeferredWaiting      int64   `json:"jobs_deferred_waiting"`
-	OldestDeferredAgeSeconds float64 `json:"oldest_deferred_age_seconds"`
 	// EventsPublished/EventsDropped mirror the SSE bus counters;
 	// EventsSubscribers, HistorySamples and TenantsTracked are gauges
 	// sampled at snapshot time (live SSE streams, stats-history ring

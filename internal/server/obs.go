@@ -38,7 +38,7 @@ func newServerObs() *serverObs {
 		httpLat: reg.HistogramVec("fpd_http_request_seconds",
 			"HTTP request latency by registered route pattern.", "route", nil),
 		jobQueueWait: reg.Histogram("fpd_job_queue_wait_seconds",
-			"Async job wait from submission to a worker starting it.", nil),
+			"Async job wait from submission to its start.", nil),
 		jobRun: reg.Histogram("fpd_job_run_seconds",
 			"Async job run time from start to terminal state.", nil),
 		schedWait: reg.Histogram("fpd_sched_queue_wait_seconds",

@@ -2,12 +2,10 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -66,37 +64,6 @@ func timelineStages(info JobInfo) map[string]obs.StageRecord {
 		out[rec.Name] = rec
 	}
 	return out
-}
-
-// TestJobTimelineDeferred: a gang parked behind a saturated scheduler
-// reports a deferred-wait stage once admitted, and the deferred gauges
-// expose the parked backlog while it waits.
-func TestJobTimelineDeferred(t *testing.T) {
-	e, _ := newTestEngine(1, 4)
-	defer e.Close()
-	saturated := forceProbe(e)
-	saturated.Store(true)
-
-	info := gangJob(t, e, "batch|k1", okFn)
-	if waiting, oldest := e.DeferredStats(); waiting != 1 || oldest < 0 {
-		t.Fatalf("DeferredStats = %d, %v, want 1 parked with non-negative age", waiting, oldest)
-	}
-	saturated.Store(false)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	done, err := e.Wait(ctx, info.ID)
-	if err != nil || done.State != JobDone {
-		t.Fatalf("deferred gang finished as %s (err %v)", done.State, err)
-	}
-	stages := timelineStages(done)
-	for _, want := range []string{"deferred-wait", "queued", "run"} {
-		if _, ok := stages[want]; !ok {
-			t.Errorf("timeline missing %q stage: %+v", want, done.Timeline)
-		}
-	}
-	if waiting, oldest := e.DeferredStats(); waiting != 0 || oldest != 0 {
-		t.Errorf("DeferredStats after drain = %d, %v, want 0, 0", waiting, oldest)
-	}
 }
 
 // TestJobTimelineCanceled: a job canceled while still queued records the

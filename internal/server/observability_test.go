@@ -393,7 +393,7 @@ func TestSSETypeFilter(t *testing.T) {
 // TestConcurrentScrapeUnderLoad races Prometheus scrapes, tenant reads
 // and placement submissions; the payoff is under -race.
 func TestConcurrentScrapeUnderLoad(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 2, HistoryInterval: 5 * time.Millisecond})
+	ts := newTestServer(t, server.Config{HistoryInterval: 5 * time.Millisecond})
 	var info server.GraphInfo
 	doJSON(t, "POST", ts.URL+"/v1/graphs",
 		server.GraphSpec{Generator: "layered", Levels: 4, PerLevel: 8, Seed: 3}, &info)

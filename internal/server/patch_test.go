@@ -35,7 +35,7 @@ func metricsSnapshot(t *testing.T, base string) server.MetricsSnapshot {
 // TestPatchRoundTripWithCacheInvalidation is the acceptance criterion:
 // PATCH round-trips through fpd and drops the stale cached placement.
 func TestPatchRoundTripWithCacheInvalidation(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 2})
+	ts := newTestServer(t, server.Config{})
 	info := uploadDiamond(t, ts.URL)
 
 	// Cache a greedy placement for the pristine diamond.
@@ -159,7 +159,7 @@ func TestPatchTextForm(t *testing.T) {
 // job computes a placement for the mutated graph, and once the maintainer
 // is warm a local mutation takes the incremental path.
 func TestPatchAutoMaintain(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 2})
+	ts := newTestServer(t, server.Config{})
 	// A wide fan off the root (nodes 1..40 are sinks) plus one diamond
 	// 41→{42,43}→44→45 hanging off it: mutations inside the diamond leave
 	// the fan's propagation state untouched, so drift stays small.
@@ -280,7 +280,7 @@ func TestPatchSpliceDisabled(t *testing.T) {
 // reads on one graph, every successful batch repairs the shared plan, and
 // the final spliced plan serves correct evaluations.
 func TestPatchStormSpliceStress(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 2})
+	ts := newTestServer(t, server.Config{})
 	// A fan 0→1..40: mutator w toggles its own edge (1+w, 21+w), so the
 	// goroutines never conflict and every batch is accepted.
 	var sb strings.Builder

@@ -23,18 +23,16 @@ import (
 // MetricsSnapshot field whose json tag is in neither category is a
 // counter by default, which is the safe reading for anything monotonic.
 var snapshotGauges = map[string]bool{
-	"jobs_running":                true,
-	"job_queue_depth":             true,
-	"cache_entries":               true,
-	"place_workers_busy":          true,
-	"batch_graphs_inflight":       true,
-	"sched_queue_depth":           true,
-	"sched_workers":               true,
-	"jobs_deferred_waiting":       true,
-	"oldest_deferred_age_seconds": true,
-	"events_subscribers":          true,
-	"history_samples":             true,
-	"tenants_tracked":             true,
+	"jobs_running":          true,
+	"job_queue_depth":       true,
+	"cache_entries":         true,
+	"place_workers_busy":    true,
+	"batch_graphs_inflight": true,
+	"sched_queue_depth":     true,
+	"sched_workers":         true,
+	"events_subscribers":    true,
+	"history_samples":       true,
+	"tenants_tracked":       true,
 }
 
 // writePrometheusSnapshot emits every MetricsSnapshot field as an

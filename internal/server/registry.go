@@ -218,13 +218,13 @@ func (sp *GraphSpec) Build() (*graph.Digraph, []int, error) {
 
 // GraphInfo is the JSON description of a registered graph.
 type GraphInfo struct {
-	ID        string    `json:"id"`
-	Name      string    `json:"name,omitempty"`
-	Nodes     int       `json:"nodes"`
-	Edges     int       `json:"edges"`
-	Sources   []int     `json:"sources"`
-	Sinks     int       `json:"sinks"`
-	Hits      int64     `json:"hits"`
+	ID      string `json:"id"`
+	Name    string `json:"name,omitempty"`
+	Nodes   int    `json:"nodes"`
+	Edges   int    `json:"edges"`
+	Sources []int  `json:"sources"`
+	Sinks   int    `json:"sinks"`
+	Hits    int64  `json:"hits"`
 	// Patches counts committed PATCH batches; a non-zero value marks the
 	// graph as dynamic.
 	Patches   int64     `json:"patches,omitempty"`

@@ -9,9 +9,9 @@
 //     invalidated, and an optional auto-maintain job refreshes the filter
 //     placement incrementally.
 //   - An async JobEngine: expensive placements (the async rows of the
-//     core strategy table) run on a worker pool with
-//     queued/running/done/failed/canceled states,
-//     context-based cancellation, and an LRU result cache keyed by
+//     core strategy table) wait in one FIFO and run, as many at once as
+//     the scheduler has workers, with queued/running/done/failed/canceled
+//     states, context-based cancellation, and an LRU result cache keyed by
 //     (graph, sources, algorithm, k, engine, seed) so repeated queries
 //     are O(1). A gang-submitted batch (POST /v1/placements:batch) is
 //     ONE job whose sub-placements run on the process-wide internal/sched
@@ -37,10 +37,8 @@ import (
 
 // Config sizes the server. Zero values pick the documented defaults.
 type Config struct {
-	// Workers is the job-engine pool size (default GOMAXPROCS).
-	Workers int
 	// QueueDepth bounds pending jobs (default 64); beyond it Submit
-	// returns 503.
+	// returns 503. Gang batches may queue until twice as many are pending.
 	QueueDepth int
 	// MaxJobs bounds retained job records (default 1024); older terminal
 	// jobs are pruned.
@@ -59,8 +57,9 @@ type Config struct {
 	// SchedWorkers resizes the PROCESS-WIDE placement scheduler (the fpd
 	// -sched-workers flag): the bounded pool every placement's oracle
 	// work — solo, batch or auto-maintain — executes on. 0 leaves the
-	// pool at its default (GOMAXPROCS). Unlike the other knobs it is
-	// global, not per-Server.
+	// pool at its default (GOMAXPROCS). It is global, not per-Server, but
+	// a Server reads it once in New: its size is also how many async jobs
+	// that Server runs at once.
 	SchedWorkers int
 	// Logger receives structured request and job lifecycle logs; nil
 	// disables logging. cmd/fpd builds one from -log-level.
@@ -94,9 +93,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -200,7 +196,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		mux:              http.NewServeMux(),
 		registry:         NewRegistry(cfg.MaxGraphs, m),
-		jobs:             NewJobEngine(cfg.Workers, cfg.QueueDepth, cfg.MaxJobs, cache, m, eo),
+		jobs:             NewJobEngine(sched.Default().Workers(), cfg.QueueDepth, cfg.MaxJobs, m, eo),
 		cache:            cache,
 		flights:          newFlightTable(),
 		metrics:          m,
@@ -320,7 +316,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) ShutdownStreams() { s.events.close() }
 
 // Close stops the history sampler, ends every SSE stream, cancels
-// running jobs and stops the worker pool. The HTTP listener (owned by
+// running jobs and cancels queued ones. The HTTP listener (owned by
 // the caller) should be shut down first. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {

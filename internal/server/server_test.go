@@ -338,7 +338,7 @@ func TestAsyncGreedyMatchesLibraryAndCaches(t *testing.T) {
 // increasing budgets and checks every job completes with monotonically
 // nondecreasing FR (submodularity of F).
 func TestConcurrentJobSubmission(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 4})
+	ts := newTestServer(t, server.Config{})
 	var info server.GraphInfo
 	code := doJSON(t, "POST", ts.URL+"/v1/graphs",
 		server.GraphSpec{Generator: "layered", Levels: 5, PerLevel: 12, Seed: 2}, &info)
@@ -519,7 +519,7 @@ func TestJobListing(t *testing.T) {
 // effective worker count echoed in the result, and the new /metrics
 // gauges present.
 func TestParallelPlacement(t *testing.T) {
-	ts := newTestServer(t, server.Config{Workers: 2, MaxParallelism: 2})
+	ts := newTestServer(t, server.Config{MaxParallelism: 2})
 	info := uploadDiamond(t, ts.URL)
 	place := ts.URL + "/v1/graphs/" + info.ID + "/place"
 
