@@ -331,10 +331,11 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 		}
 	}
 	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "Φ(∅,V):     %.6g\n", ev.Phi(nil))
-	fmt.Fprintf(stdout, "Φ(A,V):     %.6g\n", ev.Phi(mask))
-	fmt.Fprintf(stdout, "F(A):       %.6g\n", ev.F(mask))
-	fmt.Fprintf(stdout, "FR(A):      %.4f\n", flow.FR(ev, mask))
+	obj := flow.Evaluate(ev, mask)
+	fmt.Fprintf(stdout, "Φ(∅,V):     %.6g\n", obj.PhiEmpty)
+	fmt.Fprintf(stdout, "Φ(A,V):     %.6g\n", obj.PhiA)
+	fmt.Fprintf(stdout, "F(A):       %.6g\n", obj.F)
+	fmt.Fprintf(stdout, "FR(A):      %.4f\n", obj.FR)
 	if phiCI != nil {
 		fmt.Fprintf(stdout, "Φ̂(A) CI95:  %.6g ± %.3g (%d sampled passes)\n", phiCI.Mean, phiCI.CI95(), phiCI.Runs)
 	}
@@ -435,8 +436,9 @@ func runFpplaceBatch(inputs []string, k int, opts core.Options, engine string, s
 			}
 		}
 		fmt.Fprintln(stdout)
-		fmt.Fprintf(stdout, "F(A):       %.6g\n", ev.F(mask))
-		fmt.Fprintf(stdout, "FR(A):      %.4f\n", flow.FR(ev, mask))
+		obj := flow.Evaluate(ev, mask)
+		fmt.Fprintf(stdout, "F(A):       %.6g\n", obj.F)
+		fmt.Fprintf(stdout, "FR(A):      %.4f\n", obj.FR)
 	}
 	fmt.Fprintf(stderr, "fpplace: batch-placed %d graphs (algo %s, k=%d)\n", len(inputs), opts.Strategy, k)
 	return nil

@@ -314,10 +314,12 @@ func (mt *Maintainer) recompute(ctx context.Context) error {
 			return err
 		}
 	}
-	res, err := core.Place(ctx, flow.NewFloat(m), mt.opts.K, core.Options{
+	ev := flow.NewFloat(m)
+	res, err := core.Place(ctx, ev, mt.opts.K, core.Options{
 		Strategy:    core.StrategyGreedyAll,
 		Parallelism: mt.opts.Parallelism,
 	})
+	ev.ReleaseScratch() // the engine dies with this call; its arena goes back to the plan pool
 	if err != nil {
 		return err
 	}

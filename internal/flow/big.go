@@ -12,36 +12,48 @@ import (
 // exact integers, so the chosen filter sets are exactly those of the
 // idealized algorithm. Weighted (probabilistic) models are not supported;
 // use FloatEngine.
+//
+// Like FloatEngine's, its invariants — exact Φ(∅,V), F(V) and node
+// multiplicities — live on the Model and are computed once per model: the
+// first NewBig runs two exact forward passes, every later one runs none.
 type BigEngine struct {
-	m        *Model
-	p        *Plan
+	m *Model
+	p *Plan
+	// phiEmpty, maxF and mul are read from the model's invariant cache and
+	// never mutated; shared by clones. mul holds the exact node
+	// multiplicities of a coarse model (nil entries for zero-weight nodes,
+	// nil slice for ordinary models).
 	phiEmpty *big.Int
 	maxF     *big.Int
-	// mul holds the exact node multiplicities of a coarse model (nil
-	// entries for zero-weight nodes, nil slice for ordinary models);
-	// immutable, shared by clones.
-	mul []*big.Int
+	mul      []*big.Int
 	// pc counts topological passes; the shallow Clone copy shares it.
 	pc *passCount
 }
 
 // NewBig builds an exact evaluator for the model. It panics when the model
-// carries edge weights, which have no exact integer semantics.
+// carries edge weights, which have no exact integer semantics. The model's
+// first engine computes the exact invariants (two forward passes, counted
+// on that engine); later engines reuse them and run no pass.
 func NewBig(m *Model) *BigEngine {
 	if m.Weighted() {
 		panic("flow: BigEngine does not support weighted models")
 	}
 	e := &BigEngine{m: m, p: m.Plan(), pc: &passCount{}}
-	if m.mul != nil {
-		e.mul = make([]*big.Int, len(m.mul))
-		for v, w := range m.mul {
-			if w != 0 {
-				e.mul[v] = big.NewInt(w)
+	inv := m.inv
+	inv.bigOnce.Do(func() {
+		if m.mul != nil {
+			e.mul = make([]*big.Int, len(m.mul))
+			for v, w := range m.mul {
+				if w != 0 {
+					e.mul[v] = big.NewInt(w)
+				}
 			}
 		}
-	}
-	e.phiEmpty = e.phiBig(nil)
-	e.maxF = new(big.Int).Sub(e.phiEmpty, e.phiBig(AllFilters(m)))
+		inv.bigMul = e.mul
+		inv.bigPhiEmpty = e.phiBig(nil)
+		inv.bigMaxF = new(big.Int).Sub(inv.bigPhiEmpty, e.phiBig(AllFilters(m)))
+	})
+	e.mul, e.phiEmpty, e.maxF = inv.bigMul, inv.bigPhiEmpty, inv.bigMaxF
 	return e
 }
 

@@ -16,21 +16,26 @@ import "fmt"
 // results are bit-for-bit those of the historical per-node engine (the
 // reference suite in plan_test.go pins this).
 //
+// The invariants — the plan-order source mask, Φ(∅,V) and F(V) — live on
+// the Model and are computed once per model: the first NewFloat runs two
+// forward passes for them, every later one runs none, so building an
+// engine per request costs O(1) plus a scratch arena borrowed on first
+// use.
+//
 // The hot paths (Phi, F, ArgmaxImpact — the inner loop of Greedy_All)
 // reuse a scratch arena borrowed from the plan's pool, so a FloatEngine is
 // not safe for concurrent use. Concurrent callers — the parallel candidate
 // sharding in core.Place — call Clone, which shares the immutable Model,
 // Plan and cached invariants but borrows its own arena on first use;
-// ReleaseScratch hands the arena back when a clone retires. Methods
-// returning slices (Received, Suffix, Impacts) always return freshly
-// allocated results.
+// ReleaseScratch hands the arena back when a clone or a request-scoped
+// engine retires. Methods returning slices (Received, Suffix, Impacts)
+// always return freshly allocated results.
 type FloatEngine struct {
 	m *Model
 	p *Plan
-	// src is the plan-order source mask; immutable, shared by clones.
-	src []bool
-	// phiEmpty caches Φ(∅,V) and maxF caches F(V); both are invariants of
-	// the model.
+	// src, phiEmpty (Φ(∅,V)) and maxF (F(V)) are read from the model's
+	// invariant cache; immutable, shared by clones.
+	src      []bool
 	phiEmpty float64
 	maxF     float64
 	// sc is the engine's borrowed scratch arena (nil until first use).
@@ -39,16 +44,17 @@ type FloatEngine struct {
 	pc *passCount
 }
 
-// NewFloat builds a float64 evaluator for the model.
+// NewFloat builds a float64 evaluator for the model. The model's first
+// engine computes Φ(∅,V) and F(V) (two forward passes, counted on that
+// engine); later engines reuse them and run no pass.
 func NewFloat(m *Model) *FloatEngine {
-	p := m.Plan()
-	src := make([]bool, p.n)
-	for i, v := range p.perm {
-		src[i] = m.isSrc[v]
-	}
-	e := &FloatEngine{m: m, p: p, src: src, pc: &passCount{}}
-	e.phiEmpty = e.phi(nil)
-	e.maxF = e.phiEmpty - e.phi(AllFilters(m))
+	e := &FloatEngine{m: m, p: m.Plan(), src: m.planSources(), pc: &passCount{}}
+	inv := m.inv
+	inv.floatOnce.Do(func() {
+		inv.phiEmpty = e.phi(nil)
+		inv.maxF = inv.phiEmpty - e.phi(AllFilters(m))
+	})
+	e.phiEmpty, e.maxF = inv.phiEmpty, inv.maxF
 	return e
 }
 

@@ -37,11 +37,23 @@
 // The closed form lets a greedy step run in O(|E|) instead of the paper's
 // O(Δ·|E|) plist bookkeeping; tests verify it against brute-force
 // re-evaluation of Φ.
+//
+// Where the work lives. A Model owns two lazily filled caches: its
+// execution Plan (structural, shared by every model over the same graph
+// and weights) and its invariants — the plan-order source mask, Φ(∅,V)
+// and F(V) in each engine's arithmetic — which depend on the sources too.
+// The first engine of a model builds what is missing (the plan, then two
+// forward passes for the invariants); every later NewFloat or NewBig runs
+// no pass and costs O(1) plus, for the float engine, a scratch arena
+// borrowed from the plan's pool on first use and returned by
+// ReleaseScratch. Evaluate then reports Φ(∅,V), Φ(A,V), F(A) and FR(A)
+// for a filter set from one forward pass.
 package flow
 
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"sync"
 
 	"repro/internal/graph"
@@ -73,12 +85,34 @@ type Model struct {
 	// copy-on-write constructors (WithWeights) can give the copy a fresh
 	// cache without copying a used sync.Once.
 	pc *planCache
+	// inv caches the model's source-dependent invariants. Models that
+	// share a plan (WithSources copies, MultiEngine items) each get their
+	// own, because every invariant depends on the source set.
+	inv *invariants
 }
 
 // planCache lazily builds and then shares a Model's execution plan.
 type planCache struct {
 	once sync.Once
 	plan *Plan
+}
+
+// invariants holds what every engine of a model needs and no filter set
+// changes, each part computed once on first use: the plan-order source
+// mask, Φ(∅,V) and F(V) in float64 for FloatEngine, and the exact
+// Φ(∅,V), F(V) and node multiplicities for BigEngine. The first engine
+// of a model pays the two forward passes of its arithmetic; every later
+// engine reads the cache and runs none.
+type invariants struct {
+	srcOnce sync.Once
+	src     []bool
+
+	floatOnce      sync.Once
+	phiEmpty, maxF float64
+
+	bigOnce              sync.Once
+	bigMul               []*big.Int
+	bigPhiEmpty, bigMaxF *big.Int
 }
 
 // NewModel validates and builds a propagation model. sources lists the
@@ -90,20 +124,31 @@ func NewModel(g *graph.Digraph, sources []int) (*Model, error) {
 	if err != nil {
 		return nil, ErrNotDAG
 	}
+	sources, isSrc, err := checkSources(g, sources)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{g: g, sources: sources, isSrc: isSrc, topo: topo, pc: &planCache{}, inv: &invariants{}}, nil
+}
+
+// checkSources validates a source list against g — every source in range
+// with in-degree zero, the in-degree-zero nodes when the list is empty —
+// and returns a private copy of it with its node mask.
+func checkSources(g *graph.Digraph, sources []int) ([]int, []bool, error) {
 	if len(sources) == 0 {
 		sources = g.Sources()
 	}
 	isSrc := make([]bool, g.N())
 	for _, s := range sources {
 		if s < 0 || s >= g.N() {
-			return nil, fmt.Errorf("flow: source %d out of range [0,%d)", s, g.N())
+			return nil, nil, fmt.Errorf("flow: source %d out of range [0,%d)", s, g.N())
 		}
 		if g.InDegree(s) != 0 {
-			return nil, fmt.Errorf("flow: source %d has in-degree %d; sources must have in-degree 0 (add a super-source instead)", s, g.InDegree(s))
+			return nil, nil, fmt.Errorf("flow: source %d has in-degree %d; sources must have in-degree 0 (add a super-source instead)", s, g.InDegree(s))
 		}
 		isSrc[s] = true
 	}
-	return &Model{g: g, sources: append([]int(nil), sources...), isSrc: isSrc, topo: topo, pc: &planCache{}}, nil
+	return append([]int(nil), sources...), isSrc, nil
 }
 
 // NewModelFromPlan stands up a Model over an already-built plan: the
@@ -122,18 +167,9 @@ func NewModelFromPlan(p *Plan, sources []int) (*Model, error) {
 		return nil, fmt.Errorf("flow: NewModelFromPlan does not support coarse (quotient) plans")
 	}
 	g := p.Digraph()
-	if len(sources) == 0 {
-		sources = g.Sources()
-	}
-	isSrc := make([]bool, g.N())
-	for _, s := range sources {
-		if s < 0 || s >= g.N() {
-			return nil, fmt.Errorf("flow: source %d out of range [0,%d)", s, g.N())
-		}
-		if g.InDegree(s) != 0 {
-			return nil, fmt.Errorf("flow: source %d has in-degree %d; sources must have in-degree 0 (add a super-source instead)", s, g.InDegree(s))
-		}
-		isSrc[s] = true
+	sources, isSrc, err := checkSources(g, sources)
+	if err != nil {
+		return nil, err
 	}
 	topo := make([]int, p.n)
 	for i, v := range p.perm {
@@ -141,7 +177,7 @@ func NewModelFromPlan(p *Plan, sources []int) (*Model, error) {
 	}
 	pc := &planCache{plan: p}
 	pc.once.Do(func() {}) // the plan is already built; pin the cache
-	return &Model{g: g, sources: append([]int(nil), sources...), isSrc: isSrc, topo: topo, pc: pc}, nil
+	return &Model{g: g, sources: sources, isSrc: isSrc, topo: topo, pc: pc, inv: &invariants{}}, nil
 }
 
 // NewCoarseModel builds a model whose nodes carry multiplicity weights —
@@ -199,7 +235,23 @@ func (m *Model) WithWeights(w func(u, v int) float64) *Model {
 	c := *m
 	c.weight = w
 	c.pc = &planCache{} // weights are baked into the plan; the copy needs its own
+	c.inv = &invariants{}
 	return &c
+}
+
+// WithSources returns a copy of the model with another source set,
+// validated like NewModel's (empty means the in-degree-zero nodes). The
+// copy shares the graph, edge weights, multiplicities, topological order
+// and plan cache, none of which depends on the sources, so it costs no
+// topological sort and no plan build; it gets a fresh invariant cache.
+func (m *Model) WithSources(sources []int) (*Model, error) {
+	sources, isSrc, err := checkSources(m.g, sources)
+	if err != nil {
+		return nil, err
+	}
+	c := *m
+	c.sources, c.isSrc, c.inv = sources, isSrc, &invariants{}
+	return &c, nil
 }
 
 // Plan returns the model's execution plan — the level-packed iteration
@@ -209,6 +261,20 @@ func (m *Model) WithWeights(w func(u, v int) float64) *Model {
 func (m *Model) Plan() *Plan {
 	m.pc.once.Do(func() { m.pc.plan = buildPlan(m) })
 	return m.pc.plan
+}
+
+// planSources returns the model's source mask in plan order, the form
+// the float kernels read; built once and shared by every engine.
+func (m *Model) planSources() []bool {
+	m.inv.srcOnce.Do(func() {
+		p := m.Plan()
+		src := make([]bool, p.n)
+		for i, v := range p.perm {
+			src[i] = m.isSrc[v]
+		}
+		m.inv.src = src
+	})
+	return m.inv.src
 }
 
 // checkedWeight returns the relay probability of edge (u,v), validating
@@ -294,7 +360,16 @@ func FR(ev Evaluator, filters []bool) float64 {
 	if den <= 0 {
 		return 1
 	}
-	r := ev.F(filters) / den
+	return filterRatio(ev.F(filters), den)
+}
+
+// filterRatio is f/maxF clamped to [0, 1], 1 when maxF ≤ 0: the Filter
+// Ratio convention FR documents.
+func filterRatio(f, maxF float64) float64 {
+	if maxF <= 0 {
+		return 1
+	}
+	r := f / maxF
 	if r < 0 {
 		return 0
 	}
@@ -302,6 +377,36 @@ func FR(ev Evaluator, filters []bool) float64 {
 		return 1
 	}
 	return r
+}
+
+// Objective is the paper's report for one filter set A: Φ(∅,V), Φ(A,V),
+// F(A) and the Filter Ratio FR(A).
+type Objective struct {
+	PhiEmpty, PhiA, F, FR float64
+}
+
+// Evaluate reports the Objective of a filter set from a single Φ(A) pass:
+// Φ(∅,V) and F(V) come from the model's invariant cache and F(A) is
+// Φ(∅,V) − Φ(A,V) in the engine's own arithmetic (exact integers on a
+// BigEngine). The fields equal Phi(nil), Phi(filters), F(filters) and
+// FR(ev, filters) bit for bit; an evaluator of another kind pays one pass
+// for each of Phi and F.
+func Evaluate(ev Evaluator, filters []bool) Objective {
+	var o Objective
+	switch e := ev.(type) {
+	case *FloatEngine:
+		o.PhiA = e.Phi(filters)
+		o.F = e.phiEmpty - o.PhiA
+	case *BigEngine:
+		phiA := e.PhiBig(filters)
+		o.PhiA = bigToFloat(phiA)
+		o.F = bigToFloat(phiA.Sub(e.phiEmpty, phiA))
+	default:
+		o.PhiA, o.F = ev.Phi(filters), ev.F(filters)
+	}
+	o.PhiEmpty = ev.Phi(nil)
+	o.FR = filterRatio(o.F, ev.MaxF())
+	return o
 }
 
 // AllFilters returns the filter mask used by MaxF: every non-source node is

@@ -1,0 +1,254 @@
+package flow
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// passesOf reads a PassCounter as a pair, for compact comparisons.
+func passesOf(pc PassCounter) [2]int64 {
+	f, s := pc.Passes()
+	return [2]int64{f, s}
+}
+
+// TestModelInvariantsBuiltOnce: the model's first engine of each kind
+// runs the two invariant passes, every later engine runs none and reads
+// bit-identical Φ(∅,V) and F(V).
+func TestModelInvariantsBuiltOnce(t *testing.T) {
+	for _, gg := range goldenGraphs(t) {
+		m := gg.m
+		first, second := NewFloat(m), NewFloat(m)
+		if got := passesOf(first); got != [2]int64{2, 0} {
+			t.Errorf("%s: first NewFloat ran %v passes, want [2 0]", gg.name, got)
+		}
+		if got := passesOf(second); got != [2]int64{0, 0} {
+			t.Errorf("%s: second NewFloat ran %v passes, want none", gg.name, got)
+		}
+		if !eqBits(first.Phi(nil), second.Phi(nil)) || !eqBits(first.MaxF(), second.MaxF()) {
+			t.Errorf("%s: float invariants differ between engines", gg.name)
+		}
+		if m.Weighted() {
+			continue
+		}
+		bfirst, bsecond := NewBig(m), NewBig(m)
+		if got := passesOf(bfirst); got != [2]int64{2, 0} {
+			t.Errorf("%s: first NewBig ran %v passes, want [2 0]", gg.name, got)
+		}
+		if got := passesOf(bsecond); got != [2]int64{0, 0} {
+			t.Errorf("%s: second NewBig ran %v passes, want none", gg.name, got)
+		}
+		if bfirst.PhiBig(nil).Cmp(bsecond.PhiBig(nil)) != 0 || bfirst.MaxFBig().Cmp(bsecond.MaxFBig()) != 0 {
+			t.Errorf("%s: big invariants differ between engines", gg.name)
+		}
+	}
+}
+
+// TestModelInvariantsCoarse: a quotient model's exact invariants include
+// its multiplicities whether or not the engine that computed them is the
+// one asking.
+func TestModelInvariantsCoarse(t *testing.T) {
+	g, src := gen.Layered(6, 12, 1, 3, 2)
+	mul := make([]int64, g.N())
+	for v := range mul {
+		mul[v] = int64(v % 3)
+	}
+	m, err := NewCoarseModel(g, []int{src}, mul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewCoarseModel(g, []int{src}, mul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewBig(m) // fills the cache
+	second, fresh := NewBig(m), NewBig(ref)
+	if passesOf(second) != [2]int64{0, 0} {
+		t.Errorf("second coarse NewBig ran %v passes", passesOf(second))
+	}
+	if second.PhiBig(nil).Cmp(fresh.PhiBig(nil)) != 0 || second.MaxFBig().Cmp(fresh.MaxFBig()) != 0 {
+		t.Errorf("cached coarse invariants %v/%v, fresh %v/%v",
+			second.PhiBig(nil), second.MaxFBig(), fresh.PhiBig(nil), fresh.MaxFBig())
+	}
+	all := AllFilters(m)
+	if second.FBig(all).Cmp(fresh.FBig(all)) != 0 {
+		t.Error("coarse F(V) through the cached multiplicities differs")
+	}
+}
+
+// TestModelInvariantsConcurrent builds float and big engines on one fresh
+// model from many goroutines at once: exactly one float and one big
+// engine pay the invariant passes and every engine reports the same
+// values. Run under -race it checks the cache's publication.
+func TestModelInvariantsConcurrent(t *testing.T) {
+	g, src := gen.TwitterLike(0.02, 5)
+	m := MustModel(g, []int{src})
+	ref := NewFloat(MustModel(g, []int{src}))
+	bref := NewBig(MustModel(g, []int{src}))
+	mask := MaskOf(g.N(), []int{3, 7, 11})
+	want := Evaluate(ref, mask)
+	wantBig := Evaluate(bref, mask)
+
+	const workers = 8
+	floats := make([]*FloatEngine, workers)
+	bigs := make([]*BigEngine, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			floats[i], bigs[i] = NewFloat(m), NewBig(m)
+			if got := Evaluate(floats[i], mask); got != want {
+				t.Errorf("worker %d float objective %+v, want %+v", i, got, want)
+			}
+			if got := Evaluate(bigs[i], mask); got != wantBig {
+				t.Errorf("worker %d big objective %+v, want %+v", i, got, wantBig)
+			}
+			floats[i].ReleaseScratch()
+		}(i)
+	}
+	wg.Wait()
+	var fwd, bigFwd int64
+	for i := range floats {
+		fwd += passesOf(floats[i])[0]
+		bigFwd += passesOf(bigs[i])[0]
+	}
+	// Each engine ran one Evaluate pass; one of each kind also ran two
+	// invariant passes.
+	if fwd != workers+2 || bigFwd != workers+2 {
+		t.Errorf("forward passes float %d big %d, want %d each", fwd, bigFwd, workers+2)
+	}
+}
+
+// TestModelInvariantsMultiItem: MultiEngine's per-item models share one
+// plan but keep their own Φ(∅), since each has its own source.
+func TestModelInvariantsMultiItem(t *testing.T) {
+	g := graph.MustFromEdges(6, [][2]int{{0, 5}, {5, 2}, {0, 2}, {1, 2}, {2, 3}, {2, 4}})
+	me, err := NewMulti(g, []Item{{Name: "A", Source: 0}, {Name: "B", Source: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := me.engines[0], me.engines[1]
+	if a.p != b.p {
+		t.Error("per-item engines do not share the plan")
+	}
+	if a.Phi(nil) != 7 || b.Phi(nil) != 3 {
+		t.Errorf("per-item Φ(∅) = %v, %v; want 7, 3", a.Phi(nil), b.Phi(nil))
+	}
+	if a.MaxF() != 2 || b.MaxF() != 0 {
+		t.Errorf("per-item F(V) = %v, %v; want 2, 0", a.MaxF(), b.MaxF())
+	}
+	if base := NewFloat(me.Model()); base.Phi(nil) != 10 {
+		t.Errorf("base model Φ(∅) = %v, want 10", base.Phi(nil))
+	}
+}
+
+// TestModelInvariantsWithWeights: a weighted copy never sees the
+// unweighted model's invariants, nor the original the copy's, whichever
+// is computed first.
+func TestModelInvariantsWithWeights(t *testing.T) {
+	g, src := gen.Layered(8, 20, 1, 3, 4)
+	half := func(u, v int) float64 { return 0.5 }
+	fresh := func() (plain, weighted float64) {
+		m := MustModel(g, []int{src})
+		return NewFloat(m).Phi(nil), NewFloat(MustModel(g, []int{src}).WithWeights(half)).Phi(nil)
+	}
+	wantPlain, wantWeighted := fresh()
+	if wantPlain == wantWeighted {
+		t.Fatal("test graph does not separate weighted from unweighted Φ")
+	}
+
+	m := MustModel(g, []int{src})
+	NewFloat(m)
+	w := m.WithWeights(half)
+	if got := NewFloat(w).Phi(nil); !eqBits(got, wantWeighted) {
+		t.Errorf("weighted copy of a warm model: Φ(∅) = %v, want %v", got, wantWeighted)
+	}
+
+	m2 := MustModel(g, []int{src})
+	w2 := m2.WithWeights(half)
+	NewFloat(w2)
+	if got := NewFloat(m2).Phi(nil); !eqBits(got, wantPlain) {
+		t.Errorf("original after its weighted copy: Φ(∅) = %v, want %v", got, wantPlain)
+	}
+}
+
+// TestModelInvariantsWithSources: a source override shares the base
+// model's plan, computes its own invariants, validates like NewModel and
+// leaves the base untouched.
+func TestModelInvariantsWithSources(t *testing.T) {
+	g := fig1(t)
+	base := MustModel(g, nil)
+	baseEv := NewFloat(base)
+	// Node 0 is fig1's only in-degree-0 node; add a second root so an
+	// override can pick a different source set.
+	g2 := graph.MustFromEdges(8, [][2]int{
+		{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 4}, {2, 5}, {3, 6}, {4, 6}, {5, 6}, {7, 4}, {7, 5},
+	})
+	base2 := MustModel(g2, []int{0})
+	NewFloat(base2)
+	over, err := base2.WithSources([]int{0, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.Plan() != base2.Plan() {
+		t.Error("override rebuilt the plan")
+	}
+	ref := NewFloat(MustModel(g2, []int{0, 7}))
+	ev := NewFloat(over)
+	if !eqBits(ev.Phi(nil), ref.Phi(nil)) || !eqBits(ev.MaxF(), ref.MaxF()) {
+		t.Errorf("override invariants %v/%v, fresh model %v/%v", ev.Phi(nil), ev.MaxF(), ref.Phi(nil), ref.MaxF())
+	}
+	checkBitsSlice(t, "override impacts", ev.Impacts(nil), ref.Impacts(nil))
+	if got := NewFloat(base2).Phi(nil); got == ev.Phi(nil) {
+		t.Errorf("base Φ(∅) %v took the override's value", got)
+	}
+	if !over.IsSource(7) || base2.IsSource(7) {
+		t.Error("override source mask leaked into the base model")
+	}
+
+	if _, err := base.WithSources([]int{3}); err == nil {
+		t.Error("WithSources accepted a source with in-edges")
+	}
+	if _, err := base.WithSources([]int{99}); err == nil {
+		t.Error("WithSources accepted an out-of-range source")
+	}
+	def, err := base.WithSources(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := NewFloat(def).Phi(nil); got != baseEv.Phi(nil) {
+		t.Errorf("default-source override Φ(∅) = %v, want %v", got, baseEv.Phi(nil))
+	}
+}
+
+// TestEvaluateMatchesEvaluator: Evaluate's one-pass report is bit for bit
+// what the separate Phi, F and FR calls return, on every engine and
+// filter set of the golden suite.
+func TestEvaluateMatchesEvaluator(t *testing.T) {
+	for _, gg := range goldenGraphs(t) {
+		evs := []Evaluator{NewFloat(gg.m)}
+		if !gg.m.Weighted() {
+			evs = append(evs, NewBig(gg.m))
+		}
+		for _, ev := range evs {
+			for _, mask := range append(goldenFilterSets(gg.m, NewFloat(gg.m)), nil) {
+				want := Objective{ev.Phi(nil), ev.Phi(mask), ev.F(mask), FR(ev, mask)}
+				got := Evaluate(ev, mask)
+				if !eqBits(got.PhiEmpty, want.PhiEmpty) || !eqBits(got.PhiA, want.PhiA) ||
+					!eqBits(got.F, want.F) || !eqBits(got.FR, want.FR) {
+					t.Errorf("%s %T: Evaluate %+v, separate calls %+v", gg.name, ev, got, want)
+				}
+			}
+			if pc, ok := ev.(PassCounter); ok {
+				before := passesOf(pc)
+				Evaluate(ev, MaskOf(gg.m.N(), []int{1}))
+				if d := passesOf(pc)[0] - before[0]; d != 1 {
+					t.Errorf("%s %T: Evaluate ran %d forward passes, want 1", gg.name, ev, d)
+				}
+			}
+		}
+	}
+}

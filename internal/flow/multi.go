@@ -70,9 +70,10 @@ func NewMulti(g *graph.Digraph, items []Item) (*MultiEngine, error) {
 		isSrc := make([]bool, g.N())
 		isSrc[it.Source] = true
 		// Item models share the base model's plan cache: the plan is
-		// structural (graph + weights only — source masks live in the
-		// engines), so one plan serves every per-item engine.
-		m := &Model{g: g, sources: []int{it.Source}, isSrc: isSrc, topo: topo, pc: base.pc}
+		// structural (graph + weights only), so one plan serves every
+		// per-item engine. Each item's invariants depend on its source,
+		// so each model gets its own cache.
+		m := &Model{g: g, sources: []int{it.Source}, isSrc: isSrc, topo: topo, pc: base.pc, inv: &invariants{}}
 		me.engines = append(me.engines, NewFloat(m))
 		rate := it.Rate
 		if rate <= 0 {

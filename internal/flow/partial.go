@@ -121,12 +121,5 @@ func (e *FloatEngine) FRPartial(filters []bool, leak float64) float64 {
 	if den <= 0 {
 		return 1
 	}
-	r := e.FPartial(filters, leak) / den
-	if r < 0 {
-		return 0
-	}
-	if r > 1 {
-		return 1
-	}
-	return r
+	return filterRatio(e.FPartial(filters, leak), den)
 }

@@ -16,9 +16,10 @@ type passCount struct {
 
 // PassCounter is implemented by evaluators that count the topological
 // passes they execute. The counts are cumulative over the engine's
-// lifetime (including the Φ(∅)/F(V) invariant passes run at
-// construction); callers interested in one placement's cost take a
-// before/after delta, as core.Place does for Result.Passes.
+// lifetime, including the Φ(∅)/F(V) invariant passes when the engine was
+// the first of its kind on its model (later engines find them cached);
+// callers interested in one placement's cost take a before/after delta,
+// as core.Place does for Result.Passes.
 //
 // Unlike OracleStats, pass counts reflect actual execution: a parallel
 // CELF run's speculative batch evaluations execute real passes even when

@@ -186,12 +186,7 @@ func rowOffset(draw uint64, stride float64) float64 {
 // construction cost is one Φ(∅,V) estimate (Samples sampled forward
 // passes); F(V) is estimated lazily on first MaxF use.
 func NewSampling(m *Model, opts SampleOptions) *SamplingEngine {
-	p := m.Plan()
-	src := make([]bool, p.n)
-	for i, v := range p.perm {
-		src[i] = m.isSrc[v]
-	}
-	e := &SamplingEngine{m: m, p: p, src: src, opts: opts.normalized(), pc: &passCount{}}
+	e := &SamplingEngine{m: m, p: m.Plan(), src: m.planSources(), opts: opts.normalized(), pc: &passCount{}}
 	e.phiEmpty = e.PhiEstimate(nil)
 	return e
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -229,6 +230,37 @@ func (t *Trace) Snapshot() []StageRecord {
 	out := make([]StageRecord, len(t.stages))
 	copy(out, t.stages)
 	return out
+}
+
+// MergeStage folds one span into a frozen timeline (a Snapshot whose
+// Trace is gone) by the rules Trace applies: a known stage name
+// accumulates duration and count, a new one is appended at its offset
+// from t0, clamped at zero, and names past the distinct-stage bound go to
+// "(dropped)". The input is never modified, so snapshots already handed
+// out stay valid; the result is exactly sized.
+func MergeStage(stages []StageRecord, t0 time.Time, name string, start time.Time, d time.Duration) []StageRecord {
+	byName := func(r StageRecord) bool { return r.Name == name }
+	i := slices.IndexFunc(stages, byName)
+	if i < 0 && len(stages) >= maxTraceStages {
+		name = "(dropped)"
+		i = slices.IndexFunc(stages, byName)
+	}
+	ms := float64(d) / float64(time.Millisecond)
+	if i >= 0 {
+		out := slices.Clone(stages)
+		out[i].DurationMS += ms
+		out[i].Count++
+		return out
+	}
+	out := make([]StageRecord, len(stages), len(stages)+1)
+	copy(out, stages)
+	offset := max(start.Sub(t0), 0)
+	return append(out, StageRecord{
+		Name:       name,
+		StartMS:    float64(offset) / float64(time.Millisecond),
+		DurationMS: ms,
+		Count:      1,
+	})
 }
 
 // traceKey is the context key TraceFrom looks under.

@@ -156,13 +156,13 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveModel returns the model to evaluate: the registered one, or a
-// fresh model over the same immutable graph when the request overrides the
-// sources.
+// copy sharing its graph and plan (flow.Model.WithSources) when the
+// request overrides the sources.
 func resolveModel(m *flow.Model, sources []int) (*flow.Model, []int, error) {
 	if len(sources) == 0 {
 		return m, m.Sources(), nil
 	}
-	override, err := flow.NewModel(m.Graph(), sources)
+	override, err := m.WithSources(sources)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -258,19 +258,17 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ev := flow.NewFloat(m)
-	mask := flow.MaskOf(m.N(), filters)
-	s.metrics.Evaluations.Add(1)
-	s.writeJSON(w, r, http.StatusOK, &PlaceResult{
+	res := &PlaceResult{
 		GraphID:   id,
 		Algorithm: "evaluate",
 		K:         len(filters),
 		Filters:   filters,
-		PhiEmpty:  ev.Phi(nil),
-		PhiA:      ev.Phi(mask),
-		F:         ev.F(mask),
-		FR:        flow.FR(ev, mask),
-	})
+	}
+	ev := flow.NewFloat(m)
+	res.setObjective(ev, filters)
+	ev.ReleaseScratch()
+	s.metrics.Evaluations.Add(1)
+	s.writeJSON(w, r, http.StatusOK, res)
 }
 
 // parseNodeList parses "3,17,42" into node ids, checking range and

@@ -1,0 +1,102 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/flow"
+	"repro/internal/gen"
+)
+
+// TestRequestPassBudget: once a model's invariants are cached, building a
+// request's engine runs no pass, the report of Φ(∅), Φ(A), F and FR costs
+// one forward pass, and a sync gmax reports one forward and one suffix
+// pass for its placement — two forward and one suffix per request in
+// all, on either engine.
+func TestRequestPassBudget(t *testing.T) {
+	g, src := gen.TwitterLike(0.02, 3)
+	m := flow.MustModel(g, []int{src})
+	passes := func(ev flow.Evaluator) [2]int64 {
+		f, s := ev.(flow.PassCounter).Passes()
+		return [2]int64{f, s}
+	}
+	for _, engine := range []string{"float", "big"} {
+		sp := &PlaceSpec{Algorithm: "gmax", K: 3, Engine: engine}
+		sp.newEvaluator(m) // the model's first engine of this kind fills the cache
+		ev := sp.newEvaluator(m)
+		if got := passes(ev); got != [2]int64{0, 0} {
+			t.Errorf("%s: engine build ran %v passes, want none", engine, got)
+		}
+		var res PlaceResult
+		res.setObjective(ev, []int{1, 2})
+		if got := passes(ev); got != [2]int64{1, 0} {
+			t.Errorf("%s: objective report ran %v passes, want [1 0]", engine, got)
+		}
+		releaseScratch(ev)
+
+		out, err := sp.execute(context.Background(), m, "g", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Passes == nil || *out.Passes != (core.PassStats{Forward: 1, Suffix: 1}) {
+			t.Errorf("%s: gmax passes %+v, want forward 1 suffix 1", engine, out.Passes)
+		}
+		if out.PhiEmpty != res.PhiEmpty {
+			t.Errorf("%s: gmax Φ(∅) %v, evaluate %v", engine, out.PhiEmpty, res.PhiEmpty)
+		}
+	}
+}
+
+// TestObserveStageAfterDone: PATCH may stamp its plan-splice span onto an
+// auto-maintain job that has already finished. The span must still merge
+// into the retired job's frozen timeline by name and show in
+// GET /v1/jobs/{id}, without disturbing snapshots handed out earlier.
+func TestObserveStageAfterDone(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	info, err := s.jobs.SubmitFunc("g1", PlaceSpec{Algorithm: "maintain", K: 1}, "k", JobMeta{}, okFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitState(t, s.jobs, info.ID, JobDone)
+	if _, ok := timelineStages(done)["run"]; !ok {
+		t.Fatalf("done job timeline lacks the run stage: %+v", done.Timeline)
+	}
+
+	getJob := func() JobInfo {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+info.ID, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET job: status %d", rec.Code)
+		}
+		var got JobInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	start := time.Now().Add(-time.Hour) // predates the job: offset clamps to 0
+	s.jobs.ObserveStage(info.ID, "plan-splice", start, 2*time.Millisecond)
+	first := getJob()
+	splice, ok := timelineStages(first)["plan-splice"]
+	if !ok || splice.Count != 1 || splice.DurationMS != 2 || splice.StartMS != 0 {
+		t.Fatalf("plan-splice after done: %+v (present %v)", splice, ok)
+	}
+	if len(first.Timeline) != len(done.Timeline)+1 {
+		t.Errorf("timeline grew from %d to %d stages, want one more", len(done.Timeline), len(first.Timeline))
+	}
+
+	held, _ := s.jobs.Get(info.ID)
+	s.jobs.ObserveStage(info.ID, "plan-splice", start, 3*time.Millisecond)
+	if splice := timelineStages(getJob())["plan-splice"]; splice.Count != 2 || splice.DurationMS != 5 {
+		t.Errorf("second plan-splice did not merge by name: %+v", splice)
+	}
+	if splice := timelineStages(held)["plan-splice"]; splice.Count != 1 {
+		t.Errorf("an earlier snapshot changed under a later merge: %+v", splice)
+	}
+}

@@ -98,10 +98,13 @@ type job struct {
 	finished time.Time
 	// trace records the job's stage timeline from submission on; run
 	// threads it through the run context so core.Place stages land
-	// on it too.
-	trace  *obs.Trace
-	cancel context.CancelFunc
-	done   chan struct{}
+	// on it too. Retirement freezes it into timeline and drops it.
+	trace *obs.Trace
+	// timeline is a terminal job's frozen stage list, exactly sized. It is
+	// replaced, never modified, so JobInfo snapshots may share it.
+	timeline []obs.StageRecord
+	cancel   context.CancelFunc
+	done     chan struct{}
 }
 
 // JobEngine runs expensive placements as asynchronous jobs: one FIFO of
@@ -249,9 +252,9 @@ func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
 	e.nextID++
 	j.id = fmt.Sprintf("j%d", e.nextID)
 	j.state = JobQueued
-	j.created = time.Now().UTC()
 	j.trace = obs.NewTrace() // t0 = submission; stage offsets are relative to it
 	j.trace.SetTraceParent(j.meta.Traceparent)
+	j.created = j.trace.Start().UTC() // the epoch a retired job's timeline merges against
 	j.done = make(chan struct{})
 	e.jobs[j.id] = j
 	e.order = append(e.order, j.id)
@@ -360,14 +363,14 @@ func (e *JobEngine) run(ctx context.Context, j *job) {
 	terminal := j.event(terminalEvent(j.state))
 	terminal.Error = j.errMsg
 	e.publish(terminal)
-	state, errMsg := j.state, j.errMsg
+	state, errMsg, timeline := j.state, j.errMsg, j.timeline
 	e.running--
 	e.startLocked()
 	e.mu.Unlock()
 	tc := e.tenant(j.meta.Tenant)
 	tc.AddRunTime(elapsed)
 	tc.AddJobOutcome(string(state))
-	e.logJobDone(j, state, errMsg, elapsed)
+	e.logJobDone(j, state, errMsg, elapsed, timeline)
 	close(j.done)
 }
 
@@ -430,9 +433,9 @@ func (e *JobEngine) Closed() bool {
 }
 
 // logJobDone emits the job's terminal log line, plus the slow-placement
-// warning (with the full stage timeline) when the run exceeded the
+// warning (with the frozen stage timeline) when the run exceeded the
 // configured threshold.
-func (e *JobEngine) logJobDone(j *job, state JobState, errMsg string, elapsed time.Duration) {
+func (e *JobEngine) logJobDone(j *job, state JobState, errMsg string, elapsed time.Duration, timeline []obs.StageRecord) {
 	o := e.obs
 	if o == nil || o.logger == nil {
 		return
@@ -464,7 +467,7 @@ func (e *JobEngine) logJobDone(j *job, state JobState, errMsg string, elapsed ti
 			"algorithm", j.spec.Algorithm,
 			"elapsed", elapsed.Round(time.Microsecond),
 			"threshold", o.slowThreshold,
-			"timeline", j.trace.Snapshot())
+			"timeline", timeline)
 	}
 }
 
@@ -482,14 +485,21 @@ func (e *JobEngine) Get(id string) (JobInfo, bool) {
 // ObserveStage stamps a pre-measured span onto job id's timeline. The
 // PATCH handler uses it to attach the synchronous plan-splice work to the
 // auto-maintain job it enqueued — the handler holds no live trace of its
-// own, and the span predates the job's t0 (Trace clamps the offset).
+// own, and the span predates the job's t0 (the offset is clamped). The
+// job may already be done, so a frozen timeline merges the span by name
+// just as the live trace would.
 func (e *JobEngine) ObserveStage(id, name string, start time.Time, d time.Duration) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if ok {
-		j.trace.Observe(name, start, d)
+	if !ok {
+		return
 	}
+	if j.trace != nil {
+		j.trace.Observe(name, start, d)
+		return
+	}
+	j.timeline = obs.MergeStage(j.timeline, j.created, name, start, d)
 }
 
 // Cancel requests cancellation of job id: a queued job leaves the queue
@@ -530,12 +540,15 @@ func (e *JobEngine) cancelQueuedLocked(j *job) {
 
 // retireLocked releases a terminal job's heavyweight references (the
 // closure captures the model, which can be large and may already be
-// evicted from the registry) and prunes the oldest terminal job records
-// beyond the retention bound. The job being retired is never pruned in
-// the same step, so the client that just submitted it always gets at
-// least one successful poll.
+// evicted from the registry; the live trace and the run context are no
+// longer needed once the timeline is frozen) and prunes the oldest
+// terminal job records beyond the retention bound. The job being retired
+// is never pruned in the same step, so the client that just submitted it
+// always gets at least one successful poll.
 func (e *JobEngine) retireLocked(j *job) {
 	j.runFn = nil
+	j.timeline = j.trace.Snapshot()
+	j.trace, j.cancel = nil, nil
 	if e.active[j.key] == j {
 		delete(e.active, j.key)
 	}
@@ -623,8 +636,12 @@ func (e *JobEngine) infoLocked(j *job) JobInfo {
 		// so snapshotting under the engine lock cannot deadlock.
 		info.Batch = j.batch.snapshot()
 	}
-	// Trace has its own mutex and never acquires the engine's.
-	info.Timeline = j.trace.Snapshot()
+	if j.trace != nil {
+		// Trace has its own mutex and never acquires the engine's.
+		info.Timeline = j.trace.Snapshot()
+	} else {
+		info.Timeline = j.timeline
+	}
 	if !j.started.IsZero() {
 		t := j.started
 		info.Started = &t

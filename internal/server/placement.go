@@ -155,12 +155,28 @@ func (sp *PlaceSpec) options() core.Options {
 
 // newEvaluator builds a fresh evaluator for the model. Engines reuse
 // scratch buffers internally, so one is built per request/job rather than
-// shared.
+// shared; the build itself is O(1) once the model's invariants are cached.
 func (sp *PlaceSpec) newEvaluator(m *flow.Model) flow.Evaluator {
 	if sp.Engine == "big" {
 		return flow.NewBig(m)
 	}
 	return flow.NewFloat(m)
+}
+
+// releaseScratch hands a request-scoped engine's scratch arena back to its
+// plan's pool when the request ends, so the next request reuses it.
+func releaseScratch(ev flow.Evaluator) {
+	if r, ok := ev.(flow.ScratchReleaser); ok {
+		r.ReleaseScratch()
+	}
+}
+
+// setObjective fills the report quantities Φ(∅,V), Φ(A,V), F(A) and FR(A)
+// for a filter set from one Φ(A) pass (flow.Evaluate); placements and
+// evaluate share it, so both report identical numbers for the same set.
+func (res *PlaceResult) setObjective(ev flow.Evaluator, filters []int) {
+	o := flow.Evaluate(ev, flow.MaskOf(ev.Model().N(), filters))
+	res.PhiEmpty, res.PhiA, res.F, res.FR = o.PhiEmpty, o.PhiA, o.F, o.FR
 }
 
 // cacheKey identifies a placement result: same graph, graph version,
@@ -196,6 +212,7 @@ func (sp *PlaceSpec) execute(ctx context.Context, m *flow.Model, graphID string,
 	bsp := tr.Begin("build-evaluator")
 	ev := sp.newEvaluator(m)
 	bsp.End()
+	defer releaseScratch(ev)
 	if metrics != nil {
 		metrics.PlaceWorkersBusy.Add(int64(max(sp.Parallelism, 1)))
 		defer metrics.PlaceWorkersBusy.Add(-int64(max(sp.Parallelism, 1)))
@@ -236,18 +253,14 @@ func (sp *PlaceSpec) execute(ctx context.Context, m *flow.Model, graphID string,
 	if info.Kless {
 		k = len(filters) // report the budget actually used
 	}
-	mask := flow.MaskOf(m.N(), filters)
 	res := &PlaceResult{
 		GraphID:     graphID,
 		Algorithm:   sp.Algorithm,
 		K:           k,
 		Filters:     filters,
-		PhiEmpty:    ev.Phi(nil),
-		PhiA:        ev.Phi(mask),
-		F:           ev.F(mask),
-		FR:          flow.FR(ev, mask),
 		Parallelism: pres.Parallelism,
 	}
+	res.setObjective(ev, filters)
 	if pres.Stats != (core.OracleStats{}) {
 		st := pres.Stats
 		res.Oracle = &st
