@@ -23,8 +23,8 @@
 //     greedy-1, greedy-l, the rand-* baselines, prop1) and the approx-celf
 //     and ml-celf extensions, with context cancellation, oracle accounting
 //     and a Parallelism option that shards per-round marginal-gain
-//     evaluation across cloned evaluators (results are bit-for-bit
-//     identical to serial). PlaceOptions.Strategy takes a core name
+//     evaluation by topological level or across cloned evaluators
+//     (results are bit-for-bit identical to serial). PlaceOptions.Strategy takes a core name
 //     (greedy-all) or its short form (gall); PlaceStrategies lists them.
 //     All parallel work executes on a process-wide work-stealing scheduler
 //     (SetSchedulerWorkers), and PlaceBatch gang-submits placements over
@@ -226,8 +226,8 @@ type Placement = core.Result
 
 // PassStats counts the topological passes a placement executed — the
 // engine-level cost behind the oracle calls (Placement.Passes). Unlike
-// OracleStats it is an execution measurement: parallel CELF runs
-// speculative evaluations, so its counts may vary with parallelism.
+// OracleStats it is an execution measurement of the engine, not part of
+// the determinism contract.
 type PassStats = core.PassStats
 
 // Trace aggregates named, timed stages; pass one via PlaceOptions.Trace
@@ -318,11 +318,13 @@ func SchedulerWorkers() int { return sched.Default().Workers() }
 
 // CloneableEvaluator is implemented by evaluators that duplicate cheaply
 // for concurrent use (NewFloat, NewBig and NewMulti engines all qualify);
-// Place's Parallelism option shards candidates across clones.
+// Place's Parallelism option shards naive's and approx-celf's exact
+// candidate evaluations across clones.
 type CloneableEvaluator = flow.Cloner
 
 // ParallelEvaluator is implemented by evaluators whose topological passes
-// parallelize internally by level (NewFloat's engine qualifies).
+// parallelize internally by level (NewFloat's and NewBig's engines
+// qualify); greedy-all, celf and ml-celf shard their passes this way.
 type ParallelEvaluator = flow.ParallelEvaluator
 
 // OracleStats counts objective evaluations spent by a greedy variant.

@@ -30,7 +30,7 @@ import (
 //
 // Determinism: the sampling engine's estimates depend only on its seed
 // (never on worker count), the re-check batch width is a constant, and
-// exact re-checks run through the same evalPool arithmetic as CELF —
+// exact re-checks run through the same evalPool arithmetic as naive —
 // so filters, OracleStats AND the reported Φ confidence interval are
 // bit-for-bit identical at every Parallelism setting.
 

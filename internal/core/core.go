@@ -8,8 +8,9 @@
 // Place is the only entry point to the greedy algorithms and heuristics:
 // one engine with pluggable strategies, shared context/cancellation
 // plumbing, oracle accounting and an optional parallel inner loop that
-// shards per-round marginal-gain evaluation across cloned evaluators with
-// results bit-for-bit identical to the serial path. The strategy table
+// shards per-round marginal-gain evaluation by topological level or
+// across cloned evaluators, with results bit-for-bit identical to the
+// serial path. The strategy table
 // (StrategyTable, LookupStrategy) is the one definition of every
 // strategy's names and of the options it reads; the fpd daemon, the
 // fpplace CLI and the experiment harness all read it.

@@ -10,7 +10,7 @@ import (
 // refine.
 //
 // CELF's cost is dominated by oracle work proportional to the graph size:
-// the exact init sweep is V evaluations and every pass the oracle runs is
+// the exact init sweep is V evaluations and every sweep the oracle runs is
 // O(V + E). On chain-heavy graphs most of that work is spent on nodes
 // that provably cannot beat their neighbors — the interior of a relay
 // chain is strictly dominated by the chain's head. ml-celf contracts the
@@ -31,16 +31,18 @@ import (
 //
 //   - Bounded (twin merges fired): the quotient objective is a tight
 //     bound rather than an identity, so each projected pick is locally
-//     refined — every member of the pick's fiber is re-evaluated with the
-//     EXACT oracle on the original graph (conditioned on the other picks)
-//     and the best member replaces the head when it wins. Exact work is
-//     Σ|fiber(pick)|, scaling with k and fiber width, never with V.
+//     refined — every member of the pick's fiber is re-priced with the
+//     EXACT closed-form gain on the original graph (conditioned on the
+//     other picks) and the best member replaces the head when it wins.
+//     Each multi-member fiber costs one forward + one suffix pass on the
+//     original graph, at most k sweeps in all; gain evaluations are
+//     Σ|fiber(pick)|.
 //
 // Determinism matches the rest of the package: coarsening is
 // single-threaded and deterministic, the quotient solve inherits CELF's
 // bit-identical-at-any-parallelism contract, and refinement evaluates
 // fibers in pick order with ascending-id tie-breaking through the same
-// evalPool arithmetic as celf/naive.
+// level-parallel closed-form sweep (impactsOf) as celf and greedy-all.
 func placeMultilevel(ctx context.Context, ev flow.Evaluator, k int, opts Options, res *Result) error {
 	// The quotient evaluator mirrors the caller's engine so lossless runs
 	// reproduce its arithmetic exactly. Engines we cannot rebuild on a
@@ -115,20 +117,19 @@ func placeMultilevel(ctx context.Context, ev flow.Evaluator, k int, opts Options
 }
 
 // refineFibers replaces each projected pick with the exact-gain argmax of
-// its supernode fiber, conditioned on all other picks. Fibers are
-// disjoint, so picks stay distinct; evaluation order is pick order and
-// ties break toward the smaller original id.
+// its supernode fiber, conditioned on all other picks. Each multi-member
+// fiber costs one closed-form sweep (impactsOf: one forward + one suffix
+// pass) with its head removed and every other pick in place, which prices
+// all of the fiber's members at once. Fibers are disjoint, so picks stay
+// distinct; evaluation order is pick order and ties break toward the
+// smaller original id.
 func refineFibers(ctx context.Context, ev flow.Evaluator, cm *flow.CoarsenMap, qPicks, heads []int, opts Options, res *Result) error {
 	m := ev.Model()
-	pool := newEvalPool(ev, opts.Parallelism, opts.Tenant)
-	defer pool.close()
-	res.Parallelism = max(res.Parallelism, pool.width())
 	filters := make([]bool, m.N())
 	for _, h := range heads {
 		filters[h] = true
 	}
 	chosen := make([]int, 0, len(heads))
-	var cands []int
 	for i, h := range heads {
 		fiber := cm.Fiber(qPicks[i])
 		if len(fiber) == 1 {
@@ -139,29 +140,25 @@ func refineFibers(ctx context.Context, ev flow.Evaluator, cm *flow.CoarsenMap, q
 			return err
 		}
 		filters[h] = false
-		cands = cands[:0]
-		for _, v32 := range fiber {
-			if v := int(v32); !filters[v] && !m.IsSource(v) {
-				cands = append(cands, v)
-			}
-		}
 		rsp := opts.Trace.Begin("refine")
-		gains, err := pool.gains(ctx, filters, cands)
-		rsp.AddEvals(int64(len(cands)))
-		rsp.SetWorkers(pool.width())
-		rsp.End()
-		if err != nil {
-			return err
-		}
-		res.Stats.GainEvaluations += len(cands)
-		// cands ascend (fibers are sorted), so strict > keeps the
-		// smallest id among equal gains.
-		best, bestGain := h, 0.0
-		for j, v := range cands {
-			if gains[j] > bestGain {
-				best, bestGain = v, gains[j]
+		gains := impactsOf(ev, filters, opts.Parallelism, res)
+		// fiber ascends, so strict > keeps the smallest id among equal
+		// gains.
+		best, bestGain, evals := h, 0.0, 0
+		for _, v32 := range fiber {
+			v := int(v32)
+			if filters[v] || m.IsSource(v) {
+				continue
+			}
+			evals++
+			if gains[v] > bestGain {
+				best, bestGain = v, gains[v]
 			}
 		}
+		rsp.AddEvals(int64(evals))
+		rsp.SetWorkers(res.Parallelism)
+		rsp.End()
+		res.Stats.GainEvaluations += evals
 		filters[best] = true
 		chosen = append(chosen, best)
 	}

@@ -56,8 +56,7 @@ func TestPlacePassStats(t *testing.T) {
 
 // TestPlacePassStatsParallelGreedyAll: greedy-all's level-parallel passes
 // run the same one forward + one suffix per round, so pass counts match
-// the serial run exactly. (CELF makes no such promise: speculative batch
-// evaluations execute real passes.)
+// the serial run exactly. TestCELFPassBudget pins the same for CELF.
 func TestPlacePassStatsParallelGreedyAll(t *testing.T) {
 	m := placeTestModel(t, 150, 0.05, 5)
 	serial, err := Place(context.Background(), flow.NewFloat(m), 10, Options{Strategy: StrategyGreedyAll})
@@ -71,6 +70,85 @@ func TestPlacePassStatsParallelGreedyAll(t *testing.T) {
 	}
 	if par.Passes != serial.Passes {
 		t.Errorf("parallel greedy-all passes %+v != serial %+v", par.Passes, serial.Passes)
+	}
+}
+
+// TestCELFPassBudget pins CELF's closed-form rechecks: the init sweep and
+// at most one recheck sweep per later round, each one forward + one suffix
+// pass, so Forward == Suffix ≤ Iterations+1 — and, since the sweeps are
+// level-parallel rather than speculative, identical at every Parallelism.
+func TestCELFPassBudget(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		m := placeTestModel(t, 150, 0.05, seed)
+		engines := map[string]func() flow.Evaluator{
+			"float": func() flow.Evaluator { return flow.NewFloat(m) },
+			"big":   func() flow.Evaluator { return flow.NewBig(m) },
+		}
+		for engName, mk := range engines {
+			var serial PassStats
+			for _, procs := range []int{1, 4} {
+				res, err := Place(context.Background(), mk(), 12, Options{Strategy: StrategyCELF, Parallelism: procs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := res.Passes
+				if p.Forward == 0 || p.Forward != p.Suffix || p.Forward > int64(res.Stats.Iterations+1) {
+					t.Errorf("seed %d %s P=%d: passes %+v, want forward == suffix in [1, %d]",
+						seed, engName, procs, p, res.Stats.Iterations+1)
+				}
+				if procs == 1 {
+					serial = p
+				} else if p != serial {
+					t.Errorf("seed %d %s P=%d: passes %+v != serial %+v", seed, engName, procs, p, serial)
+				}
+			}
+		}
+	}
+}
+
+// TestMLCELFRefinePassBudget: bounded ml-celf's refinement prices each
+// multi-member fiber with one closed-form sweep, so the caller's engine
+// runs exactly one forward and one suffix pass per such fiber, and the
+// rest of Result.Passes is the quotient CELF solve's.
+func TestMLCELFRefinePassBudget(t *testing.T) {
+	ctx := context.Background()
+	m := chainTestModel(t, 400, 1)
+	qm, cm, cst, err := flow.Coarsen(m, flow.CoarsenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cst.LosslessOnly {
+		t.Fatal("no twin merge fired: refinement would not run")
+	}
+	quot, err := Place(ctx, flow.NewFloat(qm), 10, Options{Strategy: StrategyCELF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fibers int64
+	for _, q := range quot.Filters {
+		if len(cm.Fiber(q)) > 1 {
+			fibers++
+		}
+	}
+	if fibers == 0 {
+		t.Fatal("no quotient pick has a multi-member fiber: refinement untested")
+	}
+	for _, procs := range []int{1, 4} {
+		ev := flow.NewFloat(m)
+		f0, s0 := ev.Passes()
+		res, err := Place(ctx, ev, 10, Options{Strategy: StrategyMLCELF, Parallelism: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f1, s1 := ev.Passes()
+		if f1-f0 != fibers || s1-s0 != fibers {
+			t.Errorf("P=%d: refinement ran %d forward / %d suffix passes, want %d each",
+				procs, f1-f0, s1-s0, fibers)
+		}
+		want := PassStats{Forward: quot.Passes.Forward + fibers, Suffix: quot.Passes.Suffix + fibers}
+		if res.Passes != want {
+			t.Errorf("P=%d: passes %+v, want quotient %+v plus %d per side", procs, res.Passes, quot.Passes, fibers)
+		}
 	}
 }
 

@@ -21,9 +21,10 @@ type Options struct {
 	// not this field — bounds actual CPU concurrency. Results are
 	// bit-for-bit identical to the serial path at any setting of either
 	// knob: candidate work is sharded deterministically and reduced with
-	// the serial tie-breaking order. Parallel execution needs the
-	// evaluator to implement flow.Cloner (candidate sharding) or
-	// flow.ParallelEvaluator (level-parallel passes); otherwise the
+	// the serial tie-breaking order. Greedy-all, celf, ml-celf and
+	// greedy-max run level-parallel passes and need a
+	// flow.ParallelEvaluator; naive and approx-celf's exact rechecks shard
+	// candidates across clones and need a flow.Cloner. Otherwise the
 	// strategy silently runs serially and Result.Parallelism reports 1.
 	Parallelism int
 	// Seed drives the randomized baselines (ignored elsewhere).
@@ -114,10 +115,9 @@ type Result struct {
 	Parallelism int
 	// Passes counts the topological passes this placement executed, when
 	// the evaluator exposes them (flow.PassCounter); zero otherwise. It is
-	// an execution measurement, not part of the deterministic contract:
-	// unlike Stats, it may differ across Parallelism settings because
-	// parallel CELF runs speculative evaluations whose passes execute even
-	// when their results are discarded by the serial-replay commit.
+	// an execution measurement of the caller's engine (plus ml-celf's
+	// quotient engine), not part of the deterministic contract Stats
+	// carries; approx-celf's sampled passes are not counted here.
 	Passes PassStats
 	// PhiCI, set by approx-celf only, is the sampling engine's confidence
 	// interval on Φ(A) for the returned filter set. ml-celf propagates it
@@ -274,14 +274,16 @@ func placeGreedyAll(ctx context.Context, ev flow.Evaluator, k int, opts Options,
 }
 
 // evalPool shards per-candidate exact gain evaluations Φ(A) − Φ(A∪{v})
-// across cloned evaluators. Gains are bit-for-bit those of the serial
-// loop: every candidate is evaluated by the same arithmetic against the
-// same base, just on a clone's private scratch state. Shards execute as
+// across cloned evaluators, for the strategies that price candidates one
+// Φ pass at a time (naive, approx-celf's exact rechecks). Gains are
+// bit-for-bit those of the serial loop: every candidate is evaluated by
+// the same arithmetic against the same base, just on a clone's private
+// scratch state. Shards execute as
 // tasks on the process-wide sched.Default pool, so concurrent placements
 // (a PlaceBatch gang, parallel fpd jobs) interleave their oracle work on
 // shared workers instead of spawning goroutines per round. The shard
-// count — and thus the per-shard arithmetic and the CELF batch width —
-// depends only on Options.Parallelism, never on pool size.
+// count — and thus the per-shard arithmetic — depends only on
+// Options.Parallelism, never on pool size.
 type evalPool struct {
 	root   flow.Evaluator
 	clones []flow.Evaluator
@@ -504,21 +506,19 @@ func (h *celfHeap) pop() celfEntry {
 // placement). Submodularity guarantees a node's gain never increases as
 // the filter set grows, so stale upper bounds defer most re-evaluations.
 //
-// Parallel mode pops stale entries in batches of up to Parallelism,
-// evaluates their exact gains concurrently on cloned evaluators, then
-// replays the serial commit order against the precomputed values: an
-// evaluation is committed (counted, re-stamped with the current round)
-// only up to the point where the serial loop would have found a fresh
-// entry on top of the heap; speculative evaluations beyond that point are
-// discarded and their entries pushed back untouched. The heap therefore
-// evolves exactly as in the serial run — filter set AND OracleStats are
-// bit-for-bit identical at every Parallelism setting.
+// Rechecks are priced from the closed form, CELF++-style: the first stale
+// heap top of a round triggers one forward + one suffix sweep (impactsOf)
+// that yields every candidate's exact gain under the round's filter set,
+// and every stale top popped later in that round reads its gain from that
+// sweep until the top is fresh again. The heap, the commit order and
+// OracleStats (one gain evaluation per consumed recheck) are those of
+// textbook CELF; a placement costs at most Iterations+1 sweeps. Sweeps
+// run level-parallel when Parallelism > 1 and the evaluator is a
+// flow.ParallelEvaluator, so results are bit-for-bit identical at every
+// Parallelism setting.
 func placeCELF(ctx context.Context, ev flow.Evaluator, k int, opts Options, res *Result) error {
 	m := ev.Model()
 	n := m.N()
-	pool := newEvalPool(ev, opts.Parallelism, opts.Tenant)
-	defer pool.close()
-	res.Parallelism = pool.width()
 	filters := make([]bool, n)
 	chosen := make([]int, 0, k)
 	st := &res.Stats
@@ -536,54 +536,40 @@ func placeCELF(ctx context.Context, ev flow.Evaluator, k int, opts Options, res 
 		}
 	}
 
+	// Round 0's entries are all fresh from the init sweep, so every later
+	// round opens with a stale top or an empty heap.
 	round := 0
-	batch := make([]celfEntry, 0, pool.width())
-	nodes := make([]int, 0, pool.width())
 	for len(chosen) < k && len(h) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if h[0].stamp == round {
-			// Fresh: by submodularity no other node can beat it.
-			top := h.pop()
-			filters[top.v] = true
-			chosen = append(chosen, top.v)
-			round++
-			st.Iterations++
-			continue
-		}
-		// Stale top: pop the next batch of stale entries in heap order
-		// (descending priority) and prefetch their exact gains.
-		batch, nodes = batch[:0], nodes[:0]
-		for len(h) > 0 && h[0].stamp != round && len(batch) < pool.width() {
-			e := h.pop()
-			batch = append(batch, e)
-			nodes = append(nodes, e.v)
-		}
-		rsp := opts.Trace.Begin("celf-recheck")
-		prefetched, err := pool.gains(ctx, filters, nodes)
-		rsp.AddEvals(int64(len(nodes)))
-		rsp.SetWorkers(pool.width())
-		rsp.End()
-		if err != nil {
-			return err
-		}
-		// Replay the serial commit order: the serial loop evaluates stale
-		// tops one at a time and stops as soon as the heap top is fresh —
-		// i.e. as soon as the best re-evaluated gain outranks the next
-		// stale bound. Entries past that point stay stale and uncounted.
-		for i := range batch {
-			st.GainEvaluations++
-			if g := prefetched[i]; g > 0 {
-				h.push(celfEntry{g, batch[i].v, round})
-			}
-			if i+1 < len(batch) && len(h) > 0 && h[0].stamp == round && celfLess(batch[i+1], h[0]) {
-				for _, rest := range batch[i+1:] {
-					h.push(rest) // untouched: stale bound, old stamp
+		if h[0].stamp != round {
+			// Stale top: one sweep re-prices every stale top this round
+			// pops, until an exact gain surfaces.
+			rsp := opts.Trace.Begin("celf-recheck")
+			gains = impactsOf(ev, filters, opts.Parallelism, res)
+			rechecks := 0
+			for len(h) > 0 && h[0].stamp != round {
+				e := h.pop()
+				rechecks++
+				if g := gains[e.v]; g > 0 {
+					h.push(celfEntry{g, e.v, round})
 				}
+			}
+			st.GainEvaluations += rechecks
+			rsp.AddEvals(int64(rechecks))
+			rsp.SetWorkers(res.Parallelism)
+			rsp.End()
+			if len(h) == 0 {
 				break
 			}
 		}
+		// Fresh: by submodularity no other node can beat it.
+		top := h.pop()
+		filters[top.v] = true
+		chosen = append(chosen, top.v)
+		round++
+		st.Iterations++
 	}
 	res.Filters = chosen
 	return nil

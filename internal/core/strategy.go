@@ -14,9 +14,11 @@ const (
 	// Parallelism > 1 on a flow.ParallelEvaluator the passes shard by
 	// topological level.
 	StrategyGreedyAll Strategy = "greedy-all"
-	// StrategyCELF is Greedy_All at the paper's per-candidate cost profile
-	// with CELF lazy evaluation; stale heap entries re-evaluate in
-	// round-stamped batches across cloned evaluators.
+	// StrategyCELF is Greedy_All with CELF lazy evaluation: a round-stamped
+	// heap of gain upper bounds, where a round's stale tops are re-priced
+	// from one closed-form sweep (one forward + one suffix pass) shared by
+	// the whole round. With Parallelism > 1 on a flow.ParallelEvaluator the
+	// sweeps shard by topological level, like StrategyGreedyAll's passes.
 	StrategyCELF Strategy = "celf"
 	// StrategyNaive is Greedy_All at the paper's cost profile with no
 	// laziness: every candidate re-evaluates every round. Candidates shard
@@ -34,8 +36,9 @@ const (
 	// merging), run CELF — exact, or approx-celf when Quality/SampleBudget
 	// ask for sampling — on the quotient, project the picks back to their
 	// supernode heads and locally refine each pick within its fiber by
-	// exact gains. When only lossless rules fired the result is bit-for-bit
-	// StrategyCELF's. Result.CoarsenStats reports the contraction.
+	// exact gains, one closed-form sweep per multi-member fiber. When only
+	// lossless rules fired the result is bit-for-bit StrategyCELF's.
+	// Result.CoarsenStats reports the contraction.
 	StrategyMLCELF Strategy = "ml-celf"
 	// StrategyGreedyMax is the paper's Greedy_Max (impacts once, top k).
 	StrategyGreedyMax Strategy = "greedy-max"

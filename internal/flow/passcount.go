@@ -21,10 +21,8 @@ type passCount struct {
 // callers interested in one placement's cost take a before/after delta,
 // as core.Place does for Result.Passes.
 //
-// Unlike OracleStats, pass counts reflect actual execution: a parallel
-// CELF run's speculative batch evaluations execute real passes even when
-// the serial-replay commit discards them, so deltas may legitimately
-// differ across Parallelism settings.
+// Unlike OracleStats, pass counts reflect actual execution, so they are
+// a cost measurement rather than part of any determinism contract.
 type PassCounter interface {
 	// Passes returns the cumulative forward and suffix pass counts.
 	Passes() (forward, suffix int64)

@@ -83,11 +83,16 @@ func (s *Server) runShared(ctx context.Context, key string, spec PlaceSpec, m *f
 		}
 		f, leader := s.flights.join(key)
 		if leader {
-			res, err := spec.execute(ctx, m, graphID, s.metrics, tc)
+			// Deferred so a panicking execute still wakes the joiners
+			// (with errInternal, and they retry) on its way to the
+			// job's or the handler's recover.
+			var res *PlaceResult
+			err := errInternal
+			defer func() { s.flights.finish(key, f, res, err) }()
+			res, err = spec.execute(ctx, m, graphID, s.metrics, tc)
 			if err == nil {
 				s.cache.put(key, res)
 			}
-			s.flights.finish(key, f, res, err)
 			return res, err
 		}
 		s.metrics.FlightsJoined.Add(1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
@@ -323,7 +324,7 @@ func (e *JobEngine) run(ctx context.Context, j *job) {
 	defer e.wg.Done()
 	e.tenant(j.meta.Tenant).AddQueueWait(j.started.Sub(j.created))
 	e.metrics.JobsRunning.Add(1)
-	res, err := j.runFn(obs.NewContext(ctx, j.trace))
+	res, err := e.call(obs.NewContext(ctx, j.trace), j)
 	e.metrics.JobsRunning.Add(-1)
 	j.cancel()
 
@@ -372,6 +373,26 @@ func (e *JobEngine) run(ctx context.Context, j *job) {
 	tc.AddJobOutcome(string(state))
 	e.logJobDone(j, state, errMsg, elapsed, timeline)
 	close(j.done)
+}
+
+// errInternal is what a job whose work panicked fails with; the panic
+// value and stack go to the log, never to clients.
+var errInternal = errors.New("internal error")
+
+// call runs the job's work, turning a panic into errInternal so a faulty
+// placement fails its own job, frees its run slot and counts as
+// jobs_failed instead of killing fpd.
+func (e *JobEngine) call(ctx context.Context, j *job) (res *PlaceResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if e.obs != nil && e.obs.logger != nil {
+				e.obs.logger.Error("job panicked", "job", j.id, "graph", j.graphID,
+					"request_id", j.meta.RequestID, "panic", p, "stack", string(debug.Stack()))
+			}
+			res, err = nil, errInternal
+		}
+	}()
+	return j.runFn(ctx)
 }
 
 // terminalEvent maps a terminal job state to its event type.

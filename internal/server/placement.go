@@ -66,9 +66,8 @@ type PlaceResult struct {
 	Oracle *core.OracleStats `json:"oracle,omitempty"`
 	// Passes counts the topological passes the placement executed — the
 	// engine-level cost behind the oracle calls. Unlike Oracle it is an
-	// execution measurement and may vary across parallelism settings
-	// (parallel CELF runs speculative evaluations), so it never enters
-	// cache keys or determinism comparisons.
+	// execution measurement, so it never enters cache keys or determinism
+	// comparisons.
 	Passes *core.PassStats `json:"passes,omitempty"`
 	// PhiCI is the approximate engine's sampled confidence interval on
 	// Φ(A) — the honesty report that accompanies an estimate-driven

@@ -27,6 +27,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -290,6 +291,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.acct.Tenant(ri.tenant).AddRequest()
+	defer s.recoverHandler(w, r)
 	s.mux.ServeHTTP(w, r)
 	if s.logger != nil {
 		s.logger.Debug("request",
@@ -300,6 +302,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"traceparent", ri.trace.String(),
 			"dur", time.Since(start).Round(time.Microsecond))
 	}
+}
+
+// recoverHandler turns a handler panic into a JSON 500 carrying the
+// request id, so one faulty request neither kills fpd nor drops the
+// connection. http.ErrAbortHandler keeps its meaning: abort the response.
+func (s *Server) recoverHandler(w http.ResponseWriter, r *http.Request) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	if p == http.ErrAbortHandler {
+		panic(p)
+	}
+	if s.logger != nil {
+		s.logger.Error("handler panicked", "method", r.Method, "path", r.URL.Path,
+			"request_id", requestIDOf(w, r), "panic", p, "stack", string(debug.Stack()))
+	}
+	s.writeError(w, r, http.StatusInternalServerError, "internal error")
 }
 
 // Jobs exposes the job engine (examples use Wait instead of polling).
