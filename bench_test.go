@@ -1,7 +1,7 @@
 package fp_test
 
-// One benchmark per figure of the paper's evaluation section (see
-// DESIGN.md's per-experiment index), plus per-algorithm and per-engine
+// One benchmark per figure of the paper's evaluation section (`fpexp
+// -list` prints the experiment index), plus per-algorithm and per-engine
 // micro-benchmarks. Macro benchmarks execute the same experiment drivers
 // cmd/fpexp exposes, at full dataset scale; the printable reports that
 // regenerate the paper's series are produced by `go run ./cmd/fpexp`.
@@ -172,41 +172,6 @@ func BenchmarkAlgoGreedyL(b *testing.B) {
 	}
 }
 
-// --- Approximate placement engine (k = 20, full Twitter stand-in).
-// BenchmarkApproxPlace vs BenchmarkApproxPlaceExactCELF is the wall-clock
-// half of the BENCH_approx.json comparison; the objective-quality half is
-// the property suite in internal/core.
-
-func BenchmarkApproxPlace(b *testing.B) {
-	fx := twitter(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := fp.Place(ctx, fx.ev, 20, fp.PlaceOptions{Strategy: fp.StrategyApproxCELF})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Filters) == 0 || res.PhiCI == nil {
-			b.Fatalf("degenerate approx placement: %d filters, CI %v", len(res.Filters), res.PhiCI)
-		}
-	}
-}
-
-func BenchmarkApproxPlaceExactCELF(b *testing.B) {
-	fx := twitter(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := fp.Place(ctx, fx.ev, 20, fp.PlaceOptions{Strategy: fp.StrategyCELF})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Filters) == 0 {
-			b.Fatal("no filters placed")
-		}
-	}
-}
-
 // --- Engine micro-benchmarks on the paper's layered synthetic graph.
 
 func layeredModel(b *testing.B, x float64) *fp.Model {
@@ -315,117 +280,12 @@ func BenchmarkTreeDP(b *testing.B) {
 	}
 }
 
-// --- Dynamic-graph maintenance (internal/dyn). One iteration = apply one
-// mutation batch to a ~10K-node churned Twitter-style graph and refresh a
-// k = 10 placement, either incrementally (Maintainer) or from scratch
-// (snapshot → NewModel → NewFloat → greedy-all). BENCH_dyn.json records the
-// baseline; the acceptance target is maintain ≥ 5× faster at 1% churn with
-// F(A) within 1% of from-scratch (quality asserted by
-// dyn.TestMaintainQualityUnderChurn).
-
-const dynBenchK = 10
-
-// dynChurnFixture pre-generates a long mutation stream so benchmark
-// iterations never run dry: when the stream is exhausted the overlay is
-// rebuilt from the pristine graph (off the clock) and the stream replays.
-type dynChurnFixture struct {
-	g      *fp.Graph
-	root   int
-	stream []fp.Mutation
-	warm   bool // build a Maintainer; the recompute baseline runs without one
-	d      *fp.DynamicGraph
-	mt     *fp.Maintainer
-	next   int
-}
-
-func newDynChurnFixture(b *testing.B, churn float64, warm bool) *dynChurnFixture {
-	b.Helper()
-	g, root := fp.TwitterLike(0.1, 1) // ≈10K nodes, Twitter shape
-	fx := &dynChurnFixture{g: g, root: root, warm: warm, stream: fp.TwitterChurn(g, 128, churn, 2)}
-	fx.reset(b)
-	return fx
-}
-
-func (fx *dynChurnFixture) reset(b *testing.B) {
-	b.Helper()
-	d, err := fp.NewDynamic(fx.g, []int{fx.root})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fx.d, fx.mt, fx.next = d, nil, 0
-	if !fx.warm {
-		return
-	}
-	mt, err := fp.NewMaintainer(d, fp.MaintainOptions{K: dynBenchK}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := mt.Maintain(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	fx.mt = mt
-}
-
-// batch returns the next mutation batch, replaying from a fresh overlay
-// when the stream is exhausted.
-func (fx *dynChurnFixture) batch(b *testing.B) fp.MutationBatch {
-	b.Helper()
-	if fx.next == len(fx.stream) {
-		b.StopTimer()
-		fx.reset(b)
-		b.StartTimer()
-	}
-	mu := fx.stream[fx.next]
-	fx.next++
-	return fp.MutationBatch{Add: mu.Add, Remove: mu.Remove}
-}
-
-func BenchmarkMaintainVsRecompute(b *testing.B) {
-	for _, churn := range []float64{0.002, 0.01, 0.05} {
-		name := fmt.Sprintf("churn=%g", churn)
-		b.Run(name+"/maintain", func(b *testing.B) {
-			fx := newDynChurnFixture(b, churn, true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fx.mt.Apply(fx.batch(b)); err != nil {
-					b.Fatal(err)
-				}
-				rep, err := fx.mt.Maintain(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.FAfter <= 0 {
-					b.Fatal("maintenance lost the objective")
-				}
-			}
-		})
-		b.Run(name+"/recompute", func(b *testing.B) {
-			fx := newDynChurnFixture(b, churn, false)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fx.d.Apply(fx.batch(b)); err != nil {
-					b.Fatal(err)
-				}
-				m, err := fp.NewModel(fx.d.Snapshot(), []int{fx.root})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(place(b, fp.NewFloat(m), dynBenchK, fp.StrategyGreedyAll)) == 0 {
-					b.Fatal("no filters placed")
-				}
-			}
-		})
-	}
-}
-
 // --- Parallel placement (core.Place). One iteration = a full k = 20
 // greedy-all placement on the ~90K-node Twitter stand-in at the given
 // worker count; every P returns bit-identical filters, so the sub-bench
-// ratio is pure parallel-speedup signal. BENCH_parallel.json records the
-// scaling curve measured on the CI-class host (near-linear scaling needs
-// physical cores; a single-CPU container reports ~1×). The CELF group
-// measures the cloned-evaluator sharding of lazy re-evaluation instead of
-// the level-parallel passes.
+// ratio is pure parallel-speedup signal (near-linear scaling needs
+// physical cores; a single-CPU host reports ~1×). The CELF group measures
+// CELF's level-parallel round sweeps.
 
 const parallelBenchK = 20
 
@@ -462,9 +322,8 @@ func BenchmarkPlaceParallel(b *testing.B) {
 // graph-by-graph (the pre-batch service pattern: one job per graph
 // through the queue) or as one gang on the process-wide scheduler.
 // Results are bit-identical between the two (core.TestPlaceBatchBitIdentical),
-// so the ratio is pure scheduling signal. BENCH_batch.json records the
-// measured curve; on a single-CPU host the gang ratio is ~1× by
-// construction — the win is multi-core interleaving.
+// so the ratio is pure scheduling signal; on a single-CPU host the gang
+// ratio is ~1× by construction — the win is multi-core interleaving.
 
 const (
 	batchBenchGraphs = 32

@@ -100,7 +100,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		histRet   = fs.Duration("history-retention", 15*time.Minute, "stats-history retention window")
 		maxTen    = fs.Int("max-tenants", 0, "distinct tenants tracked by per-tenant accounting (0: default cap; extras fold into \"(overflow)\")")
 		noAcct    = fs.Bool("no-tenant-accounting", false, "disable per-tenant resource accounting and the /v1/tenants endpoints")
-		spliceMC  = fs.Float64("splice-max-cone", 0, "plan-splice fallback threshold as a fraction of graph size (0: default 0.25; negative: always rebuild)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -128,7 +127,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		HistoryRetention:   *histRet,
 		MaxTenants:         *maxTen,
 		DisableAccounting:  *noAcct,
-		SpliceMaxCone:      *spliceMC,
 		Version:            version,
 	})
 	defer srv.Close()

@@ -10,8 +10,8 @@
 //	fpexp -exp fig8 -plot
 //	fpexp -exp fig11 -procs 8    # parallel marginal-gain workers
 //
-// Experiment ids follow DESIGN.md's per-experiment index: fig1–fig11,
-// prop1, and the abl-* ablations.
+// Experiment ids are fig1–fig11, prop1 and the abl-* ablations;
+// `fpexp -list` prints them all.
 package main
 
 import (

@@ -460,30 +460,6 @@ func NewMaintainer(d *DynamicGraph, opts MaintainOptions, initial []int) (*Maint
 	return dyn.NewMaintainer(d, opts, initial)
 }
 
-// PlanSplicer repairs a dynamic graph's execution plan incrementally
-// after each committed mutation batch — re-levelling only the batch's
-// dirty cone and splicing the renumbering and CSR rows in place — instead
-// of rebuilding the plan from scratch. The spliced plan is bit-identical
-// to a fresh build; past a cost threshold the splicer falls back to a
-// full rebuild automatically.
-type PlanSplicer = flow.Splicer
-
-// SpliceOptions tunes a PlanSplicer's splice-vs-rebuild threshold.
-type SpliceOptions = flow.SpliceOptions
-
-// SpliceStats describes what one plan repair did: whether it spliced or
-// rebuilt (and why), and how much it touched.
-type SpliceStats = flow.SpliceStats
-
-// NewPlanSplicer builds a splicer over a dynamic overlay. After each
-// DynamicGraph.Apply, feed the result's dirty sets to Splicer.Apply and
-// run placements on the returned plan (e.g. via NewModelFromPlan in
-// internal/flow). MaintainOptions.Splicer shares one with a Maintainer
-// so both repair the same plan.
-func NewPlanSplicer(d *DynamicGraph, opts SpliceOptions) *PlanSplicer {
-	return flow.NewSplicer(d, nil, opts)
-}
-
 // Mutation is one batch of a generated churn stream.
 type Mutation = gen.Mutation
 

@@ -1,21 +1,20 @@
-// Package benchmeta stamps benchmark artifacts with the host facts that
-// qualify their numbers. Every BENCH_*.json in the repo carries a "host"
-// object in this shape, so the recurring "measured on a 1-CPU container"
-// caveat is machine-checkable (TestBenchArtifactsCarryHostMetadata)
-// instead of a prose footnote a reader may miss.
+// Package benchmeta captures the host facts that qualify benchmark
+// numbers. perfbench stamps its report's host line with Current(), so a
+// reader can tell which CPU count and toolchain a measurement came from.
+// perfbench is the repo's only benchmark harness; TestNoLegacyBenchArtifacts
+// keeps the retired BENCH_*.json artifacts and their citations out.
 package benchmeta
 
 import (
 	"bufio"
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"strings"
 )
 
-// Host describes the machine and toolchain a benchmark artifact was
-// recorded on. CPUs and GOMAXPROCS are what make parallel-speedup claims
+// Host describes the machine and toolchain a benchmark was recorded on.
+// CPUs and GOMAXPROCS are what make parallel-speedup claims
 // interpretable: on a 1-CPU host, level-parallel ratios measure overhead,
 // not speedup.
 type Host struct {
@@ -27,8 +26,7 @@ type Host struct {
 	// GOMAXPROCS is the worker ceiling the process actually ran with.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// GOAMD64 is the amd64 ISA level the binary was compiled for ("v1"
-	// when unset or on other architectures' artifacts recorded on amd64
-	// defaults).
+	// when unset; empty on other architectures).
 	GOAMD64 string `json:"goamd64,omitempty"`
 	// Go is the toolchain version (runtime.Version()).
 	Go string `json:"go"`
@@ -49,20 +47,6 @@ func Current() Host {
 		Arch:       runtime.GOARCH,
 	}
 	return h
-}
-
-// SingleCPU reports whether the artifact was recorded where parallel
-// speedups cannot show wall-clock gains.
-func (h Host) SingleCPU() bool { return h.CPUs == 1 || h.GOMAXPROCS == 1 }
-
-// String renders the host one-line for bench logs.
-func (h Host) String() string {
-	cpu := h.CPU
-	if cpu == "" {
-		cpu = "unknown cpu"
-	}
-	return fmt.Sprintf("%s (%d cpus, GOMAXPROCS=%d, %s %s/%s GOAMD64=%s)",
-		cpu, h.CPUs, h.GOMAXPROCS, h.Go, h.OS, h.Arch, h.GOAMD64)
 }
 
 // goamd64 reads the compiled-in GOAMD64 level from build info, defaulting

@@ -1,7 +1,6 @@
 package benchmeta
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,44 +19,30 @@ func TestCurrent(t *testing.T) {
 	if runtime.GOARCH == "amd64" && !strings.HasPrefix(h.GOAMD64, "v") {
 		t.Errorf("GOAMD64 = %q, want v1..v4 on amd64", h.GOAMD64)
 	}
-	if s := h.String(); !strings.Contains(s, "GOMAXPROCS=") {
-		t.Errorf("String() = %q", s)
-	}
 }
 
-// TestBenchArtifactsCarryHostMetadata makes the repo's "recorded on a
-// 1-CPU container" caveat machine-checkable: every BENCH_*.json must
-// carry a host object with the fields that qualify its numbers.
-func TestBenchArtifactsCarryHostMetadata(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+// TestNoLegacyBenchArtifacts keeps perfbench the only source of
+// performance evidence: no BENCH_*.json artifact may sit at the repo
+// root, and the README may not cite one, the retired fpbench harness or
+// the retired -splice-max-cone knob.
+func TestNoLegacyBenchArtifacts(t *testing.T) {
+	root := filepath.Join("..", "..")
+	paths, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) == 0 {
-		t.Fatal("no BENCH_*.json artifacts found at the repo root")
+	for _, p := range paths {
+		t.Errorf("legacy artifact %s: record the number with perfbench instead", filepath.Base(p))
 	}
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			Host *Host `json:"host"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Errorf("%s: %v", filepath.Base(path), err)
-			continue
-		}
-		if doc.Host == nil {
-			t.Errorf("%s: no host object — the measurement context is unverifiable", filepath.Base(path))
-			continue
-		}
-		h := *doc.Host
-		if h.CPUs < 1 || h.GOMAXPROCS < 1 || h.Go == "" || h.OS == "" || h.Arch == "" {
-			t.Errorf("%s: incomplete host metadata %+v", filepath.Base(path), h)
-		}
-		if h.Arch == "amd64" && h.GOAMD64 == "" {
-			t.Errorf("%s: amd64 artifact without a GOAMD64 level", filepath.Base(path))
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(readme), "\n") {
+		for _, bad := range []string{"BENCH_", "cmd/fpbench", "-splice-max-cone"} {
+			if strings.Contains(line, bad) {
+				t.Errorf("README.md:%d cites %q: %s", i+1, bad, line)
+			}
 		}
 	}
 }

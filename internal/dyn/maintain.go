@@ -107,7 +107,7 @@ type Maintainer struct {
 	full *flow.Incremental // all non-source filters: F(V)
 	cur  *flow.Incremental // the maintained placement
 
-	// splicer keeps an execution plan spliced alongside the overlay, so
+	// splicer keeps an execution plan current with the overlay, so
 	// full re-initializations (Reinit after missed batches) and recompute
 	// placements run on the flat plan kernels instead of per-node scalar
 	// sweeps, and so the server can reuse the repaired plan for
@@ -307,7 +307,7 @@ func (mt *Maintainer) Maintain(ctx context.Context) (*Report, error) {
 func (mt *Maintainer) recompute(ctx context.Context) error {
 	m, err := flow.NewModelFromPlan(mt.splicer.Plan(), mt.d.Sources())
 	if err != nil {
-		// The spliced plan should always be adoptable; a snapshot build is
+		// The splicer's plan should always be adoptable; a snapshot build is
 		// the conservative fallback if it ever is not.
 		m, err = flow.NewModel(mt.d.Snapshot(), mt.d.Sources())
 		if err != nil {

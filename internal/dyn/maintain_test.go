@@ -297,11 +297,10 @@ func TestMaintainParallelismDeterministic(t *testing.T) {
 	}
 }
 
-// TestMaintainerPlanTracksOverlay is the plan-splicing integration check:
+// TestMaintainerPlanTracksOverlay is the plan-repair integration check:
 // across a churn stream routed through the maintainer, the shared
 // splicer's plan must describe exactly the overlay's current graph — same
-// shape and bit-identical evaluator observables as a from-scratch model —
-// and the bulk of the batches must take the splice path.
+// shape and bit-identical evaluator observables as a from-scratch model.
 func TestMaintainerPlanTracksOverlay(t *testing.T) {
 	g, root := gen.RandomDAG(400, 0.015, 11)
 	d, err := FromDigraph(g, []int{root})
@@ -363,15 +362,11 @@ func TestMaintainerPlanTracksOverlay(t *testing.T) {
 		}
 		check(i + 1)
 	}
-	splices, _ := mt.Splicer().Counters()
-	if splices == 0 {
-		t.Fatal("no batch took the splice path; threshold miscalibrated for 1% churn")
-	}
 }
 
 // TestMaintainerSharedSplicer checks the server wiring contract: a
 // maintainer built over an externally supplied splicer repairs that
-// splicer's plan in place rather than creating its own.
+// splicer's plan rather than creating its own.
 func TestMaintainerSharedSplicer(t *testing.T) {
 	d := diamond(t)
 	sp := flow.NewSplicer(d, nil, flow.SpliceOptions{})

@@ -175,7 +175,7 @@ func (o Options) withDefaults() Options {
 // Runner is an experiment driver.
 type Runner func(Options) (*Report, error)
 
-// registry maps experiment ids (as in DESIGN.md's per-experiment index) to
+// registry maps experiment ids (listed by IDs and `fpexp -list`) to
 // drivers; populated in figures.go.
 var registry = map[string]Runner{}
 

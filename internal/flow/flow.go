@@ -155,7 +155,7 @@ func checkSources(g *graph.Digraph, sources []int) ([]int, []bool, error) {
 // digraph is materialized from the plan's CSR in O(n+m) (no sort, no
 // topological search — the plan's position order IS a topological
 // order), and the plan cache is pre-filled so no engine ever triggers a
-// buildPlan. This is how the server PATCH path turns a spliced plan into
+// buildPlan. This is how the server PATCH path turns a Splicer plan into
 // the registry's refreshed model without paying the from-scratch
 // snapshot+build cost. Only unweighted plans are supported — exactly
 // what the dynamic overlay produces.

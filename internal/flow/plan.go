@@ -25,8 +25,8 @@ import (
 //     — no index vector in the loop at all. The within-level order is
 //     CANONICAL — a pure function of the edge set, independent of which
 //     topological order the model happened to cache — which is what lets
-//     a spliced plan (see Splicer) be array-for-array identical to a
-//     from-scratch build.
+//     a plan rebuilt from a mutable overlay (see Splicer) be
+//     array-for-array identical to a from-scratch build.
 //   - The in- and out-adjacency CSR is RE-INDEXED to plan positions, with
 //     each node's neighbor list kept in ascending ORIGINAL id order — the
 //     exact accumulation order of the pre-plan kernels, which is what
@@ -101,17 +101,17 @@ type Plan struct {
 	levelChunks [][]int32
 
 	// arena holds the pooled scratch buffers. It is SHARED across the
-	// splice lineage of a plan (every Splicer repair hands the new plan
+	// lineage of a plan (every Splicer repair hands the new plan
 	// the old plan's arena), so a dynamic graph keeps its warm buffers
 	// across mutations instead of repaying the allocation after every
 	// batch; buffers grow in place when AddNodes extends the graph.
 	arena *planArena
 }
 
-// planArena is the pooled scratch shared by a plan and all of its spliced
-// descendants. Buffers are sized lazily against the borrowing plan's n —
-// a pool entry allocated for an older, smaller plan is grown (never
-// shrunk) on its next borrow.
+// planArena is the pooled scratch shared by a plan and all of its
+// Splicer descendants. Buffers are sized lazily against the borrowing
+// plan's n — a pool entry allocated for an older, smaller plan is grown
+// (never shrunk) on its next borrow.
 type planArena struct {
 	scratch sync.Pool // *floatScratch
 	masks   sync.Pool // *[]bool
@@ -133,7 +133,7 @@ type floatScratch struct {
 }
 
 // ensure resizes the working set to n slots, reslicing in place when
-// capacity allows (the warm-arena path after a splice grows a graph).
+// capacity allows (the warm-arena path after a PATCH grows a graph).
 func (s *floatScratch) ensure(n int) {
 	if cap(s.rec) < n || cap(s.fmask) < n {
 		s.rec = make([]float64, n)
@@ -149,46 +149,10 @@ func (s *floatScratch) ensure(n int) {
 // through Model.Plan; weighted models have every edge weight validated
 // (and baked into the flat arrays) here, so kernels never re-check.
 func buildPlan(m *Model) *Plan {
-	g, topo := m.g, m.topo
+	g := m.g
 	n := g.N()
 	p := &Plan{n: n, weighted: m.weight != nil}
-
-	// Forward depth of every node: 1 + max over in-neighbors.
-	depth := make([]int32, n)
-	maxDepth := int32(-1)
-	for _, v := range topo {
-		var d int32
-		for _, q := range g.In(v) {
-			if depth[q]+1 > d {
-				d = depth[q] + 1
-			}
-		}
-		depth[v] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-
-	// Counting sort by depth, stable in ascending original-id order,
-	// yields the canonical level-contiguous permutation (still a valid
-	// topological order: edges always cross into a strictly deeper level).
-	p.levelOff = make([]int32, maxDepth+2)
-	for v := 0; v < n; v++ {
-		p.levelOff[depth[v]+1]++
-	}
-	for l := 1; l < len(p.levelOff); l++ {
-		p.levelOff[l] += p.levelOff[l-1]
-	}
-	p.perm = make([]int32, n)
-	p.pos = make([]int32, n)
-	next := append([]int32(nil), p.levelOff...)
-	for v := 0; v < n; v++ {
-		i := next[depth[v]]
-		next[depth[v]]++
-		p.perm[i] = int32(v)
-		p.pos[v] = i
-	}
-	p.checkIdentity()
+	p.layoutLevels(m.topo, g.In, make([]int32, n))
 
 	// Re-index both CSRs to plan positions. Neighbor lists stay in
 	// ascending original-id order (Digraph.In/Out order), preserving the
@@ -231,22 +195,64 @@ func buildPlan(m *Model) *Plan {
 		}
 	}
 
-	p.falseMask = make([]bool, n)
+	p.layoutChunks()
+	p.arena = newPlanArena()
+	return p
+}
 
-	// Precompute per-level chunk boundaries for the scheduler's current
-	// worker count. The tables are a perf hint only: chunking never
-	// affects results (per-node kernels are independent within a level),
-	// and passes asked for a different parallelism fall back to the same
-	// arithmetic inline.
+// layoutLevels lays out the canonical level-contiguous permutation. Each
+// node's forward depth is 1 + the max over its in-neighbors, computed in
+// the given topological order into the depth scratch (length n). A
+// counting sort by depth, stable in ascending original-id order, then
+// yields perm/pos/levelOff — still a valid topological order, since
+// edges always cross into a strictly deeper level.
+func (p *Plan) layoutLevels(topo []int, in func(int) []int, depth []int32) {
+	n := p.n
+	maxDepth := int32(-1)
+	for _, v := range topo {
+		var d int32
+		for _, q := range in(v) {
+			if depth[q]+1 > d {
+				d = depth[q] + 1
+			}
+		}
+		depth[v] = d
+		if d > maxDepth {
+			maxDepth = d
+		}
+	}
+	p.levelOff = make([]int32, maxDepth+2)
+	for v := 0; v < n; v++ {
+		p.levelOff[depth[v]+1]++
+	}
+	for l := 1; l < len(p.levelOff); l++ {
+		p.levelOff[l] += p.levelOff[l-1]
+	}
+	p.perm = make([]int32, n)
+	p.pos = make([]int32, n)
+	next := append([]int32(nil), p.levelOff...)
+	for v := 0; v < n; v++ {
+		i := next[depth[v]]
+		next[depth[v]]++
+		p.perm[i] = int32(v)
+		p.pos[v] = i
+	}
+	p.checkIdentity()
+}
+
+// layoutChunks allocates the all-false mask and precomputes per-level
+// chunk boundaries for the scheduler's current worker count. The tables
+// are a perf hint only: chunking never affects results (per-node kernels
+// are independent within a level), and passes asked for a different
+// parallelism fall back to the same arithmetic inline.
+func (p *Plan) layoutChunks() {
+	p.falseMask = make([]bool, p.n)
 	p.chunkHint = sched.Default().ChunkHint()
 	p.levelChunks = make([][]int32, p.numLevels())
 	for l := range p.levelChunks {
 		lo, hi := p.level(l)
 		p.levelChunks[l] = p.chunksFor(lo, hi)
 	}
-
-	p.arena = newPlanArena()
-	return p
 }
 
 // checkIdentity recomputes the identity flag — the common generated-graph
@@ -264,8 +270,8 @@ func (p *Plan) checkIdentity() {
 // chunksFor computes the precomputed chunk boundaries for one level's
 // position range [lo, hi) against the plan's scheduler hint, or nil when
 // the level runs serially. Boundaries depend only on (size, chunkHint),
-// never on contents, so a splice recomputes them exactly as a full build
-// would.
+// never on contents, so every build of the same graph computes the same
+// tables.
 func (p *Plan) chunksFor(lo, hi int) []int32 {
 	size := hi - lo
 	if size < minParallelSpan || p.chunkHint <= 1 {
@@ -513,7 +519,7 @@ func (p *Plan) sumPhi(rec, emit []float64) float64 {
 // in O(n+m) — no sorting, no edge map. Plan CSR rows are already in
 // ascending original-id order, the exact Digraph contract, so rows are a
 // straight position→id translation. NewModelFromPlan uses this to stand
-// up a fresh Model over a spliced plan without paying the overlay
+// up a fresh Model over a Splicer plan without paying the overlay
 // snapshot's O(m log m) sort.
 func (p *Plan) Digraph() *graph.Digraph {
 	n := p.n

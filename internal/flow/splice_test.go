@@ -103,7 +103,7 @@ func (d *testDyn) apply(b testBatch) (dirtyFwd, dirtyBwd []int) {
 }
 
 // model builds the reference Model over an immutable snapshot of the
-// view — the from-scratch side every splice is pinned against.
+// view — the from-scratch side every repair is pinned against.
 func (d *testDyn) model(t testing.TB) *Model {
 	t.Helper()
 	b := graph.NewBuilder(d.N())
@@ -124,7 +124,7 @@ func (d *testDyn) model(t testing.TB) *Model {
 }
 
 // plansEqual asserts two plans are array-for-array identical — the
-// tentpole contract: a spliced plan must be indistinguishable from
+// Splicer's contract: a repaired plan must be indistinguishable from
 // buildPlan run from scratch on the mutated graph.
 func plansEqual(t testing.TB, what string, got, want *Plan) {
 	t.Helper()
@@ -164,7 +164,7 @@ func plansEqual(t testing.TB, what string, got, want *Plan) {
 }
 
 // checkSpliceObservables pins every engine observable of a model stood up
-// over the spliced plan (NewModelFromPlan) bit-for-bit against the
+// over the repaired plan (NewModelFromPlan) bit-for-bit against the
 // reference model: float and big, serial and at P = 4 and GOMAXPROCS.
 func checkSpliceObservables(t *testing.T, name string, sp *Plan, mRef *Model) {
 	t.Helper()
@@ -240,7 +240,7 @@ func randomBatch(rng *rand.Rand, d *testDyn) testBatch {
 
 // TestPlanSpliceGolden drives a Splicer through a long random mutation
 // sequence (edge churn + node growth) and asserts after every batch that
-// the spliced plan is array-identical to a from-scratch buildPlan and
+// the repaired plan is array-identical to a from-scratch buildPlan and
 // that every engine observable over it is bit-identical, float and big,
 // serial and parallel.
 func TestPlanSpliceGolden(t *testing.T) {
@@ -261,83 +261,17 @@ func TestPlanSpliceGolden(t *testing.T) {
 		b := randomBatch(rng, d)
 		df, db := d.apply(b)
 		p, st := s.Apply(df, db, b.addNodes)
-		name := fmt.Sprintf("round %d (spliced=%v reason=%q)", round, st.Spliced, st.Reason)
+		name := fmt.Sprintf("round %d (reason=%q)", round, st.Reason)
 		mRef := d.model(t)
 		checkPlanInvariants(t, mRef)
 		plansEqual(t, name, p, mRef.Plan())
 		if p.arena != arena {
-			t.Fatalf("%s: scratch arena not shared across the splice lineage", name)
+			t.Fatalf("%s: scratch arena not shared across the plan lineage", name)
 		}
-		if st.Spliced && st.Work() <= 0 {
-			t.Fatalf("%s: spliced repair reported no work: %+v", name, st)
+		if st.Work() <= 0 {
+			t.Fatalf("%s: repair reported no work: %+v", name, st)
 		}
 		checkSpliceObservables(t, name, p, mRef)
-	}
-	splices, rebuilds := s.Counters()
-	if splices == 0 {
-		t.Fatalf("no batch took the splice path (rebuilds=%d)", rebuilds)
-	}
-}
-
-// TestPlanSpliceNoMove pins the pure-CSR fast path: edge churn that
-// changes no node's depth shares the old plan's permutation, levels and
-// chunk tables outright and still matches a from-scratch build.
-func TestPlanSpliceNoMove(t *testing.T) {
-	d := newTestDyn(5)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}} {
-		d.addEdge(e[0], e[1])
-	}
-	s := NewSplicer(d, nil, SpliceOptions{})
-	old := s.Plan()
-
-	df, db := d.apply(testBatch{add: [][2]int{{0, 3}}}) // depth[3] stays 3
-	p, st := s.Apply(df, db, 0)
-	if !st.Spliced || st.Moved != 0 {
-		t.Fatalf("expected a no-move splice, got %+v", st)
-	}
-	if &p.perm[0] != &old.perm[0] || &p.levelOff[0] != &old.levelOff[0] {
-		t.Fatalf("no-move splice should share perm/levelOff with the old plan")
-	}
-	plansEqual(t, "no-move add", p, d.model(t).Plan())
-
-	df, db = d.apply(testBatch{remove: [][2]int{{0, 3}}})
-	p, st = s.Apply(df, db, 0)
-	if !st.Spliced || st.Moved != 0 {
-		t.Fatalf("expected a no-move splice on removal, got %+v", st)
-	}
-	plansEqual(t, "no-move remove", p, d.model(t).Plan())
-}
-
-// TestPlanSpliceFallback pins the rebuild threshold: with MaxConeFrac < 0
-// every Apply falls back, and the rebuilt plan is still identical to a
-// from-scratch build (the fallback is a pure perf decision, never a
-// semantic one).
-func TestPlanSpliceFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	d := newTestDyn(60)
-	for i := 0; i < 140; i++ {
-		u, v := rng.Intn(60), rng.Intn(60)
-		if u > v {
-			u, v = v, u
-		}
-		d.addEdge(u, v)
-	}
-	s := NewSplicer(d, nil, SpliceOptions{MaxConeFrac: -1})
-	for round := 0; round < 4; round++ {
-		b := randomBatch(rng, d)
-		df, db := d.apply(b)
-		p, st := s.Apply(df, db, b.addNodes)
-		if st.Spliced {
-			t.Fatalf("round %d: MaxConeFrac<0 must force a rebuild, got %+v", round, st)
-		}
-		if st.Reason == "" {
-			t.Fatalf("round %d: rebuild must carry a reason", round)
-		}
-		plansEqual(t, fmt.Sprintf("fallback round %d", round), p, d.model(t).Plan())
-	}
-	splices, rebuilds := s.Counters()
-	if splices != 0 || rebuilds != 4 {
-		t.Fatalf("counters = (%d, %d), want (0, 4)", splices, rebuilds)
 	}
 }
 
@@ -361,14 +295,14 @@ func TestSplicerAdoptAndRebuild(t *testing.T) {
 		t.Fatal("NewSplicer did not adopt the compatible plan")
 	}
 
-	// A batch applied on top of the adopted plan still splices to the
-	// canonical result, proving the derived depth state was right.
+	// A batch applied on top of the adopted plan repairs to the canonical
+	// result.
 	b := randomBatch(rng, d)
 	df, db := d.apply(b)
 	p, _ := s.Apply(df, db, b.addNodes)
 	plansEqual(t, "after adopt", p, d.model(t).Plan())
 	if p.arena != adopted.arena {
-		t.Fatal("spliced plan must keep the adopted plan's arena")
+		t.Fatal("repaired plan must keep the adopted plan's arena")
 	}
 
 	// Mutate the view behind the splicer's back; Rebuild resyncs.
@@ -379,19 +313,17 @@ func TestSplicerAdoptAndRebuild(t *testing.T) {
 		t.Fatalf("Rebuild stats = %+v, want forced rebuild", st)
 	}
 
-	// Desync guard: lie about node growth; Apply must notice and rebuild.
+	// Apply reads the view, not the batch description: lying about node
+	// growth still yields the canonical plan.
 	d.apply(testBatch{addNodes: 1})
-	p, st := s.Apply(nil, nil, 0)
-	if st.Spliced || st.Reason != "desync" {
-		t.Fatalf("desync Apply stats = %+v, want desync rebuild", st)
-	}
+	p, _ = s.Apply(nil, nil, 0)
 	plansEqual(t, "desync rebuild", p, d.model(t).Plan())
 }
 
 // FuzzPlanSplice feeds random DAGs plus random mutation batches through
-// the Splicer and asserts the spliced plan is array-identical to a
+// the Splicer and asserts its rebuilt plan is array-identical to a
 // from-scratch buildPlan after every batch, with bit-identical float
-// phi/impacts over the spliced-plan model.
+// phi/impacts over a model on that plan.
 func FuzzPlanSplice(f *testing.F) {
 	f.Add(uint8(6), []byte{0, 1, 1, 2, 2, 3}, []byte{0, 0, 3, 1, 1, 4, 2, 0, 0})
 	f.Add(uint8(9), []byte{0, 4, 4, 8, 1, 5}, []byte{2, 3, 0, 0, 1, 2, 1, 0, 4})
@@ -443,7 +375,7 @@ func FuzzPlanSplice(f *testing.F) {
 			p, _ := s.Apply(df, db, b.addNodes)
 			mRef := d.model(t)
 			checkPlanInvariants(t, mRef)
-			plansEqual(t, "spliced", p, mRef.Plan())
+			plansEqual(t, "repaired", p, mRef.Plan())
 
 			mSpl, err := NewModelFromPlan(p, nil)
 			if err != nil {

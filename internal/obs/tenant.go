@@ -67,7 +67,6 @@ type TenantCounters struct {
 	schedWaitNS atomic.Int64
 	schedTasks  atomic.Int64
 
-	planSplices    atomic.Int64
 	planRebuilds   atomic.Int64
 	planRepairWork atomic.Int64
 
@@ -172,19 +171,14 @@ func (c *TenantCounters) AddSchedWait(d time.Duration) {
 	}
 }
 
-// AddPlanRepair attributes one execution-plan repair triggered by the
-// tenant's PATCH: spliced says whether it stayed on the incremental path,
-// work is the splicer's abstract cost (depth visits + moved nodes + CSR
-// rows touched, or n+rows for a rebuild).
-func (c *TenantCounters) AddPlanRepair(spliced bool, work int64) {
+// AddPlanRepair attributes one execution-plan rebuild triggered by the
+// tenant's PATCH; work is the rebuild's abstract cost (depth visits +
+// positions + CSR rows).
+func (c *TenantCounters) AddPlanRepair(work int64) {
 	if c == nil {
 		return
 	}
-	if spliced {
-		c.planSplices.Add(1)
-	} else {
-		c.planRebuilds.Add(1)
-	}
+	c.planRebuilds.Add(1)
 	if work > 0 {
 		c.planRepairWork.Add(work)
 	}
@@ -226,7 +220,6 @@ func (c *TenantCounters) Usage() TenantUsage {
 		JobRunSeconds:          time.Duration(c.runNS.Load()).Seconds(),
 		SchedQueueWaitSeconds:  time.Duration(c.schedWaitNS.Load()).Seconds(),
 		SchedTasks:             c.schedTasks.Load(),
-		PlanSplices:            c.planSplices.Load(),
 		PlanRebuilds:           c.planRebuilds.Load(),
 		PlanRepairWork:         c.planRepairWork.Load(),
 		CoarsenPlacements:      c.coarsenPlacements.Load(),
@@ -255,7 +248,8 @@ type TenantUsage struct {
 	SchedQueueWaitSeconds float64 `json:"sched_queue_wait_seconds"`
 	SchedTasks            int64   `json:"sched_tasks"`
 	// PlanSplices/PlanRebuilds split the tenant's PATCH-driven plan
-	// repairs; PlanRepairWork is their accumulated abstract cost.
+	// repairs; PlanSplices stays 0 because every repair is a rebuild.
+	// PlanRepairWork is their accumulated abstract cost.
 	PlanSplices    int64 `json:"plan_splices"`
 	PlanRebuilds   int64 `json:"plan_rebuilds"`
 	PlanRepairWork int64 `json:"plan_repair_work"`

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,4 +221,62 @@ func TestCloseCancelsQueuedGang(t *testing.T) {
 			t.Fatalf("batch item state %s, want canceled", item.State)
 		}
 	}
+}
+
+// serveJSON sends one JSON request through s's handler and decodes the
+// response into out.
+func serveJSON(t *testing.T, s *Server, method, target string, body, out any) int {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(b)))
+	if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+		t.Fatalf("%s %s: status %d, body %q: %v", method, target, rec.Code, rec.Body.String(), err)
+	}
+	return rec.Code
+}
+
+// TestBatchDedupsInFlight checks two identical gangs (modulo order and
+// parallelism) share one job while in flight. Every run slot is held by a
+// blocking job first, so the first gang is still queued when the second
+// arrives.
+func TestBatchDedupsInFlight(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	var ids []string
+	for _, seed := range []int64{31, 32} {
+		var info GraphInfo
+		spec := GraphSpec{Name: fmt.Sprintf("layered-%d", seed), Generator: "layered", Levels: 6, PerLevel: 10, Seed: seed}
+		if code := serveJSON(t, s, "POST", "/v1/graphs", spec, &info); code != http.StatusCreated {
+			t.Fatalf("upload layered %d: status %d", seed, code)
+		}
+		ids = append(ids, info.ID)
+	}
+	release := make(chan struct{})
+	for i := 0; i < s.jobs.slots; i++ {
+		info, err := s.jobs.SubmitFunc("g0", PlaceSpec{Algorithm: "gall", K: 1}, fmt.Sprintf("hold%d", i), JobMeta{}, blockingFn(release))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s.jobs, info.ID, JobRunning)
+	}
+
+	var first, second JobInfo
+	if code := serveJSON(t, s, "POST", "/v1/placements:batch", BatchPlaceSpec{
+		Graphs: []string{ids[0], ids[1]},
+		Spec:   PlaceSpec{Algorithm: "gall", K: 2, Parallelism: 2},
+	}, &first); code != http.StatusAccepted {
+		t.Fatalf("first batch: status %d", code)
+	}
+	if code := serveJSON(t, s, "POST", "/v1/placements:batch", BatchPlaceSpec{
+		Graphs: []string{ids[1], ids[0]},
+		Spec:   PlaceSpec{Algorithm: "gall", K: 2, Parallelism: 5},
+	}, &second); code != http.StatusAccepted || second.ID != first.ID {
+		t.Fatalf("identical in-flight gang: status %d job %s, want 202 deduped onto %s", code, second.ID, first.ID)
+	}
+	close(release)
+	waitState(t, s.jobs, first.ID, JobDone)
 }

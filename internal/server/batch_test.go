@@ -168,31 +168,6 @@ func TestBatchPartialCachePrefill(t *testing.T) {
 	}
 }
 
-// TestBatchDedupsInFlight checks two identical gangs (modulo order and
-// parallelism) share one job while in flight.
-func TestBatchDedupsInFlight(t *testing.T) {
-	ts := newTestServer(t, server.Config{})
-	g1 := uploadLayered(t, ts.URL, 31).ID
-	g2 := uploadLayered(t, ts.URL, 32).ID
-
-	var first, second server.JobInfo
-	doJSON(t, "POST", ts.URL+"/v1/placements:batch", server.BatchPlaceSpec{
-		Graphs: []string{g1, g2},
-		Spec:   server.PlaceSpec{Algorithm: "gall", K: 2, Parallelism: 2},
-	}, &first)
-	code := doJSON(t, "POST", ts.URL+"/v1/placements:batch", server.BatchPlaceSpec{
-		Graphs: []string{g2, g1},
-		Spec:   server.PlaceSpec{Algorithm: "gall", K: 2, Parallelism: 5},
-	}, &second)
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("second batch: status %d", code)
-	}
-	if code == http.StatusAccepted && second.ID != first.ID {
-		t.Fatalf("identical in-flight gang spawned job %s, want dedup onto %s", second.ID, first.ID)
-	}
-	waitJob(t, ts.URL, first.ID)
-}
-
 // TestBatchErrorPaths covers the request validation surface.
 func TestBatchErrorPaths(t *testing.T) {
 	ts := newTestServer(t, server.Config{})

@@ -504,7 +504,7 @@ func (e *JobEngine) Get(id string) (JobInfo, bool) {
 }
 
 // ObserveStage stamps a pre-measured span onto job id's timeline. The
-// PATCH handler uses it to attach the synchronous plan-splice work to the
+// PATCH handler uses it to attach the synchronous plan rebuild to the
 // auto-maintain job it enqueued — the handler holds no live trace of its
 // own, and the span predates the job's t0 (the offset is clamped). The
 // job may already be done, so a frozen timeline merges the span by name

@@ -53,11 +53,9 @@ type Metrics struct {
 	// subscriber buffer (the bus never blocks the job engine).
 	EventsPublished atomic.Int64
 	EventsDropped   atomic.Int64
-	// PlanSplices counts execution plans repaired incrementally after a
-	// PATCH batch; PlanRebuilds counts the ones rebuilt from scratch
-	// (splice-cost threshold exceeded, or a forced resync). Their ratio is
-	// the operator's signal that dynamic graphs are staying on the fast
-	// splice path.
+	// PlanRebuilds counts execution plans rebuilt from the overlay after a
+	// PATCH batch or a forced resync. PlanSplices is kept for the wire
+	// format and stays 0: every plan repair is a rebuild.
 	PlanSplices  atomic.Int64
 	PlanRebuilds atomic.Int64
 	// ApproxPlacements counts placements served by the estimate-driven
@@ -129,7 +127,7 @@ type MetricsSnapshot struct {
 	HistorySamples    int64 `json:"history_samples"`
 	TenantsTracked    int64 `json:"tenants_tracked"`
 	// PlanSplices/PlanRebuilds split PATCH-driven execution-plan repairs
-	// into incremental splices vs from-scratch rebuilds.
+	// into incremental splices (always 0) vs rebuilds.
 	PlanSplices  int64 `json:"plan_splices_total"`
 	PlanRebuilds int64 `json:"plan_rebuilds_total"`
 	// Approx* split the approximate engine's work: sampled estimates vs

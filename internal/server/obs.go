@@ -105,7 +105,7 @@ var tenantSeries = []struct {
 		func(u obs.TenantUsage) float64 { return u.SchedQueueWaitSeconds }},
 	{"fpd_tenant_sched_tasks_total", "Scheduler tasks executed for the tenant.", "counter",
 		func(u obs.TenantUsage) float64 { return float64(u.SchedTasks) }},
-	{"fpd_tenant_plan_splices_total", "Execution plans spliced incrementally for the tenant's PATCH batches.", "counter",
+	{"fpd_tenant_plan_splices_total", "Execution plans spliced incrementally for the tenant's PATCH batches (always 0: every repair is a rebuild).", "counter",
 		func(u obs.TenantUsage) float64 { return float64(u.PlanSplices) }},
 	{"fpd_tenant_plan_rebuilds_total", "Execution plans rebuilt from scratch for the tenant's PATCH batches.", "counter",
 		func(u obs.TenantUsage) float64 { return float64(u.PlanRebuilds) }},

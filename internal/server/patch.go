@@ -65,9 +65,8 @@ type PatchResult struct {
 	EdgesRemoved int       `json:"edges_removed"`
 	Reordered    int       `json:"reordered"`
 	Invalidated  int       `json:"cache_invalidated"`
-	// PlanSpliced reports whether the execution plan was repaired
-	// incrementally (true) or rebuilt from scratch (false); PlanRepair
-	// carries the repair's cost breakdown.
+	// PlanSpliced is always false: the execution plan is rebuilt from the
+	// overlay on every PATCH. PlanRepair carries the rebuild's cost.
 	PlanSpliced bool            `json:"plan_spliced"`
 	PlanRepair  *PlanRepairInfo `json:"plan_repair,omitempty"`
 	Job         *JobInfo        `json:"job,omitempty"`
@@ -77,8 +76,7 @@ type PatchResult struct {
 // PlanRepairInfo breaks down what one PATCH's execution-plan repair did.
 type PlanRepairInfo struct {
 	Spliced bool `json:"spliced"`
-	// Reason names why the splicer fell back to a rebuild ("cone-budget",
-	// "window-budget", "desync", "forced"); empty when spliced.
+	// Reason names what triggered the rebuild ("batch" for a PATCH).
 	Reason      string  `json:"reason,omitempty"`
 	DepthVisits int     `json:"depth_visits"`
 	Moved       int     `json:"moved"`
@@ -149,7 +147,7 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	// Plan repair ran synchronously on the requester's dime: charge its
 	// abstract cost to the tenant alongside the usual oracle accounting.
-	s.tenantCounters(r).AddPlanRepair(st.Spliced, st.Work())
+	s.tenantCounters(r).AddPlanRepair(st.Work())
 
 	out := &PatchResult{
 		Graph:        info,
@@ -211,13 +209,12 @@ func (s *Server) runMaintain(ctx context.Context, id string, k int) (*PlaceResul
 	defer unlock()
 	sp := obs.TraceFrom(ctx).Begin("maintain")
 	// Maintain may resync its plan internally (missed batches force a
-	// rebuild); diff the shared splicer's counters around the run so those
-	// repairs land in the global metrics too. Patch-time repairs are
+	// rebuild); diff the shared splicer's counter around the run so those
+	// rebuilds land in the global metrics too. Patch-time rebuilds are
 	// counted by Registry.Patch, so the two never double-count.
-	s0, r0 := mt.Splicer().Counters()
+	_, r0 := mt.Splicer().Counters()
 	rep, err := mt.Maintain(ctx)
-	s1, r1 := mt.Splicer().Counters()
-	s.metrics.PlanSplices.Add(s1 - s0)
+	_, r1 := mt.Splicer().Counters()
 	s.metrics.PlanRebuilds.Add(r1 - r0)
 	sp.End()
 	if err != nil {

@@ -223,9 +223,9 @@ func TestPatchAutoMaintain(t *testing.T) {
 	}
 }
 
-// TestPatchPlanSpliceReporting pins the plan-splice observability surface:
-// the PATCH response says whether the plan was spliced, /metrics counts the
-// repair, and its cost is charged to the requesting tenant.
+// TestPatchPlanSpliceReporting pins the plan-repair observability surface:
+// the PATCH response describes the rebuild, /metrics counts it, and its
+// cost is charged to the requesting tenant.
 func TestPatchPlanSpliceReporting(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	info := uploadDiamond(t, ts.URL)
@@ -235,50 +235,31 @@ func TestPatchPlanSpliceReporting(t *testing.T) {
 		server.PatchSpec{AddNodes: 1, Add: [][2]int{{3, 5}}}, &pr); code != http.StatusOK {
 		t.Fatalf("patch: status %d", code)
 	}
-	if !pr.PlanSpliced || pr.PlanRepair == nil || !pr.PlanRepair.Spliced {
-		t.Fatalf("tiny batch did not splice: %+v (repair %+v)", pr, pr.PlanRepair)
+	if pr.PlanSpliced || pr.PlanRepair == nil || pr.PlanRepair.Spliced {
+		t.Fatalf("plan repair not reported as a rebuild: %+v (repair %+v)", pr, pr.PlanRepair)
 	}
-	if pr.PlanRepair.Reason != "" {
-		t.Fatalf("spliced repair carries a rebuild reason %q", pr.PlanRepair.Reason)
+	if pr.PlanRepair.Reason != "batch" || pr.PlanRepair.RowsRebuilt != 6 {
+		t.Fatalf("plan repair = %+v, want a batch rebuild of all 6 rows", pr.PlanRepair)
 	}
 
 	snap := metricsSnapshot(t, ts.URL)
-	if snap.PlanSplices != 1 || snap.PlanRebuilds != 0 {
-		t.Errorf("plan repair metrics = %d splices / %d rebuilds, want 1 / 0",
+	if snap.PlanSplices != 0 || snap.PlanRebuilds != 1 {
+		t.Errorf("plan repair metrics = %d splices / %d rebuilds, want 0 / 1",
 			snap.PlanSplices, snap.PlanRebuilds)
 	}
 	var usage obs.TenantUsage
 	if code := doJSON(t, "GET", ts.URL+"/v1/tenants/default/usage", nil, &usage); code != http.StatusOK {
 		t.Fatalf("tenant usage: status %d", code)
 	}
-	if usage.PlanSplices != 1 || usage.PlanRepairWork <= 0 {
-		t.Errorf("tenant plan accounting = %+v, want 1 splice with positive work", usage)
+	if usage.PlanRebuilds != 1 || usage.PlanSplices != 0 || usage.PlanRepairWork <= 0 {
+		t.Errorf("tenant plan accounting = %+v, want 1 rebuild with positive work", usage)
 	}
 }
 
-// TestPatchSpliceDisabled pins the fallback knob: a negative SpliceMaxCone
-// forces every PATCH onto the from-scratch rebuild path, with identical
-// client-visible results.
-func TestPatchSpliceDisabled(t *testing.T) {
-	ts := newTestServer(t, server.Config{SpliceMaxCone: -1})
-	info := uploadDiamond(t, ts.URL)
-	var pr server.PatchResult
-	if code := patchJSON(t, ts.URL, info.ID,
-		server.PatchSpec{Add: [][2]int{{0, 3}}}, &pr); code != http.StatusOK {
-		t.Fatalf("patch: status %d", code)
-	}
-	if pr.PlanSpliced || pr.PlanRepair == nil || pr.PlanRepair.Reason == "" {
-		t.Fatalf("splice not disabled: %+v (repair %+v)", pr, pr.PlanRepair)
-	}
-	if snap := metricsSnapshot(t, ts.URL); snap.PlanRebuilds != 1 || snap.PlanSplices != 0 {
-		t.Errorf("metrics = %d splices / %d rebuilds, want 0 / 1", snap.PlanSplices, snap.PlanRebuilds)
-	}
-}
-
-// TestPatchStormSpliceStress is the -race stress for the splice path:
+// TestPatchStormSpliceStress is the -race stress for the plan-repair path:
 // concurrent PATCH batches (some with auto-maintain) race placements and
 // reads on one graph, every successful batch repairs the shared plan, and
-// the final spliced plan serves correct evaluations.
+// the final plan serves correct evaluations.
 func TestPatchStormSpliceStress(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	// A fan 0→1..40: mutator w toggles its own edge (1+w, 21+w), so the

@@ -245,10 +245,10 @@ type graphEntry struct {
 	dynMu      sync.Mutex
 	dynamic    *dyn.Dynamic
 	maintainer *dyn.Maintainer
-	// splicer repairs the entry's execution plan incrementally per PATCH
-	// batch (guarded by dynMu, like the overlay it watches). It is shared
-	// with the maintainer, so auto-maintain and the placement path run on
-	// the same spliced plan instead of each rebuilding their own.
+	// splicer rebuilds the entry's execution plan per PATCH batch
+	// (guarded by dynMu, like the overlay it watches). It is shared with
+	// the maintainer, so auto-maintain and the placement path run on the
+	// same plan instead of each rebuilding their own.
 	splicer *flow.Splicer
 }
 
@@ -263,9 +263,6 @@ type Registry struct {
 	entries *lruMap[string, *graphEntry]
 	nextID  int
 	metrics *Metrics
-	// spliceOpts tunes every entry's plan splicer (the fpd
-	// -splice-max-cone flag); read-only after SetSpliceOptions.
-	spliceOpts flow.SpliceOptions
 }
 
 // NewRegistry creates a registry holding at most capacity graphs
@@ -273,10 +270,6 @@ type Registry struct {
 func NewRegistry(capacity int, m *Metrics) *Registry {
 	return &Registry{entries: newLRUMap[string, *graphEntry](capacity), metrics: m}
 }
-
-// SetSpliceOptions configures the plan-splice threshold used for every
-// subsequently upgraded dynamic graph. Call before serving requests.
-func (r *Registry) SetSpliceOptions(o flow.SpliceOptions) { r.spliceOpts = o }
 
 // Add registers a validated model under a fresh id and returns its info.
 // It may evict the least-recently-used graph.
@@ -331,9 +324,9 @@ func (r *Registry) entry(id string) (*graphEntry, bool) {
 // graph while other graphs stay fully concurrent.
 //
 // The refreshed model is NOT rebuilt from a snapshot: the entry's splicer
-// repairs the execution plan within the batch's dirty cone and the model
-// is stood up over the spliced plan in O(n+m), so subsequent placements
-// (and the auto-maintain job) reuse it directly.
+// rebuilds the execution plan from the overlay and the model is stood up
+// over that plan in O(n+m), so subsequent placements (and the
+// auto-maintain job) reuse it directly.
 func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, flow.SpliceStats, error) {
 	e, ok := r.entry(id)
 	if !ok {
@@ -350,7 +343,7 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 	)
 	// Route through the maintainer when one exists so its incremental flow
 	// state stays warm; otherwise mutate the overlay directly. Either way
-	// the shared splicer ends up holding the repaired plan.
+	// the shared splicer ends up holding the rebuilt plan.
 	if e.maintainer != nil {
 		res, err = e.maintainer.Apply(b)
 	} else {
@@ -363,12 +356,8 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 		return GraphInfo{}, res, flow.SpliceStats{}, err
 	}
 	st := e.splicer.Last()
-	if st.Spliced {
-		r.metrics.PlanSplices.Add(1)
-	} else {
-		r.metrics.PlanRebuilds.Add(1)
-	}
-	// The overlay pins the sources, so a model over the spliced plan
+	r.metrics.PlanRebuilds.Add(1)
+	// The overlay pins the sources, so a model over the rebuilt plan
 	// cannot fail validation; the snapshot build is a belt-and-suspenders
 	// fallback only.
 	model, err := flow.NewModelFromPlan(e.splicer.Plan(), e.dynamic.Sources())
@@ -445,9 +434,8 @@ func (r *Registry) upgradeLocked(e *graphEntry) error {
 		return err
 	}
 	e.dynamic = d
-	// Adopt the model's already-built plan so the first PATCH splices
-	// instead of paying a from-scratch build.
-	e.splicer = flow.NewSplicer(d, m.Plan(), r.spliceOpts)
+	// Adopt the model's already-built plan so upgrading costs no build.
+	e.splicer = flow.NewSplicer(d, m.Plan(), flow.SpliceOptions{})
 	return nil
 }
 

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -78,12 +77,6 @@ type Config struct {
 	// MaxTenants caps the distinct tenants the accountant tracks (default
 	// obs.DefaultMaxTenants); names past the cap account to "(overflow)".
 	MaxTenants int
-	// SpliceMaxCone bounds plan splicing as a fraction of graph size (the
-	// fpd -splice-max-cone flag): a PATCH whose dirty cone or re-level
-	// window exceeds SpliceMaxCone × nodes falls back to a from-scratch
-	// plan rebuild. 0 picks the flow package default (0.25); negative
-	// disables splicing so every PATCH rebuilds.
-	SpliceMaxCone float64
 	// DisableAccounting turns per-tenant resource accounting off entirely:
 	// no accountant is built, /v1/tenants endpoints return 404, and the
 	// labeled tenant series are absent from /metrics.
@@ -214,7 +207,6 @@ func New(cfg Config) *Server {
 		historyStop:      make(chan struct{}),
 		version:          cfg.Version,
 	}
-	s.registry.SetSpliceOptions(flow.SpliceOptions{MaxConeFrac: cfg.SpliceMaxCone})
 	registerTenantSeries(so.reg, acct)
 	so.reg.Info("fpd_build_info",
 		"Build metadata of the running fpd binary; the value is always 1.",
