@@ -99,7 +99,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		histIvl   = fs.Duration("history-interval", 5*time.Second, "stats-history sampling period (/v1/stats/history)")
 		histRet   = fs.Duration("history-retention", 15*time.Minute, "stats-history retention window")
 		maxTen    = fs.Int("max-tenants", 0, "distinct tenants tracked by per-tenant accounting (0: default cap; extras fold into \"(overflow)\")")
-		noAcct    = fs.Bool("no-tenant-accounting", false, "disable per-tenant resource accounting and the /v1/tenants endpoints")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -126,7 +125,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		HistoryInterval:    *histIvl,
 		HistoryRetention:   *histRet,
 		MaxTenants:         *maxTen,
-		DisableAccounting:  *noAcct,
 		Version:            version,
 	})
 	defer srv.Close()

@@ -262,16 +262,16 @@ func ParseTraceparent(s string) (TraceContext, error) { return obs.ParseTracepar
 // and span ids.
 func NewTraceContext() TraceContext { return obs.NewTraceContext() }
 
-// TenantCounters accumulates one tenant's resource usage — oracle
+// TenantCounters is one tenant's row of the counter ledger — oracle
 // evaluations, topological passes, queue waits, cache traffic. Pass one
-// via PlaceOptions.Account to attribute a placement's cost; all methods
-// are nil-safe, so a nil *TenantCounters disables accounting. Accounting
-// never changes placement results — charges are recorded strictly after
-// the algorithm's work.
+// via PlaceOptions.Account to attribute a placement's cost. Its single
+// Add method is nil-safe, so a nil *TenantCounters disables accounting.
+// Accounting never changes placement results — charges are recorded
+// strictly after the algorithm's work.
 type TenantCounters = obs.TenantCounters
 
-// TenantUsage is a point-in-time JSON-ready snapshot of one tenant's
-// TenantCounters.
+// TenantUsage is the typed view of one tenant's usage as the fpd daemon
+// serves it; decode GET /v1/tenants/{id}/usage into it.
 type TenantUsage = obs.TenantUsage
 
 // Accountant tracks TenantCounters per tenant name with a bounded

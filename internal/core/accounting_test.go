@@ -46,17 +46,17 @@ func TestAccountingEquivalence(t *testing.T) {
 					strat, procs, got.Stats, want.Stats)
 			}
 
-			u := acct.Tenant("acme").Usage()
-			if u.Placements != 1 {
-				t.Errorf("%s P=%d: placements charged = %d, want 1", strat, procs, u.Placements)
+			u := acct.Tenant("acme")
+			if got := u.Value(obs.Placements); got != 1 {
+				t.Errorf("%s P=%d: placements charged = %d, want 1", strat, procs, got)
 			}
-			if u.OracleEvaluations != int64(got.Stats.GainEvaluations) {
+			if evals := u.Value(obs.OracleEvaluations); evals != int64(got.Stats.GainEvaluations) {
 				t.Errorf("%s P=%d: oracle evals charged = %d, result reports %d",
-					strat, procs, u.OracleEvaluations, int64(got.Stats.GainEvaluations))
+					strat, procs, evals, int64(got.Stats.GainEvaluations))
 			}
-			if wantPasses := got.Passes.Forward; u.ForwardPasses != wantPasses {
+			if passes, wantPasses := u.Value(obs.ForwardPasses), got.Passes.Forward; passes != wantPasses {
 				t.Errorf("%s P=%d: forward passes charged = %d, result reports %d",
-					strat, procs, u.ForwardPasses, wantPasses)
+					strat, procs, passes, wantPasses)
 			}
 		}
 	}
@@ -102,12 +102,12 @@ func TestAccountingBatchEquivalence(t *testing.T) {
 		}
 		totalEvals += int64(got[i].Stats.GainEvaluations)
 	}
-	u := acct.Tenant("fleet").Usage()
-	if u.Placements != int64(len(models)) {
-		t.Errorf("placements charged = %d, want %d", u.Placements, len(models))
+	u := acct.Tenant("fleet")
+	if got := u.Value(obs.Placements); got != int64(len(models)) {
+		t.Errorf("placements charged = %d, want %d", got, len(models))
 	}
-	if u.OracleEvaluations != totalEvals {
-		t.Errorf("oracle evals charged = %d, results report %d", u.OracleEvaluations, totalEvals)
+	if got := u.Value(obs.OracleEvaluations); got != totalEvals {
+		t.Errorf("oracle evals charged = %d, results report %d", got, totalEvals)
 	}
 }
 

@@ -206,7 +206,12 @@ func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result,
 		res.Passes.Forward += f - passF0
 		res.Passes.Suffix += s - passS0
 	}
-	opts.Account.AddPlacement(int64(res.Stats.GainEvaluations), int64(res.Stats.SampledEvaluations), res.Passes.Forward, res.Passes.Suffix)
+	acct := opts.Account
+	acct.Add(obs.Placements, 1)
+	acct.Add(obs.OracleEvaluations, int64(res.Stats.GainEvaluations))
+	acct.Add(obs.SampledEvaluations, int64(res.Stats.SampledEvaluations))
+	acct.Add(obs.ForwardPasses, res.Passes.Forward)
+	acct.Add(obs.SuffixPasses, res.Passes.Suffix)
 	if err != nil {
 		res.Filters = nil // partial placements are not usable results
 		return res, err

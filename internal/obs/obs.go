@@ -23,6 +23,8 @@
 //     timeline.
 //   - Registry: named counters, gauges and histograms with a
 //     WritePrometheus exposition method.
+//   - The counter ledger (counters.go) and its store, Accountant: every
+//     counter defined once, recorded on a fleet row or a tenant's row.
 //   - LintPrometheus: a strict-enough validator for the text exposition
 //     format, used by tests and the CI metrics-lint step.
 package obs

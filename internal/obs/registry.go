@@ -254,18 +254,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// WriteHeader writes the # HELP / # TYPE preamble for one metric —
-// exported for the server's hand-rolled counter exposition, which shares
-// this writer so the formats cannot drift.
-func WriteHeader(w io.Writer, name, help, kind string) error {
-	return writeHeader(w, name, help, kind)
-}
-
-// WriteSample writes one "name value" (or "name{labels} value") line.
-func WriteSample(w io.Writer, name, labels string, value float64) error {
-	return writeSample(w, name, labels, value)
-}
-
 func writeHeader(w io.Writer, name, help, kind string) error {
 	if help != "" {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(help)); err != nil {

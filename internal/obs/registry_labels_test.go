@@ -74,21 +74,14 @@ func TestRegisterFamilyPanicsOnBadLabel(t *testing.T) {
 	NewRegistry().CounterVec("m_total", "m", "bad-label!", func() []LabeledValue { return nil })
 }
 
-// TestConcurrentScrapeWithLabeledSeries scrapes a registry whose labeled
-// families are backed by a live accountant while other goroutines keep
-// accounting — the daemon's steady state. Run under -race this proves
-// scrape-time sampling takes consistent snapshots.
+// TestConcurrentScrapeWithLabeledSeries scrapes a registry carrying a
+// live accountant's ledger (fleet sums and labeled tenant families)
+// while other goroutines keep accounting — the daemon's steady state.
+// Run under -race this proves scrape-time sums read the rows safely.
 func TestConcurrentScrapeWithLabeledSeries(t *testing.T) {
 	a := NewAccountant(16)
 	r := NewRegistry()
-	r.CounterVec("test_tenant_requests_total", "Requests per tenant.", "tenant", func() []LabeledValue {
-		snap := a.Snapshot()
-		out := make([]LabeledValue, len(snap))
-		for i, u := range snap {
-			out[i] = LabeledValue{Label: u.Tenant, Value: float64(u.Requests)}
-		}
-		return out
-	})
+	a.Register(r)
 	r.Info("test_build_info", "Build metadata.", map[string]string{"version": "dev"})
 
 	var wg sync.WaitGroup
@@ -102,7 +95,7 @@ func TestConcurrentScrapeWithLabeledSeries(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					a.Tenant(fmt.Sprintf("t%d", (g*31+i)%10)).AddRequest()
+					a.Tenant(fmt.Sprintf("t%d", (g*31+i)%10)).Add(Requests, 1)
 				}
 			}
 		}(g)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultTenant is the tenant requests are attributed to when they carry
@@ -39,43 +38,23 @@ func ValidTenant(s string) bool {
 	return true
 }
 
-// TenantCounters is one tenant's accounting sink: a fixed set of atomic
-// counters, so attribution from hot paths (scheduler workers, placement
-// completion, cache lookups) is a handful of uncontended atomic adds.
-// All methods are nil-safe — threading a nil *TenantCounters through a
-// call chain disables accounting for that call at zero cost.
+// TenantCounters is one row of the counter ledger: an atomic value per
+// Counter, so recording from hot paths (scheduler workers, placement
+// completion, cache lookups) is one uncontended atomic add. An
+// Accountant keeps one row per tenant plus the fleet row. Add is
+// nil-safe — threading a nil *TenantCounters through a call chain
+// disables accounting for that call at zero cost.
 type TenantCounters struct {
 	name string
+	v    []atomic.Int64
+}
 
-	requests      atomic.Int64
-	jobsSubmitted atomic.Int64
-	jobsCompleted atomic.Int64
-	jobsFailed    atomic.Int64
-	jobsCanceled  atomic.Int64
-
-	placements    atomic.Int64
-	oracleEvals   atomic.Int64
-	sampledEvals  atomic.Int64
-	forwardPasses atomic.Int64
-	suffixPasses  atomic.Int64
-
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-
-	queueWaitNS atomic.Int64
-	runNS       atomic.Int64
-	schedWaitNS atomic.Int64
-	schedTasks  atomic.Int64
-
-	planRebuilds   atomic.Int64
-	planRepairWork atomic.Int64
-
-	coarsenPlacements      atomic.Int64
-	coarsenNodesContracted atomic.Int64
+func newRow(name string) *TenantCounters {
+	return &TenantCounters{name: name, v: make([]atomic.Int64, len(ledger))}
 }
 
 // Name returns the tenant identifier the counters accumulate under
-// (empty for a nil receiver).
+// (empty for a nil receiver and for the fleet row).
 func (c *TenantCounters) Name() string {
 	if c == nil {
 		return ""
@@ -83,152 +62,39 @@ func (c *TenantCounters) Name() string {
 	return c.name
 }
 
-// AddRequest counts one HTTP request attributed to the tenant.
-func (c *TenantCounters) AddRequest() {
-	if c != nil {
-		c.requests.Add(1)
+// Add records delta on counter k. Non-positive deltas are ignored, so
+// every counter stays monotonic; duration counters take nanoseconds.
+func (c *TenantCounters) Add(k Counter, delta int64) {
+	if c != nil && delta > 0 {
+		c.v[k].Add(delta)
 	}
 }
 
-// AddJobSubmitted counts one job accepted into the engine.
-func (c *TenantCounters) AddJobSubmitted() {
-	if c != nil {
-		c.jobsSubmitted.Add(1)
-	}
-}
-
-// AddJobOutcome counts a terminal job transition by state name
-// ("done", "failed" or "canceled").
-func (c *TenantCounters) AddJobOutcome(state string) {
+// Value returns counter k's raw accumulated value (nanoseconds for a
+// duration counter; 0 for a nil receiver).
+func (c *TenantCounters) Value(k Counter) int64 {
 	if c == nil {
-		return
+		return 0
 	}
-	switch state {
-	case "done":
-		c.jobsCompleted.Add(1)
-	case "failed":
-		c.jobsFailed.Add(1)
-	case "canceled":
-		c.jobsCanceled.Add(1)
-	}
+	return c.v[k].Load()
 }
 
-// AddPlacement attributes one completed placement's exact oracle
-// evaluations, sampled (approximate-engine) evaluations and topological
-// pass counts. Called after core.Place returns — never from inside the
-// algorithm — so accounting cannot perturb placement results. Sampled
-// evaluations are charged like oracle evaluations: they are the
-// approximate engine's unit of work.
-func (c *TenantCounters) AddPlacement(evals, sampled, forward, suffix int64) {
-	if c == nil {
-		return
+// Usage is the row's JSON view, served by GET /v1/tenants/{id}/usage:
+// the tenant name plus every tenant counter under its usage key.
+// Clients decode it into TenantUsage.
+func (c *TenantCounters) Usage() map[string]any {
+	out := map[string]any{"tenant": c.Name()}
+	for _, k := range Counters() {
+		if k.Usage() != "" {
+			out[k.Usage()] = k.report(c.Value(k))
+		}
 	}
-	c.placements.Add(1)
-	c.oracleEvals.Add(evals)
-	c.sampledEvals.Add(sampled)
-	c.forwardPasses.Add(forward)
-	c.suffixPasses.Add(suffix)
+	return out
 }
 
-// AddCacheHit / AddCacheMiss count result-cache outcomes for the tenant.
-func (c *TenantCounters) AddCacheHit() {
-	if c != nil {
-		c.cacheHits.Add(1)
-	}
-}
-
-// AddCacheMiss counts one result-cache miss for the tenant.
-func (c *TenantCounters) AddCacheMiss() {
-	if c != nil {
-		c.cacheMisses.Add(1)
-	}
-}
-
-// AddQueueWait accumulates time a tenant's job spent queued before a
-// worker picked it up.
-func (c *TenantCounters) AddQueueWait(d time.Duration) {
-	if c != nil && d > 0 {
-		c.queueWaitNS.Add(int64(d))
-	}
-}
-
-// AddRunTime accumulates a tenant's job execution wall time.
-func (c *TenantCounters) AddRunTime(d time.Duration) {
-	if c != nil && d > 0 {
-		c.runNS.Add(int64(d))
-	}
-}
-
-// AddSchedWait accumulates scheduler queue wait for one task tagged with
-// the tenant.
-func (c *TenantCounters) AddSchedWait(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.schedTasks.Add(1)
-	if d > 0 {
-		c.schedWaitNS.Add(int64(d))
-	}
-}
-
-// AddPlanRepair attributes one execution-plan rebuild triggered by the
-// tenant's PATCH; work is the rebuild's abstract cost (depth visits +
-// positions + CSR rows).
-func (c *TenantCounters) AddPlanRepair(work int64) {
-	if c == nil {
-		return
-	}
-	c.planRebuilds.Add(1)
-	if work > 0 {
-		c.planRepairWork.Add(work)
-	}
-}
-
-// AddCoarsen attributes one multilevel placement's graph contraction:
-// nodesContracted is how many nodes the coarsening removed before the
-// quotient solve. Charged post-placement, like AddPlacement.
-func (c *TenantCounters) AddCoarsen(nodesContracted int64) {
-	if c == nil {
-		return
-	}
-	c.coarsenPlacements.Add(1)
-	if nodesContracted > 0 {
-		c.coarsenNodesContracted.Add(nodesContracted)
-	}
-}
-
-// Usage snapshots the counters.
-func (c *TenantCounters) Usage() TenantUsage {
-	if c == nil {
-		return TenantUsage{}
-	}
-	return TenantUsage{
-		Tenant:                 c.name,
-		Requests:               c.requests.Load(),
-		JobsSubmitted:          c.jobsSubmitted.Load(),
-		JobsCompleted:          c.jobsCompleted.Load(),
-		JobsFailed:             c.jobsFailed.Load(),
-		JobsCanceled:           c.jobsCanceled.Load(),
-		Placements:             c.placements.Load(),
-		OracleEvaluations:      c.oracleEvals.Load(),
-		SampledEvaluations:     c.sampledEvals.Load(),
-		ForwardPasses:          c.forwardPasses.Load(),
-		SuffixPasses:           c.suffixPasses.Load(),
-		CacheHits:              c.cacheHits.Load(),
-		CacheMisses:            c.cacheMisses.Load(),
-		JobQueueWaitSeconds:    time.Duration(c.queueWaitNS.Load()).Seconds(),
-		JobRunSeconds:          time.Duration(c.runNS.Load()).Seconds(),
-		SchedQueueWaitSeconds:  time.Duration(c.schedWaitNS.Load()).Seconds(),
-		SchedTasks:             c.schedTasks.Load(),
-		PlanRebuilds:           c.planRebuilds.Load(),
-		PlanRepairWork:         c.planRepairWork.Load(),
-		CoarsenPlacements:      c.coarsenPlacements.Load(),
-		CoarsenNodesContracted: c.coarsenNodesContracted.Load(),
-	}
-}
-
-// TenantUsage is a point-in-time copy of one tenant's accumulated
-// resource accounting, as served by GET /v1/tenants/{id}/usage.
+// TenantUsage is the typed client view of one tenant's usage as GET
+// /v1/tenants/{id}/usage serves it (see TenantCounters.Usage). The
+// server never fills it; a test pins that every field's key is served.
 type TenantUsage struct {
 	Tenant                string  `json:"tenant"`
 	Requests              int64   `json:"requests"`
@@ -260,15 +126,16 @@ type TenantUsage struct {
 	CoarsenNodesContracted int64 `json:"coarsen_nodes_contracted"`
 }
 
-// Accountant aggregates per-tenant resource usage. Lookup is a
-// read-locked map hit returning the tenant's atomic counter block; all
-// subsequent accounting on that block is lock-free. Distinct tenants are
-// capped — past the cap, new names account under OverflowTenant — so an
-// adversarial client cannot grow memory or metric cardinality.
+// Accountant is the counter ledger's store: a fleet row plus one row per
+// tenant. Lookup is a read-locked map hit returning the tenant's row;
+// all subsequent accounting on that row is lock-free. Distinct tenants
+// are capped — past the cap, new names account under OverflowTenant — so
+// an adversarial client cannot grow memory or metric cardinality.
 type Accountant struct {
-	mu  sync.RWMutex
-	m   map[string]*TenantCounters
-	max int
+	fleet *TenantCounters
+	mu    sync.RWMutex
+	m     map[string]*TenantCounters
+	max   int
 }
 
 // DefaultMaxTenants is the Accountant cardinality cap used when the
@@ -281,13 +148,22 @@ func NewAccountant(max int) *Accountant {
 	if max <= 0 {
 		max = DefaultMaxTenants
 	}
-	return &Accountant{m: make(map[string]*TenantCounters), max: max}
+	return &Accountant{fleet: newRow(""), m: make(map[string]*TenantCounters), max: max}
 }
 
-// Tenant returns the counter block for the named tenant, creating it on
-// first use. Invalid or empty names fold into DefaultTenant; names past
-// the cardinality cap fold into OverflowTenant. Safe for concurrent use;
-// nil-safe (returns nil, and nil counters no-op).
+// Fleet returns the fleet row: fleet counters, and the tenant-counter
+// events that have no tenant. nil-safe.
+func (a *Accountant) Fleet() *TenantCounters {
+	if a == nil {
+		return nil
+	}
+	return a.fleet
+}
+
+// Tenant returns the row for the named tenant, creating it on first use.
+// Invalid or empty names fold into DefaultTenant; names past the
+// cardinality cap fold into OverflowTenant. Safe for concurrent use;
+// nil-safe (returns nil, and a nil row no-ops).
 func (a *Accountant) Tenant(name string) *TenantCounters {
 	if a == nil {
 		return nil
@@ -309,19 +185,17 @@ func (a *Accountant) Tenant(name string) *TenantCounters {
 		return c
 	}
 	if len(a.m) >= a.max && name != OverflowTenant && name != DefaultTenant {
-		if c, ok := a.m[OverflowTenant]; ok {
+		name = OverflowTenant
+		if c, ok := a.m[name]; ok {
 			return c
 		}
-		c := &TenantCounters{name: OverflowTenant}
-		a.m[OverflowTenant] = c
-		return c
 	}
-	c = &TenantCounters{name: name}
+	c = newRow(name)
 	a.m[name] = c
 	return c
 }
 
-// Lookup returns the counter block for name only if it already exists.
+// Lookup returns the row for name only if it already exists.
 func (a *Accountant) Lookup(name string) (*TenantCounters, bool) {
 	if a == nil {
 		return nil, false
@@ -342,20 +216,67 @@ func (a *Accountant) Len() int {
 	return len(a.m)
 }
 
-// Snapshot copies every tenant's usage, sorted by tenant name so
+// Tenants returns every tenant row, sorted by tenant name so
 // expositions and API responses are deterministic.
-func (a *Accountant) Snapshot() []TenantUsage {
+func (a *Accountant) Tenants() []*TenantCounters {
 	if a == nil {
 		return nil
 	}
 	a.mu.RLock()
-	out := make([]TenantUsage, 0, len(a.m))
+	out := make([]*TenantCounters, 0, len(a.m))
 	for _, c := range a.m {
-		out = append(out, c.Usage())
+		out = append(out, c)
 	}
 	a.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// Total is counter k's fleet value: the fleet row plus the sum over
+// tenant rows.
+func (a *Accountant) Total(k Counter) int64 {
+	if a == nil {
+		return 0
+	}
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	v := a.fleet.Value(k)
+	for _, c := range a.m {
+		v += c.Value(k)
+	}
+	return v
+}
+
+// Totals maps the Key of every counter /metrics carries to its fleet
+// value.
+func (a *Accountant) Totals() map[string]int64 {
+	out := make(map[string]int64, len(ledger))
+	for _, k := range Counters() {
+		if k.Key() != "" {
+			out[k.Key()] = a.Total(k)
+		}
+	}
+	return out
+}
+
+// Register exposes the ledger on reg: an fpd_<Key> counter per fleet
+// value and an fpd_tenant_<Usage>_total family per tenant counter.
+func (a *Accountant) Register(reg *Registry) {
+	for _, k := range Counters() {
+		if k.Key() != "" {
+			reg.Counter("fpd_"+k.Key(), k.Help(), func() float64 { return k.report(a.Total(k)) })
+		}
+		if k.Usage() != "" {
+			reg.CounterVec("fpd_tenant_"+k.Usage()+"_total", k.Help(), "tenant", func() []LabeledValue {
+				rows := a.Tenants()
+				out := make([]LabeledValue, len(rows))
+				for i, c := range rows {
+					out[i] = LabeledValue{Label: c.name, Value: k.report(c.Value(k))}
+				}
+				return out
+			})
+		}
+	}
 }
 
 // String implements fmt.Stringer for debug logging.

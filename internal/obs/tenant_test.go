@@ -25,53 +25,84 @@ func TestValidTenant(t *testing.T) {
 
 func TestTenantCountersNilSafe(t *testing.T) {
 	var c *TenantCounters
-	// None of these may panic; they must all no-op.
-	c.AddRequest()
-	c.AddJobSubmitted()
-	c.AddJobOutcome("done")
-	c.AddPlacement(1, 2, 3, 4)
-	c.AddCacheHit()
-	c.AddCacheMiss()
-	c.AddQueueWait(time.Second)
-	c.AddRunTime(time.Second)
-	c.AddSchedWait(time.Second)
+	// Neither may panic; Add must no-op.
+	for _, k := range Counters() {
+		c.Add(k, 1)
+		if got := c.Value(k); got != 0 {
+			t.Errorf("nil.Value(%s) = %d, want 0", k.Usage()+k.Key(), got)
+		}
+	}
 	if got := c.Name(); got != "" {
 		t.Errorf("nil.Name() = %q, want \"\"", got)
-	}
-	if got := c.Usage(); got != (TenantUsage{}) {
-		t.Errorf("nil.Usage() = %+v, want zero", got)
 	}
 }
 
 func TestTenantCountersUsage(t *testing.T) {
 	a := NewAccountant(0)
 	c := a.Tenant("acme")
-	c.AddRequest()
-	c.AddRequest()
-	c.AddJobSubmitted()
-	c.AddJobOutcome("done")
-	c.AddJobOutcome("failed")
-	c.AddJobOutcome("canceled")
-	c.AddJobOutcome("bogus") // ignored
-	c.AddPlacement(100, 40, 7, 3)
-	c.AddCacheHit()
-	c.AddCacheMiss()
-	c.AddQueueWait(1500 * time.Millisecond)
-	c.AddRunTime(250 * time.Millisecond)
-	c.AddSchedWait(500 * time.Millisecond)
-	c.AddSchedWait(0) // counts the task, adds no wait
+	c.Add(Requests, 2)
+	c.Add(JobsSubmitted, 1)
+	c.Add(OracleEvaluations, 100)
+	c.Add(SampledEvaluations, 40)
+	c.Add(JobQueueWait, int64(1500*time.Millisecond))
+	c.Add(SchedTasks, 2)
+	c.Add(SchedQueueWait, 0) // ignored
+	c.Add(CacheHits, -1)     // ignored: counters stay monotonic
+	c.Add(GraphsCreated, 3)  // a fleet counter: recorded, but not a usage key
 
 	u := c.Usage()
-	want := TenantUsage{
-		Tenant: "acme", Requests: 2,
-		JobsSubmitted: 1, JobsCompleted: 1, JobsFailed: 1, JobsCanceled: 1,
-		Placements: 1, OracleEvaluations: 100, SampledEvaluations: 40, ForwardPasses: 7, SuffixPasses: 3,
-		CacheHits: 1, CacheMisses: 1,
-		JobQueueWaitSeconds: 1.5, JobRunSeconds: 0.25,
-		SchedQueueWaitSeconds: 0.5, SchedTasks: 2,
+	want := map[string]any{
+		"tenant": "acme", "requests": 2.0, "jobs_submitted": 1.0,
+		"oracle_evaluations": 100.0, "sampled_evaluations": 40.0,
+		"job_queue_wait_seconds": 1.5, "sched_tasks": 2.0,
+		"sched_queue_wait_seconds": 0.0, "cache_hits": 0.0,
 	}
-	if u != want {
-		t.Errorf("Usage() = %+v\nwant      %+v", u, want)
+	for key, v := range want {
+		if u[key] != v {
+			t.Errorf("Usage()[%q] = %v, want %v", key, u[key], v)
+		}
+	}
+	var tenantCounters int
+	for _, k := range Counters() {
+		if k.Usage() != "" {
+			tenantCounters++
+		}
+	}
+	if len(u) != 1+tenantCounters {
+		t.Errorf("Usage() has %d keys, want tenant + %d tenant counters", len(u), tenantCounters)
+	}
+	if _, ok := u["graphs_created"]; ok {
+		t.Error("Usage() carries fleet counter graphs_created")
+	}
+}
+
+// TestLedgerTotals: a counter's fleet value is the fleet row plus every
+// tenant row, and the ledger's keys are unique on every surface.
+func TestLedgerTotals(t *testing.T) {
+	a := NewAccountant(0)
+	a.Fleet().Add(Requests, 1)
+	a.Tenant("x").Add(Requests, 2)
+	a.Tenant("y").Add(Requests, 4)
+	a.Fleet().Add(GraphsCreated, 5)
+	if got := a.Total(Requests); got != 7 {
+		t.Errorf("Total(Requests) = %d, want 7", got)
+	}
+	totals := a.Totals()
+	if totals["requests_total"] != 7 || totals["graphs_created"] != 5 {
+		t.Errorf("Totals() = %v", totals)
+	}
+	if _, ok := totals[""]; ok {
+		t.Error("Totals() carries tenant-only counters under an empty key")
+	}
+	keys, usages := map[string]bool{}, map[string]bool{}
+	for _, k := range Counters() {
+		if k.Key() == "" && k.Usage() == "" {
+			t.Errorf("counter %d has neither a key nor a usage key", k)
+		}
+		if k.Key() != "" && keys[k.Key()] || k.Usage() != "" && usages[k.Usage()] {
+			t.Errorf("counter %q/%q defined twice", k.Key(), k.Usage())
+		}
+		keys[k.Key()], usages[k.Usage()] = true, true
 	}
 }
 
@@ -106,15 +137,15 @@ func TestAccountantLookupAndSnapshot(t *testing.T) {
 	if _, ok := a.Lookup("ghost"); ok {
 		t.Error("Lookup of an unseen tenant reported ok")
 	}
-	a.Tenant("bbb").AddRequest()
-	a.Tenant("aaa").AddRequest()
-	a.Tenant("aaa").AddRequest()
-	if c, ok := a.Lookup("aaa"); !ok || c.Usage().Requests != 2 {
+	a.Tenant("bbb").Add(Requests, 1)
+	a.Tenant("aaa").Add(Requests, 1)
+	a.Tenant("aaa").Add(Requests, 1)
+	if c, ok := a.Lookup("aaa"); !ok || c.Value(Requests) != 2 {
 		t.Errorf("Lookup(aaa) = %v, %v; want 2 requests", c, ok)
 	}
-	snap := a.Snapshot()
-	if len(snap) != 2 || snap[0].Tenant != "aaa" || snap[1].Tenant != "bbb" {
-		t.Errorf("Snapshot not sorted by tenant: %+v", snap)
+	rows := a.Tenants()
+	if len(rows) != 2 || rows[0].Name() != "aaa" || rows[1].Name() != "bbb" {
+		t.Errorf("Tenants() not sorted by tenant: %v, %v", rows[0].Name(), rows[1].Name())
 	}
 	if a.Len() != 2 {
 		t.Errorf("Len() = %d, want 2", a.Len())
@@ -129,7 +160,8 @@ func TestAccountantNilSafe(t *testing.T) {
 	if _, ok := a.Lookup("x"); ok {
 		t.Error("nil.Lookup reported ok")
 	}
-	if a.Len() != 0 || a.Snapshot() != nil {
+	a.Fleet().Add(Requests, 1)
+	if a.Len() != 0 || a.Tenants() != nil || a.Total(Requests) != 0 {
 		t.Error("nil accountant should report empty")
 	}
 }
@@ -146,21 +178,17 @@ func TestAccountantConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				c := a.Tenant(fmt.Sprintf("tenant-%d", i%12))
-				c.AddRequest()
-				c.AddPlacement(1, 1, 1, 1)
+				c.Add(Requests, 1)
+				c.Add(Placements, 1)
 				if i%10 == 0 {
-					a.Snapshot()
+					a.Total(Requests)
 					a.Len()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	var total int64
-	for _, u := range a.Snapshot() {
-		total += u.Requests
-	}
-	if want := int64(16 * 200); total != want {
+	if total, want := a.Total(Requests), int64(16*200); total != want {
 		t.Errorf("total requests across tenants = %d, want %d (no adds lost)", total, want)
 	}
 	// Cap of 8 plus the overflow bucket.

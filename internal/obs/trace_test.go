@@ -122,11 +122,11 @@ func TestMergeStage(t *testing.T) {
 	tr.Observe("run", t0, 4*time.Millisecond)
 	frozen := tr.Snapshot()
 
-	added := MergeStage(frozen, t0, "plan-splice", t0.Add(-time.Second), 2*time.Millisecond)
+	added := MergeStage(frozen, t0, "plan-rebuild", t0.Add(-time.Second), 2*time.Millisecond)
 	if len(added) != 2 || cap(added) != 2 {
 		t.Fatalf("append: len %d cap %d, want an exactly sized 2", len(added), cap(added))
 	}
-	if r := added[1]; r.Name != "plan-splice" || r.StartMS != 0 || r.DurationMS != 2 || r.Count != 1 {
+	if r := added[1]; r.Name != "plan-rebuild" || r.StartMS != 0 || r.DurationMS != 2 || r.Count != 1 {
 		t.Errorf("appended record %+v", r)
 	}
 	merged := MergeStage(added, t0, "run", t0.Add(time.Second), 6*time.Millisecond)

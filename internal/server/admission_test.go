@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // gangJob submits a one-graph gang job whose work is fn, mirroring what
@@ -47,7 +49,7 @@ func holdSlot(t *testing.T, e *JobEngine) chan struct{} {
 // TestGangWaitsWhenQueueFull: a full queue 503s solo jobs, but a gang is
 // still admitted, up to twice the queue depth.
 func TestGangWaitsWhenQueueFull(t *testing.T) {
-	e, metrics := newTestEngine(1, 1)
+	e, acct := newTestEngine(1, 1)
 	defer e.Close()
 	release := holdSlot(t, e)
 	if _, err := e.SubmitFunc("g2", PlaceSpec{Algorithm: "gall", K: 1}, "queued", JobMeta{}, blockingFn(release)); err != nil {
@@ -70,7 +72,7 @@ func TestGangWaitsWhenQueueFull(t *testing.T) {
 	if _, err := e.SubmitBatch("g", PlaceSpec{Algorithm: "gall", K: 1}, "batch|k2", JobMeta{}, bs, okFn); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("gang beyond the gang bound: err %v, want ErrQueueFull", err)
 	}
-	if got := metrics.JobsRejected.Load(); got != 2 {
+	if got := acct.Total(obs.JobsRejected); got != 2 {
 		t.Fatalf("jobs_rejected = %d, want 2", got)
 	}
 
@@ -134,7 +136,7 @@ func TestQueuedJobsRunOldestFirst(t *testing.T) {
 // TestCancelQueuedGang: canceling a queued gang terminates it and its
 // batch items without the closure ever running.
 func TestCancelQueuedGang(t *testing.T) {
-	e, metrics := newTestEngine(1, 4)
+	e, acct := newTestEngine(1, 4)
 	defer e.Close()
 	release := holdSlot(t, e)
 
@@ -167,7 +169,7 @@ func TestCancelQueuedGang(t *testing.T) {
 	if ran.Load() {
 		t.Fatal("canceled queued gang still executed")
 	}
-	if got := metrics.JobsCanceled.Load(); got != 1 {
+	if got := acct.Total(obs.JobsCanceled); got != 1 {
 		t.Fatalf("jobs_canceled = %d, want 1", got)
 	}
 }

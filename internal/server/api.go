@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flow"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -67,7 +68,7 @@ func requestIDOf(w http.ResponseWriter, r *http.Request) string {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	s.metrics.RequestErrors.Add(1)
+	s.acct.Fleet().Add(obs.RequestErrors, 1)
 	s.writeJSON(w, r, status, errorBody{
 		Error:     fmt.Sprintf(format, args...),
 		RequestID: requestIDOf(w, r),
@@ -85,7 +86,7 @@ func (s *Server) writeQueueFull(w http.ResponseWriter, r *http.Request, err erro
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	s.metrics.RequestErrors.Add(1)
+	s.acct.Fleet().Add(obs.RequestErrors, 1)
 	s.writeJSON(w, r, http.StatusServiceUnavailable, errorBody{
 		Error:             fmt.Sprintf("%v; retry later", err),
 		RequestID:         requestIDOf(w, r),
@@ -197,23 +198,23 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 
 	tc := s.tenantCounters(r)
 	if algo.Serve != core.ServeAsync {
-		res, err := spec.execute(r.Context(), m, id, s.metrics, tc)
+		res, err := s.execute(r.Context(), spec, m, id, tc)
 		if err != nil {
 			s.writeError(w, r, http.StatusInternalServerError, "placement: %v", err)
 			return
 		}
-		s.metrics.SyncPlacements.Add(1)
+		s.acct.Fleet().Add(obs.SyncPlacements, 1)
 		s.writeJSON(w, r, http.StatusOK, res)
 		return
 	}
 
 	key := spec.cacheKey(id, info.Patches, sources)
 	if res, ok := s.cache.get(key); ok {
-		tc.AddCacheHit()
+		tc.Add(obs.CacheHits, 1)
 		s.writeJSON(w, r, http.StatusOK, res)
 		return
 	}
-	tc.AddCacheMiss()
+	tc.Add(obs.CacheMisses, 1)
 	// The job's work runs through runShared, so a solo job racing a gang
 	// sub-placement (or another solo) on the same per-graph key joins the
 	// in-flight computation instead of duplicating it; runShared also
@@ -267,7 +268,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	ev := flow.NewFloat(m)
 	res.setObjective(ev, filters)
 	ev.ReleaseScratch()
-	s.metrics.Evaluations.Add(1)
+	s.acct.Fleet().Add(obs.Evaluations, 1)
 	s.writeJSON(w, r, http.StatusOK, res)
 }
 
@@ -359,39 +360,20 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, status, map[string]any{"ready": ready, "checks": checks})
 }
 
-// handleMetrics is GET /metrics. The counter snapshot is augmented with
-// sampled gauges: the job-queue depth (auto-maintain and gang backlog),
-// the placement-cache population, and the shared scheduler's queue depth
-// and worker count. The default response is JSON; Prometheus text format
-// (0.0.4) — including the latency histograms — is served for
-// ?format=prometheus or an Accept header preferring text/plain (what a
-// Prometheus scraper sends).
+// handleMetrics is GET /metrics: every fleet counter of the ledger plus
+// the sampled gauges. The default response is JSON; Prometheus text
+// format (0.0.4) — including the per-tenant families and the latency
+// histograms — is served for ?format=prometheus or an Accept header
+// preferring text/plain (what a Prometheus scraper sends).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.sampleSnapshot()
-
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.writePrometheus(w, snap); err != nil {
+		if err := s.obs.reg.WritePrometheus(w); err != nil {
 			s.logf("fpd: write prometheus exposition: %v", err)
 		}
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, snap)
-}
-
-// sampleSnapshot couples the counter snapshot with the point-in-time
-// gauges sampled from the live subsystems. Shared by /metrics and the
-// stats-history sampler so both report identical readings.
-func (s *Server) sampleSnapshot() MetricsSnapshot {
-	snap := s.metrics.Snapshot()
-	snap.JobQueueDepth = int64(s.jobs.QueueDepth())
-	snap.CacheEntries = int64(s.cache.len())
-	snap.SchedQueueDepth = int64(sched.Default().QueueDepth())
-	snap.SchedWorkers = int64(sched.Default().Workers())
-	snap.EventsSubscribers = int64(s.events.subscribers())
-	snap.HistorySamples = int64(s.history.Len())
-	snap.TenantsTracked = int64(s.acct.Len())
-	return snap
+	s.writeJSON(w, r, http.StatusOK, s.sampleMetrics())
 }
 
 // wantsPrometheus decides the /metrics response format: an explicit

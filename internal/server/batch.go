@@ -159,11 +159,11 @@ func (s *Server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		key := spec.cacheKey(id, info.Patches, sources)
 		if res, ok := s.cache.get(key); ok {
-			tc.AddCacheHit()
+			tc.Add(obs.CacheHits, 1)
 			items = append(items, BatchItem{GraphID: id, State: JobDone, Result: res})
 			continue
 		}
-		tc.AddCacheMiss()
+		tc.Add(obs.CacheMisses, 1)
 		items = append(items, BatchItem{GraphID: id, State: JobQueued})
 		misses = append(misses, batchMiss{graphID: id, model: m, key: key})
 		keys = append(keys, key)
@@ -213,14 +213,14 @@ func (s *Server) runBatch(misses []batchMiss, spec PlaceSpec, bs *batchState, tc
 					return
 				}
 				bs.setState(ms.graphID, JobRunning)
-				s.metrics.BatchGraphsInflight.Add(1)
+				s.batchInflight.Add(1)
 				// runShared re-checks the cache (a solo job or an
 				// overlapping gang may have filled this slot while we sat
 				// queued), registers the per-graph key in the flight table
 				// so identical work in flight is joined instead of
 				// duplicated, and fills the cache slot on success.
 				res, err := s.runShared(ctx, ms.key, spec, ms.model, ms.graphID, tc)
-				s.metrics.BatchGraphsInflight.Add(-1)
+				s.batchInflight.Add(-1)
 				if err != nil {
 					errs[i] = err
 					st := JobFailed

@@ -3,6 +3,8 @@ package server
 import (
 	"strings"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // resultCache is an LRU cache of completed placement results, keyed by
@@ -11,29 +13,18 @@ import (
 type resultCache struct {
 	mu      sync.Mutex
 	entries *lruMap[string, *PlaceResult]
-	metrics *Metrics
+	// fleet is the ledger row invalidations are recorded on.
+	fleet *obs.TenantCounters
 }
 
-func newResultCache(capacity int, m *Metrics) *resultCache {
-	return &resultCache{entries: newLRUMap[string, *PlaceResult](capacity), metrics: m}
+func newResultCache(capacity int, fleet *obs.TenantCounters) *resultCache {
+	return &resultCache{entries: newLRUMap[string, *PlaceResult](capacity), fleet: fleet}
 }
 
-// get returns a copy of the cached result with Cached set, counting a hit
-// or a miss.
+// get returns a copy of the cached result with Cached set. Hits and
+// misses are the caller's to count, on the requesting tenant's row, for
+// client-visible lookups only (runShared's dedup re-check is not one).
 func (c *resultCache) get(key string) (*PlaceResult, bool) {
-	res, ok := c.peek(key)
-	if ok {
-		c.metrics.CacheHits.Add(1)
-	} else {
-		c.metrics.CacheMisses.Add(1)
-	}
-	return res, ok
-}
-
-// peek is get without touching the hit/miss counters: runShared's
-// execution-time re-check uses it so the metrics keep counting
-// client-visible lookups only, not internal dedup probes.
-func (c *resultCache) peek(key string) (*PlaceResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cached, ok := c.entries.get(key)
@@ -63,9 +54,7 @@ func (c *resultCache) invalidateGraph(graphID string) int {
 		return strings.HasPrefix(k, prefix)
 	})
 	c.mu.Unlock()
-	if n > 0 {
-		c.metrics.CacheInvalidations.Add(int64(n))
-	}
+	c.fleet.Add(obs.CacheInvalidations, int64(n))
 	return n
 }
 

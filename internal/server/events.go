@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Live job lifecycle events over Server-Sent Events (GET /v1/events).
@@ -58,15 +60,16 @@ type eventSub struct {
 // mutex, one non-blocking send per subscriber) and never blocks, so it
 // is safe to call from inside the job engine's critical sections.
 type eventBus struct {
-	mu      sync.Mutex
-	subs    map[*eventSub]struct{}
-	seq     int64
-	closed  bool
-	metrics *Metrics
+	mu     sync.Mutex
+	subs   map[*eventSub]struct{}
+	seq    int64
+	closed bool
+	// fleet is the ledger row publishes and drops are recorded on.
+	fleet *obs.TenantCounters
 }
 
-func newEventBus(m *Metrics) *eventBus {
-	return &eventBus{subs: make(map[*eventSub]struct{}), metrics: m}
+func newEventBus(fleet *obs.TenantCounters) *eventBus {
+	return &eventBus{subs: make(map[*eventSub]struct{}), fleet: fleet}
 }
 
 // subscribe registers a subscriber with the given channel buffer,
@@ -120,12 +123,8 @@ func (b *eventBus) publish(ev JobEvent) {
 		}
 	}
 	b.mu.Unlock()
-	if b.metrics != nil {
-		b.metrics.EventsPublished.Add(1)
-		if dropped > 0 {
-			b.metrics.EventsDropped.Add(int64(dropped))
-		}
-	}
+	b.fleet.Add(obs.EventsPublished, 1)
+	b.fleet.Add(obs.EventsDropped, int64(dropped))
 }
 
 // subscribers reports the current subscriber count (a /metrics gauge).

@@ -7,15 +7,17 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // newEventedEngine builds a job engine wired to an event bus only — the
 // minimal engineObs the lifecycle-event tests need.
-func newEventedEngine(slots, depth int) (*JobEngine, *eventBus, *Metrics) {
-	m := &Metrics{}
-	bus := newEventBus(m)
-	e := NewJobEngine(slots, depth, 64, m, &engineObs{events: bus})
-	return e, bus, m
+func newEventedEngine(slots, depth int) (*JobEngine, *eventBus, *obs.Accountant) {
+	acct := obs.NewAccountant(0)
+	bus := newEventBus(acct.Fleet())
+	e := NewJobEngine(slots, depth, 64, acct, &engineObs{events: bus})
+	return e, bus, acct
 }
 
 // collectEvents drains events for one job id until a terminal type (or
@@ -119,8 +121,8 @@ func TestEventCanceledBeforeStart(t *testing.T) {
 }
 
 func TestEventBusDropAndSeq(t *testing.T) {
-	m := &Metrics{}
-	bus := newEventBus(m)
+	acct := obs.NewAccountant(0)
+	bus := newEventBus(acct.Fleet())
 	sub, cancel, ok := bus.subscribe(1)
 	if !ok {
 		t.Fatal("subscribe failed")
@@ -129,11 +131,11 @@ func TestEventBusDropAndSeq(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		bus.publish(JobEvent{Type: EventStage, JobID: "j"})
 	}
-	if got := m.EventsPublished.Load(); got != 3 {
+	if got := acct.Total(obs.EventsPublished); got != 3 {
 		t.Errorf("EventsPublished = %d, want 3", got)
 	}
 	// Buffer of 1: the first event landed, the next two dropped.
-	if got := m.EventsDropped.Load(); got != 2 {
+	if got := acct.Total(obs.EventsDropped); got != 2 {
 		t.Errorf("EventsDropped = %d, want 2", got)
 	}
 	ev := <-sub.ch

@@ -78,7 +78,7 @@ func (s *Server) runShared(ctx context.Context, key string, spec PlaceSpec, m *f
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if res, ok := s.cache.peek(key); ok {
+		if res, ok := s.cache.get(key); ok {
 			return res, nil
 		}
 		f, leader := s.flights.join(key)
@@ -89,13 +89,13 @@ func (s *Server) runShared(ctx context.Context, key string, spec PlaceSpec, m *f
 			var res *PlaceResult
 			err := errInternal
 			defer func() { s.flights.finish(key, f, res, err) }()
-			res, err = spec.execute(ctx, m, graphID, s.metrics, tc)
+			res, err = s.execute(ctx, spec, m, graphID, tc)
 			if err == nil {
 				s.cache.put(key, res)
 			}
 			return res, err
 		}
-		s.metrics.FlightsJoined.Add(1)
+		s.acct.Fleet().Add(obs.FlightsJoined, 1)
 		select {
 		case <-f.done:
 		case <-ctx.Done():

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -94,13 +95,13 @@ func TestCrossKindDedupGangSoloRace(t *testing.T) {
 
 	// Both kinds must reach the flight table and park as followers.
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.metrics.FlightsJoined.Load() < 2 {
+	for srv.acct.Total(obs.FlightsJoined) < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("flights_joined = %d, want 2", srv.metrics.FlightsJoined.Load())
+			t.Fatalf("flights_joined = %d, want 2", srv.acct.Total(obs.FlightsJoined))
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := srv.metrics.OracleEvaluations.Load(); got != 0 {
+	if got := srv.acct.Total(obs.OracleEvaluations); got != 0 {
 		t.Fatalf("oracle_evaluations = %d while both kinds should be parked", got)
 	}
 
@@ -127,7 +128,7 @@ func TestCrossKindDedupGangSoloRace(t *testing.T) {
 		t.Fatalf("gang item %+v did not come from the shared flight", item)
 	}
 	// The decisive assertion: NO placement executed anywhere.
-	if got := srv.metrics.OracleEvaluations.Load(); got != 0 {
+	if got := srv.acct.Total(obs.OracleEvaluations); got != 0 {
 		t.Fatalf("oracle_evaluations = %d, want 0 (work ran twice?)", got)
 	}
 }
@@ -166,7 +167,7 @@ func TestFlightFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	}()
 	// Wait for the follower to park, then fail the leader.
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.metrics.FlightsJoined.Load() < 1 {
+	for srv.acct.Total(obs.FlightsJoined) < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("follower never joined")
 		}

@@ -2,17 +2,15 @@ package server
 
 import (
 	"net/http"
-	"reflect"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
 )
 
 // In-process stats history: a background sampler snapshots the metrics
-// every HistoryInterval and appends the flattened values — every
-// MetricsSnapshot field plus latency quantiles derived from the live
-// histograms — to a fixed-size ring. GET /v1/stats/history serves a
+// every HistoryInterval and appends the flattened values — every /metrics
+// key plus latency quantiles derived from the live histograms — to a
+// fixed-size ring. GET /v1/stats/history serves a
 // window of it, so an operator can see the last N minutes of queue
 // depth, scheduler backlog and job latency without running a
 // Prometheus server at all.
@@ -28,25 +26,14 @@ var historyQuantiles = []struct {
 	{"_p99", 0.99},
 }
 
-// historyValues flattens a metrics snapshot plus histogram quantiles
-// into the flat map one history sample stores. Snapshot fields keep
-// their json tags as keys, so the history vocabulary and the /metrics
-// vocabulary cannot drift.
-func (s *Server) historyValues(snap MetricsSnapshot) map[string]float64 {
-	sv := reflect.ValueOf(snap)
-	st := sv.Type()
-	vals := make(map[string]float64, st.NumField()+3*len(historyQuantiles))
-	for i := 0; i < st.NumField(); i++ {
-		tag := strings.Split(st.Field(i).Tag.Get("json"), ",")[0]
-		if tag == "" || tag == "-" {
-			continue
-		}
-		switch f := sv.Field(i); f.Kind() {
-		case reflect.Int64:
-			vals[tag] = float64(f.Int())
-		case reflect.Float64:
-			vals[tag] = f.Float()
-		}
+// historyValues flattens the /metrics readings plus histogram quantiles
+// into the flat map one history sample stores. The readings keep their
+// /metrics keys, so the two vocabularies cannot drift.
+func (s *Server) historyValues() map[string]float64 {
+	metrics := s.sampleMetrics()
+	vals := make(map[string]float64, len(metrics)+3*len(historyQuantiles))
+	for key, v := range metrics {
+		vals[key] = float64(v)
 	}
 	for name, h := range map[string]*obs.Histogram{
 		"job_run_seconds":          s.obs.jobRun,
@@ -71,7 +58,7 @@ func (s *Server) historyLoop() {
 		case <-s.historyStop:
 			return
 		case <-tick.C:
-			s.history.Add(time.Now().UTC(), s.historyValues(s.sampleSnapshot()))
+			s.history.Add(time.Now().UTC(), s.historyValues())
 		}
 	}
 }

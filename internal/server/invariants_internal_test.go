@@ -39,7 +39,7 @@ func TestRequestPassBudget(t *testing.T) {
 		}
 		releaseScratch(ev)
 
-		out, err := sp.execute(context.Background(), m, "g", nil, nil)
+		out, err := sp.execute(context.Background(), m, "g", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestRequestPassBudget(t *testing.T) {
 	}
 }
 
-// TestObserveStageAfterDone: PATCH may stamp its plan-splice span onto an
+// TestObserveStageAfterDone: PATCH may stamp its plan-rebuild span onto an
 // auto-maintain job that has already finished. The span must still merge
 // into the retired job's frozen timeline by name and show in
 // GET /v1/jobs/{id}, without disturbing snapshots handed out earlier.
@@ -81,22 +81,22 @@ func TestObserveStageAfterDone(t *testing.T) {
 		return got
 	}
 	start := time.Now().Add(-time.Hour) // predates the job: offset clamps to 0
-	s.jobs.ObserveStage(info.ID, "plan-splice", start, 2*time.Millisecond)
+	s.jobs.ObserveStage(info.ID, "plan-rebuild", start, 2*time.Millisecond)
 	first := getJob()
-	splice, ok := timelineStages(first)["plan-splice"]
-	if !ok || splice.Count != 1 || splice.DurationMS != 2 || splice.StartMS != 0 {
-		t.Fatalf("plan-splice after done: %+v (present %v)", splice, ok)
+	rebuild, ok := timelineStages(first)["plan-rebuild"]
+	if !ok || rebuild.Count != 1 || rebuild.DurationMS != 2 || rebuild.StartMS != 0 {
+		t.Fatalf("plan-rebuild after done: %+v (present %v)", rebuild, ok)
 	}
 	if len(first.Timeline) != len(done.Timeline)+1 {
 		t.Errorf("timeline grew from %d to %d stages, want one more", len(done.Timeline), len(first.Timeline))
 	}
 
 	held, _ := s.jobs.Get(info.ID)
-	s.jobs.ObserveStage(info.ID, "plan-splice", start, 3*time.Millisecond)
-	if splice := timelineStages(getJob())["plan-splice"]; splice.Count != 2 || splice.DurationMS != 5 {
-		t.Errorf("second plan-splice did not merge by name: %+v", splice)
+	s.jobs.ObserveStage(info.ID, "plan-rebuild", start, 3*time.Millisecond)
+	if rebuild := timelineStages(getJob())["plan-rebuild"]; rebuild.Count != 2 || rebuild.DurationMS != 5 {
+		t.Errorf("second plan-rebuild did not merge by name: %+v", rebuild)
 	}
-	if splice := timelineStages(held)["plan-splice"]; splice.Count != 1 {
-		t.Errorf("an earlier snapshot changed under a later merge: %+v", splice)
+	if rebuild := timelineStages(held)["plan-rebuild"]; rebuild.Count != 1 {
+		t.Errorf("an earlier snapshot changed under a later merge: %+v", rebuild)
 	}
 }

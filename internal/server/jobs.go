@@ -126,7 +126,9 @@ type JobEngine struct {
 	closed     bool
 	nextID     int
 	maxJobs    int
-	metrics    *Metrics
+	// acct is the counter ledger job events are recorded on; nil
+	// disables it.
+	acct *obs.Accountant
 	// obs carries the engine's latency histograms, stage sink and slow
 	// log; nil (direct library use) disables all of it.
 	obs *engineObs
@@ -149,9 +151,10 @@ type JobEngine struct {
 // immediately). At most maxJobs job records are retained: once a job is
 // terminal its model is released and the oldest terminal records beyond
 // the bound are pruned, so a long-running daemon's memory stays bounded.
-// o (optional, may be nil) wires the engine's observability: lifecycle
-// histograms, the stage sink and the slow-placement log.
-func NewJobEngine(slots, queueDepth, maxJobs int, m *Metrics, o *engineObs) *JobEngine {
+// acct (optional) records job counters on the submitting tenant's row; o
+// (optional) wires the engine's observability: lifecycle histograms, the
+// stage sink and the slow-placement log.
+func NewJobEngine(slots, queueDepth, maxJobs int, acct *obs.Accountant, o *engineObs) *JobEngine {
 	slots = max(slots, 1)
 	queueDepth = max(queueDepth, 1)
 	// The retention bound must leave room for every solo job that can be
@@ -165,7 +168,7 @@ func NewJobEngine(slots, queueDepth, maxJobs int, m *Metrics, o *engineObs) *Job
 		slots:      slots,
 		queueDepth: queueDepth,
 		maxJobs:    maxJobs,
-		metrics:    m,
+		acct:       acct,
 		obs:        o,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -216,15 +219,6 @@ func (e *JobEngine) publish(ev JobEvent) {
 	}
 }
 
-// tenant resolves the accounting sink for a tenant name; nil (a no-op)
-// without an engineObs or when accounting is disabled.
-func (e *JobEngine) tenant(name string) *obs.TenantCounters {
-	if e.obs == nil {
-		return nil
-	}
-	return e.obs.acct.Tenant(name)
-}
-
 // enqueue assigns the job id and runs the shared admission bookkeeping:
 // closed check, in-flight dedup by cache key, and the one admission rule —
 // a solo job is refused once queueDepth jobs are pending, a gang once
@@ -238,7 +232,7 @@ func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
 	if dup, ok := e.active[j.key]; ok {
 		info := e.infoLocked(dup)
 		e.mu.Unlock()
-		e.metrics.JobsDeduped.Add(1)
+		e.acct.Fleet().Add(obs.JobsDeduped, 1)
 		return info, nil
 	}
 	limit := e.queueDepth
@@ -247,7 +241,7 @@ func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
 	}
 	if len(e.pending) >= limit {
 		e.mu.Unlock()
-		e.metrics.JobsRejected.Add(1)
+		e.acct.Fleet().Add(obs.JobsRejected, 1)
 		return JobInfo{}, ErrQueueFull
 	}
 	e.nextID++
@@ -267,10 +261,9 @@ func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
 	e.publish(j.event(EventSubmitted))
 	e.startLocked()
 	e.mu.Unlock()
-	e.tenant(j.meta.Tenant).AddJobSubmitted()
-	e.metrics.JobsSubmitted.Add(1)
+	e.acct.Tenant(j.meta.Tenant).Add(obs.JobsSubmitted, 1)
 	if j.batch != nil {
-		e.metrics.BatchesSubmitted.Add(1)
+		e.acct.Fleet().Add(obs.BatchesSubmitted, 1)
 	}
 	return info, nil
 }
@@ -318,14 +311,20 @@ func (e *JobEngine) QueueDepth() int {
 	return len(e.pending)
 }
 
+// Running returns the number of started jobs that have not finished.
+func (e *JobEngine) Running() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.running
+}
+
 // run executes one started job, records its terminal state, and hands its
 // slot to the next queued job.
 func (e *JobEngine) run(ctx context.Context, j *job) {
 	defer e.wg.Done()
-	e.tenant(j.meta.Tenant).AddQueueWait(j.started.Sub(j.created))
-	e.metrics.JobsRunning.Add(1)
+	tc := e.acct.Tenant(j.meta.Tenant)
+	tc.Add(obs.JobQueueWait, int64(j.started.Sub(j.created)))
 	res, err := e.call(obs.NewContext(ctx, j.trace), j)
-	e.metrics.JobsRunning.Add(-1)
 	j.cancel()
 
 	e.mu.Lock()
@@ -333,6 +332,7 @@ func (e *JobEngine) run(ctx context.Context, j *job) {
 	j.trace.SetSink(nil)
 	j.trace.SetStageObserver(nil)
 	elapsed := j.finished.Sub(j.started)
+	tc.Add(obs.JobRunTime, int64(elapsed))
 	j.trace.Observe("run", j.started, elapsed)
 	if e.obs != nil && e.obs.runTime != nil {
 		e.obs.runTime.Observe(elapsed)
@@ -346,14 +346,14 @@ func (e *JobEngine) run(ctx context.Context, j *job) {
 		// batch closures fill per-graph slots as sub-placements complete,
 		// and auto-maintain keys are write-only version stamps nothing
 		// reads back.
-		e.metrics.JobsCompleted.Add(1)
+		tc.Add(obs.JobsCompleted, 1)
 	case errors.Is(err, context.Canceled):
 		j.state = JobCanceled
-		e.metrics.JobsCanceled.Add(1)
+		tc.Add(obs.JobsCanceled, 1)
 	default:
 		j.state = JobFailed
 		j.errMsg = err.Error()
-		e.metrics.JobsFailed.Add(1)
+		tc.Add(obs.JobsFailed, 1)
 	}
 	e.retireLocked(j)
 	e.doneTimes[e.doneIdx] = j.finished
@@ -368,9 +368,6 @@ func (e *JobEngine) run(ctx context.Context, j *job) {
 	e.running--
 	e.startLocked()
 	e.mu.Unlock()
-	tc := e.tenant(j.meta.Tenant)
-	tc.AddRunTime(elapsed)
-	tc.AddJobOutcome(string(state))
 	e.logJobDone(j, state, errMsg, elapsed, timeline)
 	close(j.done)
 }
@@ -554,8 +551,7 @@ func (e *JobEngine) cancelQueuedLocked(j *job) {
 	}
 	e.retireLocked(j)
 	e.publish(j.event(EventCanceled))
-	e.tenant(j.meta.Tenant).AddJobOutcome(string(JobCanceled))
-	e.metrics.JobsCanceled.Add(1)
+	e.acct.Tenant(j.meta.Tenant).Add(obs.JobsCanceled, 1)
 	close(j.done)
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 func testModel(t *testing.T) *flow.Model {
@@ -37,9 +38,9 @@ func blockingFn(release <-chan struct{}) func(context.Context) (*PlaceResult, er
 	}
 }
 
-func newTestEngine(slots, depth int) (*JobEngine, *Metrics) {
-	m := &Metrics{}
-	return NewJobEngine(slots, depth, 64, m, nil), m
+func newTestEngine(slots, depth int) (*JobEngine, *obs.Accountant) {
+	acct := obs.NewAccountant(0)
+	return NewJobEngine(slots, depth, 64, acct, nil), acct
 }
 
 func waitState(t *testing.T, e *JobEngine, id string, want JobState) JobInfo {
@@ -63,7 +64,7 @@ func waitState(t *testing.T, e *JobEngine, id string, want JobState) JobInfo {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	e, metrics := newTestEngine(1, 4)
+	e, acct := newTestEngine(1, 4)
 	defer e.Close()
 	release := make(chan struct{})
 	defer close(release)
@@ -85,8 +86,8 @@ func TestCancelRunningJob(t *testing.T) {
 	if done.State != JobCanceled {
 		t.Errorf("state = %s, want canceled", done.State)
 	}
-	if metrics.JobsCanceled.Load() != 1 {
-		t.Errorf("jobs_canceled = %d", metrics.JobsCanceled.Load())
+	if acct.Total(obs.JobsCanceled) != 1 {
+		t.Errorf("jobs_canceled = %d", acct.Total(obs.JobsCanceled))
 	}
 }
 
@@ -123,7 +124,7 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 func TestQueueFullRejects(t *testing.T) {
-	e, metrics := newTestEngine(1, 1)
+	e, acct := newTestEngine(1, 1)
 	defer e.Close()
 	release := make(chan struct{})
 	defer close(release)
@@ -139,8 +140,8 @@ func TestQueueFullRejects(t *testing.T) {
 	if _, err := e.SubmitFunc("g1", PlaceSpec{K: 3}, "k3", JobMeta{}, blockingFn(release)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	if metrics.JobsRejected.Load() != 1 {
-		t.Errorf("jobs_rejected = %d", metrics.JobsRejected.Load())
+	if acct.Total(obs.JobsRejected) != 1 {
+		t.Errorf("jobs_rejected = %d", acct.Total(obs.JobsRejected))
 	}
 }
 
@@ -277,8 +278,7 @@ func TestCloseDoesNotRunQueuedBacklog(t *testing.T) {
 }
 
 func TestResultCacheEvictionAndOverwrite(t *testing.T) {
-	m := &Metrics{}
-	c := newResultCache(2, m)
+	c := newResultCache(2, nil)
 	r := func(k int) *PlaceResult { return &PlaceResult{K: k} }
 	c.put("a", r(1))
 	c.put("b", r(2))
@@ -310,7 +310,7 @@ func TestGreedyCtxCancel(t *testing.T) {
 	cancel()
 	for _, algo := range []string{"gall", "celf"} {
 		spec := PlaceSpec{Algorithm: algo, K: 2, Engine: "float"}
-		if _, err := spec.execute(ctx, m, "g1", nil, nil); !errors.Is(err, context.Canceled) {
+		if _, err := spec.execute(ctx, m, "g1", nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", algo, err)
 		}
 	}
@@ -320,7 +320,7 @@ func TestGreedyCtxCancel(t *testing.T) {
 // cache key) while a job is queued or running shares the existing job
 // instead of spawning a duplicate.
 func TestSubmitDeduplicatesInFlight(t *testing.T) {
-	e, metrics := newTestEngine(1, 4)
+	e, acct := newTestEngine(1, 4)
 	defer e.Close()
 	release := make(chan struct{})
 	defer close(release)
@@ -336,9 +336,9 @@ func TestSubmitDeduplicatesInFlight(t *testing.T) {
 	if dup.ID != first.ID {
 		t.Errorf("duplicate spawned new job %s, want %s", dup.ID, first.ID)
 	}
-	if metrics.JobsSubmitted.Load() != 1 || metrics.JobsDeduped.Load() != 1 {
+	if acct.Total(obs.JobsSubmitted) != 1 || acct.Total(obs.JobsDeduped) != 1 {
 		t.Errorf("submitted/deduped = %d/%d, want 1/1",
-			metrics.JobsSubmitted.Load(), metrics.JobsDeduped.Load())
+			acct.Total(obs.JobsSubmitted), acct.Total(obs.JobsDeduped))
 	}
 }
 
@@ -346,8 +346,7 @@ func TestSubmitDeduplicatesInFlight(t *testing.T) {
 // beyond MaxJobs (clamped to slots+queueDepth+1 = 3 here) while the
 // newest records are kept.
 func TestTerminalJobRetentionBound(t *testing.T) {
-	metrics := &Metrics{}
-	e := NewJobEngine(1, 1, 1, metrics, nil)
+	e := NewJobEngine(1, 1, 1, nil, nil)
 	defer e.Close()
 	instant := func(context.Context) (*PlaceResult, error) {
 		return &PlaceResult{Filters: []int{1}}, nil

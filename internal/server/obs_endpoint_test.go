@@ -96,7 +96,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 
 	// Content negotiation: a text/plain Accept header (what a Prometheus
 	// scraper sends) selects the exposition; ?format=json overrides it.
-	if _, _, body := getRaw(t, ts.URL+"/metrics", "text/plain"); !strings.HasPrefix(body, "# TYPE ") {
+	if _, _, body := getRaw(t, ts.URL+"/metrics", "text/plain"); !strings.HasPrefix(body, "# HELP ") {
 		t.Errorf("Accept: text/plain did not select Prometheus: %.80s", body)
 	}
 	if _, _, body := getRaw(t, ts.URL+"/metrics?format=json", "text/plain"); !strings.HasPrefix(body, "{") {

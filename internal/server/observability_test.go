@@ -137,20 +137,6 @@ func TestTenantAccountingEndToEnd(t *testing.T) {
 	}
 }
 
-func TestTenantAccountingDisabled(t *testing.T) {
-	ts := newTestServer(t, server.Config{DisableAccounting: true})
-	if code := doJSON(t, "GET", ts.URL+"/v1/tenants", nil, nil); code != http.StatusNotFound {
-		t.Errorf("tenant list with accounting disabled: status %d, want 404", code)
-	}
-	// Requests with tenant headers still work; they just aren't accounted.
-	var info server.GraphInfo
-	code, _ := doJSONHeaders(t, "POST", ts.URL+"/v1/graphs", map[string]string{"X-FP-Tenant": "acme"},
-		server.GraphSpec{Edges: diamondEdges}, &info)
-	if code != http.StatusCreated {
-		t.Errorf("upload with accounting disabled: status %d", code)
-	}
-}
-
 func TestInvalidTenantRejected(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	var body struct {

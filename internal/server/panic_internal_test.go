@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestServeHTTPRecoversPanic: a panicking handler is answered with a JSON
@@ -30,7 +32,7 @@ func TestServeHTTPRecoversPanic(t *testing.T) {
 	if body.RequestID != "panic-1" || body.Error != "internal error" {
 		t.Errorf("body %+v, want internal error with request id panic-1", body)
 	}
-	if got := s.metrics.RequestErrors.Load(); got != 1 {
+	if got := s.acct.Total(obs.RequestErrors); got != 1 {
 		t.Errorf("request_errors = %d, want 1", got)
 	}
 
@@ -45,7 +47,7 @@ func TestServeHTTPRecoversPanic(t *testing.T) {
 // "internal error" message, counts jobs_failed and frees its run slot for
 // the next job.
 func TestJobPanicFailsJob(t *testing.T) {
-	e, metrics := newTestEngine(1, 4)
+	e, acct := newTestEngine(1, 4)
 	defer e.Close()
 	bad, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "k1", JobMeta{},
 		func(context.Context) (*PlaceResult, error) { panic("boom") })
@@ -61,10 +63,10 @@ func TestJobPanicFailsJob(t *testing.T) {
 	if info.State != JobFailed || info.Error != "internal error" {
 		t.Errorf("panicked job = %s %q, want failed %q", info.State, info.Error, "internal error")
 	}
-	if got := metrics.JobsFailed.Load(); got != 1 {
+	if got := acct.Total(obs.JobsFailed); got != 1 {
 		t.Errorf("jobs_failed = %d, want 1", got)
 	}
-	if got := metrics.JobsRunning.Load(); got != 0 {
+	if got := e.Running(); got != 0 {
 		t.Errorf("jobs_running = %d after the panic, want 0", got)
 	}
 

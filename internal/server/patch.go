@@ -145,9 +145,11 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusUnprocessableEntity, "rejected: %v", err)
 		return
 	}
-	// Plan repair ran synchronously on the requester's dime: charge its
-	// abstract cost to the tenant alongside the usual oracle accounting.
-	s.tenantCounters(r).AddPlanRepair(st.Work())
+	// Plan repair ran synchronously on the requester's dime: charge the
+	// rebuild and its abstract cost to the tenant.
+	tc := s.tenantCounters(r)
+	tc.Add(obs.PlanRebuilds, 1)
+	tc.Add(obs.PlanRepairWork, st.Work())
 
 	out := &PatchResult{
 		Graph:        info,
@@ -172,7 +174,7 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Location", "/v1/jobs/"+job.ID)
 			// Stamp the synchronous repair onto the job's timeline so the
 			// per-job view shows the full PATCH→maintain pipeline.
-			s.jobs.ObserveStage(job.ID, "plan-splice", patchStart, patchDur)
+			s.jobs.ObserveStage(job.ID, "plan-rebuild", patchStart, patchDur)
 		}
 	}
 	s.writeJSON(w, r, http.StatusOK, out)
@@ -194,7 +196,7 @@ func (s *Server) submitMaintain(id string, k int, meta JobMeta) (JobInfo, error)
 		return s.runMaintain(ctx, id, k)
 	})
 	if err == nil {
-		s.metrics.MaintainJobs.Add(1)
+		s.acct.Fleet().Add(obs.MaintainJobs, 1)
 	}
 	return job, err
 }
@@ -210,12 +212,13 @@ func (s *Server) runMaintain(ctx context.Context, id string, k int) (*PlaceResul
 	sp := obs.TraceFrom(ctx).Begin("maintain")
 	// Maintain may resync its plan internally (missed batches force a
 	// rebuild); diff the shared splicer's counter around the run so those
-	// rebuilds land in the global metrics too. Patch-time rebuilds are
-	// counted by Registry.Patch, so the two never double-count.
+	// rebuilds land on the fleet row — they have no tenant. Patch-time
+	// rebuilds are charged to the PATCHing tenant, so the two never
+	// double-count.
 	_, r0 := mt.Splicer().Counters()
 	rep, err := mt.Maintain(ctx)
 	_, r1 := mt.Splicer().Counters()
-	s.metrics.PlanRebuilds.Add(r1 - r0)
+	s.acct.Fleet().Add(obs.PlanRebuilds, r1-r0)
 	sp.End()
 	if err != nil {
 		return nil, err

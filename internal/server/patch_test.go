@@ -199,6 +199,11 @@ func TestPatchAutoMaintain(t *testing.T) {
 	if res.F <= 0 || res.FR <= 0 {
 		t.Fatalf("objective not reported: %+v", res)
 	}
+	// PATCH stamps its synchronous plan rebuild onto the maintain job's
+	// timeline, so the job view shows the whole PATCH→maintain pipeline.
+	if !stageNames(done)["plan-rebuild"] {
+		t.Errorf("maintain job timeline lacks the PATCH's plan-rebuild stage: %+v", done.Timeline)
+	}
 
 	// Second local batch: the warm maintainer repairs incrementally.
 	var pr2 server.PatchResult

@@ -195,14 +195,40 @@ func (sp *PlaceSpec) cacheKey(graphID string, version int64, sources []int) stri
 	return b.String()
 }
 
+// execute runs one placement for the server: spec.execute with its
+// parallelism held on the place_workers_busy gauge, and the fleet
+// counters of estimate-driven and multilevel runs recorded on success.
+func (s *Server) execute(ctx context.Context, spec PlaceSpec, m *flow.Model, graphID string, tc *obs.TenantCounters) (*PlaceResult, error) {
+	busy := int64(max(spec.Parallelism, 1))
+	s.workersBusy.Add(busy)
+	defer s.workersBusy.Add(-busy)
+	res, err := spec.execute(ctx, m, graphID, tc)
+	if err != nil {
+		return nil, err
+	}
+	fleet := s.acct.Fleet()
+	// Only estimate-driven runs enter the approx series: mlcelf samples
+	// only when the quality knobs ask it to.
+	if st := res.Oracle; st != nil && st.SampledEvaluations > 0 {
+		fleet.Add(obs.ApproxPlacements, 1)
+		fleet.Add(obs.ApproxExactRechecks, int64(st.GainEvaluations))
+	}
+	if cs := res.Coarsen; cs != nil {
+		fleet.Add(obs.CoarsenRounds, int64(cs.Rounds))
+		if cs.LosslessOnly {
+			fleet.Add(obs.CoarsenLossless, 1)
+		}
+	}
+	return res, nil
+}
+
 // execute runs the placement through core.Place and evaluates the paper's
-// report quantities for the chosen filter set. metrics (optional) receives
-// the per-job worker gauge and the oracle-call counter; tc (optional)
-// receives the tenant-level attribution of the same work — core.Place
-// charges it post-algorithm, so accounting can never perturb placements.
-// A trace carried by ctx (async jobs attach one) records the evaluator
-// build and the per-stage placement timing.
-func (sp *PlaceSpec) execute(ctx context.Context, m *flow.Model, graphID string, metrics *Metrics, tc *obs.TenantCounters) (*PlaceResult, error) {
+// report quantities for the chosen filter set. tc (optional) is the
+// tenant row the work is recorded on — core.Place charges it
+// post-algorithm, so accounting can never perturb placements. A trace
+// carried by ctx (async jobs attach one) records the evaluator build and
+// the per-stage placement timing.
+func (sp *PlaceSpec) execute(ctx context.Context, m *flow.Model, graphID string, tc *obs.TenantCounters) (*PlaceResult, error) {
 	info, err := core.LookupStrategy(sp.Algorithm)
 	if err != nil {
 		return nil, err
@@ -212,10 +238,6 @@ func (sp *PlaceSpec) execute(ctx context.Context, m *flow.Model, graphID string,
 	ev := sp.newEvaluator(m)
 	bsp.End()
 	defer releaseScratch(ev)
-	if metrics != nil {
-		metrics.PlaceWorkersBusy.Add(int64(max(sp.Parallelism, 1)))
-		defer metrics.PlaceWorkersBusy.Add(-int64(max(sp.Parallelism, 1)))
-	}
 	opts := sp.options()
 	opts.Trace, opts.Tenant, opts.Account = tr, tc.Name(), tc
 	pres, err := core.Place(ctx, ev, sp.K, opts)
@@ -223,26 +245,8 @@ func (sp *PlaceSpec) execute(ctx context.Context, m *flow.Model, graphID string,
 		return nil, err
 	}
 	if cs := pres.CoarsenStats; cs != nil {
-		contracted := int64(cs.NodesBefore - cs.NodesAfter)
-		if metrics != nil {
-			metrics.CoarsenPlacements.Add(1)
-			metrics.CoarsenNodesContracted.Add(contracted)
-			metrics.CoarsenRounds.Add(int64(cs.Rounds))
-			if cs.LosslessOnly {
-				metrics.CoarsenLossless.Add(1)
-			}
-		}
-		tc.AddCoarsen(contracted)
-	}
-	if metrics != nil {
-		metrics.OracleEvaluations.Add(int64(pres.Stats.GainEvaluations))
-		// Only estimate-driven runs enter the Approx* series: mlcelf
-		// samples only when the quality knobs ask it to.
-		if pres.Stats.SampledEvaluations > 0 {
-			metrics.ApproxPlacements.Add(1)
-			metrics.ApproxSampledEvaluations.Add(int64(pres.Stats.SampledEvaluations))
-			metrics.ApproxExactRechecks.Add(int64(pres.Stats.GainEvaluations))
-		}
+		tc.Add(obs.CoarsenPlacements, 1)
+		tc.Add(obs.CoarsenNodesContracted, int64(cs.NodesBefore-cs.NodesAfter))
 	}
 	filters := pres.Filters
 	if filters == nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // GraphSpec is the POST /v1/graphs request body. Exactly one of Edges or
@@ -262,13 +263,14 @@ type Registry struct {
 	mu      sync.Mutex
 	entries *lruMap[string, *graphEntry]
 	nextID  int
-	metrics *Metrics
+	// fleet is the ledger row graph and edge counters are recorded on.
+	fleet *obs.TenantCounters
 }
 
 // NewRegistry creates a registry holding at most capacity graphs
-// (minimum 1).
-func NewRegistry(capacity int, m *Metrics) *Registry {
-	return &Registry{entries: newLRUMap[string, *graphEntry](capacity), metrics: m}
+// (minimum 1); fleet (optional) records its counters.
+func NewRegistry(capacity int, fleet *obs.TenantCounters) *Registry {
+	return &Registry{entries: newLRUMap[string, *graphEntry](capacity), fleet: fleet}
 }
 
 // Add registers a validated model under a fresh id and returns its info.
@@ -289,8 +291,8 @@ func (r *Registry) Add(name string, m *flow.Model) GraphInfo {
 		},
 		model: m,
 	}
-	r.metrics.GraphsCreated.Add(1)
-	r.metrics.GraphsEvicted.Add(int64(r.entries.put(e.info.ID, e)))
+	r.fleet.Add(obs.GraphsCreated, 1)
+	r.fleet.Add(obs.GraphsEvicted, int64(r.entries.put(e.info.ID, e)))
 	return e.info
 }
 
@@ -356,7 +358,6 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 		return GraphInfo{}, res, flow.SpliceStats{}, err
 	}
 	st := e.splicer.Last()
-	r.metrics.PlanRebuilds.Add(1)
 	// The overlay pins the sources, so a model over the rebuilt plan
 	// cannot fail validation; the snapshot build is a belt-and-suspenders
 	// fallback only.
@@ -384,9 +385,9 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 	info := e.info
 	r.mu.Unlock()
 
-	r.metrics.GraphsPatched.Add(1)
-	r.metrics.EdgesAdded.Add(int64(res.EdgesAdded))
-	r.metrics.EdgesRemoved.Add(int64(res.EdgesRemoved))
+	r.fleet.Add(obs.GraphsPatched, 1)
+	r.fleet.Add(obs.EdgesAdded, int64(res.EdgesAdded))
+	r.fleet.Add(obs.EdgesRemoved, int64(res.EdgesRemoved))
 	return info, res, st, nil
 }
 
@@ -446,7 +447,7 @@ func (r *Registry) Delete(id string) bool {
 	if !r.entries.delete(id) {
 		return false
 	}
-	r.metrics.GraphsDeleted.Add(1)
+	r.fleet.Add(obs.GraphsDeleted, 1)
 	return true
 }
 

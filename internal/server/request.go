@@ -69,6 +69,8 @@ func (s *Server) stampRequest(w http.ResponseWriter, r *http.Request) (reqInfo, 
 	ri := reqInfo{tenant: obs.DefaultTenant}
 	if t := r.Header.Get("X-FP-Tenant"); t != "" {
 		if !obs.ValidTenant(t) {
+			// Rejected before a tenant is known: the fleet row counts it.
+			s.acct.Fleet().Add(obs.Requests, 1)
 			ri.id = genRequestID()
 			w.Header().Set("X-Request-ID", ri.id)
 			s.writeError(w, r, http.StatusBadRequest,
@@ -93,8 +95,7 @@ func (s *Server) stampRequest(w http.ResponseWriter, r *http.Request) (reqInfo, 
 	return ri, r, true
 }
 
-// tenantCounters returns the accounting sink for the request's tenant —
-// nil (a universal no-op) when accounting is disabled.
+// tenantCounters returns the ledger row of the request's tenant.
 func (s *Server) tenantCounters(r *http.Request) *obs.TenantCounters {
 	return s.acct.Tenant(reqFrom(r.Context()).tenant)
 }

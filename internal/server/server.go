@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -77,10 +78,6 @@ type Config struct {
 	// MaxTenants caps the distinct tenants the accountant tracks (default
 	// obs.DefaultMaxTenants); names past the cap account to "(overflow)".
 	MaxTenants int
-	// DisableAccounting turns per-tenant resource accounting off entirely:
-	// no accountant is built, /v1/tenants endpoints return 404, and the
-	// labeled tenant series are absent from /metrics.
-	DisableAccounting bool
 	// Version labels the fpd_build_info gauge (default "dev"); cmd/fpd
 	// sets it from its build metadata.
 	Version string
@@ -128,16 +125,19 @@ type Server struct {
 	jobs           *JobEngine
 	cache          *resultCache
 	flights        *flightTable
-	metrics        *Metrics
 	obs            *serverObs
 	logger         *slog.Logger
 	slowPlace      time.Duration
 	maxBodyBytes   int64
 	maxParallelism int
 
-	// acct aggregates per-tenant resource usage; nil when accounting is
-	// disabled (every accounting call is nil-safe).
+	// acct is the counter ledger: a fleet row plus one row per tenant.
 	acct *obs.Accountant
+	// gauges are the point-in-time readings sampled next to the ledger;
+	// workersBusy and batchInflight back two of them.
+	gauges        []gauge
+	workersBusy   atomic.Int64
+	batchInflight atomic.Int64
 	// events fans job lifecycle events out to SSE subscribers.
 	events *eventBus
 	// history is the in-process time-series ring behind /v1/stats/history,
@@ -163,20 +163,15 @@ func New(cfg Config) *Server {
 	if cfg.SchedWorkers > 0 {
 		sched.SetDefaultWorkers(cfg.SchedWorkers)
 	}
-	m := &Metrics{}
 	so := newServerObs()
-	var acct *obs.Accountant
-	if !cfg.DisableAccounting {
-		acct = obs.NewAccountant(cfg.MaxTenants)
-	}
-	events := newEventBus(m)
+	acct := obs.NewAccountant(cfg.MaxTenants)
+	events := newEventBus(acct.Fleet())
 	eo := &engineObs{
 		queueWait:     so.jobQueueWait,
 		runTime:       so.jobRun,
 		stageSink:     so.placeStage,
 		logger:        cfg.Logger,
 		slowThreshold: cfg.SlowPlaceThreshold,
-		acct:          acct,
 		events:        events,
 	}
 	capacity := int(cfg.HistoryRetention / cfg.HistoryInterval)
@@ -186,14 +181,12 @@ func New(cfg Config) *Server {
 	if capacity > maxHistorySamples {
 		capacity = maxHistorySamples
 	}
-	cache := newResultCache(cfg.CacheSize, m)
 	s := &Server{
 		mux:              http.NewServeMux(),
-		registry:         NewRegistry(cfg.MaxGraphs, m),
-		jobs:             NewJobEngine(sched.Default().Workers(), cfg.QueueDepth, cfg.MaxJobs, m, eo),
-		cache:            cache,
+		registry:         NewRegistry(cfg.MaxGraphs, acct.Fleet()),
+		jobs:             NewJobEngine(sched.Default().Workers(), cfg.QueueDepth, cfg.MaxJobs, acct, eo),
+		cache:            newResultCache(cfg.CacheSize, acct.Fleet()),
 		flights:          newFlightTable(),
-		metrics:          m,
 		obs:              so,
 		logger:           cfg.Logger,
 		slowPlace:        cfg.SlowPlaceThreshold,
@@ -207,7 +200,11 @@ func New(cfg Config) *Server {
 		historyStop:      make(chan struct{}),
 		version:          cfg.Version,
 	}
-	registerTenantSeries(so.reg, acct)
+	s.gauges = s.gaugeTable()
+	acct.Register(so.reg)
+	for _, g := range s.gauges {
+		so.reg.Gauge("fpd_"+g.key, g.help, func() float64 { return float64(g.read()) })
+	}
 	so.reg.Info("fpd_build_info",
 		"Build metadata of the running fpd binary; the value is always 1.",
 		map[string]string{"version": cfg.Version, "go_version": runtime.Version()})
@@ -221,10 +218,16 @@ func New(cfg Config) *Server {
 	// the most recently created server observes the shared scheduler. The
 	// tag a sched.Batch carries is the submitting tenant, so the shared
 	// pool's wait time is attributed per tenant as well as in aggregate.
+	// The hook outlives a closed server until the next New replaces it, so
+	// it captures the histogram, not so: so's registry holds the gauges,
+	// which reach the whole server.
+	schedWait := so.schedWait
 	sched.Default().SetQueueWaitSampler(func(tag string, wait time.Duration) {
-		so.schedWait.Observe(wait)
+		schedWait.Observe(wait)
 		if tag != "" {
-			acct.Tenant(tag).AddSchedWait(wait)
+			tc := acct.Tenant(tag)
+			tc.Add(obs.SchedTasks, 1)
+			tc.Add(obs.SchedQueueWait, int64(wait))
 		}
 	})
 	s.historyWG.Add(1)
@@ -276,13 +279,12 @@ func (s *Server) Routes() map[string]http.HandlerFunc {
 // and logged with the identity fields so one token joins the client log,
 // the server log and the trace.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.metrics.RequestsTotal.Add(1)
 	start := time.Now()
 	ri, r, ok := s.stampRequest(w, r)
 	if !ok {
 		return
 	}
-	s.acct.Tenant(ri.tenant).AddRequest()
+	s.acct.Tenant(ri.tenant).Add(obs.Requests, 1)
 	defer s.recoverHandler(w, r)
 	s.mux.ServeHTTP(w, r)
 	if s.logger != nil {
@@ -316,9 +318,6 @@ func (s *Server) recoverHandler(w http.ResponseWriter, r *http.Request) {
 
 // Jobs exposes the job engine (examples use Wait instead of polling).
 func (s *Server) Jobs() *JobEngine { return s.jobs }
-
-// Metrics exposes the server's counters.
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // ShutdownStreams ends every live SSE event stream and refuses new
 // subscriptions (503). Call it before draining the HTTP listener: an
