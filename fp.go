@@ -473,7 +473,9 @@ func TwitterChurn(g *Graph, batches int, churn float64, seed int64) []Mutation {
 // Extensions beyond the paper's core algorithms.
 
 // PartialEvaluator is implemented by evaluators supporting lossy filters
-// (paper footnote 1); NewFloat's engine is one.
+// (paper footnote 1); NewFloat's engine is one. Its lossy passes run on the
+// same plan kernels as perfect ones, so they hold on weighted and coarse
+// (Coarsen) models too, and a leak of 0 gives exactly Phi and Impacts.
 type PartialEvaluator = flow.PartialEvaluator
 
 // GreedyAllPartial places k lossy filters that each leak a ρ fraction of

@@ -72,9 +72,9 @@ func (e *BigEngine) Clone() Evaluator {
 var bigOne = big.NewInt(1)
 
 // stepForwardBig computes rec and emit at one node from its in-neighbors,
-// accumulating in the same ascending in-neighbor order everywhere. It is
-// the single per-node kernel shared by the serial and level-parallel
-// passes, so both produce the same exact integers.
+// accumulating in ascending in-neighbor order. It is the exact engine's
+// one per-node forward kernel, so a pass yields the same integers at
+// every parallelism.
 func (e *BigEngine) stepForwardBig(v int, filters []bool, rec, emit []*big.Int) {
 	r := new(big.Int)
 	for _, p := range e.m.g.In(v) {
@@ -91,31 +91,19 @@ func (e *BigEngine) stepForwardBig(v int, filters []bool, rec, emit []*big.Int) 
 	}
 }
 
-// forwardBig computes rec and emit exactly, sweeping the plan's
-// level-packed order (a topological order of the original ids the rec and
-// emit slices are indexed by). Entries of emit may alias entries of rec or
-// bigOne; callers must not mutate them.
-func (e *BigEngine) forwardBig(filters []bool) (rec, emit []*big.Int) {
-	rec = make([]*big.Int, e.m.g.N())
-	emit = make([]*big.Int, e.m.g.N())
-	for _, v := range e.p.perm {
-		e.stepForwardBig(int(v), filters, rec, emit)
-	}
-	e.pc.fwd.Add(1)
-	return rec, emit
-}
-
 // Passes implements PassCounter.
 func (e *BigEngine) Passes() (forward, suffix int64) {
 	return e.pc.fwd.Load(), e.pc.suf.Load()
 }
 
-// forwardBigP is forwardBig with each plan level's nodes sharded across
-// procs scheduler chunks. A node of a level only reads emit values of
-// earlier levels and writes its own rec/emit slots, so the shards are
-// disjoint; every slot is still produced by stepForwardBig, keeping the
-// integers exactly those of the serial pass.
-func (e *BigEngine) forwardBigP(filters []bool, procs int) (rec, emit []*big.Int) {
+// forwardBig computes rec and emit exactly, sweeping the plan's levels in
+// ascending order with each level's nodes sharded across procs scheduler
+// chunks (procs ≤ 1 runs every level inline). A node of a level only
+// reads emit values of earlier levels and writes its own rec/emit slots,
+// so the shards are disjoint and the integers do not depend on procs.
+// rec and emit are indexed by original id; entries of emit may alias
+// entries of rec or bigOne, and callers must not mutate them.
+func (e *BigEngine) forwardBig(filters []bool, procs int) (rec, emit []*big.Int) {
 	rec = make([]*big.Int, e.m.g.N())
 	emit = make([]*big.Int, e.m.g.N())
 	for l := 0; l < e.p.numLevels(); l++ {
@@ -130,7 +118,7 @@ func (e *BigEngine) forwardBigP(filters []bool, procs int) (rec, emit []*big.Int
 }
 
 func (e *BigEngine) phiBig(filters []bool) *big.Int {
-	rec, emit := e.forwardBig(filters)
+	rec, emit := e.forwardBig(filters, 1)
 	total := new(big.Int)
 	var tmp big.Int
 	for v, r := range rec {
@@ -158,7 +146,7 @@ func (e *BigEngine) FBig(filters []bool) *big.Int {
 }
 
 // stepSuffixBig computes the downstream amplification at one node from
-// its out-neighbors; the per-node kernel shared with the parallel pass.
+// its out-neighbors; the exact engine's one per-node suffix kernel.
 func (e *BigEngine) stepSuffixBig(v int, filters []bool, suf []*big.Int) {
 	s := new(big.Int)
 	if e.mul != nil && e.mul[v] != nil {
@@ -176,21 +164,10 @@ func (e *BigEngine) stepSuffixBig(v int, filters []bool, suf []*big.Int) {
 }
 
 // suffixBig computes the downstream amplification exactly, sweeping the
-// plan order in reverse.
-func (e *BigEngine) suffixBig(filters []bool) []*big.Int {
-	suf := make([]*big.Int, e.m.g.N())
-	perm := e.p.perm
-	for i := len(perm) - 1; i >= 0; i-- {
-		e.stepSuffixBig(int(perm[i]), filters, suf)
-	}
-	e.pc.suf.Add(1)
-	return suf
-}
-
-// suffixBigP is suffixBig with each plan level's nodes sharded across
-// procs scheduler chunks, levels descending: out-neighbors always live in
-// strictly later levels, so their suffixes are final when a level runs.
-func (e *BigEngine) suffixBigP(filters []bool, procs int) []*big.Int {
+// plan's levels in descending order with each level's nodes sharded
+// across procs scheduler chunks: out-neighbors always live in strictly
+// later levels, so their suffixes are final when a level runs.
+func (e *BigEngine) suffixBig(filters []bool, procs int) []*big.Int {
 	suf := make([]*big.Int, e.m.g.N())
 	for l := e.p.numLevels() - 1; l >= 0; l-- {
 		e.p.runLevel(l, procs, func(lo, hi int) {
@@ -213,24 +190,11 @@ func (e *BigEngine) gainAt(v int, filters []bool, rec, suf []*big.Int, zero *big
 	return excess.Mul(excess, suf[v])
 }
 
-// impactsBig returns exact marginal gains.
-func (e *BigEngine) impactsBig(filters []bool) []*big.Int {
-	rec, _ := e.forwardBig(filters)
-	suf := e.suffixBig(filters)
-	gains := make([]*big.Int, len(rec))
-	zero := new(big.Int)
-	for v := range gains {
-		gains[v] = e.gainAt(v, filters, rec, suf, zero)
-	}
-	return gains
-}
-
-// impactsBigP is impactsBig with level-parallel passes and a sharded
-// assembly loop. Every integer is produced by the same kernels as the
-// serial path, so the results are exactly equal.
-func (e *BigEngine) impactsBigP(filters []bool, procs int) []*big.Int {
-	rec, _ := e.forwardBigP(filters, procs)
-	suf := e.suffixBigP(filters, procs)
+// impactsBig returns exact marginal gains from level-parallel passes and
+// a sharded assembly loop; the integers do not depend on procs.
+func (e *BigEngine) impactsBig(filters []bool, procs int) []*big.Int {
+	rec, _ := e.forwardBig(filters, procs)
+	suf := e.suffixBig(filters, procs)
 	gains := make([]*big.Int, len(rec))
 	zero := new(big.Int)
 	parallelFor(len(gains), procs, func(lo, hi int) {
@@ -246,19 +210,17 @@ func (e *BigEngine) Phi(filters []bool) float64 { return bigToFloat(e.PhiBig(fil
 
 // Received implements Evaluator.
 func (e *BigEngine) Received(filters []bool) []float64 {
-	rec, _ := e.forwardBig(filters)
+	rec, _ := e.forwardBig(filters, 1)
 	return bigsToFloats(rec)
 }
 
 // Suffix implements Evaluator.
 func (e *BigEngine) Suffix(filters []bool) []float64 {
-	return bigsToFloats(e.suffixBig(filters))
+	return bigsToFloats(e.suffixBig(filters, 1))
 }
 
 // Impacts implements Evaluator.
-func (e *BigEngine) Impacts(filters []bool) []float64 {
-	return bigsToFloats(e.impactsBig(filters))
-}
+func (e *BigEngine) Impacts(filters []bool) []float64 { return e.ImpactsP(filters, 1) }
 
 // argmaxOver scans gains[lo:hi] for the strictly largest positive gain,
 // ties toward the smaller node id — the selection rule shared by the
@@ -283,11 +245,7 @@ func argmaxOver(gains []*big.Int, banned []bool, lo, hi int) (int, *big.Int) {
 
 // ArgmaxImpact implements Evaluator with exact integer comparisons.
 func (e *BigEngine) ArgmaxImpact(filters, banned []bool) (int, float64) {
-	best, bestGain := argmaxOver(e.impactsBig(filters), banned, 0, e.m.g.N())
-	if best < 0 {
-		return -1, 0
-	}
-	return best, bigToFloat(bestGain)
+	return e.ArgmaxImpactP(filters, banned, 1)
 }
 
 // ArgmaxImpactP implements ParallelEvaluator with exact arithmetic: the
@@ -296,10 +254,7 @@ func (e *BigEngine) ArgmaxImpact(filters, banned []bool) (int, float64) {
 // same strict-improvement rule as the serial scan, so ties break toward
 // the smaller node id exactly as ArgmaxImpact does.
 func (e *BigEngine) ArgmaxImpactP(filters, banned []bool, procs int) (int, float64) {
-	if procs <= 1 {
-		return e.ArgmaxImpact(filters, banned)
-	}
-	gains := e.impactsBigP(filters, procs)
+	gains := e.impactsBig(filters, procs)
 	type local struct {
 		v    int
 		gain *big.Int
@@ -323,10 +278,7 @@ func (e *BigEngine) ArgmaxImpactP(filters, banned []bool, procs int) (int, float
 
 // ImpactsP implements ParallelEvaluator.
 func (e *BigEngine) ImpactsP(filters []bool, procs int) []float64 {
-	if procs <= 1 {
-		return e.Impacts(filters)
-	}
-	return bigsToFloats(e.impactsBigP(filters, procs))
+	return bigsToFloats(e.impactsBig(filters, procs))
 }
 
 // F implements Evaluator.

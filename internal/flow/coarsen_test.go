@@ -211,8 +211,8 @@ func checkLosslessEquiv(t *testing.T, m, qm *Model, cm *CoarsenMap, seed int64) 
 		}
 
 		// Per-head impacts: exact big gains and bit-exact float gains.
-		og := ob.impactsBig(omask)
-		qg := qb.impactsBig(qmask)
+		og := ob.impactsBig(omask, 1)
+		qg := qb.impactsBig(qmask, 1)
 		ogf := of.Impacts(omask)
 		qgf := qf.Impacts(qmask)
 		for q := 0; q < qm.N(); q++ {
@@ -507,8 +507,8 @@ func FuzzCoarsen(f *testing.F) {
 		if ob.PhiBig(omask).Cmp(qb.PhiBig(qmask)) != 0 {
 			t.Fatalf("lossless filtered Φ mismatch: orig %v quotient %v", ob.PhiBig(omask), qb.PhiBig(qmask))
 		}
-		og := ob.impactsBig(omask)
-		qg := qb.impactsBig(qmask)
+		og := ob.impactsBig(omask, 1)
+		qg := qb.impactsBig(qmask, 1)
 		for q := 0; q < qm.N(); q++ {
 			if og[cm.Head(q)].Cmp(qg[q]) != 0 {
 				t.Fatalf("lossless impact mismatch at head %d: %v vs %v", cm.Head(q), og[cm.Head(q)], qg[q])

@@ -1,7 +1,5 @@
 package flow
 
-import "fmt"
-
 // FloatEngine evaluates the objective in float64 arithmetic. It is the
 // default engine for experiments: path counts up to ~1e308 are representable
 // and greedy algorithms only compare magnitudes, so the loss of exactness
@@ -80,17 +78,6 @@ func (e *FloatEngine) ReleaseScratch() {
 	e.sc = nil
 }
 
-func (e *FloatEngine) weight(u, v int) float64 {
-	if e.m.weight == nil {
-		return 1
-	}
-	w := e.m.weight(u, v)
-	if w < 0 || w > 1 {
-		panic(fmt.Sprintf("flow: weight(%d,%d) = %v outside [0,1]", u, v, w))
-	}
-	return w
-}
-
 // scratch borrows the engine's arena on first use.
 func (e *FloatEngine) scratch() *floatScratch {
 	if e.sc == nil {
@@ -101,14 +88,15 @@ func (e *FloatEngine) scratch() *floatScratch {
 
 // passes runs the forward (and optionally suffix) pass into the engine's
 // scratch arena and returns it, translating the original-id filter mask
-// into plan order first.
-func (e *FloatEngine) passes(filters []bool, withSuffix bool) *floatScratch {
+// into plan order first. Every filter leaks a leak fraction of its
+// duplicates; 0 is the paper's perfect filter.
+func (e *FloatEngine) passes(filters []bool, leak float64, withSuffix bool) *floatScratch {
 	sc := e.scratch()
 	fm := e.p.fillMask(sc.fmask, filters)
-	e.p.forwardRange(e.src, fm, sc.rec, sc.emit, 0, e.p.n)
+	e.p.forwardRange(e.src, fm, leak, sc.rec, sc.emit, 0, e.p.n)
 	e.pc.fwd.Add(1)
 	if withSuffix {
-		e.p.suffixRange(fm, sc.suf, 0, e.p.n)
+		e.p.suffixRange(fm, leak, sc.suf, 0, e.p.n)
 		e.pc.suf.Add(1)
 	}
 	return sc
@@ -120,7 +108,7 @@ func (e *FloatEngine) Passes() (forward, suffix int64) {
 }
 
 func (e *FloatEngine) phi(filters []bool) float64 {
-	sc := e.passes(filters, false)
+	sc := e.passes(filters, 0, false)
 	return e.p.sumPhi(sc.rec, sc.emit)
 }
 
@@ -134,22 +122,17 @@ func (e *FloatEngine) Phi(filters []bool) float64 {
 
 // Received implements Evaluator.
 func (e *FloatEngine) Received(filters []bool) []float64 {
-	sc := e.passes(filters, false)
+	sc := e.passes(filters, 0, false)
 	return e.p.scatter(sc.rec)
 }
 
 // Suffix implements Evaluator.
-func (e *FloatEngine) Suffix(filters []bool) []float64 {
-	sc := e.scratch()
-	fm := e.p.fillMask(sc.fmask, filters)
-	e.p.suffixRange(fm, sc.suf, 0, e.p.n)
-	e.pc.suf.Add(1)
-	return e.p.scatter(sc.suf)
-}
+func (e *FloatEngine) Suffix(filters []bool) []float64 { return e.SuffixPartial(filters, 0) }
 
-// gainsInto assembles the closed-form marginal gains from plan-indexed
-// pass results into an original-id-indexed slice over [lo, hi).
-func (e *FloatEngine) gainsInto(gains []float64, sc *floatScratch, filters []bool, lo, hi int) {
+// gainsInto assembles the closed-form marginal gains of ρ-leaky filters,
+// (1−ρ)·(rec−1)·suffix, from plan-indexed pass results into an
+// original-id-indexed slice over [lo, hi).
+func (e *FloatEngine) gainsInto(gains []float64, sc *floatScratch, filters []bool, leak float64, lo, hi int) {
 	pos := e.p.pos
 	for v := lo; v < hi; v++ {
 		if e.m.isSrc[v] || (filters != nil && filters[v]) {
@@ -161,17 +144,12 @@ func (e *FloatEngine) gainsInto(gains []float64, sc *floatScratch, filters []boo
 		if r < 1 {
 			excess = 0 // emission is unchanged by a filter when rec ≤ 1
 		}
-		gains[v] = excess * sc.suf[i]
+		gains[v] = (1 - leak) * excess * sc.suf[i]
 	}
 }
 
 // Impacts implements Evaluator.
-func (e *FloatEngine) Impacts(filters []bool) []float64 {
-	sc := e.passes(filters, true)
-	gains := make([]float64, e.p.n)
-	e.gainsInto(gains, sc, filters, 0, e.p.n)
-	return gains
-}
+func (e *FloatEngine) Impacts(filters []bool) []float64 { return e.ImpactsPartial(filters, 0) }
 
 // argmaxGains scans original ids [lo, hi) for the strictly largest
 // positive gain, ties toward the smaller node id — the selection rule
@@ -198,7 +176,7 @@ func (e *FloatEngine) argmaxGains(sc *floatScratch, filters, banned []bool, lo, 
 // ArgmaxImpact implements Evaluator. It is the Greedy_All inner loop and
 // runs allocation-free over the engine's borrowed arena.
 func (e *FloatEngine) ArgmaxImpact(filters, banned []bool) (int, float64) {
-	sc := e.passes(filters, true)
+	sc := e.passes(filters, 0, true)
 	return e.argmaxGains(sc, filters, banned, 0, e.p.n)
 }
 

@@ -261,7 +261,7 @@ func TestPathCountIdentities(t *testing.T) {
 		s := src[0]
 		m := MustModel(g, nil)
 		ev := NewBig(m)
-		rec, _ := ev.forwardBig(nil)
+		rec, _ := ev.forwardBig(nil, 1)
 		counts, err := PathCountsFrom(g, s)
 		if err != nil {
 			return false
@@ -275,7 +275,7 @@ func TestPathCountIdentities(t *testing.T) {
 				return false
 			}
 		}
-		suf := ev.suffixBig(nil)
+		suf := ev.suffixBig(nil, 1)
 		totals, err := TotalPathsFrom(g)
 		if err != nil {
 			return false

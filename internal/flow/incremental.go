@@ -151,8 +151,8 @@ func (e *Incremental) ReinitWith(p *Plan) {
 	srcBuf := p.GetMask()
 	src := p.fillMask(srcBuf, e.isSrc)
 	fmask := p.fillMask(s.fmask, e.filters)
-	p.forwardRange(src, fmask, s.rec, s.emit, 0, n)
-	p.suffixRange(fmask, s.suf, 0, n)
+	p.forwardRange(src, fmask, 0, s.rec, s.emit, 0, n)
+	p.suffixRange(fmask, 0, s.suf, 0, n)
 	for i, v := range p.perm {
 		e.rec[v] = s.rec[i]
 		e.emit[v] = s.emit[i]

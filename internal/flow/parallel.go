@@ -152,7 +152,7 @@ func (e *FloatEngine) ImpactsP(filters []bool, procs int) []float64 {
 	sc := e.passesP(filters, procs)
 	gains := make([]float64, e.p.n)
 	parallelFor(e.p.n, procs, func(lo, hi int) {
-		e.gainsInto(gains, sc, filters, lo, hi)
+		e.gainsInto(gains, sc, filters, 0, lo, hi)
 	})
 	return gains
 }

@@ -189,11 +189,11 @@ func TestBigParallelExactIntegers(t *testing.T) {
 			filters[v] = true
 		}
 	}
-	serialRec, serialEmit := e.forwardBig(filters)
-	serialSuf := e.suffixBig(filters)
+	serialRec, serialEmit := e.forwardBig(filters, 1)
+	serialSuf := e.suffixBig(filters, 1)
 	for _, procs := range []int{2, 5} {
-		rec, emit := e.forwardBigP(filters, procs)
-		suf := e.suffixBigP(filters, procs)
+		rec, emit := e.forwardBig(filters, procs)
+		suf := e.suffixBig(filters, procs)
 		for v := range rec {
 			if rec[v].Cmp(serialRec[v]) != 0 || emit[v].Cmp(serialEmit[v]) != 0 || suf[v].Cmp(serialSuf[v]) != 0 {
 				t.Fatalf("procs %d node %d: parallel (%v,%v,%v) != serial (%v,%v,%v)",

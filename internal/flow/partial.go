@@ -15,9 +15,12 @@ import "fmt"
 //	suffix(v) = Σ_{c ∈ Out(v)} w(v,c) · (1 + damp(c)·suffix(c)),
 //	damp(c)   = ρ if c is a filter, 1 otherwise,
 //
-// the gain of adding a filter at v is (1−ρ)·(rec(v)−1)·suffix(v). Partial
-// semantics involve real-valued emissions, so they are implemented on the
-// float engine only.
+// the gain of adding a filter at v is (1−ρ)·(rec(v)−1)·suffix(v). The leak
+// is a parameter of the plan kernels (forwardRange/suffixRange), so lossy
+// passes run on the same flat sweeps as perfect ones: on unweighted,
+// weighted and coarse (Coarsen quotient) models alike, with ρ = 0 giving
+// exactly the perfect-filter results. Partial semantics involve
+// real-valued emissions, so they are implemented on the float engine only.
 
 // PartialEvaluator is implemented by evaluators supporting lossy filters.
 type PartialEvaluator interface {
@@ -30,79 +33,36 @@ type PartialEvaluator interface {
 	ImpactsPartial(filters []bool, leak float64) []float64
 }
 
-// forwardPartial is the leak-aware forward pass.
-func (e *FloatEngine) forwardPartial(filters []bool, leak float64) (rec, emit []float64) {
+// checkLeak panics on a leak outside [0, 1].
+func checkLeak(leak float64) {
 	if leak < 0 || leak > 1 {
 		panic(fmt.Sprintf("flow: leak %v outside [0,1]", leak))
 	}
-	g := e.m.g
-	rec = make([]float64, g.N())
-	emit = make([]float64, g.N())
-	for _, v := range e.m.topo {
-		r := 0.0
-		for _, p := range g.In(v) {
-			r += e.weight(p, v) * emit[p]
-		}
-		rec[v] = r
-		switch {
-		case e.m.isSrc[v]:
-			emit[v] = 1
-		case filters != nil && filters[v]:
-			filtered := 1 + leak*(r-1)
-			if filtered < r {
-				emit[v] = filtered
-			} else {
-				emit[v] = r
-			}
-		default:
-			emit[v] = r
-		}
-	}
-	return rec, emit
 }
 
 // PhiPartial implements PartialEvaluator.
 func (e *FloatEngine) PhiPartial(filters []bool, leak float64) float64 {
-	rec, _ := e.forwardPartial(filters, leak)
-	total := 0.0
-	for _, r := range rec {
-		total += r
-	}
-	return total
+	checkLeak(leak)
+	sc := e.passes(filters, leak, false)
+	return e.p.sumPhi(sc.rec, sc.emit)
 }
 
 // SuffixPartial returns the leak-aware downstream amplification.
 func (e *FloatEngine) SuffixPartial(filters []bool, leak float64) []float64 {
-	g := e.m.g
-	suf := make([]float64, g.N())
-	topo := e.m.topo
-	for i := len(topo) - 1; i >= 0; i-- {
-		v := topo[i]
-		s := 0.0
-		for _, c := range g.Out(v) {
-			w := e.weight(v, c)
-			damp := 1.0
-			if filters != nil && filters[c] {
-				damp = leak
-			}
-			s += w * (1 + damp*suf[c])
-		}
-		suf[v] = s
-	}
-	return suf
+	checkLeak(leak)
+	sc := e.scratch()
+	fm := e.p.fillMask(sc.fmask, filters)
+	e.p.suffixRange(fm, leak, sc.suf, 0, e.p.n)
+	e.pc.suf.Add(1)
+	return e.p.scatter(sc.suf)
 }
 
 // ImpactsPartial implements PartialEvaluator.
 func (e *FloatEngine) ImpactsPartial(filters []bool, leak float64) []float64 {
-	rec, _ := e.forwardPartial(filters, leak)
-	suf := e.SuffixPartial(filters, leak)
-	gains := make([]float64, len(rec))
-	for v := range gains {
-		if e.m.isSrc[v] || (filters != nil && filters[v]) || rec[v] <= 1 {
-			continue
-		}
-		gains[v] = (1 - leak) * (rec[v] - 1) * suf[v]
-	}
+	checkLeak(leak)
+	sc := e.passes(filters, leak, true)
+	gains := make([]float64, e.p.n)
+	e.gainsInto(gains, sc, filters, leak, 0, e.p.n)
 	return gains
 }
 

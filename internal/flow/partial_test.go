@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/gen"
 )
 
 func TestPartialExtremes(t *testing.T) {
@@ -37,6 +39,42 @@ func TestPartialExtremes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+
+	// A coarse (Coarsen quotient) model carries node multiplicities that
+	// every pass must honour: leak 0 is exactly the perfect filter there
+	// too, with no filter and with one interior filter.
+	g, src := gen.ChainDAG(300, 2, 4)
+	qm, _, _, err := Coarsen(MustModel(g, []int{src}), CoarsenOptions{Lossless: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qm.N() >= g.N() || !qm.Plan().Coarse() {
+		t.Fatalf("coarsening left %d of %d nodes (coarse plan %v)", qm.N(), g.N(), qm.Plan().Coarse())
+	}
+	e := NewFloat(qm)
+	interior := -1
+	rec := e.Received(nil)
+	for v := 0; v < qm.N(); v++ {
+		if !qm.IsSource(v) && rec[v] > 1 && qm.Graph().OutDegree(v) > 0 {
+			interior = v
+			break
+		}
+	}
+	if interior < 0 {
+		t.Fatal("quotient has no interior merge node")
+	}
+	for _, filters := range [][]bool{nil, MaskOf(qm.N(), []int{interior})} {
+		if got, want := e.PhiPartial(filters, 0), e.Phi(filters); got != want {
+			t.Errorf("coarse PhiPartial(%v, 0) = %v, want Phi = %v", filters != nil, got, want)
+		}
+		got, want := e.ImpactsPartial(filters, 0), e.Impacts(filters)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Errorf("coarse ImpactsPartial(%v, 0)[%d] = %v, want Impacts = %v", filters != nil, v, got[v], want[v])
+				break
+			}
+		}
 	}
 }
 

@@ -380,11 +380,13 @@ func (p *Plan) fillMask(dst []bool, orig []bool) []bool {
 // forwardRange runs the flat forward kernel over plan positions [lo, hi):
 // rec[i] accumulates the weighted emissions of i's in-neighbors in the
 // same order as the pre-plan per-node kernel, and emit[i] applies the
-// source/filter rule. src and fmask are plan-order masks (fmask may be
-// the shared falseMask); rec and emit are plan-indexed. Positions in
-// [lo, hi) must only depend on emit values already computed — the full
-// range [0, n) serially, or any subrange of one level in parallel.
-func (p *Plan) forwardRange(src, fmask []bool, rec, emit []float64, lo, hi int) {
+// source/filter rule, each filter leaking a leak fraction of its
+// duplicates (filterEmit; 0 is the paper's perfect filter). src and fmask
+// are plan-order masks (fmask may be the shared falseMask); rec and emit
+// are plan-indexed. Positions in [lo, hi) must only depend on emit values
+// already computed — the full range [0, n) serially, or any subrange of
+// one level in parallel.
+func (p *Plan) forwardRange(src, fmask []bool, leak float64, rec, emit []float64, lo, hi int) {
 	inOff, inAdj := p.inOff, p.inAdj
 	if p.inW == nil {
 		for i := lo; i < hi; i++ {
@@ -394,8 +396,10 @@ func (p *Plan) forwardRange(src, fmask []bool, rec, emit []float64, lo, hi int) 
 			}
 			rec[i] = r
 			e := r
-			if src[i] || (fmask[i] && r > 1) {
+			if src[i] {
 				e = 1
+			} else if fmask[i] {
+				e = filterEmit(r, leak)
 			}
 			emit[i] = e
 		}
@@ -412,20 +416,50 @@ func (p *Plan) forwardRange(src, fmask []bool, rec, emit []float64, lo, hi int) 
 		}
 		rec[i] = r
 		e := r
-		if src[i] || (fmask[i] && r > 1) {
+		if src[i] {
 			e = 1
+		} else if fmask[i] {
+			e = filterEmit(r, leak)
 		}
 		emit[i] = e
 	}
 }
 
+// filterEmit is the emission of a filter that receives r copies and
+// leaks a leak fraction of the duplicates: min(r, 1 + leak·(r−1)),
+// evaluated as written so every leak rounds like the scalar formula. At
+// leak 0 it is the perfect filter's rule (one copy once r > 1) taken
+// literally, since 0·(r−1) is NaN at r = +Inf.
+func filterEmit(r, leak float64) float64 {
+	if leak == 0 {
+		if r > 1 {
+			return 1
+		}
+		return r
+	}
+	if f := 1 + leak*(r-1); f < r {
+		return f
+	}
+	return r
+}
+
+// filterRelay is the suffix term of an edge into a filter whose own
+// suffix is s: the one copy it always forwards plus the leaked fraction
+// of its downstream amplification. At leak 0 it is exactly 1.
+func filterRelay(s, leak float64) float64 {
+	if leak == 0 {
+		return 1
+	}
+	return 1 + leak*s
+}
+
 // suffixRange runs the flat suffix kernel over plan positions [lo, hi) in
-// DESCENDING order: suf[i] accumulates 1 + suf[c] (or just the edge
-// weight when c is a filter) over i's out-neighbors in the pre-plan
-// order. Positions must only depend on suf values already computed — the
-// full range [0, n) serially, or any subrange of one level in parallel
-// once all later levels are done.
-func (p *Plan) suffixRange(fmask []bool, suf []float64, lo, hi int) {
+// DESCENDING order: suf[i] accumulates 1 + suf[c] (filterRelay when c is
+// a filter) over i's out-neighbors in the pre-plan order, scaled by the
+// edge weight on weighted plans. Positions must only depend on suf values
+// already computed — the full range [0, n) serially, or any subrange of
+// one level in parallel once all later levels are done.
+func (p *Plan) suffixRange(fmask []bool, leak float64, suf []float64, lo, hi int) {
 	outOff, outAdj := p.outOff, p.outAdj
 	if p.mulW != nil {
 		// Coarse plan (never weighted): a supernode's suffix starts at its
@@ -438,7 +472,7 @@ func (p *Plan) suffixRange(fmask []bool, suf []float64, lo, hi int) {
 			for _, c := range outAdj[outOff[i]:outOff[i+1]] {
 				t := 1 + suf[c]
 				if fmask[c] {
-					t = 1
+					t = filterRelay(suf[c], leak)
 				}
 				s += t
 			}
@@ -452,7 +486,7 @@ func (p *Plan) suffixRange(fmask []bool, suf []float64, lo, hi int) {
 			for _, c := range outAdj[outOff[i]:outOff[i+1]] {
 				t := 1 + suf[c]
 				if fmask[c] {
-					t = 1
+					t = filterRelay(suf[c], leak)
 				}
 				s += t
 			}
@@ -469,7 +503,7 @@ func (p *Plan) suffixRange(fmask []bool, suf []float64, lo, hi int) {
 		for k, c := range adj {
 			t := 1 + suf[c]
 			if fmask[c] {
-				t = 1
+				t = filterRelay(suf[c], leak)
 			}
 			s += w[k] * t
 		}
@@ -588,7 +622,7 @@ func (p *Plan) runLevel(l, procs int, fn func(lo, hi int)) {
 func (p *Plan) forwardLevels(src, fmask []bool, rec, emit []float64, procs int) {
 	for l := 0; l < p.numLevels(); l++ {
 		p.runLevel(l, procs, func(lo, hi int) {
-			p.forwardRange(src, fmask, rec, emit, lo, hi)
+			p.forwardRange(src, fmask, 0, rec, emit, lo, hi)
 		})
 	}
 }
@@ -600,7 +634,7 @@ func (p *Plan) forwardLevels(src, fmask []bool, rec, emit []float64, procs int) 
 func (p *Plan) suffixLevels(fmask []bool, suf []float64, procs int) {
 	for l := p.numLevels() - 1; l >= 0; l-- {
 		p.runLevel(l, procs, func(lo, hi int) {
-			p.suffixRange(fmask, suf, lo, hi)
+			p.suffixRange(fmask, 0, suf, lo, hi)
 		})
 	}
 }

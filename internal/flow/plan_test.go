@@ -108,6 +108,78 @@ func (e *refFloat) argmax(filters, banned []bool) (int, float64) {
 	return best, bestGain
 }
 
+// forwardPartial is the scalar leak-aware forward pass the lossy-filter
+// engine ran before it moved onto the plan kernels.
+func (e *refFloat) forwardPartial(filters []bool, leak float64) (rec, emit []float64) {
+	g := e.m.g
+	rec = make([]float64, g.N())
+	emit = make([]float64, g.N())
+	for _, v := range e.m.topo {
+		r := 0.0
+		for _, p := range g.In(v) {
+			r += e.weight(p, v) * emit[p]
+		}
+		rec[v] = r
+		switch {
+		case e.m.isSrc[v]:
+			emit[v] = 1
+		case filters != nil && filters[v]:
+			filtered := 1 + leak*(r-1)
+			if filtered < r {
+				emit[v] = filtered
+			} else {
+				emit[v] = r
+			}
+		default:
+			emit[v] = r
+		}
+	}
+	return rec, emit
+}
+
+func (e *refFloat) phiPartial(filters []bool, leak float64) float64 {
+	rec, _ := e.forwardPartial(filters, leak)
+	total := 0.0
+	for _, r := range rec {
+		total += r
+	}
+	return total
+}
+
+// suffixPartial is the scalar leak-aware suffix pass.
+func (e *refFloat) suffixPartial(filters []bool, leak float64) []float64 {
+	g := e.m.g
+	suf := make([]float64, g.N())
+	topo := e.m.topo
+	for i := len(topo) - 1; i >= 0; i-- {
+		v := topo[i]
+		s := 0.0
+		for _, c := range g.Out(v) {
+			w := e.weight(v, c)
+			damp := 1.0
+			if filters != nil && filters[c] {
+				damp = leak
+			}
+			s += w * (1 + damp*suf[c])
+		}
+		suf[v] = s
+	}
+	return suf
+}
+
+func (e *refFloat) impactsPartial(filters []bool, leak float64) []float64 {
+	rec, _ := e.forwardPartial(filters, leak)
+	suf := e.suffixPartial(filters, leak)
+	gains := make([]float64, len(rec))
+	for v := range gains {
+		if e.m.isSrc[v] || (filters != nil && filters[v]) || rec[v] <= 1 {
+			continue
+		}
+		gains[v] = (1 - leak) * (rec[v] - 1) * suf[v]
+	}
+	return gains
+}
+
 type refBig struct{ m *Model }
 
 func (e *refBig) forward(filters []bool) (rec, emit []*big.Int) {
@@ -278,6 +350,30 @@ func TestPlanFloatGolden(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlanPartialGolden pins the lossy-filter queries, now run on the plan
+// kernels with the leak as a parameter, bit-for-bit against the scalar
+// leak-aware passes they replaced, on unweighted and weighted models.
+func TestPlanPartialGolden(t *testing.T) {
+	weighted := false
+	for _, gg := range goldenGraphs(t) {
+		weighted = weighted || gg.m.Weighted()
+		ev := NewFloat(gg.m)
+		ref := &refFloat{gg.m}
+		for fi, filters := range goldenFilterSets(gg.m, ev) {
+			for _, leak := range []float64{0, 0.3, 1} {
+				if got, want := ev.PhiPartial(filters, leak), ref.phiPartial(filters, leak); !eqBits(got, want) {
+					t.Fatalf("%s PhiPartial(set %d, leak %v): got %v want %v", gg.name, fi, leak, got, want)
+				}
+				checkBitsSlice(t, gg.name+" SuffixPartial", ev.SuffixPartial(filters, leak), ref.suffixPartial(filters, leak))
+				checkBitsSlice(t, gg.name+" ImpactsPartial", ev.ImpactsPartial(filters, leak), ref.impactsPartial(filters, leak))
+			}
+		}
+	}
+	if !weighted {
+		t.Fatal("no weighted golden graph")
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 func gangJob(t *testing.T, e *JobEngine, key string, fn func(context.Context) (*PlaceResult, error)) JobInfo {
 	t.Helper()
 	bs := newBatchState([]BatchItem{{GraphID: "g", State: JobQueued}})
-	info, err := e.SubmitBatch("g", PlaceSpec{Algorithm: "gall", K: 1}, key, JobMeta{}, bs, fn)
+	info, err := e.Submit("g", PlaceSpec{Algorithm: "gall", K: 1}, key, JobMeta{}, bs, fn)
 	if err != nil {
 		t.Fatalf("gang submit: %v", err)
 	}
@@ -38,7 +38,7 @@ func okFn(ctx context.Context) (*PlaceResult, error) {
 func holdSlot(t *testing.T, e *JobEngine) chan struct{} {
 	t.Helper()
 	release := make(chan struct{})
-	info, err := e.SubmitFunc("g0", PlaceSpec{Algorithm: "gall", K: 1}, "hold", JobMeta{}, blockingFn(release))
+	info, err := e.Submit("g0", PlaceSpec{Algorithm: "gall", K: 1}, "hold", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,12 @@ func TestGangWaitsWhenQueueFull(t *testing.T) {
 	e, acct := newTestEngine(1, 1)
 	defer e.Close()
 	release := holdSlot(t, e)
-	if _, err := e.SubmitFunc("g2", PlaceSpec{Algorithm: "gall", K: 1}, "queued", JobMeta{}, blockingFn(release)); err != nil {
+	if _, err := e.Submit("g2", PlaceSpec{Algorithm: "gall", K: 1}, "queued", JobMeta{}, nil, blockingFn(release)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Solo: immediate back pressure.
-	if _, err := e.SubmitFunc("g3", PlaceSpec{Algorithm: "gall", K: 1}, "solo", JobMeta{}, okFn); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.Submit("g3", PlaceSpec{Algorithm: "gall", K: 1}, "solo", JobMeta{}, nil, okFn); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("solo on full queue: err %v, want ErrQueueFull", err)
 	}
 	// Gang: waits in the queue instead.
@@ -69,7 +69,7 @@ func TestGangWaitsWhenQueueFull(t *testing.T) {
 	// The gang bound is still a bound: 2×queueDepth (2 here) pending jobs,
 	// so a second gang is rejected.
 	bs := newBatchState([]BatchItem{{GraphID: "g", State: JobQueued}})
-	if _, err := e.SubmitBatch("g", PlaceSpec{Algorithm: "gall", K: 1}, "batch|k2", JobMeta{}, bs, okFn); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.Submit("g", PlaceSpec{Algorithm: "gall", K: 1}, "batch|k2", JobMeta{}, bs, okFn); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("gang beyond the gang bound: err %v, want ErrQueueFull", err)
 	}
 	if got := acct.Total(obs.JobsRejected); got != 2 {
@@ -103,7 +103,7 @@ func TestQueuedJobsRunOldestFirst(t *testing.T) {
 		}
 	}
 	solo := func(tag string) JobInfo {
-		info, err := e.SubmitFunc("g", PlaceSpec{Algorithm: "gall", K: 1}, "solo|"+tag, JobMeta{}, record(tag))
+		info, err := e.Submit("g", PlaceSpec{Algorithm: "gall", K: 1}, "solo|"+tag, JobMeta{}, nil, record(tag))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestCancelQueuedGang(t *testing.T) {
 	// Free the slot and let a later job through: the canceled gang must
 	// not run ahead of it.
 	close(release)
-	next, err := e.SubmitFunc("g", PlaceSpec{Algorithm: "gall", K: 1}, "next", JobMeta{}, okFn)
+	next, err := e.Submit("g", PlaceSpec{Algorithm: "gall", K: 1}, "next", JobMeta{}, nil, okFn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCancelQueuedFreesSlot(t *testing.T) {
 	release := holdSlot(t, e)
 	defer close(release)
 
-	queued, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "queued", JobMeta{}, okFn)
+	queued, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 1}, "queued", JobMeta{}, nil, okFn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestCancelQueuedFreesSlot(t *testing.T) {
 	if d := e.QueueDepth(); d != 0 {
 		t.Fatalf("queue depth after cancel = %d, want 0", d)
 	}
-	if _, err := e.SubmitFunc("g2", PlaceSpec{Algorithm: "gall", K: 1}, "next", JobMeta{}, okFn); err != nil {
+	if _, err := e.Submit("g2", PlaceSpec{Algorithm: "gall", K: 1}, "next", JobMeta{}, nil, okFn); err != nil {
 		t.Fatalf("submit after cancel: %v", err)
 	}
 }
@@ -259,7 +259,7 @@ func TestBatchDedupsInFlight(t *testing.T) {
 	}
 	release := make(chan struct{})
 	for i := 0; i < s.jobs.slots; i++ {
-		info, err := s.jobs.SubmitFunc("g0", PlaceSpec{Algorithm: "gall", K: 1}, fmt.Sprintf("hold%d", i), JobMeta{}, blockingFn(release))
+		info, err := s.jobs.Submit("g0", PlaceSpec{Algorithm: "gall", K: 1}, fmt.Sprintf("hold%d", i), JobMeta{}, nil, blockingFn(release))
 		if err != nil {
 			t.Fatal(err)
 		}

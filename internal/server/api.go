@@ -216,10 +216,10 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 	tc.Add(obs.CacheMisses, 1)
 	// The job's work runs through runShared, so a solo job racing a gang
-	// sub-placement (or another solo) on the same per-graph key joins the
-	// in-flight computation instead of duplicating it; runShared also
-	// fills the cache slot.
-	job, err := s.jobs.SubmitFunc(id, spec, key, jobMetaOf(r), func(ctx context.Context) (*PlaceResult, error) {
+	// sub-placement on the same per-graph key joins the in-flight
+	// computation instead of duplicating it; runShared also fills the
+	// cache slot.
+	job, err := s.jobs.Submit(id, spec, key, jobMetaOf(r), nil, func(ctx context.Context) (*PlaceResult, error) {
 		return s.runShared(ctx, key, spec, m, id, tc)
 	})
 	switch {

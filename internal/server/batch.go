@@ -69,21 +69,19 @@ func (bs *batchState) setState(graphID string, st JobState) {
 	bs.mu.Unlock()
 }
 
-// finish records a successful sub-placement.
-func (bs *batchState) finish(graphID string, res *PlaceResult) {
+// finish records a sub-placement's outcome: done with its result, or
+// canceled or failed with its error.
+func (bs *batchState) finish(graphID string, res *PlaceResult, err error) {
 	bs.mu.Lock()
 	it := &bs.items[bs.index[graphID]]
-	it.State = JobDone
-	it.Result = res
-	bs.mu.Unlock()
-}
-
-// fail records a failed or canceled sub-placement.
-func (bs *batchState) fail(graphID string, st JobState, err error) {
-	bs.mu.Lock()
-	it := &bs.items[bs.index[graphID]]
-	it.State = st
-	it.Error = err.Error()
+	switch {
+	case err == nil:
+		it.State, it.Result = JobDone, res
+	case errors.Is(err, context.Canceled):
+		it.State, it.Error = JobCanceled, err.Error()
+	default:
+		it.State, it.Error = JobFailed, err.Error()
+	}
 	bs.mu.Unlock()
 }
 
@@ -180,7 +178,7 @@ func (s *Server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 	// keys exclude parallelism, so the gang key does too.
 	bs := newBatchState(items)
 	gangKey := "batch|" + strings.Join(keys, "&")
-	job, err := s.jobs.SubmitBatch(strings.Join(ids, ","), spec, gangKey, jobMetaOf(r), bs, s.runBatch(misses, spec, bs, tc))
+	job, err := s.jobs.Submit(strings.Join(ids, ","), spec, gangKey, jobMetaOf(r), bs, s.runBatch(misses, spec, bs, tc))
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.writeQueueFull(w, r, err)
@@ -207,30 +205,21 @@ func (s *Server) runBatch(misses []batchMiss, spec PlaceSpec, bs *batchState, tc
 			i := i
 			gang.Go(func() {
 				ms := misses[i]
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					bs.fail(ms.graphID, JobCanceled, err)
-					return
+				var res *PlaceResult
+				err := ctx.Err()
+				if err == nil {
+					bs.setState(ms.graphID, JobRunning)
+					s.batchInflight.Add(1)
+					// runShared re-checks the cache (a solo job or an
+					// overlapping gang may have filled this slot while we
+					// sat queued), claims the per-graph key in the in-flight
+					// table so identical work in flight is joined instead of
+					// duplicated, and fills the cache slot on success.
+					res, err = s.runShared(ctx, ms.key, spec, ms.model, ms.graphID, tc)
+					s.batchInflight.Add(-1)
 				}
-				bs.setState(ms.graphID, JobRunning)
-				s.batchInflight.Add(1)
-				// runShared re-checks the cache (a solo job or an
-				// overlapping gang may have filled this slot while we sat
-				// queued), registers the per-graph key in the flight table
-				// so identical work in flight is joined instead of
-				// duplicated, and fills the cache slot on success.
-				res, err := s.runShared(ctx, ms.key, spec, ms.model, ms.graphID, tc)
-				s.batchInflight.Add(-1)
-				if err != nil {
-					errs[i] = err
-					st := JobFailed
-					if errors.Is(err, context.Canceled) {
-						st = JobCanceled
-					}
-					bs.fail(ms.graphID, st, err)
-					return
-				}
-				bs.finish(ms.graphID, res)
+				errs[i] = err
+				bs.finish(ms.graphID, res, err)
 			})
 		}
 		gang.Wait()

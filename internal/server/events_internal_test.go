@@ -57,7 +57,7 @@ func TestEventLifecycleOrder(t *testing.T) {
 
 	release := make(chan struct{})
 	meta := JobMeta{Tenant: "acme", RequestID: "req-1", Traceparent: "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"}
-	info, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "k1", meta, blockingFn(release))
+	info, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 1}, "k1", meta, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestEventCanceledBeforeStart(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	running, err := e.SubmitFunc("g1", PlaceSpec{K: 1}, "k1", JobMeta{}, blockingFn(release))
+	running, err := e.Submit("g1", PlaceSpec{K: 1}, "k1", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, e, running.ID, JobRunning)
-	queued, err := e.SubmitFunc("g1", PlaceSpec{K: 2}, "k2", JobMeta{Tenant: "acme"}, blockingFn(release))
+	queued, err := e.Submit("g1", PlaceSpec{K: 2}, "k2", JobMeta{Tenant: "acme"}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}

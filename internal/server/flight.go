@@ -2,77 +2,80 @@ package server
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/flow"
 	"repro/internal/obs"
 )
 
-// Cross-kind in-flight dedup. The job engine's active-key map dedups
-// identical SUBMISSIONS, but it cannot see across job kinds: a gang job's
-// key is the joined per-graph miss keys ("batch|k1&k2…"), so a solo job
-// for k1 submitted while the gang is mid-flight used to start a second,
-// identical placement. The flight table closes that gap at EXECUTION
-// time: every placement — solo job or gang sub-placement — registers its
-// per-graph cache key when it starts computing, and any other worker
-// reaching the same key waits for the leader's result instead of
-// recomputing.
+// The in-flight table: one map under the job engine's mutex
+// (JobEngine.inflight), keyed by cache key. A submission registers its
+// key with its job, so an identical submission returns that job. A
+// computation (a solo job's placement or a gang sub-placement) claims its
+// per-graph key when it starts; another computation reaching a claimed
+// key waits for the claimant's result and retries if the claimant fails.
+// A computation reaching a key whose owner job is still queued claims it
+// and computes it itself: jobs start in FIFO order, so that owner was
+// submitted later, and waiting on it could deadlock a full engine. So
+// every wait is on running work.
 
-// flight is one in-flight placement computation; done closes when res/err
-// are final.
+// flight is one in-flight cache key. owner is the live job submitted under
+// the key (nil when there is none, e.g. only a gang sub-placement has
+// reached it); done is nil until a computation claims the key and closes
+// once res/err are final.
 type flight struct {
-	done chan struct{}
-	res  *PlaceResult
-	err  error
+	owner *job
+	done  chan struct{}
+	res   *PlaceResult
+	err   error
 }
 
-// flightTable maps per-graph cache keys to in-flight computations.
-type flightTable struct {
-	mu sync.Mutex
-	m  map[string]*flight
-}
-
-func newFlightTable() *flightTable {
-	return &flightTable{m: make(map[string]*flight)}
-}
-
-// join returns the in-flight computation for key, creating it when absent;
-// leader reports whether the caller created it (and therefore must compute
-// and finish it).
-func (t *flightTable) join(key string) (f *flight, leader bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if f, ok := t.m[key]; ok {
+// claim registers a computation of key. lead reports whether the caller
+// claimed it (and therefore must compute it and settle the flight);
+// otherwise f is a running computation of the key to wait on.
+func (e *JobEngine) claim(key string) (f *flight, lead bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	f = e.inflight[key]
+	switch {
+	case f == nil:
+		f = &flight{}
+		e.inflight[key] = f
+	case f.done != nil:
 		return f, false
 	}
-	f = &flight{done: make(chan struct{})}
-	t.m[key] = f
+	f.done = make(chan struct{})
 	return f, true
 }
 
-// finish publishes the leader's outcome and retires the key. The table is
-// cleared before done closes, so a follower that sees a failed flight and
-// retries will either hit the cache or become the new leader.
-func (t *flightTable) finish(key string, f *flight, res *PlaceResult, err error) {
-	t.mu.Lock()
-	if t.m[key] == f {
-		delete(t.m, key)
+// settle publishes a claimant's outcome and releases the claim. A key
+// whose owner job is still live goes back to that job, unclaimed, so
+// identical submissions keep deduping onto it; any other key is retired.
+// Either way the claim is gone before done closes, so a waiter that sees
+// a failed flight and retries hits the cache or claims the key itself.
+func (e *JobEngine) settle(key string, f *flight, res *PlaceResult, err error) {
+	e.mu.Lock()
+	if e.inflight[key] == f {
+		if f.owner != nil {
+			e.inflight[key] = &flight{owner: f.owner}
+		} else {
+			delete(e.inflight, key)
+		}
 	}
-	t.mu.Unlock()
 	f.res, f.err = res, err
+	e.mu.Unlock()
 	close(f.done)
 }
 
-// runShared executes one placement with cache consultation and cross-kind
-// in-flight dedup: a cache hit returns immediately; otherwise the caller
-// either becomes the leader for the key (computes, fills the cache, wakes
-// the followers) or waits for the current leader. A follower whose leader
-// fails or is canceled retries — its own context may still be live, and
-// correctness must not depend on another request's lifecycle.
+// runShared executes one placement with cache consultation and in-flight
+// dedup: a cache hit returns immediately; otherwise the caller either
+// claims the key (computes, fills the cache, wakes the waiters) or waits
+// for the running claimant. A waiter whose claimant fails or is canceled
+// retries — its own context may still be live, and correctness must not
+// depend on another request's lifecycle.
 //
-// tc is the tenant the computation is charged to. Only the leader's
+// tc is the tenant the computation is charged to. Only the claimant's
 // tenant pays for the oracle work — the work runs once, so charging the
-// followers too would double-bill shared computations.
+// waiters too would double-bill shared computations.
 func (s *Server) runShared(ctx context.Context, key string, spec PlaceSpec, m *flow.Model, graphID string, tc *obs.TenantCounters) (*PlaceResult, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -81,14 +84,14 @@ func (s *Server) runShared(ctx context.Context, key string, spec PlaceSpec, m *f
 		if res, ok := s.cache.get(key); ok {
 			return res, nil
 		}
-		f, leader := s.flights.join(key)
-		if leader {
-			// Deferred so a panicking execute still wakes the joiners
+		f, lead := s.jobs.claim(key)
+		if lead {
+			// Deferred so a panicking execute still wakes the waiters
 			// (with errInternal, and they retry) on its way to the
 			// job's or the handler's recover.
 			var res *PlaceResult
 			err := errInternal
-			defer func() { s.flights.finish(key, f, res, err) }()
+			defer func() { s.jobs.settle(key, f, res, err) }()
 			res, err = s.execute(ctx, spec, m, graphID, tc)
 			if err == nil {
 				s.cache.put(key, res)
@@ -104,7 +107,7 @@ func (s *Server) runShared(ctx context.Context, key string, spec PlaceSpec, m *f
 		if f.err == nil {
 			return f.res, nil
 		}
-		// Leader failed or was canceled; loop and recompute (or pick up a
-		// newer leader / cache entry).
+		// The claimant failed or was canceled; loop and recompute (or pick
+		// up a newer claimant / cache entry).
 	}
 }

@@ -59,7 +59,7 @@ func TestRequestPassBudget(t *testing.T) {
 func TestObserveStageAfterDone(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	info, err := s.jobs.SubmitFunc("g1", PlaceSpec{Algorithm: "maintain", K: 1}, "k", JobMeta{}, okFn)
+	info, err := s.jobs.Submit("g1", PlaceSpec{Algorithm: "maintain", K: 1}, "k", JobMeta{}, nil, okFn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ type job struct {
 	spec    PlaceSpec
 	key     string
 	// runFn is the job's work. Every kind supplies one: solo placements
-	// close over Server.runShared (which owns cache fills and in-flight
+	// close over Server.runShared (which owns cache fills and execution
 	// dedup), auto-maintain and batch jobs their own closures.
 	runFn func(context.Context) (*PlaceResult, error)
 	// batch, when set, tracks the per-graph sub-placements of a gang job;
@@ -112,13 +112,15 @@ type job struct {
 // queued jobs, at most slots of them running at once (one goroutine per
 // running job), lifecycle tracking and cancellation via context.
 type JobEngine struct {
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string        // submission order, for listing
-	active map[string]*job // non-terminal jobs by cache key, for dedup
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string // submission order, for listing
+	// inflight is the one in-flight table (see flight.go): the live jobs
+	// by cache key, and the keys being computed.
+	inflight map[string]*flight
 	// pending is the FIFO of queued jobs, oldest first. running counts the
 	// started jobs that have not finished, at most slots of them.
-	// queueDepth bounds pending (see enqueue).
+	// queueDepth bounds pending (see Submit).
 	pending    []*job
 	running    int
 	slots      int
@@ -164,7 +166,7 @@ func NewJobEngine(slots, queueDepth, maxJobs int, acct *obs.Accountant, o *engin
 	ctx, cancel := context.WithCancel(context.Background())
 	return &JobEngine{
 		jobs:       make(map[string]*job),
-		active:     make(map[string]*job),
+		inflight:   make(map[string]*flight),
 		slots:      slots,
 		queueDepth: queueDepth,
 		maxJobs:    maxJobs,
@@ -173,27 +175,6 @@ func NewJobEngine(slots, queueDepth, maxJobs int, acct *obs.Accountant, o *engin
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
-}
-
-// SubmitFunc enqueues a job whose work is the given closure — solo
-// placements (via Server.runShared) and auto-maintain both submit this
-// way. spec documents the job for listings; key drives in-flight
-// submission dedup: an identical request already queued or running —
-// same cache key — is not duplicated, the existing job is returned, so
-// client retries and concurrent identical queries share one computation.
-// meta attributes the job to the submitting request (zero value for
-// direct library use).
-func (e *JobEngine) SubmitFunc(graphID string, spec PlaceSpec, key string, meta JobMeta, fn func(context.Context) (*PlaceResult, error)) (JobInfo, error) {
-	return e.enqueue(&job{graphID: graphID, spec: spec, key: key, meta: meta, runFn: fn})
-}
-
-// SubmitBatch enqueues a gang job: one record whose closure runs a whole
-// multi-graph placement and whose per-graph progress is tracked in bs
-// (surfaced as JobInfo.Batch). key dedups identical in-flight gangs; the
-// closure populates per-graph cache entries itself, so the job-level
-// result stays nil.
-func (e *JobEngine) SubmitBatch(graphID string, spec PlaceSpec, key string, meta JobMeta, bs *batchState, fn func(context.Context) (*PlaceResult, error)) (JobInfo, error) {
-	return e.enqueue(&job{graphID: graphID, spec: spec, key: key, meta: meta, batch: bs, runFn: fn})
 }
 
 // event builds the skeleton lifecycle event for the job; every field it
@@ -219,24 +200,35 @@ func (e *JobEngine) publish(ev JobEvent) {
 	}
 }
 
-// enqueue assigns the job id and runs the shared admission bookkeeping:
-// closed check, in-flight dedup by cache key, and the one admission rule —
-// a solo job is refused once queueDepth jobs are pending, a gang once
-// 2×queueDepth are.
-func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
+// Submit enqueues a job whose work is fn: a solo placement (via
+// Server.runShared), an auto-maintain run, or, when bs is set, a gang job
+// whose closure runs a whole multi-graph placement, tracks its per-graph
+// progress in bs (surfaced as JobInfo.Batch) and fills the per-graph
+// cache entries itself. spec documents the job for listings. key
+// registers the job in the in-flight table: an identical submission —
+// same key — while the job is queued or running returns that job instead
+// of a new one, so client retries and concurrent identical queries share
+// one computation. meta attributes the job to the submitting request
+// (zero value for direct library use).
+//
+// Admission is one rule: a solo job is refused once queueDepth jobs are
+// pending, a gang once 2×queueDepth are.
+func (e *JobEngine) Submit(graphID string, spec PlaceSpec, key string, meta JobMeta, bs *batchState, fn func(context.Context) (*PlaceResult, error)) (JobInfo, error) {
+	j := &job{graphID: graphID, spec: spec, key: key, meta: meta, batch: bs, runFn: fn}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return JobInfo{}, ErrClosed
 	}
-	if dup, ok := e.active[j.key]; ok {
-		info := e.infoLocked(dup)
+	f := e.inflight[key]
+	if f != nil && f.owner != nil {
+		info := e.infoLocked(f.owner)
 		e.mu.Unlock()
 		e.acct.Fleet().Add(obs.JobsDeduped, 1)
 		return info, nil
 	}
 	limit := e.queueDepth
-	if j.batch != nil {
+	if bs != nil {
 		limit *= 2
 	}
 	if len(e.pending) >= limit {
@@ -248,12 +240,16 @@ func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
 	j.id = fmt.Sprintf("j%d", e.nextID)
 	j.state = JobQueued
 	j.trace = obs.NewTrace() // t0 = submission; stage offsets are relative to it
-	j.trace.SetTraceParent(j.meta.Traceparent)
+	j.trace.SetTraceParent(meta.Traceparent)
 	j.created = j.trace.Start().UTC() // the epoch a retired job's timeline merges against
 	j.done = make(chan struct{})
 	e.jobs[j.id] = j
 	e.order = append(e.order, j.id)
-	e.active[j.key] = j
+	if f == nil {
+		e.inflight[key] = &flight{owner: j}
+	} else {
+		f.owner = j // a gang sub-placement is computing the key already
+	}
 	e.pending = append(e.pending, j)
 	info := e.infoLocked(j)
 	// Published under the lock and before startLocked, so "started" can
@@ -261,15 +257,15 @@ func (e *JobEngine) enqueue(j *job) (JobInfo, error) {
 	e.publish(j.event(EventSubmitted))
 	e.startLocked()
 	e.mu.Unlock()
-	e.acct.Tenant(j.meta.Tenant).Add(obs.JobsSubmitted, 1)
-	if j.batch != nil {
+	e.acct.Tenant(meta.Tenant).Add(obs.JobsSubmitted, 1)
+	if bs != nil {
 		e.acct.Fleet().Add(obs.BatchesSubmitted, 1)
 	}
 	return info, nil
 }
 
 // startLocked starts queued jobs, oldest first, while a run slot is free.
-// enqueue calls it after every admission and a finishing job after
+// Submit calls it after every admission and a finishing job after
 // releasing its slot. A closed engine starts nothing: Close has already
 // canceled the queue.
 func (e *JobEngine) startLocked() {
@@ -342,7 +338,7 @@ func (e *JobEngine) run(ctx context.Context, j *job) {
 		j.state = JobDone
 		j.result = res
 		// Caching is the closure's business: solo placements fill their
-		// per-graph slot inside runShared (where in-flight dedup lives),
+		// per-graph slot inside runShared (where execution dedup lives),
 		// batch closures fill per-graph slots as sub-placements complete,
 		// and auto-maintain keys are write-only version stamps nothing
 		// reads back.
@@ -566,8 +562,12 @@ func (e *JobEngine) retireLocked(j *job) {
 	j.runFn = nil
 	j.timeline = j.trace.Snapshot()
 	j.trace, j.cancel = nil, nil
-	if e.active[j.key] == j {
-		delete(e.active, j.key)
+	if f := e.inflight[j.key]; f != nil && f.owner == j {
+		if f.done == nil {
+			delete(e.inflight, j.key)
+		} else {
+			f.owner = nil // another job's computation of the key runs on
+		}
 	}
 	if len(e.jobs) <= e.maxJobs {
 		return

@@ -69,7 +69,7 @@ func TestCancelRunningJob(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 
-	info, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "k1", JobMeta{}, blockingFn(release))
+	info, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 1}, "k1", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestCancelQueuedJob(t *testing.T) {
 	defer e.Close()
 	release := make(chan struct{})
 
-	running, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "k1", JobMeta{}, blockingFn(release))
+	running, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 1}, "k1", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, e, running.ID, JobRunning)
-	queued, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 2}, "k2", JobMeta{}, blockingFn(release))
+	queued, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 2}, "k2", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +129,15 @@ func TestQueueFullRejects(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 
-	running, err := e.SubmitFunc("g1", PlaceSpec{K: 1}, "k1", JobMeta{}, blockingFn(release))
+	running, err := e.Submit("g1", PlaceSpec{K: 1}, "k1", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, e, running.ID, JobRunning)
-	if _, err := e.SubmitFunc("g1", PlaceSpec{K: 2}, "k2", JobMeta{}, blockingFn(release)); err != nil {
+	if _, err := e.Submit("g1", PlaceSpec{K: 2}, "k2", JobMeta{}, nil, blockingFn(release)); err != nil {
 		t.Fatalf("queue slot should be free: %v", err)
 	}
-	if _, err := e.SubmitFunc("g1", PlaceSpec{K: 3}, "k3", JobMeta{}, blockingFn(release)); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.Submit("g1", PlaceSpec{K: 3}, "k3", JobMeta{}, nil, blockingFn(release)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if acct.Total(obs.JobsRejected) != 1 {
@@ -148,7 +148,7 @@ func TestQueueFullRejects(t *testing.T) {
 func TestEngineCloseCancelsRunning(t *testing.T) {
 	e, _ := newTestEngine(2, 4)
 	never := make(chan struct{}) // only the context can unblock the job
-	info, err := e.SubmitFunc("g1", PlaceSpec{K: 1}, "k1", JobMeta{}, blockingFn(never))
+	info, err := e.Submit("g1", PlaceSpec{K: 1}, "k1", JobMeta{}, nil, blockingFn(never))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestEngineCloseCancelsRunning(t *testing.T) {
 	if got, _ := e.Get(info.ID); got.State != JobCanceled {
 		t.Errorf("state after close = %s, want canceled", got.State)
 	}
-	if _, err := e.SubmitFunc("g1", PlaceSpec{K: 1}, "k2", JobMeta{}, blockingFn(never)); !errors.Is(err, ErrClosed) {
+	if _, err := e.Submit("g1", PlaceSpec{K: 1}, "k2", JobMeta{}, nil, blockingFn(never)); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close: err = %v, want ErrClosed", err)
 	}
 	e.Close() // idempotent
 }
 
 // TestCloseRacesSubmitAndCancel is the shutdown-race regression test (run
-// under -race): Close concurrent with a storm of SubmitFunc and Cancel
+// under -race): Close concurrent with a storm of Submit and Cancel
 // calls must leave every accepted job in a terminal state, reject late
 // submissions with ErrClosed, and leak no goroutines. It also pins the
 // fast-cancel path: jobs still queued at Close are canceled WITHOUT
@@ -191,8 +191,8 @@ func TestCloseRacesSubmitAndCancel(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 16; i++ {
-					info, err := e.SubmitFunc("g1", PlaceSpec{K: 1},
-						fmt.Sprintf("key-%d-%d", g, i), JobMeta{}, slow)
+					info, err := e.Submit("g1", PlaceSpec{K: 1},
+						fmt.Sprintf("key-%d-%d", g, i), JobMeta{}, nil, slow)
 					if errors.Is(err, ErrClosed) || errors.Is(err, ErrQueueFull) {
 						continue
 					}
@@ -247,7 +247,7 @@ func TestCloseRacesSubmitAndCancel(t *testing.T) {
 func TestCloseDoesNotRunQueuedBacklog(t *testing.T) {
 	e, _ := newTestEngine(1, 16)
 	release := make(chan struct{})
-	running, err := e.SubmitFunc("g1", PlaceSpec{K: 1}, "running", JobMeta{}, blockingFn(release))
+	running, err := e.Submit("g1", PlaceSpec{K: 1}, "running", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCloseDoesNotRunQueuedBacklog(t *testing.T) {
 	var ran atomic.Int64
 	var queued []string
 	for i := 0; i < 16; i++ {
-		info, err := e.SubmitFunc("g1", PlaceSpec{K: 1}, fmt.Sprintf("q%d", i), JobMeta{},
+		info, err := e.Submit("g1", PlaceSpec{K: 1}, fmt.Sprintf("q%d", i), JobMeta{}, nil,
 			func(ctx context.Context) (*PlaceResult, error) {
 				ran.Add(1)
 				return nil, ctx.Err()
@@ -325,11 +325,11 @@ func TestSubmitDeduplicatesInFlight(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 
-	first, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "same-key", JobMeta{}, blockingFn(release))
+	first, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 1}, "same-key", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "same-key", JobMeta{}, blockingFn(release))
+	dup, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 1}, "same-key", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestTerminalJobRetentionBound(t *testing.T) {
 	defer cancel()
 	var last string
 	for i := 0; i < 6; i++ {
-		info, err := e.SubmitFunc("g1", PlaceSpec{K: 1}, string(rune('a'+i)), JobMeta{}, instant)
+		info, err := e.Submit("g1", PlaceSpec{K: 1}, string(rune('a'+i)), JobMeta{}, nil, instant)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,7 +149,7 @@ func ledgerWorkload(t *testing.T, s *Server, base string, joined func() int64) {
 
 	// A placement that joins an in-flight computation of the same key.
 	m, _, _ := s.registry.Get(g.ID)
-	f, _ := s.flights.join("ledger-flight")
+	f, _ := s.jobs.claim("ledger-flight")
 	follower := make(chan error, 1)
 	go func() {
 		_, err := s.runShared(context.Background(), "ledger-flight", gall, m, g.ID, s.acct.Tenant(tenant))
@@ -160,7 +160,7 @@ func ledgerWorkload(t *testing.T, s *Server, base string, joined func() int64) {
 			t.Fatal("follower never joined the flight")
 		}
 	}
-	s.flights.finish("ledger-flight", f, &PlaceResult{GraphID: g.ID}, nil)
+	s.jobs.settle("ledger-flight", f, &PlaceResult{GraphID: g.ID}, nil)
 	if err := <-follower; err != nil {
 		t.Fatalf("flight follower: %v", err)
 	}
@@ -180,23 +180,23 @@ func ledgerWorkload(t *testing.T, s *Server, base string, joined func() int64) {
 	spec := PlaceSpec{Algorithm: "gall", K: 1}
 	var held []string
 	for i := 0; i < s.jobs.slots; i++ {
-		j, err := s.jobs.SubmitFunc(g.ID, spec, fmt.Sprintf("ledger-run-%d", i), meta, block)
+		j, err := s.jobs.Submit(g.ID, spec, fmt.Sprintf("ledger-run-%d", i), meta, nil, block)
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitState(t, s.jobs, j.ID, JobRunning)
 		held = append(held, j.ID)
 	}
-	queued, err := s.jobs.SubmitFunc(g.ID, spec, "ledger-queued", meta, block)
+	queued, err := s.jobs.Submit(g.ID, spec, "ledger-queued", meta, nil, block)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.jobs.SubmitFunc(g.ID, spec, "ledger-queued", meta, block); err != nil {
+	if _, err := s.jobs.Submit(g.ID, spec, "ledger-queued", meta, nil, block); err != nil {
 		t.Fatal(err)
 	}
 	expect("overflow", ledgerCall(t, "POST", base+"/v1/graphs/"+g.ID+"/place", tenant, PlaceSpec{Algorithm: "gall", K: 3}, nil), http.StatusServiceUnavailable)
 	expect("cancel", ledgerCall(t, "DELETE", base+"/v1/jobs/"+queued.ID, tenant, nil, nil), http.StatusOK)
-	failing, err := s.jobs.SubmitFunc(g.ID, spec, "ledger-fail", meta, func(context.Context) (*PlaceResult, error) {
+	failing, err := s.jobs.Submit(g.ID, spec, "ledger-fail", meta, nil, func(context.Context) (*PlaceResult, error) {
 		return nil, errors.New("scripted failure")
 	})
 	if err != nil {

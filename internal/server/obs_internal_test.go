@@ -23,12 +23,12 @@ func TestJobTimelineCanceled(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 
-	running, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "run", JobMeta{}, blockingFn(release))
+	running, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 1}, "run", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, e, running.ID, JobRunning)
-	queued, err := e.SubmitFunc("g2", PlaceSpec{Algorithm: "gall", K: 1}, "queued", JobMeta{}, okFn)
+	queued, err := e.Submit("g2", PlaceSpec{Algorithm: "gall", K: 1}, "queued", JobMeta{}, nil, okFn)
 	if err != nil {
 		t.Fatal(err)
 	}

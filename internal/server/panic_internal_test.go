@@ -49,7 +49,7 @@ func TestServeHTTPRecoversPanic(t *testing.T) {
 func TestJobPanicFailsJob(t *testing.T) {
 	e, acct := newTestEngine(1, 4)
 	defer e.Close()
-	bad, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 1}, "k1", JobMeta{},
+	bad, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 1}, "k1", JobMeta{}, nil,
 		func(context.Context) (*PlaceResult, error) { panic("boom") })
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestJobPanicFailsJob(t *testing.T) {
 	// The single run slot must be free again.
 	release := make(chan struct{})
 	close(release)
-	next, err := e.SubmitFunc("g1", PlaceSpec{Algorithm: "gall", K: 2}, "k2", JobMeta{}, blockingFn(release))
+	next, err := e.Submit("g1", PlaceSpec{Algorithm: "gall", K: 2}, "k2", JobMeta{}, nil, blockingFn(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,9 @@ func TestFlightLeaderPanicFinishes(t *testing.T) {
 		}()
 		s.runShared(context.Background(), "k", PlaceSpec{Algorithm: "gall", K: 1}, nil, "g1", nil)
 	}()
-	f, leader := s.flights.join("k")
+	f, leader := s.jobs.claim("k")
 	if !leader {
 		t.Fatal("the panicked leader left its flight open")
 	}
-	s.flights.finish("k", f, nil, nil)
+	s.jobs.settle("k", f, nil, nil)
 }

@@ -192,7 +192,7 @@ func (s *Server) submitMaintain(id string, k int, meta JobMeta) (JobInfo, error)
 	}
 	key := fmt.Sprintf("%s|maintain|%d|float|v%d|", id, k, info.Patches)
 	spec := PlaceSpec{Algorithm: "maintain", K: k, Engine: "float"}
-	job, err := s.jobs.SubmitFunc(id, spec, key, meta, func(ctx context.Context) (*PlaceResult, error) {
+	job, err := s.jobs.Submit(id, spec, key, meta, nil, func(ctx context.Context) (*PlaceResult, error) {
 		return s.runMaintain(ctx, id, k)
 	})
 	if err == nil {

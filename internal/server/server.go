@@ -124,7 +124,6 @@ type Server struct {
 	registry       *Registry
 	jobs           *JobEngine
 	cache          *resultCache
-	flights        *flightTable
 	obs            *serverObs
 	logger         *slog.Logger
 	slowPlace      time.Duration
@@ -186,7 +185,6 @@ func New(cfg Config) *Server {
 		registry:         NewRegistry(cfg.MaxGraphs, acct.Fleet()),
 		jobs:             NewJobEngine(sched.Default().Workers(), cfg.QueueDepth, cfg.MaxJobs, acct, eo),
 		cache:            newResultCache(cfg.CacheSize, acct.Fleet()),
-		flights:          newFlightTable(),
 		obs:              so,
 		logger:           cfg.Logger,
 		slowPlace:        cfg.SlowPlaceThreshold,
