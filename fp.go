@@ -202,11 +202,9 @@ const (
 	// SampleBudget/SampleSeed) in PlaceOptions tunes it; the Result
 	// carries a sampled confidence interval on Φ(A).
 	StrategyApproxCELF = core.StrategyApproxCELF
-	// StrategyMLCELF is multilevel placement: coarsen the model into a
-	// quotient graph (PlaceOptions.Coarsen), run CELF — or, when Quality/
-	// SampleBudget ask for it, approx-celf — on the quotient, project the
-	// picks back, and locally refine within each supernode's fiber. With
-	// lossless coarsening the result is bit-for-bit CELF's; the Placement
+	// StrategyMLCELF is multilevel placement: coarsen the model losslessly
+	// (Coarsen), run exact CELF on the quotient and project each pick to
+	// its supernode head. The result is bit-for-bit CELF's; the Placement
 	// carries the contraction's CoarsenStats.
 	StrategyMLCELF = core.StrategyMLCELF
 )
@@ -526,14 +524,12 @@ type SampleOptions = flow.SampleOptions
 // NewSampling builds a sampled estimator over the model.
 func NewSampling(m *Model, opts SampleOptions) *SamplingEngine { return flow.NewSampling(m, opts) }
 
-// CoarsenOptions configures Coarsen (and PlaceOptions.Coarsen for
-// StrategyMLCELF): lossless-only contraction, the bounded target ratio,
-// and the round cap.
+// CoarsenOptions configures Coarsen. It has no fields: contraction always
+// runs the lossless rules to their fixpoint.
 type CoarsenOptions = flow.CoarsenOptions
 
 // CoarsenStats reports what a contraction did — node/edge counts before
-// and after, per-rule fire counts, and whether every rule that fired was
-// Φ-exact (LosslessOnly).
+// and after, and how many nodes each rule contracted.
 type CoarsenStats = flow.CoarsenStats
 
 // CoarsenMap is the reversible record of a contraction: which original
@@ -543,11 +539,10 @@ type CoarsenStats = flow.CoarsenStats
 type CoarsenMap = flow.CoarsenMap
 
 // Coarsen contracts an unweighted model into a quotient model by chain
-// folding, sink absorption and (unless opts.Lossless) modular-twin
-// merging. Per-supernode multiplicity weights make the quotient's Φ
-// equal (lossless rules) or a tight bound (twin merging) of the
-// original's, and the contraction is deterministic for a given model and
-// options. StrategyMLCELF runs this under the hood; call it directly to
+// folding and sink absorption. Per-supernode multiplicity weights make the
+// quotient's Φ, marginal gains and argmax equal the original's at every
+// matching filter set, and the contraction is deterministic for a given
+// model. StrategyMLCELF runs this under the hood; call it directly to
 // inspect or reuse a quotient.
 func Coarsen(m *Model, opts CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, error) {
 	return flow.Coarsen(m, opts)

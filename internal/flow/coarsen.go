@@ -2,15 +2,14 @@ package flow
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
 
 // Graph coarsening for multilevel placement: contract a Model into a
 // quotient graph small enough that CELF's V-sized sweeps become cheap,
-// while Φ on the quotient equals (lossless rules) or tightly bounds
-// (twin merging) Φ on the original.
+// while Φ on the quotient equals Φ on the original at every matching
+// filter set.
 //
 // The quotient is a plain unweighted DAG over SUPERNODES plus one integer
 // per supernode — its multiplicity weight w(u), the number of contracted
@@ -19,62 +18,34 @@ import (
 //
 //	Φ_q = Σ_u rec(u) + w(u)·emit(u)        suffix_q(u) = w(u) + Σ edge terms
 //
-// Three contraction rules, applied in rounds until a fixpoint (lossless
-// rules) and, in bounded mode, until the target ratio is reached:
+// Two lossless contraction rules, applied until neither fires:
 //
-//   - FOLD (lossless): a non-source supernode whose live external
-//     in-degree — counted with edge multiplicity — is exactly 1 folds
-//     into the supernode feeding it: w(parent) += 1 + w(child), and the
-//     child's external out-edges become the parent's. This contracts
-//     linear chains AND single-parent fan-out trees in one sweep, because
-//     every member of a folded group provably receives exactly emit(head)
+//   - FOLD: a non-source supernode whose live external in-degree —
+//     counted with edge multiplicity — is exactly 1 folds into the
+//     supernode feeding it: w(parent) += 1 + w(child), and the child's
+//     external out-edges become the parent's. This contracts linear
+//     chains AND single-parent fan-out trees in one sweep, because every
+//     member of a folded group provably receives exactly emit(head)
 //     (each member's sole in-edge comes from inside the group, forming a
 //     tree of single-in relays rooted at the head).
-//   - SINK ABSORPTION (lossless): a memberless (w = 0) non-source
-//     supernode with no live out-edges is dissolved into pure weight:
-//     each live in-edge (p, t) adds 1 to w(find(p)) — t received one copy
-//     of emit(find(p))'s head per edge, and its gain is identically 0
+//   - SINK ABSORPTION: a memberless (w = 0) non-source supernode with no
+//     live out-edges is dissolved into pure weight: each live in-edge
+//     (p, t) adds 1 to w(find(p)) — t received one copy of
+//     emit(find(p))'s head per edge, and its gain is identically 0
 //     (suffix 0), so no candidate is lost. Processed in reverse
 //     topological order so freshly exposed sinks cascade in one sweep.
-//     Supernodes WITH members are never absorbed: their gain
-//     (rec−1)·w is real and they must stay placeable.
-//   - TWIN MERGE (bounded, only when Lossless is false): supernodes with
-//     identical live in-neighbor multisets — which always receive equal
-//     copy counts, and between which no path can exist — merge:
-//     w(x) += 1 + w(y), y's in-edges die, y's out-edges transfer to x
-//     (as parallel edges, preserving multiplicity). Φ(∅) stays exact;
-//     under filters the quotient treats x and y as filtered together, so
-//     placements need the local refinement step to pick the best fiber
-//     member. Merging is DAG-safe: a path x ⇝ y would give y an
-//     in-neighbor at depth ≥ depth(x), which — being also an in-neighbor
-//     of x — contradicts depth(x) > depth(in-neighbor).
+//     Supernodes WITH members are never absorbed: their gain (rec−1)·w
+//     is real and they must stay placeable.
 //
 // Everything is deterministic: passes sweep ascending node/edge order or
-// the model's topological order, twin classes are resolved in ascending
-// head order, and quotient ids are assigned ascending by head original
-// id — which preserves argmax tie-breaking (quotient id order == head id
-// order) so lossless quotient CELF picks exactly the original's filters.
+// the model's topological order, and quotient ids are assigned ascending
+// by head original id — which preserves argmax tie-breaking (quotient id
+// order == head id order) so quotient CELF picks exactly the original's
+// filters.
 
-// CoarsenOptions configures Coarsen.
-type CoarsenOptions struct {
-	// TargetRatio stops BOUNDED contraction once the quotient has shrunk
-	// to TargetRatio·N nodes; 0 coarsens to a fixpoint. Lossless rules
-	// always run to fixpoint regardless (they never cost quality).
-	// Must lie in [0, 1].
-	TargetRatio float64
-	// Lossless restricts contraction to the provably Φ-exact rules (fold,
-	// sink absorption). The quotient then evaluates bit-identically to
-	// the original at matching filter sets, and multilevel placement
-	// needs no refinement.
-	Lossless bool
-	// MaxRounds bounds the contraction rounds; 0 means DefaultCoarsenRounds.
-	MaxRounds int
-}
-
-// DefaultCoarsenRounds bounds contraction rounds when
-// CoarsenOptions.MaxRounds is 0. Each round is O(N + M); real graphs
-// reach their fixpoint in a handful.
-const DefaultCoarsenRounds = 16
+// CoarsenOptions configures Coarsen. It has no fields: contraction always
+// runs the lossless rules to their fixpoint.
+type CoarsenOptions struct{}
 
 // CoarsenStats reports what a contraction did.
 type CoarsenStats struct {
@@ -82,15 +53,8 @@ type CoarsenStats struct {
 	NodesAfter    int `json:"nodes_after"`
 	EdgesBefore   int `json:"edges_before"`
 	EdgesAfter    int `json:"edges_after"`
-	Rounds        int `json:"rounds"`
 	Folded        int `json:"folded"`
 	SinksAbsorbed int `json:"sinks_absorbed"`
-	TwinsMerged   int `json:"twins_merged"`
-	// LosslessOnly reports that every rule that actually fired was
-	// Φ-exact — true whenever Lossless was requested, and also in bounded
-	// mode when no twin class existed. When true, quotient evaluation is
-	// bit-identical to the original and projection needs no refinement.
-	LosslessOnly bool `json:"lossless_only"`
 }
 
 // CoarsenMap is the reversible record of a contraction: which original
@@ -156,7 +120,6 @@ type coarsener struct {
 	parent   []int32 // union-find, path-halving; root == supernode head
 	w        []int64 // per-root multiplicity weight
 	absorbed []bool  // per-root: dissolved into pure weight
-	alive    int     // live roots
 
 	// Per-pass scratch, reset by each pass that uses it.
 	cnt  []int32 // live in- or out-edge count per root
@@ -181,7 +144,7 @@ func (c *coarsener) find(v int32) int32 {
 func newCoarsener(m *Model) *coarsener {
 	g := m.Graph()
 	n := g.N()
-	c := &coarsener{m: m, n: n, alive: n}
+	c := &coarsener{m: m, n: n}
 	c.edges = make([][2]int32, 0, g.M())
 	for u := 0; u < n; u++ {
 		for _, v := range g.Out(u) {
@@ -257,7 +220,6 @@ func (c *coarsener) foldPass() int {
 		c.parent[r] = p
 		c.w[p] += 1 + c.w[r]
 		c.dead[eid[r]] = true
-		c.alive--
 		changed++
 	}
 	c.stats.Folded += changed
@@ -286,7 +248,6 @@ func (c *coarsener) sinkPass() int {
 		// w == 0 means r never acquired members, so its only in-edges are
 		// its own original ones.
 		c.absorbed[r] = true
-		c.alive--
 		changed++
 		for _, id := range c.inIdx[c.inIdxOff[r]:c.inIdxOff[r+1]] {
 			if c.dead[id] {
@@ -304,145 +265,25 @@ func (c *coarsener) sinkPass() int {
 	return changed
 }
 
-// twinPass merges supernodes with identical live in-neighbor multisets
-// (bounded rule). Classes resolve in ascending head order; within a
-// class everyone merges into the smallest head.
-func (c *coarsener) twinPass() int {
-	// Gather each live root's in-signature: the multiset of feeder roots,
-	// plus the edge ids backing it (to kill on merge). Signatures are
-	// collected per root from the global live-edge sweep, so the rule
-	// stays correct even if a future rule ever left a live edge
-	// targeting a non-head member.
-	type sig struct {
-		srcs []int32 // sorted feeder roots, multiset
-		eids []int32 // live in-edge ids of this root's group
-		h    uint64  // multiset hash of srcs
-	}
-	sigs := make(map[int32]*sig, c.alive)
-	for id, e := range c.edges {
-		if c.dead[id] {
-			continue
-		}
-		ru, rv := c.find(e[0]), c.find(e[1])
-		if ru == rv {
-			c.dead[id] = true
-			continue
-		}
-		s := sigs[rv]
-		if s == nil {
-			s = &sig{}
-			sigs[rv] = s
-		}
-		s.srcs = append(s.srcs, ru)
-		s.eids = append(s.eids, int32(id))
-	}
-	// Hash-bucket the signatures; resolve buckets in ascending head order.
-	buckets := make(map[uint64][]int32)
-	order := make([]int32, 0, len(sigs))
-	for r, s := range sigs {
-		if !c.liveRoot(r) || c.m.IsSource(int(r)) {
-			continue
-		}
-		sort.Slice(s.srcs, func(i, j int) bool { return s.srcs[i] < s.srcs[j] })
-		s.h = mix64(uint64(len(s.srcs)) + sampleGamma)
-		for _, u := range s.srcs {
-			s.h = mix64(s.h ^ mix64(uint64(u)+sampleGamma))
-		}
-		buckets[s.h] = append(buckets[s.h], r)
-		order = append(order, r)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, rs := range buckets {
-		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	}
-	equal := func(a, b []int32) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	changed := 0
-	merged := make(map[int32]bool)
-	for _, x := range order {
-		if merged[x] || !c.liveRoot(x) {
-			continue
-		}
-		sx := sigs[x]
-		for _, y := range buckets[sx.h] {
-			if y <= x || merged[y] || !c.liveRoot(y) {
-				continue
-			}
-			if !equal(sx.srcs, sigs[y].srcs) {
-				continue
-			}
-			// Merge y into x: y's group joins x's, y's in-edges die
-			// (their reception is now x's, weight-compensated), y's
-			// out-edges implicitly transfer (their source root is x now).
-			c.parent[y] = x
-			c.w[x] += 1 + c.w[y]
-			for _, id := range sigs[y].eids {
-				c.dead[id] = true
-			}
-			merged[y] = true
-			c.alive--
-			changed++
-		}
-		merged[x] = true
-	}
-	c.stats.TwinsMerged += changed
-	return changed
-}
-
-// Coarsen contracts m into a quotient model. The returned model carries
-// per-supernode multiplicity weights (NewCoarseModel semantics), the map
-// records the contraction reversibly, and the stats say what fired.
-// Weighted (probabilistic) models cannot be coarsened — the fold
-// identity needs exact unit relays.
-func Coarsen(m *Model, opts CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, error) {
+// Coarsen contracts m into a quotient model whose Φ, marginal gains and
+// argmax are bit-identical to m's at every matching filter set. The
+// returned model carries per-supernode multiplicity weights
+// (NewCoarseModel semantics), the map records the contraction reversibly,
+// and the stats say what fired. Weighted (probabilistic) models cannot be
+// coarsened — the fold identity needs exact unit relays — and neither can
+// a model that is already a quotient.
+func Coarsen(m *Model, _ CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, error) {
 	if m.Weighted() {
 		return nil, nil, CoarsenStats{}, fmt.Errorf("flow: cannot coarsen a weighted model")
 	}
 	if m.Coarse() {
 		return nil, nil, CoarsenStats{}, fmt.Errorf("flow: cannot coarsen an already-coarse model")
 	}
-	if opts.TargetRatio < 0 || opts.TargetRatio > 1 {
-		return nil, nil, CoarsenStats{}, fmt.Errorf("flow: coarsen target ratio %v outside [0, 1]", opts.TargetRatio)
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultCoarsenRounds
-	}
 	c := newCoarsener(m)
-	target := int(opts.TargetRatio * float64(c.n))
-	for c.stats.Rounds < maxRounds {
-		changed := 0
-		// Lossless rules always run to their fixpoint: they cost nothing
-		// in quality, and every node they remove is one CELF never sweeps.
-		for {
-			f := c.foldPass() + c.sinkPass()
-			changed += f
-			if f == 0 {
-				break
-			}
-		}
-		c.stats.Rounds++
-		if opts.Lossless || c.alive <= target {
-			break
-		}
-		t := c.twinPass()
-		changed += t
-		if t == 0 || changed == 0 {
-			break
-		}
-		// Twin merges can expose new folds (merged groups may leave a
-		// downstream node with a single live feeder); loop.
+	// A fold can leave a memberless sink and an absorption can leave a
+	// feeder foldable, so alternate the sweeps until neither fires.
+	for c.foldPass()+c.sinkPass() > 0 {
 	}
-	c.stats.LosslessOnly = c.stats.TwinsMerged == 0
 	qm, cm, err := c.buildQuotient()
 	if err != nil {
 		return nil, nil, CoarsenStats{}, err
@@ -515,7 +356,7 @@ func (c *coarsener) buildQuotient() (*Model, *CoarsenMap, error) {
 		return nil, nil, fmt.Errorf("flow: quotient build: %w", err)
 	}
 	// Sources survive contraction untouched (in-degree 0 nodes never
-	// fold, twin or absorb), so they map 1:1 onto quotient ids.
+	// fold or absorb), so they map 1:1 onto quotient ids.
 	qsources := make([]int, len(c.m.Sources()))
 	for i, s := range c.m.Sources() {
 		q := qid[int32(s)]

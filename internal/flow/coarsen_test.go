@@ -259,12 +259,9 @@ func TestCoarsenLosslessGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			qm, cm, st, err := Coarsen(m, CoarsenOptions{Lossless: true})
+			qm, cm, st, err := Coarsen(m, CoarsenOptions{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !st.LosslessOnly || st.TwinsMerged != 0 {
-				t.Fatalf("lossless coarsen fired twins: %+v", st)
 			}
 			if st.NodesAfter >= st.NodesBefore && st.Folded+st.SinksAbsorbed > 0 {
 				t.Fatalf("stats inconsistent: %+v", st)
@@ -280,7 +277,7 @@ func TestCoarsenLosslessGolden(t *testing.T) {
 func TestCoarsenChainHeavyShrinks(t *testing.T) {
 	g := chainHeavyGraph(t, 1000, 3)
 	m := MustModel(g, nil)
-	_, _, st, err := Coarsen(m, CoarsenOptions{Lossless: true})
+	_, _, st, err := Coarsen(m, CoarsenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,97 +286,43 @@ func TestCoarsenChainHeavyShrinks(t *testing.T) {
 	}
 }
 
-func TestCoarsenBoundedTwins(t *testing.T) {
-	m := MustModel(twinRichGraph(t), nil)
-	qm, cm, st, err := Coarsen(m, CoarsenOptions{Lossless: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TwinsMerged == 0 {
-		t.Fatalf("twin-rich graph merged no twins: %+v", st)
-	}
-	if st.LosslessOnly {
-		t.Fatalf("LosslessOnly set despite twin merges: %+v", st)
-	}
-	checkFiberPartition(t, m, cm)
-	// Twin merging preserves Φ(∅) exactly even though filtered Φ is only
-	// bounded.
-	ob, qb := NewBig(m), NewBig(qm)
-	if ob.PhiBig(nil).Cmp(qb.PhiBig(nil)) != 0 {
-		t.Fatalf("bounded coarsen broke Φ(∅): orig %v quotient %v", ob.PhiBig(nil), qb.PhiBig(nil))
-	}
-	// And it must shrink strictly further than lossless alone.
-	_, _, lst, err := Coarsen(m, CoarsenOptions{Lossless: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NodesAfter >= lst.NodesAfter {
-		t.Fatalf("bounded (%d nodes) not smaller than lossless (%d nodes)", st.NodesAfter, lst.NodesAfter)
-	}
-}
-
-func TestCoarsenTargetRatio(t *testing.T) {
-	g := chainHeavyGraph(t, 600, 5)
-	m := MustModel(g, nil)
-	// Ratio 1 in bounded mode: lossless rules still run to fixpoint, but
-	// no twin round starts.
-	_, _, st, err := Coarsen(m, CoarsenOptions{TargetRatio: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TwinsMerged != 0 {
-		t.Fatalf("ratio 1 still merged twins: %+v", st)
-	}
-	if st.Folded == 0 {
-		t.Fatalf("lossless rules skipped at ratio 1: %+v", st)
-	}
-	if _, _, _, err := Coarsen(m, CoarsenOptions{TargetRatio: 1.5}); err == nil {
-		t.Fatal("TargetRatio 1.5 accepted")
-	}
-	if _, _, _, err := Coarsen(m, CoarsenOptions{TargetRatio: -0.1}); err == nil {
-		t.Fatal("negative TargetRatio accepted")
-	}
-}
-
 func TestCoarsenDeterminism(t *testing.T) {
 	g := chainHeavyGraph(t, 500, 11)
 	m := MustModel(g, nil)
-	for _, lossless := range []bool{true, false} {
-		qm1, cm1, st1, err := Coarsen(m, CoarsenOptions{Lossless: lossless})
-		if err != nil {
-			t.Fatal(err)
+	qm1, cm1, st1, err := Coarsen(m, CoarsenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qm2, cm2, st2, err := Coarsen(m, CoarsenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1 != st2 {
+		t.Fatalf("stats differ across runs: %+v vs %+v", st1, st2)
+	}
+	if cm1.QN() != cm2.QN() {
+		t.Fatal("quotient sizes differ")
+	}
+	for q := 0; q < cm1.QN(); q++ {
+		if cm1.Head(q) != cm2.Head(q) {
+			t.Fatalf("head of q%d differs: %d vs %d", q, cm1.Head(q), cm2.Head(q))
 		}
-		qm2, cm2, st2, err := Coarsen(m, CoarsenOptions{Lossless: lossless})
-		if err != nil {
-			t.Fatal(err)
+		if qm1.NodeWeight(q) != qm2.NodeWeight(q) {
+			t.Fatalf("mul of q%d differs", q)
 		}
-		if st1 != st2 {
-			t.Fatalf("lossless=%v: stats differ across runs: %+v vs %+v", lossless, st1, st2)
+	}
+	g1, g2 := qm1.Graph(), qm2.Graph()
+	if g1.M() != g2.M() {
+		t.Fatalf("edge counts differ: %d vs %d", g1.M(), g2.M())
+	}
+	for v := 0; v < g1.N(); v++ {
+		o1, o2 := g1.Out(v), g2.Out(v)
+		if len(o1) != len(o2) {
+			t.Fatalf("out-degree of q%d differs", v)
 		}
-		if cm1.QN() != cm2.QN() {
-			t.Fatalf("lossless=%v: quotient sizes differ", lossless)
-		}
-		for q := 0; q < cm1.QN(); q++ {
-			if cm1.Head(q) != cm2.Head(q) {
-				t.Fatalf("lossless=%v: head of q%d differs: %d vs %d", lossless, q, cm1.Head(q), cm2.Head(q))
-			}
-			if qm1.NodeWeight(q) != qm2.NodeWeight(q) {
-				t.Fatalf("lossless=%v: mul of q%d differs", lossless, q)
-			}
-		}
-		g1, g2 := qm1.Graph(), qm2.Graph()
-		if g1.M() != g2.M() {
-			t.Fatalf("lossless=%v: edge counts differ: %d vs %d", lossless, g1.M(), g2.M())
-		}
-		for v := 0; v < g1.N(); v++ {
-			o1, o2 := g1.Out(v), g2.Out(v)
-			if len(o1) != len(o2) {
-				t.Fatalf("lossless=%v: out-degree of q%d differs", lossless, v)
-			}
-			for j := range o1 {
-				if o1[j] != o2[j] {
-					t.Fatalf("lossless=%v: out-edge %d of q%d differs", lossless, j, v)
-				}
+		for j := range o1 {
+			if o1[j] != o2[j] {
+				t.Fatalf("out-edge %d of q%d differs", j, v)
 			}
 		}
 	}
@@ -391,7 +334,7 @@ func TestCoarsenRejects(t *testing.T) {
 	if _, _, _, err := Coarsen(wm, CoarsenOptions{}); err == nil {
 		t.Fatal("coarsened a weighted model")
 	}
-	qm, _, _, err := Coarsen(m, CoarsenOptions{Lossless: true})
+	qm, _, _, err := Coarsen(m, CoarsenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +350,7 @@ func TestCoarsenRejects(t *testing.T) {
 // exact and must match the float engine bit for bit.
 func TestCoarseModelSampling(t *testing.T) {
 	m := MustModel(chainHeavyGraph(t, 300, 9), nil)
-	qm, _, _, err := Coarsen(m, CoarsenOptions{Lossless: true})
+	qm, _, _, err := Coarsen(m, CoarsenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +379,11 @@ func TestCoarseModelSampling(t *testing.T) {
 }
 
 func FuzzCoarsen(f *testing.F) {
-	f.Add(uint8(20), uint8(30), int64(1), true)
-	f.Add(uint8(40), uint8(10), int64(2), false)
-	f.Add(uint8(60), uint8(5), int64(3), true)
-	f.Add(uint8(12), uint8(80), int64(4), false)
-	f.Fuzz(func(t *testing.T, nRaw, pRaw uint8, seed int64, lossless bool) {
+	f.Add(uint8(20), uint8(30), int64(1))
+	f.Add(uint8(40), uint8(10), int64(2))
+	f.Add(uint8(60), uint8(5), int64(3))
+	f.Add(uint8(12), uint8(80), int64(4))
+	f.Fuzz(func(t *testing.T, nRaw, pRaw uint8, seed int64) {
 		n := 2 + int(nRaw)%62
 		p := float64(pRaw%100) / 200 // edge probability in [0, 0.5)
 		rng := rand.New(rand.NewSource(seed))
@@ -460,7 +403,7 @@ func FuzzCoarsen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qm, cm, st, err := Coarsen(m, CoarsenOptions{Lossless: lossless})
+		qm, cm, st, err := Coarsen(m, CoarsenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,11 +414,10 @@ func FuzzCoarsen(f *testing.F) {
 			}
 		}
 
-		// Φ(∅) is exact under EVERY rule, twin merges included.
 		ob, qb := NewBig(m), NewBig(qm)
 		if ob.PhiBig(nil).Cmp(qb.PhiBig(nil)) != 0 {
-			t.Fatalf("Φ(∅) mismatch (lossless=%v, stats %+v): orig %v quotient %v",
-				lossless, st, ob.PhiBig(nil), qb.PhiBig(nil))
+			t.Fatalf("Φ(∅) mismatch (stats %+v): orig %v quotient %v",
+				st, ob.PhiBig(nil), qb.PhiBig(nil))
 		}
 
 		// Round-trip projection: quotient picks project to their heads.
@@ -492,11 +434,8 @@ func FuzzCoarsen(f *testing.F) {
 			}
 		}
 
-		if !st.LosslessOnly {
-			return
-		}
-		// Lossless contractions: filtered Φ, impacts and argmax must be
-		// exactly the original's at head-filter sets.
+		// Filtered Φ, impacts and argmax must be exactly the original's at
+		// head-filter sets.
 		qmask := make([]bool, qm.N())
 		for _, q := range qpicks {
 			if !qm.IsSource(q) {

@@ -45,7 +45,7 @@ func TestPartialExtremes(t *testing.T) {
 	// every pass must honour: leak 0 is exactly the perfect filter there
 	// too, with no filter and with one interior filter.
 	g, src := gen.ChainDAG(300, 2, 4)
-	qm, _, _, err := Coarsen(MustModel(g, []int{src}), CoarsenOptions{Lossless: true})
+	qm, _, _, err := Coarsen(MustModel(g, []int{src}), CoarsenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

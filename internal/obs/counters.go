@@ -71,8 +71,6 @@ var (
 	ApproxExactRechecks    = counter("approx_exact_rechecks_total", "", "Exact oracle evaluations spent by estimate-driven placements.")
 	CoarsenPlacements      = counter("coarsen_placements_total", "coarsen_placements", "Multilevel placements run through graph coarsening.")
 	CoarsenNodesContracted = counter("coarsen_nodes_contracted_total", "coarsen_nodes_contracted", "Nodes removed by graph coarsening.")
-	CoarsenRounds          = counter("coarsen_rounds_total", "", "Graph-coarsening contraction rounds.")
-	CoarsenLossless        = counter("coarsen_lossless_total", "", "Multilevel placements that stayed on the lossless rules.")
 	Placements             = counter("", "placements", "Placements executed.")
 	ForwardPasses          = counter("", "forward_passes", "Forward topological passes executed.")
 	SuffixPasses           = counter("", "suffix_passes", "Suffix topological passes executed.")

@@ -129,7 +129,7 @@ func ledgerWorkload(t *testing.T, s *Server, base string, joined func() int64) {
 	place(g.ID, gall)
 	expect("cached gall", ledgerCall(t, "POST", base+"/v1/graphs/"+g.ID+"/place", tenant, gall, nil), http.StatusOK)
 	place(g.ID, PlaceSpec{Algorithm: "approx", K: 2})
-	place(g.ID, PlaceSpec{Algorithm: "mlcelf", K: 2, Coarsen: "lossless"})
+	place(g.ID, PlaceSpec{Algorithm: "mlcelf", K: 2})
 	place(p.ID, PlaceSpec{Algorithm: "celf", K: 1})
 
 	// A gang batch.

@@ -50,8 +50,6 @@ type MetricsSnapshot struct {
 	ApproxExactRechecks      int64 `json:"approx_exact_rechecks_total"`
 	CoarsenPlacements        int64 `json:"coarsen_placements_total"`
 	CoarsenNodesContracted   int64 `json:"coarsen_nodes_contracted_total"`
-	CoarsenRounds            int64 `json:"coarsen_rounds_total"`
-	CoarsenLossless          int64 `json:"coarsen_lossless_total"`
 }
 
 // gauge is a point-in-time reading sampled next to the counter ledger;

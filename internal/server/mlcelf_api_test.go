@@ -10,9 +10,10 @@ import (
 )
 
 // TestMLCELFPlacementEndToEnd drives multilevel placement through the
-// HTTP surface: an async "mlcelf" job returns filters plus coarsening
-// stats, its timeline records the coarsen stage, the fpd_coarsen_*
-// counters move, and the tenant is charged for the contraction.
+// HTTP surface: an async "mlcelf" job returns celf's filters plus
+// coarsening stats, its timeline records the coarsen stage, the
+// fpd_coarsen_* counters move, and the tenant is charged for the
+// contraction.
 func TestMLCELFPlacementEndToEnd(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	info := uploadLayered(t, ts.URL, 23)
@@ -20,7 +21,7 @@ func TestMLCELFPlacementEndToEnd(t *testing.T) {
 	var ji server.JobInfo
 	code, _ := doJSONHeaders(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place",
 		map[string]string{"X-FP-Tenant": "coarseco"},
-		server.PlaceSpec{Algorithm: "mlcelf", K: 3, Coarsen: "lossless"}, &ji)
+		server.PlaceSpec{Algorithm: "mlcelf", K: 3}, &ji)
 	if code != http.StatusAccepted {
 		t.Fatalf("mlcelf place: status %d, want 202", code)
 	}
@@ -38,9 +39,6 @@ func TestMLCELFPlacementEndToEnd(t *testing.T) {
 	if res.Coarsen == nil {
 		t.Fatal("mlcelf result carries no coarsen stats")
 	}
-	if !res.Coarsen.LosslessOnly {
-		t.Errorf("lossless run reported %+v", res.Coarsen)
-	}
 	if res.Coarsen.NodesAfter > res.Coarsen.NodesBefore {
 		t.Errorf("coarsen stats grew the graph: %+v", res.Coarsen)
 	}
@@ -51,7 +49,7 @@ func TestMLCELFPlacementEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A lossless mlcelf placement equals celf's on the same graph.
+	// An mlcelf placement equals celf's on the same graph.
 	var celfJob server.JobInfo
 	code, _ = doJSONHeaders(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place", nil,
 		server.PlaceSpec{Algorithm: "celf", K: 3}, &celfJob)
@@ -78,9 +76,9 @@ func TestMLCELFPlacementEndToEnd(t *testing.T) {
 	if code := doJSON(t, "GET", ts.URL+"/metrics", nil, &snap); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
-	if snap.CoarsenPlacements < 1 || snap.CoarsenLossless < 1 {
-		t.Errorf("coarsen counters = (%d placements, %d lossless), want both ≥ 1",
-			snap.CoarsenPlacements, snap.CoarsenLossless)
+	if snap.CoarsenPlacements < 1 || snap.CoarsenNodesContracted < 1 {
+		t.Errorf("coarsen counters = (%d placements, %d nodes contracted), want both ≥ 1",
+			snap.CoarsenPlacements, snap.CoarsenNodesContracted)
 	}
 
 	// Tenant accounting charges the contraction (charged as the worker
@@ -118,7 +116,7 @@ func TestMLCELFPlacementEndToEnd(t *testing.T) {
 	var cached server.PlaceResult
 	code, _ = doJSONHeaders(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place",
 		map[string]string{"X-FP-Tenant": "coarseco"},
-		server.PlaceSpec{Algorithm: "mlcelf", K: 3, Coarsen: "lossless"}, &cached)
+		server.PlaceSpec{Algorithm: "mlcelf", K: 3}, &cached)
 	if code != http.StatusOK || !cached.Cached {
 		t.Errorf("identical mlcelf resubmit not served from cache: status %d, %+v", code, cached)
 	}
@@ -126,19 +124,20 @@ func TestMLCELFPlacementEndToEnd(t *testing.T) {
 		t.Error("cached mlcelf result lost its coarsen stats")
 	}
 
-	// A different coarsen mode is a different cache slot.
-	var other server.JobInfo
-	code, _ = doJSONHeaders(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place", nil,
-		server.PlaceSpec{Algorithm: "mlcelf", K: 3}, &other)
-	if code != http.StatusAccepted {
-		t.Errorf("different coarsen mode reused the cache slot: status %d", code)
-	} else {
-		waitJob(t, ts.URL, other.ID)
+	// Every retired coarsen mode names the same lossless path, so it
+	// shares the cache slot.
+	for _, mode := range []string{"lossless", "bounded"} {
+		var folded server.PlaceResult
+		code, _ = doJSONHeaders(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place", nil,
+			server.PlaceSpec{Algorithm: "mlcelf", K: 3, Coarsen: mode}, &folded)
+		if code != http.StatusOK || !folded.Cached {
+			t.Errorf("coarsen %q missed the default slot: status %d, %+v", mode, code, folded)
+		}
 	}
 }
 
-// TestMLCELFPlacementValidation pins the coarsen knobs' server-side
-// contract: bad modes and ratios are rejected, and the fields are
+// TestMLCELFPlacementValidation pins the coarsen knob's server-side
+// contract: unknown modes are rejected for mlcelf, and the field is
 // irrelevant (zeroed, same cache slot) for other algorithms.
 func TestMLCELFPlacementValidation(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
@@ -146,16 +145,14 @@ func TestMLCELFPlacementValidation(t *testing.T) {
 
 	for _, bad := range []server.PlaceSpec{
 		{Algorithm: "mlcelf", K: 1, Coarsen: "sideways"},
-		{Algorithm: "mlcelf", K: 1, CoarsenRatio: 1.5},
-		{Algorithm: "mlcelf", K: 1, CoarsenRatio: -0.1},
 	} {
 		if code := doJSON(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place", bad, nil); code != http.StatusBadRequest {
 			t.Errorf("spec %+v: status %d, want 400", bad, code)
 		}
 	}
 
-	// Coarsen fields on a non-multilevel algorithm are ignored, not an
-	// error — validate zeroes them, so the decorated request lands in the
+	// The coarsen field on a non-multilevel algorithm is ignored, not an
+	// error — validate zeroes it, so the decorated request lands in the
 	// same cache slot as the plain one.
 	var ji server.JobInfo
 	if code := doJSON(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place",
@@ -165,7 +162,7 @@ func TestMLCELFPlacementValidation(t *testing.T) {
 	waitJob(t, ts.URL, ji.ID)
 	var second server.PlaceResult
 	if code := doJSON(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place",
-		server.PlaceSpec{Algorithm: "celf", K: 1, Coarsen: "lossless", CoarsenRatio: 0.5}, &second); code != http.StatusOK {
+		server.PlaceSpec{Algorithm: "celf", K: 1, Coarsen: "lossless"}, &second); code != http.StatusOK {
 		t.Fatalf("decorated celf: status %d", code)
 	}
 	if !second.Cached {

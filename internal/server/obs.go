@@ -25,8 +25,8 @@ type serverObs struct {
 	// via sched.Pool.SetQueueWaitSampler.
 	schedWait *obs.Histogram
 	// placeStage is per-stage placement time (greedy-round, celf-init,
-	// celf-recheck, naive-round, build-evaluator, coarsen, refine,
-	// maintain), fed by each job trace's sink.
+	// celf-recheck, naive-round, build-evaluator, coarsen, maintain), fed
+	// by each job trace's sink.
 	placeStage *obs.HistogramVec
 }
 

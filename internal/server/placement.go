@@ -34,16 +34,10 @@ type PlaceSpec struct {
 	// SampleBudget overrides the sampled pass count derived from Quality
 	// (approx only; 0 derives from Quality).
 	SampleBudget int `json:"sample_budget,omitempty"`
-	// Coarsen selects the mlcelf contraction mode: "lossless" restricts
-	// coarsening to the bit-exactness-preserving rules, "bounded" (the
-	// default) also merges modular twins and locally refines the projected
-	// picks. Zeroed for every other algorithm.
+	// Coarsen is a retired mlcelf knob, accepted and ignored: mlcelf
+	// always coarsens losslessly, so "", "lossless" and "bounded" share
+	// one cache slot. Any other value is rejected for mlcelf.
 	Coarsen string `json:"coarsen,omitempty"`
-	// CoarsenRatio is mlcelf's bounded-mode target node ratio in [0, 1]:
-	// twin-merge rounds stop once quotient/original nodes falls below it
-	// (0 contracts to fixpoint). Lossless rules always run to fixpoint
-	// regardless.
-	CoarsenRatio float64 `json:"coarsen_ratio,omitempty"`
 }
 
 // PlaceResult is the placement outcome, returned inline for synchronous
@@ -77,7 +71,6 @@ type PlaceResult struct {
 	// pass did to the previous placement.
 	Maintain *MaintainInfo `json:"maintain,omitempty"`
 	// Coarsen, set by mlcelf only, reports what the graph contraction did.
-	// lossless_only true means the result is bit-for-bit celf's.
 	Coarsen *flow.CoarsenStats `json:"coarsen,omitempty"`
 }
 
@@ -111,20 +104,15 @@ func (sp *PlaceSpec) validate(m *flow.Model, maxParallelism int) (core.StrategyI
 	if info.Sampling == core.NoSampling {
 		sp.Quality, sp.SampleBudget = 0, 0
 	}
-	if !info.ReadsSeed(sp.Quality, sp.SampleBudget) {
+	if !info.ReadsSeed() {
 		sp.Seed = 0
 	}
-	if info.Coarsens {
-		switch sp.Coarsen {
-		case "":
-			sp.Coarsen = "bounded" // canonical: one cache slot for the default
-		case "bounded", "lossless":
-		default:
-			return info, fmt.Errorf("unknown coarsen mode %q (have lossless, bounded)", sp.Coarsen)
-		}
-	} else {
-		sp.Coarsen, sp.CoarsenRatio = "", 0
+	// Every coarsen mode mlcelf ever accepted now names its one lossless
+	// path, so the field never reaches the cache key.
+	if c := sp.Coarsen; info.Name == core.StrategyMLCELF && c != "" && c != "lossless" && c != "bounded" {
+		return info, fmt.Errorf("unknown coarsen mode %q (have lossless, bounded)", c)
 	}
+	sp.Coarsen = ""
 	// The numeric knobs share core's validation, so a bad value produces
 	// the same error through HTTP, the CLI and direct core callers.
 	if err := sp.options().Validate(); err != nil {
@@ -145,10 +133,6 @@ func (sp *PlaceSpec) options() core.Options {
 		Quality:      sp.Quality,
 		SampleBudget: sp.SampleBudget,
 		SampleSeed:   sp.Seed,
-		Coarsen: flow.CoarsenOptions{
-			TargetRatio: sp.CoarsenRatio,
-			Lossless:    sp.Coarsen == "lossless",
-		},
 	}
 }
 
@@ -188,7 +172,7 @@ func (res *PlaceResult) setObjective(ev flow.Evaluator, filters []int) {
 // requests differing only in parallelism dedup onto one job.
 func (sp *PlaceSpec) cacheKey(graphID string, version int64, sources []int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|v%d|%s|%d|%s|%d|q%g|b%d|c%s|r%g|", graphID, version, sp.Algorithm, sp.K, sp.Engine, sp.Seed, sp.Quality, sp.SampleBudget, sp.Coarsen, sp.CoarsenRatio)
+	fmt.Fprintf(&b, "%s|v%d|%s|%d|%s|%d|q%g|b%d|", graphID, version, sp.Algorithm, sp.K, sp.Engine, sp.Seed, sp.Quality, sp.SampleBudget)
 	for _, s := range sources {
 		fmt.Fprintf(&b, "%d,", s)
 	}
@@ -197,7 +181,7 @@ func (sp *PlaceSpec) cacheKey(graphID string, version int64, sources []int) stri
 
 // execute runs one placement for the server: spec.execute with its
 // parallelism held on the place_workers_busy gauge, and the fleet
-// counters of estimate-driven and multilevel runs recorded on success.
+// counters of estimate-driven runs recorded on success.
 func (s *Server) execute(ctx context.Context, spec PlaceSpec, m *flow.Model, graphID string, tc *obs.TenantCounters) (*PlaceResult, error) {
 	busy := int64(max(spec.Parallelism, 1))
 	s.workersBusy.Add(busy)
@@ -207,17 +191,10 @@ func (s *Server) execute(ctx context.Context, spec PlaceSpec, m *flow.Model, gra
 		return nil, err
 	}
 	fleet := s.acct.Fleet()
-	// Only estimate-driven runs enter the approx series: mlcelf samples
-	// only when the quality knobs ask it to.
+	// Only estimate-driven runs enter the approx series.
 	if st := res.Oracle; st != nil && st.SampledEvaluations > 0 {
 		fleet.Add(obs.ApproxPlacements, 1)
 		fleet.Add(obs.ApproxExactRechecks, int64(st.GainEvaluations))
-	}
-	if cs := res.Coarsen; cs != nil {
-		fleet.Add(obs.CoarsenRounds, int64(cs.Rounds))
-		if cs.LosslessOnly {
-			fleet.Add(obs.CoarsenLossless, 1)
-		}
 	}
 	return res, nil
 }

@@ -46,9 +46,9 @@ func TestPlaceUnencodableResultIs500(t *testing.T) {
 	}
 }
 
-// TestExactMLCELFIgnoresSeed: a lossless mlcelf run without sampling
-// knobs never reads the seed, so two requests differing only in seed share
-// one cache slot and one job.
+// TestExactMLCELFIgnoresSeed: mlcelf is exact and never reads the seed or
+// the retired sampling and coarsen knobs, so requests differing only in
+// those fields share one cache slot and one job.
 func TestExactMLCELFIgnoresSeed(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	info := uploadDiamond(t, ts.URL)
@@ -60,21 +60,19 @@ func TestExactMLCELFIgnoresSeed(t *testing.T) {
 	if done := waitJob(t, ts.URL, job.ID); done.State != server.JobDone {
 		t.Fatalf("job finished as %s (error %q)", done.State, done.Error)
 	}
-	var res server.PlaceResult
-	if code := doJSON(t, "POST", place, server.PlaceSpec{Algorithm: "mlcelf", K: 1, Coarsen: "lossless", Seed: 2}, &res); code != http.StatusOK || !res.Cached {
-		t.Fatalf("second: status %d cached %v, want a 200 cache hit", code, res.Cached)
+	for _, spec := range []server.PlaceSpec{
+		{Algorithm: "mlcelf", K: 1, Coarsen: "lossless", Seed: 2},
+		{Algorithm: "mlcelf", K: 1, Quality: 0.2, Seed: 3},
+		{Algorithm: "mlcelf", K: 1, Coarsen: "bounded", SampleBudget: 4},
+	} {
+		var res server.PlaceResult
+		if code := doJSON(t, "POST", place, spec, &res); code != http.StatusOK || !res.Cached {
+			t.Fatalf("%+v: status %d cached %v, want a 200 cache hit", spec, code, res.Cached)
+		}
 	}
 	var ms server.MetricsSnapshot
 	doJSON(t, "GET", ts.URL+"/metrics", nil, &ms)
 	if ms.CacheMisses != 1 || ms.JobsSubmitted != 1 {
 		t.Errorf("cache_misses %d jobs_submitted %d, want 1 and 1", ms.CacheMisses, ms.JobsSubmitted)
-	}
-
-	// With a sampling knob set, mlcelf samples, so the seed matters again.
-	for seed := int64(1); seed <= 2; seed++ {
-		if code := doJSON(t, "POST", place, server.PlaceSpec{Algorithm: "mlcelf", K: 1, Quality: 0.2, Seed: seed}, &job); code != http.StatusAccepted {
-			t.Fatalf("sampled seed %d: status %d, want 202 (a fresh slot)", seed, code)
-		}
-		waitJob(t, ts.URL, job.ID)
 	}
 }
