@@ -19,7 +19,7 @@
 //     (fast float64, supports probabilistic edge weights), NewBig (exact
 //     big-integer arithmetic), FR.
 //   - Placement: Place, the one entry point for every algorithm of the
-//     paper (greedy-all, its celf/naive cost profiles, greedy-max,
+//     paper (greedy-all, its celf alias and naive cost profile, greedy-max,
 //     greedy-1, greedy-l, the rand-* baselines, prop1) and the approx-celf
 //     and ml-celf extensions, with context cancellation, oracle accounting
 //     and a Parallelism option that shards per-round marginal-gain
@@ -182,9 +182,10 @@ func AllFilters(m *Model) []bool { return flow.AllFilters(m) }
 type PlaceStrategy = core.Strategy
 
 // The strategies Place accepts. StrategyGreedyAll is the paper's
-// (1−1/e)-approximation; StrategyCELF and StrategyNaive are its lazy and
-// paper-cost-profile variants (same filter sets, counted oracle calls);
-// the rest are the paper's heuristics and baselines.
+// (1−1/e)-approximation; StrategyCELF is another name for it, and
+// StrategyNaive runs it at the paper's cost profile (same filter sets,
+// counted oracle calls); the rest are the paper's heuristics and
+// baselines.
 const (
 	StrategyGreedyAll = core.StrategyGreedyAll
 	StrategyCELF      = core.StrategyCELF
@@ -203,9 +204,9 @@ const (
 	// carries a sampled confidence interval on Φ(A).
 	StrategyApproxCELF = core.StrategyApproxCELF
 	// StrategyMLCELF is multilevel placement: coarsen the model losslessly
-	// (Coarsen), run exact CELF on the quotient and project each pick to
-	// its supernode head. The result is bit-for-bit CELF's; the Placement
-	// carries the contraction's CoarsenStats.
+	// (Coarsen), run exact greedy on the quotient and project each pick to
+	// its supernode head. The filters are bit-for-bit greedy-all's; the
+	// Placement carries the contraction's CoarsenStats.
 	StrategyMLCELF = core.StrategyMLCELF
 )
 
@@ -229,8 +230,8 @@ type Placement = core.Result
 type PassStats = core.PassStats
 
 // Trace aggregates named, timed stages; pass one via PlaceOptions.Trace
-// to see where a placement spends its time (greedy rounds, CELF init and
-// rechecks). All methods are safe on a nil receiver — a nil trace records
+// to see where a placement spends its time (greedy rounds, naive rounds,
+// coarsening). All methods are safe on a nil receiver — a nil trace records
 // nothing — and safe for the concurrent use parallel placement makes of
 // it. The fpd daemon attaches one per async job and serves the snapshot
 // as the job's timeline.

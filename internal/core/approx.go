@@ -164,3 +164,62 @@ func placeApproxCELF(ctx context.Context, ev flow.Evaluator, k int, opts Options
 	res.PhiCI = &ci
 	return nil
 }
+
+// celfEntry is a lazy-greedy heap entry: a gain upper bound for node v,
+// valid as of greedy round stamp.
+type celfEntry struct {
+	gain  float64
+	v     int
+	stamp int
+}
+
+// celfLess orders entries by priority: larger gain first, ties toward the
+// smaller node id (so results match greedy-all exactly).
+func celfLess(a, b celfEntry) bool { // is a lower priority than b?
+	if a.gain != b.gain {
+		return a.gain < b.gain
+	}
+	return a.v > b.v
+}
+
+// celfHeap is a max-heap of celfEntry under celfLess.
+type celfHeap []celfEntry
+
+func (h *celfHeap) push(e celfEntry) {
+	*h = append(*h, e)
+	a := *h
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !celfLess(a[p], a[i]) {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+func (h *celfHeap) pop() celfEntry {
+	a := *h
+	top := a[0]
+	last := len(a) - 1
+	a[0] = a[last]
+	a = a[:last]
+	*h = a
+	i := 0
+	for {
+		l, r, big := 2*i+1, 2*i+2, i
+		if l < len(a) && celfLess(a[big], a[l]) {
+			big = l
+		}
+		if r < len(a) && celfLess(a[big], a[r]) {
+			big = r
+		}
+		if big == i {
+			break
+		}
+		a[i], a[big] = a[big], a[i]
+		i = big
+	}
+	return top
+}

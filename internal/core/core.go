@@ -1,6 +1,6 @@
 // Package core implements the paper's filter-placement algorithms: the
-// (1−1/e)-approximate greedy (Greedy_All) with two cost profiles and a lazy
-// (CELF-style) variant, the scalable heuristics Greedy_Max, Greedy_1 and
+// (1−1/e)-approximate greedy (Greedy_All) with two cost profiles, the
+// scalable heuristics Greedy_Max, Greedy_1 and
 // Greedy_L, the randomized baselines Rand_K, Rand_I and Rand_W, the exact
 // dynamic program for communication trees, an exhaustive optimal solver for
 // validation, and Proposition 1's unbounded-budget optimal set.
@@ -29,7 +29,8 @@ import (
 )
 
 // OracleStats counts objective-function work done by an algorithm, used by
-// the CELF ablation experiment and surfaced per-job by the fpd service.
+// the Greedy_All ablation experiment and surfaced per-job by the fpd
+// service.
 type OracleStats struct {
 	// GainEvaluations counts single-node marginal-gain computations.
 	GainEvaluations int `json:"gain_evaluations"`

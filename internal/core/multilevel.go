@@ -6,27 +6,26 @@ import (
 	"repro/internal/flow"
 )
 
-// Multilevel placement: coarsen losslessly, run exact CELF on the
+// Multilevel placement: coarsen losslessly, run exact greedy on the
 // quotient, project each pick to its supernode head.
 //
-// CELF's cost is its closed-form sweeps: one to seed the heap and one per
-// round that pops a stale top, each a forward + suffix pass over all V
-// nodes and E edges. On chain-heavy graphs most of those nodes provably
-// cannot beat their neighbors — the interior of a relay chain is strictly
-// dominated by the chain's head. ml-celf contracts the graph first
-// (flow.Coarsen: chain folding and sink absorption to a fixpoint), so
-// every sweep touches only the contracted node set.
+// Greedy's cost is its closed-form sweeps: one per round, each a forward
+// + suffix pass over all V nodes and E edges. On chain-heavy graphs most
+// of those nodes provably cannot beat their neighbors — the interior of a
+// relay chain is strictly dominated by the chain's head. ml-celf
+// contracts the graph first (flow.Coarsen: chain folding, then sink
+// absorption), so every sweep touches only the contracted node set.
 //
 // Both rules are Φ-exact: the quotient's Φ, marginal gains and argmax are
 // bit-for-bit the original's at every matching filter set, and quotient
-// ids ascend with head ids, so CELF's tie-breaking is preserved. The
-// projected picks are EXACTLY the filter set plain celf returns on the
-// uncoarsened graph — same ids, same order — and the paper's greedy
-// guarantee carries over unchanged.
+// ids ascend with head ids, so greedy's tie-breaking is preserved. The
+// projected picks are EXACTLY the filter set celf and greedy-all return
+// on the uncoarsened graph — same ids, same order — and the paper's
+// greedy guarantee carries over unchanged.
 //
 // Models Coarsen cannot contract (weighted or already-coarse ones) and
 // engines that cannot be rebuilt on a quotient (simulators, custom
-// evaluators) run plain CELF on the original graph instead, with the same
+// evaluators) run greedy on the original graph instead, with the same
 // result and no Result.CoarsenStats.
 func placeMultilevel(ctx context.Context, ev flow.Evaluator, k int, opts Options, res *Result) error {
 	// The quotient evaluator mirrors the caller's engine so the quotient
@@ -40,7 +39,7 @@ func placeMultilevel(ctx context.Context, ev flow.Evaluator, k int, opts Options
 		build = func(qm *flow.Model) flow.Evaluator { return flow.NewBig(qm) }
 	}
 	if build == nil || m.Weighted() || m.Coarse() {
-		return placeCELF(ctx, ev, k, opts, res)
+		return placeGreedyAll(ctx, ev, k, opts, res)
 	}
 
 	csp := opts.Trace.Begin("coarsen")
@@ -63,7 +62,7 @@ func placeMultilevel(ctx context.Context, ev flow.Evaluator, k int, opts Options
 	if hasQPasses {
 		qf0, qs0 = qpc.Passes()
 	}
-	err = placeCELF(ctx, qev, k, opts, res)
+	err = placeGreedyAll(ctx, qev, k, opts, res)
 	if hasQPasses {
 		f, s := qpc.Passes()
 		res.Passes.Forward += f - qf0

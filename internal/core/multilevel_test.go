@@ -102,14 +102,14 @@ func TestMLCELFLosslessEqualsCELF(t *testing.T) {
 				if got, want := ev.F(flow.MaskOf(m.N(), ml.Filters)), ev.F(flow.MaskOf(m.N(), ref.Filters)); got != want {
 					t.Fatalf("%s/%s P=%d: F mismatch %v vs %v", name, engName, procs, got, want)
 				}
-				// Every pass ran on the quotient: CELF's budget of one
-				// sweep per round plus the init sweep.
+				// Every pass ran on the quotient: greedy's budget of one
+				// sweep per round, plus a last sweep that may find no gain.
 				if p := ml.Passes; p.Forward == 0 || p.Forward != p.Suffix || p.Forward > int64(ml.Stats.Iterations+1) {
 					t.Fatalf("%s/%s P=%d: passes %+v, want forward == suffix in [1, %d]",
 						name, engName, procs, p, ml.Stats.Iterations+1)
 				}
 				// The quotient solve must touch fewer candidates than celf's
-				// V-sized init on graphs that actually contract.
+				// V-sized sweeps on graphs that actually contract.
 				if cst.NodesAfter < cst.NodesBefore/2 && ml.Stats.GainEvaluations >= ref.Stats.GainEvaluations {
 					t.Fatalf("%s/%s P=%d: ml-celf spent %d gain evals, celf %d, despite %d→%d contraction",
 						name, engName, procs, ml.Stats.GainEvaluations, ref.Stats.GainEvaluations,
@@ -121,7 +121,7 @@ func TestMLCELFLosslessEqualsCELF(t *testing.T) {
 }
 
 // TestMLCELFFallsBackToCELF: on models Coarsen cannot contract — weighted
-// ones and quotients it already built — ml-celf runs plain CELF on the
+// ones and quotients it already built — ml-celf runs greedy-all on the
 // original graph and returns celf's filters without coarsen stats.
 func TestMLCELFFallsBackToCELF(t *testing.T) {
 	ctx := context.Background()

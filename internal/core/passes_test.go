@@ -73,10 +73,11 @@ func TestPlacePassStatsParallelGreedyAll(t *testing.T) {
 	}
 }
 
-// TestCELFPassBudget pins CELF's closed-form rechecks: the init sweep and
-// at most one recheck sweep per later round, each one forward + one suffix
-// pass, so Forward == Suffix ≤ Iterations+1 — and, since the sweeps are
-// level-parallel rather than speculative, identical at every Parallelism.
+// TestCELFPassBudget pins celf's pass budget: one closed-form sweep per
+// round, the last one possibly finding no positive gain, each one forward
+// + one suffix pass, so Forward == Suffix ≤ Iterations+1 — and, since the
+// sweeps are level-parallel rather than speculative, identical at every
+// Parallelism.
 func TestCELFPassBudget(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		m := placeTestModel(t, 150, 0.05, seed)
@@ -112,7 +113,7 @@ func TestPlaceTraceStages(t *testing.T) {
 	m := placeTestModel(t, 120, 0.06, 3)
 	cases := map[Strategy]string{
 		StrategyGreedyAll: "greedy-round",
-		StrategyCELF:      "celf-init",
+		StrategyCELF:      "greedy-round",
 		StrategyNaive:     "naive-round",
 	}
 	for strat, wantStage := range cases {

@@ -33,7 +33,7 @@ type Options struct {
 	// experiment harnesses average baselines over a shared rng.
 	Rand *rand.Rand
 	// Trace, when non-nil, records per-stage timing spans (greedy rounds,
-	// CELF init/rechecks, naive rounds) for observability. Stages wrap
+	// naive rounds, coarsening) for observability. Stages wrap
 	// whole rounds — never the pass kernels — so tracing cannot perturb
 	// the bit-identical arithmetic. A nil Trace records nothing and never
 	// reads the clock.
@@ -111,7 +111,7 @@ type Result struct {
 	// interval on Φ(A) for the returned filter set.
 	PhiCI *flow.MCResult
 	// CoarsenStats, set by ml-celf only, reports what the contraction did.
-	// It is nil when ml-celf ran plain CELF on a model or engine it cannot
+	// It is nil when ml-celf ran greedy-all on a model or engine it cannot
 	// coarsen.
 	CoarsenStats *flow.CoarsenStats
 }
@@ -126,7 +126,7 @@ type PassStats struct {
 }
 
 // Place is the unified placement engine: every algorithm of the paper (and
-// the CELF/naive ablation profiles) behind one entry point with shared
+// the naive ablation profile) behind one entry point with shared
 // context plumbing, oracle accounting and an optional parallel inner loop
 // scheduled on the process-wide worker pool. It returns ctx.Err() when
 // canceled mid-placement; every work unit it submitted to the scheduler
@@ -157,10 +157,8 @@ func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result,
 	}
 	var err error
 	switch opts.Strategy {
-	case StrategyGreedyAll:
+	case StrategyGreedyAll, StrategyCELF:
 		err = placeGreedyAll(ctx, ev, k, opts, &res)
-	case StrategyCELF:
-		err = placeCELF(ctx, ev, k, opts, &res)
 	case StrategyNaive:
 		err = placeNaive(ctx, ev, k, opts, &res)
 	case StrategyApproxCELF:
@@ -430,138 +428,6 @@ func placeNaive(ctx context.Context, ev flow.Evaluator, k int, opts Options, res
 		filters[best] = true
 		chosen = append(chosen, best)
 		res.Stats.Iterations++
-	}
-	res.Filters = chosen
-	return nil
-}
-
-// celfEntry is a lazy-greedy heap entry: a gain upper bound for node v,
-// valid as of greedy round stamp.
-type celfEntry struct {
-	gain  float64
-	v     int
-	stamp int
-}
-
-// celfLess orders entries by priority: larger gain first, ties toward the
-// smaller node id (so results match greedy-all exactly).
-func celfLess(a, b celfEntry) bool { // is a lower priority than b?
-	if a.gain != b.gain {
-		return a.gain < b.gain
-	}
-	return a.v > b.v
-}
-
-// celfHeap is a max-heap of celfEntry under celfLess.
-type celfHeap []celfEntry
-
-func (h *celfHeap) push(e celfEntry) {
-	*h = append(*h, e)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !celfLess(a[p], a[i]) {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (h *celfHeap) pop() celfEntry {
-	a := *h
-	top := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	a = a[:last]
-	*h = a
-	i := 0
-	for {
-		l, r, big := 2*i+1, 2*i+2, i
-		if l < len(a) && celfLess(a[big], a[l]) {
-			big = l
-		}
-		if r < len(a) && celfLess(a[big], a[r]) {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		a[i], a[big] = a[big], a[i]
-		i = big
-	}
-	return top
-}
-
-// placeCELF is lazy greedy (Leskovec et al.'s CELF applied to filter
-// placement). Submodularity guarantees a node's gain never increases as
-// the filter set grows, so stale upper bounds defer most re-evaluations.
-//
-// Rechecks are priced from the closed form, CELF++-style: the first stale
-// heap top of a round triggers one forward + one suffix sweep (impactsOf)
-// that yields every candidate's exact gain under the round's filter set,
-// and every stale top popped later in that round reads its gain from that
-// sweep until the top is fresh again. The heap, the commit order and
-// OracleStats (one gain evaluation per consumed recheck) are those of
-// textbook CELF; a placement costs at most Iterations+1 sweeps. Sweeps
-// run level-parallel when Parallelism > 1 and the evaluator is a
-// flow.ParallelEvaluator, so results are bit-for-bit identical at every
-// Parallelism setting.
-func placeCELF(ctx context.Context, ev flow.Evaluator, k int, opts Options, res *Result) error {
-	m := ev.Model()
-	n := m.N()
-	filters := make([]bool, n)
-	chosen := make([]int, 0, k)
-	st := &res.Stats
-
-	sp := opts.Trace.Begin("celf-init")
-	gains := impactsOf(ev, filters, opts.Parallelism, res) // initial exact gains, batch computed
-	sp.AddEvals(int64(n))
-	sp.SetWorkers(res.Parallelism)
-	sp.End()
-	st.GainEvaluations += n
-	var h celfHeap
-	for v := 0; v < n; v++ {
-		if !m.IsSource(v) && gains[v] > 0 {
-			h.push(celfEntry{gains[v], v, 0})
-		}
-	}
-
-	// Round 0's entries are all fresh from the init sweep, so every later
-	// round opens with a stale top or an empty heap.
-	round := 0
-	for len(chosen) < k && len(h) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if h[0].stamp != round {
-			// Stale top: one sweep re-prices every stale top this round
-			// pops, until an exact gain surfaces.
-			rsp := opts.Trace.Begin("celf-recheck")
-			gains = impactsOf(ev, filters, opts.Parallelism, res)
-			rechecks := 0
-			for len(h) > 0 && h[0].stamp != round {
-				e := h.pop()
-				rechecks++
-				if g := gains[e.v]; g > 0 {
-					h.push(celfEntry{g, e.v, round})
-				}
-			}
-			st.GainEvaluations += rechecks
-			rsp.AddEvals(int64(rechecks))
-			rsp.SetWorkers(res.Parallelism)
-			rsp.End()
-			if len(h) == 0 {
-				break
-			}
-		}
-		// Fresh: by submodularity no other node can beat it.
-		top := h.pop()
-		filters[top.v] = true
-		chosen = append(chosen, top.v)
-		round++
-		st.Iterations++
 	}
 	res.Filters = chosen
 	return nil

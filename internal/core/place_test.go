@@ -122,31 +122,6 @@ func TestPlaceMatchesLegacy(t *testing.T) {
 	check("prop1", res.Filters, UnboundedOptimal(m.Graph()))
 }
 
-// TestPlaceCELFStatsSaveWork sanity-checks the ablation invariant: lazy
-// evaluation spends strictly fewer oracle calls than the naive profile on
-// a non-trivial graph, at any parallelism.
-func TestPlaceCELFStatsSaveWork(t *testing.T) {
-	m := placeTestModel(t, 200, 0.04, 5)
-	ev := flow.NewFloat(m)
-	naive, err := Place(context.Background(), ev, 10, Options{Strategy: StrategyNaive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{1, 4} {
-		celf, err := Place(context.Background(), ev, 10, Options{Strategy: StrategyCELF, Parallelism: procs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if celf.Stats.GainEvaluations >= naive.Stats.GainEvaluations {
-			t.Errorf("P=%d: CELF spent %d gain evaluations, naive %d — laziness saved nothing",
-				procs, celf.Stats.GainEvaluations, naive.Stats.GainEvaluations)
-		}
-		if !reflect.DeepEqual(celf.Filters, naive.Filters) {
-			t.Errorf("P=%d: CELF filters %v != naive %v", procs, celf.Filters, naive.Filters)
-		}
-	}
-}
-
 // TestPlaceCancellation checks that a context canceled mid-placement makes
 // Place return promptly with ctx.Err() and without leaking goroutines
 // beyond the process-wide scheduler pool.

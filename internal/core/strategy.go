@@ -14,11 +14,11 @@ const (
 	// Parallelism > 1 on a flow.ParallelEvaluator the passes shard by
 	// topological level.
 	StrategyGreedyAll Strategy = "greedy-all"
-	// StrategyCELF is Greedy_All with CELF lazy evaluation: a round-stamped
-	// heap of gain upper bounds, where a round's stale tops are re-priced
-	// from one closed-form sweep (one forward + one suffix pass) shared by
-	// the whole round. With Parallelism > 1 on a flow.ParallelEvaluator the
-	// sweeps shard by topological level, like StrategyGreedyAll's passes.
+	// StrategyCELF names CELF lazy evaluation and runs StrategyGreedyAll's
+	// loop: one closed-form sweep prices every candidate of a round, so a
+	// lazy heap would save no passes, and greedy-all's argmax compares the
+	// big engine's gains exactly. Its Result (filters, Stats, Passes) is
+	// greedy-all's.
 	StrategyCELF Strategy = "celf"
 	// StrategyNaive is Greedy_All at the paper's cost profile with no
 	// laziness: every candidate re-evaluates every round. Candidates shard
@@ -31,11 +31,11 @@ const (
 	// the target relative error; Result.PhiCI reports the sampled
 	// confidence interval on Φ(A).
 	StrategyApproxCELF Strategy = "approx-celf"
-	// StrategyMLCELF is multilevel CELF: contract the graph with
-	// flow.Coarsen's lossless rules, run exact CELF on the quotient and
-	// project each pick to its supernode head. The result is bit-for-bit
-	// StrategyCELF's; only the sweeps are smaller. Result.CoarsenStats
-	// reports the contraction.
+	// StrategyMLCELF is multilevel greedy: contract the graph with
+	// flow.Coarsen's lossless rules, run StrategyGreedyAll's loop on the
+	// quotient and project each pick to its supernode head. The filters
+	// are bit-for-bit StrategyGreedyAll's; only the sweeps are smaller.
+	// Result.CoarsenStats reports the contraction.
 	StrategyMLCELF Strategy = "ml-celf"
 	// StrategyGreedyMax is the paper's Greedy_Max (impacts once, top k).
 	StrategyGreedyMax Strategy = "greedy-max"

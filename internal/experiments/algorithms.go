@@ -3,9 +3,9 @@
 // for the synthetic and real-like datasets (Figures 5, 7, 8, 9), the toy
 // worked examples (Figures 1–3), the Figure-10 bottleneck motif, the
 // running-time comparison (Figure 11), plus Proposition 1 and this
-// reproduction's own ablations (CELF laziness, exact-vs-float engines,
-// probabilistic propagation). Each experiment produces a Report whose rows
-// are the same series the paper plots.
+// reproduction's own ablations (Greedy_All cost profiles, exact-vs-float
+// engines, probabilistic propagation). Each experiment produces a Report
+// whose rows are the same series the paper plots.
 package experiments
 
 import (

@@ -7,7 +7,7 @@ import (
 )
 
 // Graph coarsening for multilevel placement: contract a Model into a
-// quotient graph small enough that CELF's V-sized sweeps become cheap,
+// quotient graph small enough that greedy's V-sized sweeps become cheap,
 // while Φ on the quotient equals Φ on the original at every matching
 // filter set.
 //
@@ -18,33 +18,36 @@ import (
 //
 //	Φ_q = Σ_u rec(u) + w(u)·emit(u)        suffix_q(u) = w(u) + Σ edge terms
 //
-// Two lossless contraction rules, applied until neither fires:
+// Two lossless contraction rules, one linear sweep each:
 //
-//   - FOLD: a non-source supernode whose live external in-degree —
-//     counted with edge multiplicity — is exactly 1 folds into the
-//     supernode feeding it: w(parent) += 1 + w(child), and the child's
-//     external out-edges become the parent's. This contracts linear
-//     chains AND single-parent fan-out trees in one sweep, because every
+//   - FOLD: a non-source node whose in-degree — counted with edge
+//     multiplicity — is exactly 1 folds into the supernode feeding it:
+//     w(parent) += 1 + w(child), and the child's external out-edges
+//     become the parent's. Swept in topological order, this contracts
+//     linear chains AND single-parent fan-out trees, because every
 //     member of a folded group provably receives exactly emit(head)
 //     (each member's sole in-edge comes from inside the group, forming a
 //     tree of single-in relays rooted at the head).
-//   - SINK ABSORPTION: a memberless (w = 0) non-source supernode with no
-//     live out-edges is dissolved into pure weight: each live in-edge
-//     (p, t) adds 1 to w(find(p)) — t received one copy of
-//     emit(find(p))'s head per edge, and its gain is identically 0
-//     (suffix 0), so no candidate is lost. Processed in reverse
-//     topological order so freshly exposed sinks cascade in one sweep.
-//     Supernodes WITH members are never absorbed: their gain (rec−1)·w
-//     is real and they must stay placeable.
+//   - SINK ABSORPTION: a memberless (w = 0) non-source head with no
+//     out-edges is dissolved into pure weight: each in-edge (p, t) adds 1
+//     to w(find(p)) — t received one copy of emit(find(p))'s head per
+//     edge, and its gain is identically 0 (suffix 0), so no candidate is
+//     lost. Supernodes WITH members are never absorbed: their gain
+//     (rec−1)·w is real and they must stay placeable.
 //
-// Everything is deterministic: passes sweep ascending node/edge order or
-// the model's topological order, and quotient ids are assigned ascending
-// by head original id — which preserves argmax tie-breaking (quotient id
-// order == head id order) so quotient CELF picks exactly the original's
+// The two sweeps reach the rules' fixpoint. A head's external in-degree
+// never changes (a fold internalizes only the folded node's own in-edge),
+// absorbed nodes have no out-edges, and absorbing a sink credits its
+// feeder weight, so no feeder becomes an absorbable sink.
+//
+// Everything is deterministic: sweeps run in ascending node order or the
+// model's topological order, and quotient ids are assigned ascending by
+// head original id — which preserves argmax tie-breaking (quotient id
+// order == head id order) so quotient greedy picks exactly the original's
 // filters.
 
 // CoarsenOptions configures Coarsen. It has no fields: contraction always
-// runs the lossless rules to their fixpoint.
+// runs both lossless rules.
 type CoarsenOptions struct{}
 
 // CoarsenStats reports what a contraction did.
@@ -109,24 +112,12 @@ func (cm *CoarsenMap) ProjectFilters(qFilters []int) []int {
 
 // coarsener is the working state of one contraction, all on ORIGINAL ids.
 type coarsener struct {
-	m     *Model
-	n     int
-	edges [][2]int32 // ascending (u,v): the Digraph's out-CSR order
-	dead  []bool     // edge ids no longer part of the quotient
-	// inIdx CSR: in-edge ids of node v, sorted by (v, u).
-	inIdxOff []int32
-	inIdx    []int32
-
+	m        *Model
+	n        int
 	parent   []int32 // union-find, path-halving; root == supernode head
 	w        []int64 // per-root multiplicity weight
 	absorbed []bool  // per-root: dissolved into pure weight
-
-	// Per-pass scratch, reset by each pass that uses it.
-	cnt  []int32 // live in- or out-edge count per root
-	aux  []int32 // sole in-edge source / id per root
-	aux2 []int32
-
-	stats CoarsenStats
+	stats    CoarsenStats
 }
 
 // find returns the root (head) of v's supernode with path halving.
@@ -139,45 +130,16 @@ func (c *coarsener) find(v int32) int32 {
 	return v
 }
 
-// newCoarsener snapshots the model's edge set in deterministic order and
-// builds the in-edge index.
 func newCoarsener(m *Model) *coarsener {
-	g := m.Graph()
-	n := g.N()
+	n := m.N()
 	c := &coarsener{m: m, n: n}
-	c.edges = make([][2]int32, 0, g.M())
-	for u := 0; u < n; u++ {
-		for _, v := range g.Out(u) {
-			c.edges = append(c.edges, [2]int32{int32(u), int32(v)})
-		}
-	}
-	mm := len(c.edges)
-	c.dead = make([]bool, mm)
-	// Counting sort of edge ids by target: stable, so within a target the
-	// ids stay ascending by source.
-	c.inIdxOff = make([]int32, n+1)
-	for _, e := range c.edges {
-		c.inIdxOff[e[1]+1]++
-	}
-	for v := 1; v <= n; v++ {
-		c.inIdxOff[v] += c.inIdxOff[v-1]
-	}
-	c.inIdx = make([]int32, mm)
-	next := append([]int32(nil), c.inIdxOff[:n]...)
-	for id, e := range c.edges {
-		c.inIdx[next[e[1]]] = int32(id)
-		next[e[1]]++
-	}
 	c.parent = make([]int32, n)
 	for v := range c.parent {
 		c.parent[v] = int32(v)
 	}
 	c.w = make([]int64, n)
 	c.absorbed = make([]bool, n)
-	c.cnt = make([]int32, n)
-	c.aux = make([]int32, n)
-	c.aux2 = make([]int32, n)
-	c.stats = CoarsenStats{NodesBefore: n, EdgesBefore: mm}
+	c.stats = CoarsenStats{NodesBefore: n, EdgesBefore: m.Graph().M()}
 	return c
 }
 
@@ -186,83 +148,41 @@ func (c *coarsener) liveRoot(v int32) bool {
 	return c.parent[v] == v && !c.absorbed[v]
 }
 
-// foldPass contracts every supernode whose live external in-degree
-// (with multiplicity) is exactly 1 into its feeder, sweeping heads in
-// topological order so chains of foldable groups collapse in one pass.
-func (c *coarsener) foldPass() int {
-	cnt, src, eid := c.cnt, c.aux, c.aux2
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for id, e := range c.edges {
-		if c.dead[id] {
-			continue
-		}
-		ru, rv := c.find(e[0]), c.find(e[1])
-		if ru == rv {
-			c.dead[id] = true // became internal; never live again
-			continue
-		}
-		cnt[rv]++
-		src[rv] = ru
-		eid[rv] = int32(id)
-	}
-	changed := 0
+// fold contracts every non-source node of in-degree exactly 1 (counted
+// with edge multiplicity) into its feeder's supernode. The topological
+// sweep folds each feeder first, so a whole chain or single-parent tree
+// collapses in one sweep.
+func (c *coarsener) fold() {
+	g := c.m.Graph()
 	for _, v := range c.m.Topo() {
-		r := int32(v)
-		if !c.liveRoot(r) || c.m.IsSource(v) || cnt[r] != 1 {
+		if c.m.IsSource(v) || g.InDegree(v) != 1 {
 			continue
 		}
-		p := c.find(src[r]) // feeder may itself have folded this sweep
-		if p == r {
-			continue // defensive; cannot happen on a DAG
-		}
+		r, p := int32(v), c.find(int32(g.In(v)[0]))
 		c.parent[r] = p
 		c.w[p] += 1 + c.w[r]
-		c.dead[eid[r]] = true
-		changed++
+		c.stats.Folded++
 	}
-	c.stats.Folded += changed
-	return changed
 }
 
-// sinkPass dissolves memberless pure sinks into their feeders' weights,
-// reverse-topological so cascades resolve in one sweep.
-func (c *coarsener) sinkPass() int {
-	out := c.cnt
-	for i := range out {
-		out[i] = 0
-	}
-	for id, e := range c.edges {
-		if !c.dead[id] && c.find(e[0]) != c.find(e[1]) {
-			out[c.find(e[0])]++
-		}
-	}
-	changed := 0
-	topo := c.m.Topo()
-	for i := len(topo) - 1; i >= 0; i-- {
-		r := int32(topo[i])
-		if !c.liveRoot(r) || c.m.IsSource(int(r)) || out[r] != 0 || c.w[r] != 0 {
+// absorbSinks dissolves every memberless (w = 0) non-source head with no
+// out-edges into its feeders' weights, one unit per in-edge. A credited
+// head either has members or is the feeder itself, which has an out-edge,
+// so crediting never changes which heads qualify and the sweep order does
+// not matter.
+func (c *coarsener) absorbSinks() {
+	g := c.m.Graph()
+	for v := 0; v < c.n; v++ {
+		r := int32(v)
+		if c.parent[r] != r || c.m.IsSource(v) || c.w[r] != 0 || g.OutDegree(v) != 0 {
 			continue
 		}
-		// w == 0 means r never acquired members, so its only in-edges are
-		// its own original ones.
 		c.absorbed[r] = true
-		changed++
-		for _, id := range c.inIdx[c.inIdxOff[r]:c.inIdxOff[r+1]] {
-			if c.dead[id] {
-				continue
-			}
-			p := c.find(c.edges[id][0])
-			c.w[p]++
-			c.dead[id] = true
-			if out[p] > 0 {
-				out[p]-- // may expose p as the next sink up the chain
-			}
+		c.stats.SinksAbsorbed++
+		for _, u := range g.In(v) {
+			c.w[c.find(int32(u))]++
 		}
 	}
-	c.stats.SinksAbsorbed += changed
-	return changed
 }
 
 // Coarsen contracts m into a quotient model whose Φ, marginal gains and
@@ -280,10 +200,8 @@ func Coarsen(m *Model, _ CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, err
 		return nil, nil, CoarsenStats{}, fmt.Errorf("flow: cannot coarsen an already-coarse model")
 	}
 	c := newCoarsener(m)
-	// A fold can leave a memberless sink and an absorption can leave a
-	// feeder foldable, so alternate the sweeps until neither fires.
-	for c.foldPass()+c.sinkPass() > 0 {
-	}
+	c.fold()
+	c.absorbSinks()
 	qm, cm, err := c.buildQuotient()
 	if err != nil {
 		return nil, nil, CoarsenStats{}, err
@@ -337,19 +255,22 @@ func (c *coarsener) buildQuotient() (*Model, *CoarsenMap, error) {
 			next[q]++
 		}
 	}
-	// Quotient edges: live external edges, translated to quotient ids.
-	// Parallel edges are kept — they carry reception multiplicity (two
-	// live edges from one feeder mean two copies received).
+	// Quotient edges: every original edge between two distinct live
+	// supernodes (absorbed nodes have no out-edges, so only targets need
+	// the check), translated to quotient ids. Parallel edges are kept —
+	// they carry reception multiplicity (two edges from one feeder mean
+	// two copies received).
 	b := graph.NewBuilder(cm.qn).AllowParallelEdges()
-	for id, e := range c.edges {
-		if c.dead[id] {
-			continue
+	g := c.m.Graph()
+	for u := int32(0); u < int32(n); u++ {
+		ru := c.find(u)
+		for _, v := range g.Out(int(u)) {
+			rv := c.find(int32(v))
+			if ru == rv || c.absorbed[rv] {
+				continue
+			}
+			b.AddEdge(int(qid[ru]), int(qid[rv]))
 		}
-		ru, rv := c.find(e[0]), c.find(e[1])
-		if ru == rv || c.absorbed[ru] || c.absorbed[rv] {
-			continue
-		}
-		b.AddEdge(int(qid[ru]), int(qid[rv]))
 	}
 	qg, err := b.Build()
 	if err != nil {

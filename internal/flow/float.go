@@ -161,12 +161,14 @@ func (e *FloatEngine) argmaxGains(sc *floatScratch, filters, banned []bool, lo, 
 		if banned != nil && banned[v] {
 			continue
 		}
-		i := pos[v]
-		r := sc.rec[i]
-		if e.m.isSrc[v] || (filters != nil && filters[v]) || r <= 1 {
+		if e.m.isSrc[v] || (filters != nil && filters[v]) {
 			continue
 		}
-		if gn := (r - 1) * sc.suf[i]; gn > bestGain {
+		// No rec ≤ 1 test: suffixes are non-negative, so such a gain is
+		// ≤ 0 (or NaN) and never beats bestGain, and the scan stays free
+		// of a branch on the data.
+		i := pos[v]
+		if gn := (sc.rec[i] - 1) * sc.suf[i]; gn > bestGain {
 			best, bestGain = v, gn
 		}
 	}

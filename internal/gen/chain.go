@@ -114,3 +114,21 @@ func DeepDAG(n, levels int, seed int64) (*graph.Digraph, int) {
 	}
 	return b.MustBuild(), source
 }
+
+// DiamondChain returns d diamonds in series: 3d+1 nodes, where diamond i
+// is 3i→3i+1, 3i→3i+2, 3i+1→3i+3, 3i+2→3i+3. Node 0 is the single source.
+// Every diamond doubles the copies its join receives, so Φ(∅) grows as
+// 2^d: past d ≈ 53 the gains stop being exact float64 integers, and past
+// d ≈ 1023 Φ overflows float64 — the deep-graph regime of the numeric
+// range checks.
+func DiamondChain(d int) (*graph.Digraph, int) {
+	b := graph.NewBuilder(3*d + 1)
+	for i := 0; i < d; i++ {
+		u := 3 * i
+		b.AddEdge(u, u+1)
+		b.AddEdge(u, u+2)
+		b.AddEdge(u+1, u+3)
+		b.AddEdge(u+2, u+3)
+	}
+	return b.MustBuild(), 0
+}

@@ -62,3 +62,19 @@ func TestDeepDAG(t *testing.T) {
 		t.Fatal("DeepDAG not deterministic")
 	}
 }
+
+func TestDiamondChain(t *testing.T) {
+	g, src := DiamondChain(5)
+	if g.N() != 16 || g.M() != 20 {
+		t.Fatalf("N=%d M=%d, want 16 and 20", g.N(), g.M())
+	}
+	if src != 0 || g.InDegree(0) != 0 {
+		t.Fatalf("source %d has in-degree %d", src, g.InDegree(src))
+	}
+	if g.InDegree(15) != 2 || g.OutDegree(15) != 0 {
+		t.Fatalf("last join: in %d out %d, want 2 and 0", g.InDegree(15), g.OutDegree(15))
+	}
+	if _, err := g.TopoRank(); err != nil {
+		t.Fatalf("not a DAG: %v", err)
+	}
+}

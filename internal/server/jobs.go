@@ -67,7 +67,7 @@ type JobInfo struct {
 	ElapsedMS int64       `json:"elapsed_ms,omitempty"`
 	// Timeline is the job's stage trace: lifecycle phases (queued, run)
 	// plus the placement stages core.Place recorded
-	// (greedy-round, celf-init, …), each with a start offset relative to
+	// (greedy-round, coarsen, …), each with a start offset relative to
 	// submission and a total duration, merged by stage name. Present as
 	// soon as a job starts; complete once the job is terminal.
 	Timeline []obs.StageRecord `json:"timeline,omitempty"`

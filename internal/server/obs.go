@@ -24,9 +24,8 @@ type serverObs struct {
 	// schedWait is the process-wide scheduler's task queue wait, sampled
 	// via sched.Pool.SetQueueWaitSampler.
 	schedWait *obs.Histogram
-	// placeStage is per-stage placement time (greedy-round, celf-init,
-	// celf-recheck, naive-round, build-evaluator, coarsen, maintain), fed
-	// by each job trace's sink.
+	// placeStage is per-stage placement time (greedy-round, naive-round,
+	// build-evaluator, coarsen, maintain), fed by each job trace's sink.
 	placeStage *obs.HistogramVec
 }
 
@@ -43,7 +42,7 @@ func newServerObs() *serverObs {
 		schedWait: reg.Histogram("fpd_sched_queue_wait_seconds",
 			"Oracle scheduler task wait from submission to execution.", nil),
 		placeStage: reg.HistogramVec("fpd_place_stage_seconds",
-			"Placement stage durations (greedy rounds, CELF init/rechecks, evaluator builds).", "stage", nil),
+			"Placement stage durations (greedy rounds, naive rounds, evaluator builds).", "stage", nil),
 	}
 }
 

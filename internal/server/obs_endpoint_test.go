@@ -118,7 +118,7 @@ func TestJobTimelines(t *testing.T) {
 		stage string // the algorithm-specific core stage
 	}{
 		{"gall", "greedy-round"},
-		{"celf", "celf-init"},
+		{"celf", "greedy-round"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.algo, func(t *testing.T) {
