@@ -442,11 +442,11 @@ func ParseMutations(text string) (MutationBatch, error) { return dyn.ParseBatch(
 
 // Maintainer refreshes a filter placement after mutation batches: warm
 // incremental repair inside the dirty cone, with a full greedy-all
-// fallback when the drift bound is exceeded.
+// fallback when the accumulated dirty cones exceed a fixed drift bound.
 type Maintainer = dyn.Maintainer
 
-// MaintainOptions configures a Maintainer (budget K, drift bound, swap
-// limit).
+// MaintainOptions configures a Maintainer: the budget K, the Greedy_All
+// parallelism, and optionally a shared plan splicer.
 type MaintainOptions = dyn.Options
 
 // MaintainReport describes one maintenance pass: strategy, objective

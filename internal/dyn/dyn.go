@@ -6,25 +6,27 @@
 //
 // Dynamic is a mutable overlay over the same node-id space: batched edge
 // insertions and deletions plus node additions, with the topological order
-// maintained incrementally in Pearce–Kelly style (ACM JEA 2006) so that a
-// cycle-creating insertion is detected — and rejected with a typed error —
-// in time proportional to the affected region between the edge's endpoints
-// rather than the whole graph. Batches are atomic: a rejected batch leaves
-// the edge set AND the maintained topological order exactly as they were.
+// maintained incrementally by acyclic.IncrementalDAG (Pearce–Kelly, ACM JEA
+// 2006) so that a cycle-creating insertion is detected — and rejected with
+// a typed error — in time proportional to the affected region between the
+// edge's endpoints rather than the whole graph. Batches are atomic: a
+// rejected batch leaves the edge set AND the maintained topological order
+// exactly as they were.
 //
 // Maintainer (maintain.go) keeps a filter placement fresh across mutation
 // batches: it warm-starts from the previous filter set and repairs it over
 // dirty-cone incremental state (flow.Incremental) — the Φ/suffix/gain
 // recomputation is cone-bounded while candidate selection is a plain O(n)
 // scan over the cached gains — falling back to a full greedy-all
-// recompute when the accumulated drift bound is exceeded.
+// recompute when the accumulated dirty cones exceed a fixed drift bound.
 package dyn
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/acyclic"
 	"repro/internal/graph"
 )
 
@@ -98,12 +100,13 @@ type ApplyResult struct {
 	Reordered int `json:"reordered"`
 }
 
-// Dynamic is a mutable DAG overlay. It is not safe for concurrent use;
-// callers serialize access (the fpd registry guards each entry with a
-// mutex).
+// Dynamic is a mutable DAG overlay: an acyclic.IncrementalDAG — the
+// same Pearce–Kelly structure the Acyclic algorithm runs — plus pinned
+// sources, an edge count and a mutation generation. It is not safe for
+// concurrent use; callers serialize access (the fpd registry guards each
+// entry with a mutex).
 type Dynamic struct {
-	out, in [][]int
-	ord     []int // ord[v] = position of v in the maintained topo order
+	dag     *acyclic.IncrementalDAG
 	pinned  []bool
 	sources []int
 	edges   int
@@ -116,7 +119,7 @@ type Dynamic struct {
 // overlay always remains a valid propagation model for flow.NewModel.
 // Returns graph.ErrCyclic for cyclic inputs.
 func FromDigraph(g *graph.Digraph, sources []int) (*Dynamic, error) {
-	rank, err := g.TopoRank()
+	inc, err := acyclic.FromDAG(g)
 	if err != nil {
 		return nil, err
 	}
@@ -124,23 +127,13 @@ func FromDigraph(g *graph.Digraph, sources []int) (*Dynamic, error) {
 	if len(sources) == 0 {
 		sources = g.Sources()
 	}
-	d := &Dynamic{
-		out:    make([][]int, n),
-		in:     make([][]int, n),
-		ord:    rank,
-		pinned: make([]bool, n),
-		edges:  g.M(),
-	}
-	for v := 0; v < n; v++ {
-		d.out[v] = append([]int(nil), g.Out(v)...)
-		d.in[v] = append([]int(nil), g.In(v)...)
-	}
+	d := &Dynamic{dag: inc, pinned: make([]bool, n), edges: g.M()}
 	for _, s := range sources {
 		if s < 0 || s >= n {
 			return nil, fmt.Errorf("%w: source %d outside [0,%d)", ErrBadNode, s, n)
 		}
-		if len(d.in[s]) != 0 {
-			return nil, fmt.Errorf("%w: source %d has in-degree %d", ErrBadNode, s, len(d.in[s]))
+		if deg := len(inc.In(s)); deg != 0 {
+			return nil, fmt.Errorf("%w: source %d has in-degree %d", ErrBadNode, s, deg)
 		}
 		d.pinned[s] = true
 	}
@@ -149,25 +142,25 @@ func FromDigraph(g *graph.Digraph, sources []int) (*Dynamic, error) {
 }
 
 // N returns the current node count.
-func (d *Dynamic) N() int { return len(d.ord) }
+func (d *Dynamic) N() int { return d.dag.N() }
 
 // M returns the current edge count.
 func (d *Dynamic) M() int { return d.edges }
 
 // Out returns the out-neighbors of v in arbitrary order. The slice aliases
 // internal storage and is invalidated by the next Apply.
-func (d *Dynamic) Out(v int) []int { return d.out[v] }
+func (d *Dynamic) Out(v int) []int { return d.dag.Out(v) }
 
 // In returns the in-neighbors of v in arbitrary order. The slice aliases
 // internal storage and is invalidated by the next Apply.
-func (d *Dynamic) In(v int) []int { return d.in[v] }
+func (d *Dynamic) In(v int) []int { return d.dag.In(v) }
 
 // OrdOf returns the position of v in the maintained topological order.
-func (d *Dynamic) OrdOf(v int) int { return d.ord[v] }
+func (d *Dynamic) OrdOf(v int) int { return d.dag.OrdOf(v) }
 
 // Order returns ord[v] for every node as a fresh slice; it is always a
 // valid topological order of the current edge set.
-func (d *Dynamic) Order() []int { return append([]int(nil), d.ord...) }
+func (d *Dynamic) Order() []int { return d.dag.Order() }
 
 // Gen returns the mutation generation, incremented by every committed
 // batch. Consumers caching derived state compare generations to detect
@@ -182,47 +175,22 @@ func (d *Dynamic) IsSource(v int) bool { return d.pinned[v] }
 
 // HasEdge reports whether (u, v) is currently present.
 func (d *Dynamic) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(d.ord) || v < 0 || v >= len(d.ord) {
-		return false
-	}
-	// Scan the smaller endpoint list.
-	if len(d.out[u]) <= len(d.in[v]) {
-		for _, w := range d.out[u] {
-			if w == v {
-				return true
-			}
-		}
-		return false
-	}
-	for _, w := range d.in[v] {
-		if w == u {
-			return true
-		}
-	}
-	return false
+	n := d.dag.N()
+	return u >= 0 && u < n && v >= 0 && v < n && d.dag.HasEdge(u, v)
 }
 
 // Snapshot materializes the current edge set as an immutable Digraph
 // (labels are not carried). Cost is O(n + m log m); use it for
 // interoperating with the placement algorithms and for serving reads.
 func (d *Dynamic) Snapshot() *graph.Digraph {
-	b := graph.NewBuilder(len(d.ord))
-	for u := range d.out {
-		for _, v := range d.out[u] {
+	n := d.dag.N()
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for _, v := range d.dag.Out(u) {
 			b.AddEdge(u, v)
 		}
 	}
 	return b.MustBuild()
-}
-
-// undoLog records enough to restore a Dynamic to its pre-batch state: ord
-// saves are replayed in reverse so the earliest save per node wins.
-type undoLog struct {
-	nodesAdded int
-	added      [][2]int // edges appended (newest last)
-	removed    [][2]int // edges deleted (newest last)
-	ordNode    []int
-	ordVal     []int
 }
 
 // Apply commits a batch atomically. On any error — bad node id, self-loop,
@@ -231,7 +199,7 @@ type undoLog struct {
 // rolled back, including Pearce–Kelly order shifts, and the error is
 // returned (cycle rejections satisfy errors.Is(err, ErrCycle)).
 func (d *Dynamic) Apply(b Batch) (ApplyResult, error) {
-	n := len(d.ord)
+	n := d.dag.N()
 	if b.AddNodes < 0 {
 		return ApplyResult{}, fmt.Errorf("%w: negative AddNodes %d", ErrBadNode, b.AddNodes)
 	}
@@ -270,25 +238,19 @@ func (d *Dynamic) Apply(b Batch) (ApplyResult, error) {
 		seen[e] = true
 	}
 
-	undo := &undoLog{nodesAdded: b.AddNodes}
-	for i := 0; i < b.AddNodes; i++ {
-		d.out = append(d.out, nil)
-		d.in = append(d.in, nil)
-		d.ord = append(d.ord, len(d.ord))
-		d.pinned = append(d.pinned, false)
-	}
+	var undo acyclic.Undo
+	d.dag.Grow(b.AddNodes, &undo)
 	for _, e := range b.Remove {
-		d.removeEdge(e[0], e[1])
-		undo.removed = append(undo.removed, e)
+		d.dag.Remove(e[0], e[1], &undo)
 	}
 	for _, e := range b.Add {
-		if err := d.insertEdge(e[0], e[1], undo); err != nil {
-			d.rollback(undo)
-			return ApplyResult{}, err
+		if !d.dag.Insert(e[0], e[1], &undo) {
+			d.dag.Rollback(&undo)
+			return ApplyResult{}, &CycleError{U: e[0], V: e[1]}
 		}
-		undo.added = append(undo.added, e)
 	}
 
+	d.pinned = append(d.pinned, make([]bool, b.AddNodes)...)
 	d.edges += len(b.Add) - len(b.Remove)
 	d.gen++
 	res := ApplyResult{
@@ -296,7 +258,7 @@ func (d *Dynamic) Apply(b Batch) (ApplyResult, error) {
 		EdgesAdded:   len(b.Add),
 		EdgesRemoved: len(b.Remove),
 		FirstNewNode: -1,
-		Reordered:    len(undo.ordNode),
+		Reordered:    undo.Reordered(),
 	}
 	if b.AddNodes > 0 {
 		res.FirstNewNode = n
@@ -306,153 +268,15 @@ func (d *Dynamic) Apply(b Batch) (ApplyResult, error) {
 }
 
 // dirtySeeds deduplicates the heads (forward seeds) and tails (backward
-// seeds) of every changed edge.
+// seeds) of every changed edge, ascending.
 func dirtySeeds(b Batch) (fwd, bwd []int) {
-	fs := make(map[int]bool, len(b.Add)+len(b.Remove))
-	bs := make(map[int]bool, len(b.Add)+len(b.Remove))
 	for _, es := range [][][2]int{b.Add, b.Remove} {
 		for _, e := range es {
-			bs[e[0]] = true
-			fs[e[1]] = true
+			bwd = append(bwd, e[0])
+			fwd = append(fwd, e[1])
 		}
 	}
-	for v := range fs {
-		fwd = append(fwd, v)
-	}
-	for v := range bs {
-		bwd = append(bwd, v)
-	}
-	sort.Ints(fwd)
-	sort.Ints(bwd)
-	return fwd, bwd
-}
-
-// removeEdge swap-deletes (u, v) from both adjacency lists. The edge is
-// known to exist. Deletions never invalidate the maintained order.
-func (d *Dynamic) removeEdge(u, v int) {
-	d.out[u] = swapOut(d.out[u], v)
-	d.in[v] = swapOut(d.in[v], u)
-}
-
-func swapOut(adj []int, x int) []int {
-	for i, w := range adj {
-		if w == x {
-			last := len(adj) - 1
-			adj[i] = adj[last]
-			return adj[:last]
-		}
-	}
-	panic("dyn: edge missing from adjacency")
-}
-
-// insertEdge is the Pearce–Kelly insertion: when ord[u] > ord[v] it
-// discovers the affected region between the endpoints, rejects the edge if
-// v reaches u, and otherwise compacts ancestors-of-u before
-// descendants-of-v into the same index slots, logging prior positions for
-// rollback.
-func (d *Dynamic) insertEdge(u, v int, undo *undoLog) error {
-	if d.ord[u] > d.ord[v] {
-		fwd, hitsU := d.forwardFrom(v, d.ord[u], u)
-		if hitsU {
-			return &CycleError{U: u, V: v}
-		}
-		bwd := d.backwardFrom(u, d.ord[v])
-		d.reorder(bwd, fwd, undo)
-	}
-	d.out[u] = append(d.out[u], v)
-	d.in[v] = append(d.in[v], u)
-	return nil
-}
-
-// forwardFrom collects nodes reachable from start with order index ≤ ub,
-// reporting whether target was reached.
-func (d *Dynamic) forwardFrom(start, ub, target int) ([]int, bool) {
-	seen := map[int]bool{start: true}
-	stack := []int{start}
-	var visited []int
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		visited = append(visited, x)
-		for _, w := range d.out[x] {
-			if w == target {
-				return nil, true
-			}
-			if !seen[w] && d.ord[w] <= ub {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return visited, false
-}
-
-// backwardFrom collects nodes that reach start with order index ≥ lb.
-func (d *Dynamic) backwardFrom(start, lb int) []int {
-	seen := map[int]bool{start: true}
-	stack := []int{start}
-	var visited []int
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		visited = append(visited, x)
-		for _, w := range d.in[x] {
-			if !seen[w] && d.ord[w] >= lb {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return visited
-}
-
-// reorder reassigns the affected region's order indices — ancestors of u
-// first, then descendants of v, each group keeping its internal relative
-// order — logging every prior position.
-func (d *Dynamic) reorder(deltaB, deltaF []int, undo *undoLog) {
-	byOrd := func(s []int) {
-		sort.Slice(s, func(i, j int) bool { return d.ord[s[i]] < d.ord[s[j]] })
-	}
-	byOrd(deltaB)
-	byOrd(deltaF)
-	nodes := append(append([]int(nil), deltaB...), deltaF...)
-	slots := make([]int, len(nodes))
-	for i, x := range nodes {
-		slots[i] = d.ord[x]
-	}
-	sort.Ints(slots)
-	for i, x := range nodes {
-		if d.ord[x] != slots[i] {
-			undo.ordNode = append(undo.ordNode, x)
-			undo.ordVal = append(undo.ordVal, d.ord[x])
-			d.ord[x] = slots[i]
-		}
-	}
-}
-
-// rollback restores the pre-batch state: un-append inserted edges (newest
-// first, so tails pop correctly), restore order indices in reverse (the
-// earliest save per node is applied last), re-append removed edges, and
-// truncate grown arrays.
-func (d *Dynamic) rollback(undo *undoLog) {
-	for i := len(undo.added) - 1; i >= 0; i-- {
-		u, v := undo.added[i][0], undo.added[i][1]
-		d.out[u] = d.out[u][:len(d.out[u])-1]
-		d.in[v] = d.in[v][:len(d.in[v])-1]
-	}
-	for i := len(undo.ordNode) - 1; i >= 0; i-- {
-		d.ord[undo.ordNode[i]] = undo.ordVal[i]
-	}
-	for i := len(undo.removed) - 1; i >= 0; i-- {
-		u, v := undo.removed[i][0], undo.removed[i][1]
-		d.out[u] = append(d.out[u], v)
-		d.in[v] = append(d.in[v], u)
-	}
-	if undo.nodesAdded > 0 {
-		n := len(d.ord) - undo.nodesAdded
-		d.out = d.out[:n]
-		d.in = d.in[:n]
-		d.ord = d.ord[:n]
-		d.pinned = d.pinned[:n]
-	}
+	slices.Sort(fwd)
+	slices.Sort(bwd)
+	return slices.Compact(fwd), slices.Compact(bwd)
 }

@@ -9,22 +9,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Options configures a Maintainer. Zero values pick the documented
-// defaults.
+// Options configures a Maintainer.
 type Options struct {
 	// K is the filter budget (required, ≥ 1).
 	K int
-	// MaxDrift is the fraction of the graph's propagation state that may be
-	// recomputed across batches before Maintain abandons incremental repair
-	// and falls back to a from-scratch core.Place greedy-all run. The unit
-	// is dirty-cone node visits per graph node; default 0.5.
-	MaxDrift float64
-	// SwapLimit bounds the filter-swap rounds of one incremental repair;
-	// default 4.
-	SwapLimit int
-	// MinGainFrac is the relative objective improvement below which repair
-	// stops; default 1e-9.
-	MinGainFrac float64
 	// Parallelism bounds the worker goroutines of the Greedy_All runs (the
 	// initial placement and the drift fallback); ≤ 1 is serial. Placements
 	// are bit-for-bit identical at any setting (see core.Place).
@@ -36,18 +24,18 @@ type Options struct {
 	Splicer *flow.Splicer
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxDrift <= 0 {
-		o.MaxDrift = 0.5
-	}
-	if o.SwapLimit <= 0 {
-		o.SwapLimit = 4
-	}
-	if o.MinGainFrac <= 0 {
-		o.MinGainFrac = 1e-9
-	}
-	return o
-}
+// Repair tuning.
+const (
+	// maxDrift is the dirty-cone node visits per graph node, accumulated
+	// across batches, past which Maintain abandons incremental repair and
+	// recomputes the placement with Greedy_All.
+	maxDrift = 0.5
+	// swapLimit bounds the filter-swap rounds of one incremental repair.
+	swapLimit = 4
+	// minGainFrac is the relative objective improvement below which
+	// repair stops.
+	minGainFrac = 1e-9
+)
 
 // Maintain strategies reported by Report.Strategy.
 const (
@@ -88,36 +76,35 @@ type Report struct {
 }
 
 // Maintainer keeps a filter placement fresh on a mutating graph. It owns
-// three incremental flow states over the same overlay — the empty-filter
-// state (for Φ(∅,V)), the all-filters state (for F(V), the Filter-Ratio
-// denominator) and the current placement's state — each repaired per batch
-// within the dirty cone only. Maintain then fixes the placement itself:
-// top-up to the budget, then bounded weakest-filter swaps with exact
-// objective verification, reverting any swap that does not improve F. When
-// accumulated drift exceeds Options.MaxDrift, it recomputes the placement
-// from scratch with the paper's Greedy_All instead.
+// one incremental flow state — the current placement's, repaired per batch
+// within the dirty cone only — and reads Φ(∅,V) and F(V), the
+// Filter-Ratio denominator, from the two invariant passes of each fresh
+// splicer plan. Maintain then fixes the placement itself: top-up to the
+// budget, then bounded weakest-filter swaps with exact objective
+// verification, reverting any swap that does not improve F. When the
+// dirty cones accumulated since the last Maintain exceed a fixed drift
+// bound, it recomputes the placement from scratch with the paper's
+// Greedy_All instead.
 //
 // A Maintainer supports only deterministic (unweighted) models. It is not
 // safe for concurrent use.
 type Maintainer struct {
 	d    *Dynamic
 	opts Options
-
-	base *flow.Incremental // no filters: Φ(∅,·)
-	full *flow.Incremental // all non-source filters: F(V)
 	cur  *flow.Incremental // the maintained placement
 
 	// splicer keeps an execution plan current with the overlay, so
-	// full re-initializations (Reinit after missed batches) and recompute
-	// placements run on the flat plan kernels instead of per-node scalar
-	// sweeps, and so the server can reuse the repaired plan for
-	// placements without rebuilding it from a snapshot.
+	// re-initializations, invariants and recompute placements run on the
+	// flat plan kernels, and so the server can reuse the repaired plan
+	// for placements without rebuilding it from a snapshot.
 	splicer *flow.Splicer
+	// phiEmpty and maxF are Φ(∅,V) and F(V) of the current graph.
+	phiEmpty, maxF float64
 
-	lastGen   uint64
-	placed    bool
-	touchedF  int
-	touchedB  int
+	lastGen uint64
+	placed  bool
+	// lastStats is cur's visit count at the end of the last Maintain:
+	// every visit since is batch drift.
 	lastStats flow.IncStats
 }
 
@@ -126,7 +113,6 @@ type Maintainer struct {
 // "initial"); pass the previous filter set in initial to warm-start from an
 // existing placement instead.
 func NewMaintainer(d *Dynamic, opts Options, initial []int) (*Maintainer, error) {
-	opts = opts.withDefaults()
 	if opts.K < 1 {
 		return nil, fmt.Errorf("dyn: maintainer budget K = %d, want ≥ 1", opts.K)
 	}
@@ -142,26 +128,21 @@ func NewMaintainer(d *Dynamic, opts Options, initial []int) (*Maintainer, error)
 			return nil, fmt.Errorf("%w: initial filter %d is a source", ErrBadNode, v)
 		}
 	}
-	sources := d.Sources()
-	all := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if !d.IsSource(v) {
-			all = append(all, v)
-		}
-	}
 	sp := opts.Splicer
 	if sp == nil {
 		sp = flow.NewSplicer(d, nil, flow.SpliceOptions{})
 	}
 	p := sp.Plan()
+	if p.N() != n {
+		p = sp.Rebuild()
+	}
 	mt := &Maintainer{
 		d:       d,
 		opts:    opts,
 		splicer: sp,
-		base:    flow.NewIncrementalWith(d, sources, nil, p),
-		full:    flow.NewIncrementalWith(d, sources, all, p),
-		cur:     flow.NewIncrementalWith(d, sources, initial, p),
+		cur:     flow.NewIncrementalWith(d, d.Sources(), initial, p),
 	}
+	mt.phiEmpty, mt.maxF = p.Invariants(d.Sources())
 	mt.placed = len(initial) > 0
 	mt.lastGen = d.Gen()
 	mt.lastStats = mt.cur.Stats()
@@ -188,10 +169,11 @@ func (mt *Maintainer) Graph() *Dynamic { return mt.d }
 func (mt *Maintainer) Filters() []int { return mt.cur.FilterNodes() }
 
 // Objective returns F(A) of the current placement on the current graph.
-func (mt *Maintainer) Objective() float64 { return mt.base.Phi() - mt.cur.Phi() }
+func (mt *Maintainer) Objective() float64 { return mt.phiEmpty - mt.cur.Phi() }
 
 // Apply routes a batch through the overlay and, on success, repairs the
-// three flow states within the dirty cone. A rejected batch (e.g. a
+// placement's flow state within the dirty cone, rebuilds the splicer's
+// plan and reads Φ(∅,V) and F(V) from it. A rejected batch (e.g. a
 // cycle-creating edge) leaves both the overlay and all flow state
 // untouched.
 func (mt *Maintainer) Apply(b Batch) (ApplyResult, error) {
@@ -199,16 +181,10 @@ func (mt *Maintainer) Apply(b Batch) (ApplyResult, error) {
 	if err != nil {
 		return res, err
 	}
-	if res.NodesAdded > 0 {
-		mt.base.Grow(false)
-		mt.cur.Grow(false)
-		mt.full.Grow(true) // new nodes join the all-filters mask
-	}
-	mt.base.Update(res.DirtyFwd, res.DirtyBwd)
-	mt.full.Update(res.DirtyFwd, res.DirtyBwd)
+	mt.cur.Grow()
 	mt.cur.Update(res.DirtyFwd, res.DirtyBwd)
-	mt.splicer.Apply(res.DirtyFwd, res.DirtyBwd, res.NodesAdded)
-	mt.accountDrift()
+	p, _ := mt.splicer.Apply(res.DirtyFwd, res.DirtyBwd, res.NodesAdded)
+	mt.phiEmpty, mt.maxF = p.Invariants(mt.d.Sources())
 	mt.lastGen = mt.d.Gen()
 	return res, nil
 }
@@ -217,15 +193,6 @@ func (mt *Maintainer) Apply(b Batch) (ApplyResult, error) {
 // overlay; Splicer().Plan() is always current after a successful Apply or
 // Maintain.
 func (mt *Maintainer) Splicer() *flow.Splicer { return mt.splicer }
-
-// accountDrift accumulates the current-state dirty-cone visits since the
-// last reading.
-func (mt *Maintainer) accountDrift() {
-	st := mt.cur.Stats()
-	mt.touchedF += st.ForwardVisits - mt.lastStats.ForwardVisits
-	mt.touchedB += st.BackwardVisits - mt.lastStats.BackwardVisits
-	mt.lastStats = st
-}
 
 // Maintain refreshes the placement after one or more Apply calls and
 // reports what moved. Strategy selection: the first call places from
@@ -236,20 +203,17 @@ func (mt *Maintainer) accountDrift() {
 func (mt *Maintainer) Maintain(ctx context.Context) (*Report, error) {
 	if mt.d.Gen() != mt.lastGen {
 		// Missed batches: the cached flow state is unsound. Rebuild the
-		// plan once, re-initialize all three flow states on its flat
-		// kernels, then recompute the placement below.
+		// plan once and rebuild the placement's flow state and the
+		// invariants on its flat kernels. The fresh state's whole-graph
+		// initialization counts as drift, past the bound, so the placement
+		// is recomputed below.
 		span := obs.TraceFrom(ctx).Begin("plan-rebuild")
-		mt.base.Grow(false)
-		mt.cur.Grow(false)
-		mt.full.Grow(true)
 		p := mt.splicer.Rebuild()
-		mt.base.ReinitWith(p)
-		mt.full.ReinitWith(p)
-		mt.cur.ReinitWith(p)
+		mt.cur = flow.NewIncrementalWith(mt.d, mt.d.Sources(), mt.cur.FilterNodes(), p)
+		mt.phiEmpty, mt.maxF = p.Invariants(mt.d.Sources())
 		span.End()
-		mt.lastStats = mt.cur.Stats()
+		mt.lastStats = flow.IncStats{}
 		mt.lastGen = mt.d.Gen()
-		mt.touchedF = mt.d.N() // force the drift fallback
 	}
 
 	prev := mt.cur.FilterNodes()
@@ -258,12 +222,14 @@ func (mt *Maintainer) Maintain(ctx context.Context) (*Report, error) {
 		FBefore: mt.Objective(),
 	}
 
-	n := mt.d.N()
-	drift := float64(mt.touchedF+mt.touchedB) / float64(max(n, 1))
+	st := mt.cur.Stats()
+	rep.TouchedForward = st.ForwardVisits - mt.lastStats.ForwardVisits
+	rep.TouchedBackward = st.BackwardVisits - mt.lastStats.BackwardVisits
+	drift := float64(rep.TouchedForward+rep.TouchedBackward) / float64(max(mt.d.N(), 1))
 	switch {
 	case !mt.placed:
 		rep.Strategy = StrategyInitial
-	case drift > mt.opts.MaxDrift || len(prev) > mt.opts.K:
+	case drift > maxDrift || len(prev) > mt.opts.K:
 		rep.Strategy = StrategyRecompute
 	default:
 		rep.Strategy = StrategyIncremental
@@ -279,18 +245,16 @@ func (mt *Maintainer) Maintain(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 
-	rep.TouchedForward, rep.TouchedBackward = mt.touchedF, mt.touchedB
-	// Repair work is not drift: resync the stats baseline instead of
-	// accounting it toward the next Maintain's fallback decision.
-	mt.touchedF, mt.touchedB = 0, 0
+	// Repair work is not drift: resync the baseline instead of counting
+	// it toward the next Maintain's fallback decision.
 	mt.lastStats = mt.cur.Stats()
 	mt.placed = true
 
 	rep.Filters = mt.cur.FilterNodes()
 	rep.FAfter = mt.Objective()
 	rep.Delta = rep.FAfter - rep.FBefore
-	rep.PhiEmpty = mt.base.Phi()
-	rep.MaxF = mt.base.Phi() - mt.full.Phi()
+	rep.PhiEmpty = mt.phiEmpty
+	rep.MaxF = mt.maxF
 	if rep.MaxF > 0 {
 		rep.FRatio = min(max(rep.FAfter/rep.MaxF, 0), 1)
 	} else {
@@ -307,12 +271,7 @@ func (mt *Maintainer) Maintain(ctx context.Context) (*Report, error) {
 func (mt *Maintainer) recompute(ctx context.Context) error {
 	m, err := flow.NewModelFromPlan(mt.splicer.Plan(), mt.d.Sources())
 	if err != nil {
-		// The splicer's plan should always be adoptable; a snapshot build is
-		// the conservative fallback if it ever is not.
-		m, err = flow.NewModel(mt.d.Snapshot(), mt.d.Sources())
-		if err != nil {
-			return err
-		}
+		return err
 	}
 	ev := flow.NewFloat(m)
 	res, err := core.Place(ctx, ev, mt.opts.K, core.Options{
@@ -324,16 +283,15 @@ func (mt *Maintainer) recompute(ctx context.Context) error {
 		return err
 	}
 	mt.cur = flow.NewIncrementalWith(mt.d, mt.d.Sources(), res.Filters, mt.splicer.Plan())
-	mt.lastStats = mt.cur.Stats()
 	return nil
 }
 
 // repair fixes the previous placement in place: greedy top-up to the
-// budget, then at most SwapLimit weakest-filter swaps, each verified
+// budget, then at most swapLimit weakest-filter swaps, each verified
 // against the exact objective and reverted when not an improvement.
 func (mt *Maintainer) repair(ctx context.Context, rep *Report) error {
 	k := mt.opts.K
-	floor := mt.opts.MinGainFrac * max(rep.FBefore, 1)
+	floor := minGainFrac * max(rep.FBefore, 1)
 
 	for len(mt.cur.FilterNodes()) < k {
 		if err := ctx.Err(); err != nil {
@@ -346,7 +304,7 @@ func (mt *Maintainer) repair(ctx context.Context, rep *Report) error {
 		mt.cur.SetFilter(v, true)
 	}
 
-	for rep.Swaps < mt.opts.SwapLimit {
+	for rep.Swaps < swapLimit {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

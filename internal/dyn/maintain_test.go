@@ -99,32 +99,83 @@ func TestMaintainQualityUnderChurn(t *testing.T) {
 	}
 }
 
+// TestMaintainDriftFallback feeds one batch whose dirty cone spans the
+// whole graph: on a 300-node path, the shortcut (0,2) doubles the copies
+// every node below 2 receives, so the forward cone alone exceeds the
+// maxDrift bound and Maintain must recompute.
 func TestMaintainDriftFallback(t *testing.T) {
-	g, root := gen.RandomDAG(300, 0.02, 3)
-	d, err := FromDigraph(g, []int{root})
+	const n = 300
+	path := make([][2]int, n-1)
+	for v := range path {
+		path[v] = [2]int{v, v + 1}
+	}
+	d, err := FromDigraph(graph.MustFromEdges(n, path), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt, err := NewMaintainer(d, Options{K: 5, MaxDrift: 1e-9}, nil)
+	mt, err := NewMaintainer(d, Options{K: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mt.Maintain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	stream := gen.TwitterChurn(g, 1, 0.05, 4)
-	if _, err := mt.Apply(Batch{Add: stream[0].Add, Remove: stream[0].Remove}); err != nil {
+	if _, err := mt.Apply(Batch{Add: [][2]int{{0, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := mt.Maintain(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Strategy != StrategyRecompute {
-		t.Fatalf("strategy = %q, want recompute under a zero drift bound", rep.Strategy)
+	if touched := rep.TouchedForward + rep.TouchedBackward; float64(touched) <= maxDrift*n {
+		t.Fatalf("dirty cone = %d visits, want > %v·%d", touched, maxDrift, n)
 	}
-	if want := greedyF(t, d, 5); math.Abs(rep.FAfter-want) > 1e-6*(1+want) {
+	if rep.Strategy != StrategyRecompute {
+		t.Fatalf("strategy = %q, want recompute past the drift bound", rep.Strategy)
+	}
+	if want := greedyF(t, d, 5); math.Abs(rep.FAfter-want) > 1e-6*(1+want) || want == 0 {
 		t.Fatalf("recompute F = %v, GreedyAll = %v", rep.FAfter, want)
+	}
+}
+
+// TestMaintainReportExact pins the report's invariants against a fresh
+// engine: after every batch of a churn stream, Φ(∅,V), F(V) and F(A) equal
+// a from-scratch FloatEngine's values on the overlay's snapshot exactly.
+func TestMaintainReportExact(t *testing.T) {
+	g, root := gen.TwitterLike(0.02, 3)
+	d, err := FromDigraph(g, []int{root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, err := NewMaintainer(d, Options{K: 8}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mt.Maintain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, mu := range gen.TwitterChurn(g, 32, 0.01, 4) {
+		if _, err := mt.Apply(Batch{Add: mu.Add, Remove: mu.Remove}); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		rep, err := mt.Maintain(context.Background())
+		if err != nil {
+			t.Fatalf("maintain %d: %v", i, err)
+		}
+		m, err := flow.NewModel(d.Snapshot(), d.Sources())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := flow.NewFloat(m)
+		if got, want := rep.PhiEmpty, ev.Phi(nil); got != want {
+			t.Fatalf("batch %d: PhiEmpty = %v, fresh engine %v", i, got, want)
+		}
+		if got, want := rep.MaxF, ev.MaxF(); got != want {
+			t.Fatalf("batch %d: MaxF = %v, fresh engine %v", i, got, want)
+		}
+		if got, want := rep.FAfter, ev.F(flow.MaskOf(m.N(), rep.Filters)); got != want {
+			t.Fatalf("batch %d: FAfter = %v, fresh engine %v", i, got, want)
+		}
 	}
 }
 

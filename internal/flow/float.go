@@ -49,11 +49,35 @@ func NewFloat(m *Model) *FloatEngine {
 	e := &FloatEngine{m: m, p: m.Plan(), src: m.planSources(), pc: &passCount{}}
 	inv := m.inv
 	inv.floatOnce.Do(func() {
-		inv.phiEmpty = e.phi(nil)
-		inv.maxF = inv.phiEmpty - e.phi(AllFilters(m))
+		inv.phiEmpty, inv.maxF = e.p.invariants(e.src)
+		e.pc.fwd.Add(2)
 	})
 	e.phiEmpty, e.maxF = inv.phiEmpty, inv.maxF
 	return e
+}
+
+// invariants runs the two forward passes behind Φ(∅,V) and F(V) — no
+// filters, then every non-source node filtered — over the plan-order
+// source mask src.
+func (p *Plan) invariants(src []bool) (phiEmpty, maxF float64) {
+	s := p.getScratch()
+	defer p.putScratch(s)
+	p.forwardRange(src, p.falseMask, 0, s.rec, s.emit, 0, p.n)
+	phiEmpty = p.sumPhi(s.rec, s.emit)
+	for i, isSrc := range src {
+		s.fmask[i] = !isSrc
+	}
+	p.forwardRange(src, s.fmask, 0, s.rec, s.emit, 0, p.n)
+	return phiEmpty, phiEmpty - p.sumPhi(s.rec, s.emit)
+}
+
+// Invariants returns Φ(∅,V) and F(V) — the Filter-Ratio denominator — of
+// the model over p with the given sources, by the same passes NewFloat's
+// invariant cache runs, so the values are bit-for-bit those of a
+// FloatEngine over an equal plan. dyn.Maintainer reads them from every
+// fresh Splicer plan.
+func (p *Plan) Invariants(sources []int) (phiEmpty, maxF float64) {
+	return p.invariants(p.fillMask(make([]bool, p.n), MaskOf(p.n, sources)))
 }
 
 // Model implements Evaluator.

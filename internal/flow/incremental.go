@@ -24,8 +24,6 @@ type IncStats struct {
 	ForwardVisits int
 	// BackwardVisits counts suffix recomputations (ancestor cones).
 	BackwardVisits int
-	// Updates counts Update/SetFilter calls that did any work.
-	Updates int
 }
 
 // Incremental maintains the propagation state rec, emit and suffix of a
@@ -33,12 +31,14 @@ type IncStats struct {
 // after each change: descendants of edge heads for the forward quantities,
 // ancestors of edge tails for the backward one. It supports only the
 // deterministic (unweighted) model — exactly what the fpd daemon serves —
-// and is the engine behind dyn.Maintainer.
+// and is the engine behind dyn.Maintainer, which keeps one per maintained
+// placement.
 //
 // Unlike FloatEngine, whose every query runs full O(|E|) passes, an
-// Incremental amortizes: a localized mutation on a Twitter-shaped graph
-// touches a handful of nodes, so placement maintenance after small batches
-// costs orders of magnitude less than re-evaluating from scratch.
+// Incremental amortizes: a 1% TwitterChurn batch on TwitterLike(0.5)
+// recomputes about 1.5% of the nodes forward and 1.8% backward, and a
+// filter toggle only its own cones, so placement repair after small
+// batches costs a fraction of re-evaluating from scratch.
 //
 // Not safe for concurrent use.
 type Incremental struct {
@@ -50,103 +50,23 @@ type Incremental struct {
 	suf     []float64
 
 	inQF, inQB []bool // queue-membership scratch
-	// ordBuf is the reusable whole-graph sweep order (the dynamic
-	// counterpart of a static plan's level-packed order, rebuilt from the
-	// maintained positions instead of precomputed): Reinit refreshes it in
-	// place, so full re-initializations after drift stop allocating O(N)
-	// per call.
-	ordBuf []int
-	stats  IncStats
+	stats      IncStats
 }
 
-// NewIncremental builds the engine and runs one full initialization pass.
-// sources must have in-degree 0 now and forever (dyn pins them); filters
-// may be nil for the empty mask.
-func NewIncremental(g DynDigraph, sources, filters []int) *Incremental {
-	return NewIncrementalWith(g, sources, filters, nil)
-}
-
-// NewIncrementalWith is NewIncremental with the initialization pass run on
-// the flat kernels of p (see ReinitWith) instead of the scalar sweeps. p
-// may be nil or stale; the scalar path is the fallback.
+// NewIncrementalWith builds the engine over g with the given sources and
+// filters (nil for none) and initializes it on the flat forwardRange/
+// suffixRange kernels of p — sequential position order, no per-node heap
+// or interface dispatch — scattering the results back to original-id
+// indexing. p must be an unweighted plan of g's current graph (a
+// Splicer's plan is). sources must have in-degree 0 now and forever (dyn
+// pins them).
 func NewIncrementalWith(g DynDigraph, sources, filters []int, p *Plan) *Incremental {
 	n := g.N()
-	e := &Incremental{g: g}
-	e.isSrc = make([]bool, n)
-	for _, s := range sources {
-		e.isSrc[s] = true
+	if p.n != n || p.weighted {
+		panic(fmt.Sprintf("flow: Incremental over a plan of %d nodes (weighted %v), view has %d", p.n, p.weighted, n))
 	}
-	e.filters = make([]bool, n)
-	for _, v := range filters {
-		e.filters[v] = true
-	}
+	e := &Incremental{g: g, isSrc: MaskOf(n, sources), filters: MaskOf(n, filters)}
 	e.alloc(n)
-	e.ReinitWith(p)
-	return e
-}
-
-func (e *Incremental) alloc(n int) {
-	e.rec = make([]float64, n)
-	e.emit = make([]float64, n)
-	e.suf = make([]float64, n)
-	e.inQF = make([]bool, n)
-	e.inQB = make([]bool, n)
-}
-
-// Grow resizes the engine to the view's current node count. New nodes are
-// non-source; filterNew marks them as filters (the all-filters state grows
-// that way). New nodes must still be isolated — grow before applying the
-// batch's edge seeds via Update.
-func (e *Incremental) Grow(filterNew bool) {
-	n := e.g.N()
-	if n <= len(e.rec) {
-		return
-	}
-	grow := func(s []float64) []float64 { return append(s, make([]float64, n-len(s))...) }
-	e.rec, e.emit, e.suf = grow(e.rec), grow(e.emit), grow(e.suf)
-	for len(e.isSrc) < n {
-		e.isSrc = append(e.isSrc, false)
-		e.filters = append(e.filters, filterNew)
-		e.inQF = append(e.inQF, false)
-		e.inQB = append(e.inQB, false)
-	}
-}
-
-// Reinit recomputes the full state with two whole-graph passes; used at
-// construction and when a consumer lost sync with the view's mutations.
-func (e *Incremental) Reinit() {
-	n := e.g.N()
-	if cap(e.ordBuf) < n {
-		e.ordBuf = make([]int, n)
-	}
-	order := e.ordBuf[:n]
-	for v := 0; v < n; v++ {
-		order[e.g.OrdOf(v)] = v
-	}
-	for _, v := range order {
-		e.recompute(v)
-	}
-	for i := n - 1; i >= 0; i-- {
-		e.recomputeSuf(order[i])
-	}
-	e.stats.ForwardVisits += n
-	e.stats.BackwardVisits += n
-	e.stats.Updates++
-}
-
-// ReinitWith recomputes the full state like Reinit but on the flat
-// forwardRange/suffixRange kernels of an up-to-date execution plan —
-// sequential position order, no per-node heap or interface dispatch — and
-// scatters the results back to original-id indexing. This is the path
-// that makes dyn.Maintainer's "missed batches" rebuild run at plan-kernel
-// speed instead of being the slowest pass in the system. A nil, stale or
-// weighted plan falls back to the scalar Reinit.
-func (e *Incremental) ReinitWith(p *Plan) {
-	n := e.g.N()
-	if p == nil || p.n != n || p.weighted {
-		e.Reinit()
-		return
-	}
 	s := p.getScratch()
 	srcBuf := p.GetMask()
 	src := p.fillMask(srcBuf, e.isSrc)
@@ -160,9 +80,33 @@ func (e *Incremental) ReinitWith(p *Plan) {
 	}
 	p.PutMask(srcBuf)
 	p.putScratch(s)
-	e.stats.ForwardVisits += n
-	e.stats.BackwardVisits += n
-	e.stats.Updates++
+	e.stats = IncStats{ForwardVisits: n, BackwardVisits: n}
+	return e
+}
+
+func (e *Incremental) alloc(n int) {
+	e.rec = make([]float64, n)
+	e.emit = make([]float64, n)
+	e.suf = make([]float64, n)
+	e.inQF = make([]bool, n)
+	e.inQB = make([]bool, n)
+}
+
+// Grow resizes the engine to the view's current node count. New nodes are
+// neither sources nor filters and must still be isolated — grow before
+// applying the batch's edge seeds via Update.
+func (e *Incremental) Grow() {
+	n := e.g.N()
+	if n <= len(e.rec) {
+		return
+	}
+	grow := func(s []float64) []float64 { return append(s, make([]float64, n-len(s))...) }
+	e.rec, e.emit, e.suf = grow(e.rec), grow(e.emit), grow(e.suf)
+	k := n - len(e.isSrc)
+	e.isSrc = append(e.isSrc, make([]bool, k)...)
+	e.filters = append(e.filters, make([]bool, k)...)
+	e.inQF = append(e.inQF, make([]bool, k)...)
+	e.inQB = append(e.inQB, make([]bool, k)...)
 }
 
 // recompute refreshes rec and emit at v from its in-neighbors, reporting
@@ -244,7 +188,6 @@ func (e *Incremental) Update(fwdSeeds, bwdSeeds []int) {
 			}
 		}
 	}
-	e.stats.Updates++
 }
 
 // SetFilter toggles the filter at v and repairs the state: a filter change
@@ -259,26 +202,6 @@ func (e *Incremental) SetFilter(v int, on bool) {
 	e.Update([]int{v}, e.g.In(v))
 }
 
-// Clone returns an independent copy of the engine's propagation state
-// sharing the same graph view. Clones support concurrent read/Update use
-// on their own state while the overlay itself is quiescent (the view is
-// shared, not copied); dyn.Maintainer uses clones to probe candidate
-// repairs without disturbing the live state.
-func (e *Incremental) Clone() *Incremental {
-	c := &Incremental{g: e.g, stats: e.stats}
-	c.isSrc = append([]bool(nil), e.isSrc...)
-	c.filters = append([]bool(nil), e.filters...)
-	c.rec = append([]float64(nil), e.rec...)
-	c.emit = append([]float64(nil), e.emit...)
-	c.suf = append([]float64(nil), e.suf...)
-	c.inQF = make([]bool, len(e.inQF))
-	c.inQB = make([]bool, len(e.inQB))
-	return c
-}
-
-// IsFilter reports whether v is currently a filter.
-func (e *Incremental) IsFilter(v int) bool { return e.filters[v] }
-
 // FilterNodes returns the current filter set, ascending.
 func (e *Incremental) FilterNodes() []int { return NodesOf(e.filters) }
 
@@ -291,12 +214,6 @@ func (e *Incremental) Phi() float64 {
 	}
 	return total
 }
-
-// Rec returns the cached received count Φ(A, v).
-func (e *Incremental) Rec(v int) float64 { return e.rec[v] }
-
-// Suf returns the cached downstream amplification of v.
-func (e *Incremental) Suf(v int) float64 { return e.suf[v] }
 
 // Gain returns the exact marginal gain F(A∪{v}) − F(A) from cached state
 // (0 for sources and current filters).
@@ -332,37 +249,6 @@ func (e *Incremental) ArgmaxGain() (int, float64) {
 
 // Stats returns the cumulative recomputation counters.
 func (e *Incremental) Stats() IncStats { return e.stats }
-
-// check panics unless the engine state matches a from-scratch pass; test
-// hook.
-func (e *Incremental) check(tol float64) {
-	n := e.g.N()
-	order := make([]int, n)
-	for v := 0; v < n; v++ {
-		order[e.g.OrdOf(v)] = v
-	}
-	fresh := &Incremental{g: e.g, isSrc: e.isSrc, filters: e.filters}
-	fresh.alloc(n)
-	for _, v := range order {
-		fresh.recompute(v)
-	}
-	for i := n - 1; i >= 0; i-- {
-		fresh.recomputeSuf(order[i])
-	}
-	for v := 0; v < n; v++ {
-		if diff(e.rec[v], fresh.rec[v]) > tol || diff(e.emit[v], fresh.emit[v]) > tol || diff(e.suf[v], fresh.suf[v]) > tol {
-			panic(fmt.Sprintf("flow: incremental state diverged at node %d: rec %v vs %v, emit %v vs %v, suf %v vs %v",
-				v, e.rec[v], fresh.rec[v], e.emit[v], fresh.emit[v], e.suf[v], fresh.suf[v]))
-		}
-	}
-}
-
-func diff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
 
 // ordHeap is a binary heap of node ids under a caller-supplied ordering,
 // with O(1) duplicate suppression through a shared membership mask.

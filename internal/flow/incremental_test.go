@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 // mutableDAG is a minimal DynDigraph for tests: adjacency slices plus a
 // topological order maintained by full recomputation (the tests exercise
-// the engine, not the overlay; dyn has its own Pearce–Kelly tests).
+// the engine, not the overlay; acyclic and dyn test the Pearce–Kelly order).
 type mutableDAG struct {
 	out, in [][]int
 	ord     []int
@@ -29,6 +30,11 @@ func newMutableDAG(g *graph.Digraph) *mutableDAG {
 	return d
 }
 
+// newIncremental builds an Incremental with no filters over a fresh plan of d.
+func newIncremental(d DynDigraph, sources []int) *Incremental {
+	return NewIncrementalWith(d, sources, nil, NewSplicer(d, nil, SpliceOptions{}).Plan())
+}
+
 func (d *mutableDAG) N() int          { return len(d.ord) }
 func (d *mutableDAG) Out(v int) []int { return d.out[v] }
 func (d *mutableDAG) In(v int) []int  { return d.in[v] }
@@ -37,7 +43,7 @@ func (d *mutableDAG) OrdOf(v int) int { return d.ord[v] }
 func (d *mutableDAG) addEdge(u, v int) {
 	d.out[u] = append(d.out[u], v)
 	d.in[v] = append(d.in[v], u)
-	d.reorder()
+	d.retopo()
 }
 
 func (d *mutableDAG) removeEdge(u, v int) {
@@ -84,8 +90,8 @@ func (d *mutableDAG) hasPath(u, v int) bool {
 	return false
 }
 
-// reorder recomputes the topological order from scratch (Kahn).
-func (d *mutableDAG) reorder() {
+// retopo recomputes the topological order from scratch (Kahn).
+func (d *mutableDAG) retopo() {
 	n := len(d.ord)
 	indeg := make([]int, n)
 	for v := 0; v < n; v++ {
@@ -138,11 +144,11 @@ func assertAgrees(t *testing.T, inc *Incremental, d *mutableDAG, sources []int, 
 	suf := ref.Suffix(filters)
 	const tol = 1e-9
 	for v := 0; v < d.N(); v++ {
-		if math.Abs(inc.Rec(v)-rec[v]) > tol*(1+math.Abs(rec[v])) {
-			t.Fatalf("rec[%d] = %v, reference %v", v, inc.Rec(v), rec[v])
+		if math.Abs(inc.rec[v]-rec[v]) > tol*(1+math.Abs(rec[v])) {
+			t.Fatalf("rec[%d] = %v, reference %v", v, inc.rec[v], rec[v])
 		}
-		if math.Abs(inc.Suf(v)-suf[v]) > tol*(1+math.Abs(suf[v])) {
-			t.Fatalf("suf[%d] = %v, reference %v", v, inc.Suf(v), suf[v])
+		if math.Abs(inc.suf[v]-suf[v]) > tol*(1+math.Abs(suf[v])) {
+			t.Fatalf("suf[%d] = %v, reference %v", v, inc.suf[v], suf[v])
 		}
 	}
 	if phi := ref.Phi(filters); math.Abs(inc.Phi()-phi) > tol*(1+math.Abs(phi)) {
@@ -169,7 +175,7 @@ func TestIncrementalMatchesFloatUnderChurn(t *testing.T) {
 		g := b.MustBuild()
 		d := newMutableDAG(g)
 		sources := []int{0}
-		inc := NewIncremental(d, sources, nil)
+		inc := newIncremental(d, sources)
 		filters := make([]bool, n)
 
 		for step := 0; step < 300; step++ {
@@ -216,7 +222,7 @@ func TestIncrementalDirtyRegionIsLocal(t *testing.T) {
 	}
 	g := b.MustBuild()
 	d := newMutableDAG(g)
-	inc := NewIncremental(d, []int{0}, nil)
+	inc := newIncremental(d, []int{0})
 	before := inc.Stats()
 
 	// An edge (n−5, n−2) near the sink: the forward cone is the last few
@@ -236,26 +242,26 @@ func TestIncrementalDirtyRegionIsLocal(t *testing.T) {
 func TestIncrementalGrow(t *testing.T) {
 	g := graph.MustFromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	d := newMutableDAG(g)
-	inc := NewIncremental(d, []int{0}, nil)
+	inc := newIncremental(d, []int{0})
 
 	// Grow the view by two nodes and wire 2→3→4.
 	d.out = append(d.out, nil, nil)
 	d.in = append(d.in, nil, nil)
 	d.ord = append(d.ord, 3, 4)
-	inc.Grow(false)
+	inc.Grow()
 	d.addEdge(2, 3)
 	d.addEdge(3, 4)
 	inc.Update([]int{3, 4}, []int{2, 3})
 	assertAgrees(t, inc, d, []int{0}, nil)
-	if inc.Rec(4) != 1 {
-		t.Errorf("rec[4] = %v, want 1", inc.Rec(4))
+	if inc.rec[4] != 1 {
+		t.Errorf("rec[4] = %v, want 1", inc.rec[4])
 	}
 }
 
 func TestIncrementalGainMatchesImpacts(t *testing.T) {
 	g := graph.MustFromEdges(5, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}})
 	d := newMutableDAG(g)
-	inc := NewIncremental(d, []int{0}, nil)
+	inc := newIncremental(d, []int{0})
 	m, err := NewModel(g, []int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -269,4 +275,35 @@ func TestIncrementalGainMatchesImpacts(t *testing.T) {
 	if v, gain := inc.ArgmaxGain(); v != 3 || gain != want[3] {
 		t.Errorf("ArgmaxGain = (%d, %v), want (3, %v)", v, gain, want[3])
 	}
+}
+
+// check panics unless the engine state matches a from-scratch pass; test
+// hook.
+func (e *Incremental) check(tol float64) {
+	n := e.g.N()
+	order := make([]int, n)
+	for v := 0; v < n; v++ {
+		order[e.g.OrdOf(v)] = v
+	}
+	fresh := &Incremental{g: e.g, isSrc: e.isSrc, filters: e.filters}
+	fresh.alloc(n)
+	for _, v := range order {
+		fresh.recompute(v)
+	}
+	for i := n - 1; i >= 0; i-- {
+		fresh.recomputeSuf(order[i])
+	}
+	for v := 0; v < n; v++ {
+		if diff(e.rec[v], fresh.rec[v]) > tol || diff(e.emit[v], fresh.emit[v]) > tol || diff(e.suf[v], fresh.suf[v]) > tol {
+			panic(fmt.Sprintf("flow: incremental state diverged at node %d: rec %v vs %v, emit %v vs %v, suf %v vs %v",
+				v, e.rec[v], fresh.rec[v], e.emit[v], fresh.emit[v], e.suf[v], fresh.suf[v]))
+		}
+	}
+}
+
+func diff(a, b float64) float64 {
+	if a > b {
+		return a - b
+	}
+	return b - a
 }

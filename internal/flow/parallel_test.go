@@ -202,37 +202,3 @@ func TestBigParallelExactIntegers(t *testing.T) {
 		}
 	}
 }
-
-// TestIncrementalClone checks an Incremental clone evolves independently.
-func TestIncrementalClone(t *testing.T) {
-	m := randomDAGModel(t, 80, 0.08, 3)
-	d := staticDyn{m}
-	e := NewIncremental(d, m.Sources(), nil)
-	v, _ := e.ArgmaxGain()
-	if v < 0 {
-		t.Skip("degenerate graph: no positive gain")
-	}
-	c := e.Clone()
-	c.SetFilter(v, true)
-	if !c.IsFilter(v) || e.IsFilter(v) {
-		t.Fatalf("clone filter state leaked into original")
-	}
-	if e.Phi() == c.Phi() {
-		t.Fatalf("filter at %d did not change clone Phi", v)
-	}
-}
-
-// staticDyn adapts an immutable Model to the DynDigraph view.
-type staticDyn struct{ m *Model }
-
-func (s staticDyn) N() int          { return s.m.N() }
-func (s staticDyn) Out(v int) []int { return s.m.Graph().Out(v) }
-func (s staticDyn) In(v int) []int  { return s.m.Graph().In(v) }
-func (s staticDyn) OrdOf(v int) int {
-	for i, u := range s.m.Topo() {
-		if u == v {
-			return i
-		}
-	}
-	return -1
-}

@@ -359,14 +359,10 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 	}
 	st := e.splicer.Last()
 	// The overlay pins the sources, so a model over the rebuilt plan
-	// cannot fail validation; the snapshot build is a belt-and-suspenders
-	// fallback only.
+	// cannot fail validation.
 	model, err := flow.NewModelFromPlan(e.splicer.Plan(), e.dynamic.Sources())
 	if err != nil {
-		model, err = flow.NewModel(e.dynamic.Snapshot(), e.dynamic.Sources())
-		if err != nil {
-			return GraphInfo{}, res, st, err
-		}
+		return GraphInfo{}, res, st, err
 	}
 
 	r.mu.Lock()
