@@ -77,14 +77,16 @@ type Report struct {
 
 // Maintainer keeps a filter placement fresh on a mutating graph. It owns
 // one incremental flow state — the current placement's, repaired per batch
-// within the dirty cone only — and reads Φ(∅,V) and F(V), the
-// Filter-Ratio denominator, from the two invariant passes of each fresh
-// splicer plan. Maintain then fixes the placement itself: top-up to the
-// budget, then bounded weakest-filter swaps with exact objective
-// verification, reverting any swap that does not improve F. When the
-// dirty cones accumulated since the last Maintain exceed a fixed drift
-// bound, it recomputes the placement from scratch with the paper's
-// Greedy_All instead.
+// within the dirty cone only — and one immutable flow.Model per graph
+// version, stood up over each fresh splicer plan. Φ(∅,V) and F(V), the
+// Filter-Ratio denominator, come from that model's invariant cache (one
+// forward pass), so whoever serves the model next (the server registry
+// does) reads them for free. Maintain then fixes the placement itself:
+// top-up to the budget, then bounded weakest-filter swaps with exact
+// objective verification, reverting any swap that does not improve F.
+// When the dirty cones accumulated since the last Maintain exceed a fixed
+// drift bound, it recomputes the placement from scratch with the paper's
+// Greedy_All on the version's model instead.
 //
 // A Maintainer supports only deterministic (unweighted) models. It is not
 // safe for concurrent use.
@@ -98,7 +100,10 @@ type Maintainer struct {
 	// flat plan kernels, and so the server can reuse the repaired plan
 	// for placements without rebuilding it from a snapshot.
 	splicer *flow.Splicer
-	// phiEmpty and maxF are Φ(∅,V) and F(V) of the current graph.
+	// model is the current graph version's model over the splicer's plan,
+	// with its float invariants already cached; phiEmpty and maxF are
+	// Φ(∅,V) and F(V) read from them.
+	model          *flow.Model
 	phiEmpty, maxF float64
 
 	lastGen uint64
@@ -142,7 +147,9 @@ func NewMaintainer(d *Dynamic, opts Options, initial []int) (*Maintainer, error)
 		splicer: sp,
 		cur:     flow.NewIncrementalWith(d, d.Sources(), initial, p),
 	}
-	mt.phiEmpty, mt.maxF = p.Invariants(d.Sources())
+	if err := mt.setPlan(p); err != nil {
+		return nil, err
+	}
 	mt.placed = len(initial) > 0
 	mt.lastGen = d.Gen()
 	mt.lastStats = mt.cur.Stats()
@@ -173,8 +180,8 @@ func (mt *Maintainer) Objective() float64 { return mt.phiEmpty - mt.cur.Phi() }
 
 // Apply routes a batch through the overlay and, on success, repairs the
 // placement's flow state within the dirty cone, rebuilds the splicer's
-// plan and reads Φ(∅,V) and F(V) from it. A rejected batch (e.g. a
-// cycle-creating edge) leaves both the overlay and all flow state
+// plan and stands the new version's Model up over it. A rejected batch
+// (e.g. a cycle-creating edge) leaves both the overlay and all flow state
 // untouched.
 func (mt *Maintainer) Apply(b Batch) (ApplyResult, error) {
 	res, err := mt.d.Apply(b)
@@ -184,10 +191,31 @@ func (mt *Maintainer) Apply(b Batch) (ApplyResult, error) {
 	mt.cur.Grow()
 	mt.cur.Update(res.DirtyFwd, res.DirtyBwd)
 	p, _ := mt.splicer.Apply(res.DirtyFwd, res.DirtyBwd, res.NodesAdded)
-	mt.phiEmpty, mt.maxF = p.Invariants(mt.d.Sources())
+	if err := mt.setPlan(p); err != nil {
+		// lastGen stays behind, so the next Maintain resyncs.
+		return res, err
+	}
 	mt.lastGen = mt.d.Gen()
 	return res, nil
 }
+
+// setPlan makes a model over the splicer plan p the current version's and
+// reads Φ(∅,V) and F(V) through its invariant cache.
+func (mt *Maintainer) setPlan(p *flow.Plan) error {
+	m, err := flow.NewModelFromPlan(p, mt.d.Sources())
+	if err != nil {
+		return err
+	}
+	ev := flow.NewFloat(m)
+	mt.model, mt.phiEmpty, mt.maxF = m, ev.Phi(nil), ev.MaxF()
+	return nil
+}
+
+// Model returns the current graph version's model, built over
+// Splicer().Plan() with its float invariants cached. It is immutable and
+// safe to share: the server registry serves it to readers after a PATCH
+// instead of building a second model over the same plan.
+func (mt *Maintainer) Model() *flow.Model { return mt.model }
 
 // Splicer returns the plan splicer the Maintainer keeps in sync with the
 // overlay; Splicer().Plan() is always current after a successful Apply or
@@ -203,15 +231,18 @@ func (mt *Maintainer) Splicer() *flow.Splicer { return mt.splicer }
 func (mt *Maintainer) Maintain(ctx context.Context) (*Report, error) {
 	if mt.d.Gen() != mt.lastGen {
 		// Missed batches: the cached flow state is unsound. Rebuild the
-		// plan once and rebuild the placement's flow state and the
-		// invariants on its flat kernels. The fresh state's whole-graph
+		// plan once, then the placement's flow state and the version's
+		// model on its flat kernels. The fresh state's whole-graph
 		// initialization counts as drift, past the bound, so the placement
 		// is recomputed below.
 		span := obs.TraceFrom(ctx).Begin("plan-rebuild")
 		p := mt.splicer.Rebuild()
 		mt.cur = flow.NewIncrementalWith(mt.d, mt.d.Sources(), mt.cur.FilterNodes(), p)
-		mt.phiEmpty, mt.maxF = p.Invariants(mt.d.Sources())
+		err := mt.setPlan(p)
 		span.End()
+		if err != nil {
+			return nil, err
+		}
 		mt.lastStats = flow.IncStats{}
 		mt.lastGen = mt.d.Gen()
 	}
@@ -265,15 +296,11 @@ func (mt *Maintainer) Maintain(ctx context.Context) (*Report, error) {
 }
 
 // recompute runs the paper's Greedy_All from scratch and swaps the
-// resulting placement into the incremental state. The model is stood up
-// over the splicer's current plan in O(n+m) — no overlay snapshot, no
-// plan rebuild — so the fallback path, too, runs on the flat kernels.
+// resulting placement into the incremental state. It places on the
+// version's model — no overlay snapshot, no plan rebuild, no invariant
+// pass — so the fallback path, too, runs on the flat kernels.
 func (mt *Maintainer) recompute(ctx context.Context) error {
-	m, err := flow.NewModelFromPlan(mt.splicer.Plan(), mt.d.Sources())
-	if err != nil {
-		return err
-	}
-	ev := flow.NewFloat(m)
+	ev := flow.NewFloat(mt.model)
 	res, err := core.Place(ctx, ev, mt.opts.K, core.Options{
 		Strategy:    core.StrategyGreedyAll,
 		Parallelism: mt.opts.Parallelism,

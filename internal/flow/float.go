@@ -15,10 +15,10 @@ package flow
 // reference suite in plan_test.go pins this).
 //
 // The invariants — the plan-order source mask, Φ(∅,V) and F(V) — live on
-// the Model and are computed once per model: the first NewFloat runs two
-// forward passes for them, every later one runs none, so building an
-// engine per request costs O(1) plus a scratch arena borrowed on first
-// use.
+// the Model and are computed once per model: the first NewFloat runs one
+// forward pass for them (two on weighted models), every later one runs
+// none, so building an engine per request costs O(1) plus a scratch arena
+// borrowed on first use.
 //
 // The hot paths (Phi, F, ArgmaxImpact — the inner loop of Greedy_All)
 // reuse a scratch arena borrowed from the plan's pool, so a FloatEngine is
@@ -43,41 +43,56 @@ type FloatEngine struct {
 }
 
 // NewFloat builds a float64 evaluator for the model. The model's first
-// engine computes Φ(∅,V) and F(V) (two forward passes, counted on that
-// engine); later engines reuse them and run no pass.
+// engine computes Φ(∅,V) and F(V) (one forward pass on unweighted models,
+// two on weighted ones, counted on that engine); later engines reuse them
+// and run no pass.
 func NewFloat(m *Model) *FloatEngine {
 	e := &FloatEngine{m: m, p: m.Plan(), src: m.planSources(), pc: &passCount{}}
 	inv := m.inv
 	inv.floatOnce.Do(func() {
-		inv.phiEmpty, inv.maxF = e.p.invariants(e.src)
-		e.pc.fwd.Add(2)
+		var passes int64
+		inv.phiEmpty, inv.maxF, passes = e.p.invariants(e.src)
+		e.pc.fwd.Add(passes)
 	})
 	e.phiEmpty, e.maxF = inv.phiEmpty, inv.maxF
 	return e
 }
 
-// invariants runs the two forward passes behind Φ(∅,V) and F(V) — no
-// filters, then every non-source node filtered — over the plan-order
-// source mask src.
-func (p *Plan) invariants(src []bool) (phiEmpty, maxF float64) {
+// invariants computes Φ(∅,V) and F(V) over the plan-order source mask
+// src and reports how many forward passes that took.
+//
+// Φ(∅,V) is one pass with no filters. F(V) needs Φ(V,V), every non-source
+// node filtered. On unweighted plans that has a closed form: a filter
+// emits one copy exactly when it receives any, so every node the sources
+// reach emits 1 and every other node 0. Φ(V,V) is then the number of
+// edges whose tail is reached — the out-degrees of the nodes with
+// emit > 0 in the Φ(∅) pass — plus, on coarse plans, mulW over the
+// reached nodes. Every partial sum, there and in the second pass, is an
+// integer bounded by the graph's size, far below 2^53, so the result is
+// bit-for-bit that of the second pass, Φ(∅) = +Inf included. Weighted
+// plans emit fractions and run the second pass.
+func (p *Plan) invariants(src []bool) (phiEmpty, maxF float64, passes int64) {
 	s := p.getScratch()
 	defer p.putScratch(s)
 	p.forwardRange(src, p.falseMask, 0, s.rec, s.emit, 0, p.n)
 	phiEmpty = p.sumPhi(s.rec, s.emit)
-	for i, isSrc := range src {
-		s.fmask[i] = !isSrc
+	if p.weighted {
+		for i, isSrc := range src {
+			s.fmask[i] = !isSrc
+		}
+		p.forwardRange(src, s.fmask, 0, s.rec, s.emit, 0, p.n)
+		return phiEmpty, phiEmpty - p.sumPhi(s.rec, s.emit), 2
 	}
-	p.forwardRange(src, s.fmask, 0, s.rec, s.emit, 0, p.n)
-	return phiEmpty, phiEmpty - p.sumPhi(s.rec, s.emit)
-}
-
-// Invariants returns Φ(∅,V) and F(V) — the Filter-Ratio denominator — of
-// the model over p with the given sources, by the same passes NewFloat's
-// invariant cache runs, so the values are bit-for-bit those of a
-// FloatEngine over an equal plan. dyn.Maintainer reads them from every
-// fresh Splicer plan.
-func (p *Plan) Invariants(sources []int) (phiEmpty, maxF float64) {
-	return p.invariants(p.fillMask(make([]bool, p.n), MaskOf(p.n, sources)))
+	var edges, mul float64
+	for i, e := range s.emit {
+		if e > 0 {
+			edges += float64(p.outOff[i+1] - p.outOff[i])
+			if p.mulW != nil {
+				mul += p.mulW[i]
+			}
+		}
+	}
+	return phiEmpty, phiEmpty - (edges + mul), 1
 }
 
 // Model implements Evaluator.

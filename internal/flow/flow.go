@@ -42,11 +42,11 @@
 // execution Plan (structural, shared by every model over the same graph
 // and weights) and its invariants — the plan-order source mask, Φ(∅,V)
 // and F(V) in each engine's arithmetic — which depend on the sources too.
-// The first engine of a model builds what is missing (the plan, then two
-// forward passes for the invariants); every later NewFloat or NewBig runs
-// no pass and costs O(1) plus, for the float engine, a scratch arena
-// borrowed from the plan's pool on first use and returned by
-// ReleaseScratch. Evaluate then reports Φ(∅,V), Φ(A,V), F(A) and FR(A)
+// The first engine of a model builds what is missing (the plan, then the
+// invariants: one forward pass on an unweighted float model, two
+// otherwise); every later NewFloat or NewBig runs no pass and costs O(1)
+// plus, for the float engine, a scratch arena borrowed from the plan's
+// pool on first use and returned by ReleaseScratch. Evaluate then reports Φ(∅,V), Φ(A,V), F(A) and FR(A)
 // for a filter set from one forward pass.
 package flow
 
@@ -101,8 +101,10 @@ type planCache struct {
 // changes, each part computed once on first use: the plan-order source
 // mask, Φ(∅,V) and F(V) in float64 for FloatEngine, and the exact
 // Φ(∅,V), F(V) and node multiplicities for BigEngine. The first engine
-// of a model pays the two forward passes of its arithmetic; every later
-// engine reads the cache and runs none.
+// of a model pays the forward passes of its arithmetic — one for an
+// unweighted float model, whose F(V) has a closed form over the Φ(∅)
+// pass, two for a weighted one and for BigEngine; every later engine
+// reads the cache and runs none.
 type invariants struct {
 	srcOnce sync.Once
 	src     []bool

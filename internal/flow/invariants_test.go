@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -15,14 +17,19 @@ func passesOf(pc PassCounter) [2]int64 {
 }
 
 // TestModelInvariantsBuiltOnce: the model's first engine of each kind
-// runs the two invariant passes, every later engine runs none and reads
-// bit-identical Φ(∅,V) and F(V).
+// runs the invariant passes — one float pass on unweighted models (F(V)
+// has a closed form there), two on weighted ones and two big passes —
+// every later engine runs none and reads bit-identical Φ(∅,V) and F(V).
 func TestModelInvariantsBuiltOnce(t *testing.T) {
 	for _, gg := range goldenGraphs(t) {
 		m := gg.m
 		first, second := NewFloat(m), NewFloat(m)
-		if got := passesOf(first); got != [2]int64{2, 0} {
-			t.Errorf("%s: first NewFloat ran %v passes, want [2 0]", gg.name, got)
+		want := [2]int64{1, 0}
+		if m.Weighted() {
+			want = [2]int64{2, 0}
+		}
+		if got := passesOf(first); got != want {
+			t.Errorf("%s: first NewFloat ran %v passes, want %v", gg.name, got, want)
 		}
 		if got := passesOf(second); got != [2]int64{0, 0} {
 			t.Errorf("%s: second NewFloat ran %v passes, want none", gg.name, got)
@@ -115,10 +122,10 @@ func TestModelInvariantsConcurrent(t *testing.T) {
 		fwd += passesOf(floats[i])[0]
 		bigFwd += passesOf(bigs[i])[0]
 	}
-	// Each engine ran one Evaluate pass; one of each kind also ran two
-	// invariant passes.
-	if fwd != workers+2 || bigFwd != workers+2 {
-		t.Errorf("forward passes float %d big %d, want %d each", fwd, bigFwd, workers+2)
+	// Each engine ran one Evaluate pass; one float engine also ran the
+	// one invariant pass of an unweighted model, one big engine two.
+	if fwd != workers+1 || bigFwd != workers+2 {
+		t.Errorf("forward passes float %d big %d, want %d and %d", fwd, bigFwd, workers+1, workers+2)
 	}
 }
 
@@ -250,5 +257,91 @@ func TestEvaluateMatchesEvaluator(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// twoPassInvariants is the reference Φ(∅,V) and F(V) of a model: a
+// forward pass with no filters, then one with every non-source node
+// filtered.
+func twoPassInvariants(m *Model) (phiEmpty, maxF float64) {
+	p, src := m.Plan(), m.planSources()
+	s := p.getScratch()
+	defer p.putScratch(s)
+	p.forwardRange(src, p.falseMask, 0, s.rec, s.emit, 0, p.n)
+	phiEmpty = p.sumPhi(s.rec, s.emit)
+	all := make([]bool, p.n)
+	for i, isSrc := range src {
+		all[i] = !isSrc
+	}
+	p.forwardRange(src, all, 0, s.rec, s.emit, 0, p.n)
+	return phiEmpty, phiEmpty - p.sumPhi(s.rec, s.emit)
+}
+
+// TestModelInvariantsClosedForm: on unweighted plans the first NewFloat
+// reads F(V) off its one Φ(∅) pass — the out-degrees of the reached nodes
+// plus, on coarse plans, their multiplicities — and must match the
+// all-filters pass bit for bit, +Inf included. Weighted plans still run
+// that second pass.
+func TestModelInvariantsClosedForm(t *testing.T) {
+	type tcase struct {
+		name string
+		m    *Model
+	}
+	var cases []tcase
+	for seed := int64(1); seed <= 4; seed++ {
+		g, src := gen.RandomDAG(60, 0.08, seed)
+		cases = append(cases, tcase{fmt.Sprintf("random-dag-%d", seed), MustModel(g, []int{src})})
+	}
+	// Two random DAGs side by side with only the first one's source, so
+	// the second one's nodes are never reached.
+	a, srcA := gen.RandomDAG(40, 0.1, 5)
+	b, _ := gen.RandomDAG(40, 0.1, 6)
+	bl := graph.NewBuilder(a.N() + b.N())
+	for u := 0; u < a.N(); u++ {
+		for _, v := range a.Out(u) {
+			bl.AddEdge(u, v)
+		}
+	}
+	for u := 0; u < b.N(); u++ {
+		for _, v := range b.Out(u) {
+			bl.AddEdge(a.N()+u, a.N()+v)
+		}
+	}
+	cases = append(cases, tcase{"partly-reached", MustModel(bl.MustBuild(), []int{srcA})})
+	tw, twSrc := gen.TwitterLike(0.02, 3)
+	twm := MustModel(tw, []int{twSrc})
+	qm, _, _, err := Coarsen(twm, CoarsenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !qm.Coarse() {
+		t.Fatal("the twitter quotient carries no multiplicities")
+	}
+	dc, dcSrc := gen.DiamondChain(1100)
+	dcm := MustModel(dc, []int{dcSrc})
+	cases = append(cases, tcase{"twitter", twm}, tcase{"twitter-quotient", qm}, tcase{"diamond-chain-1100", dcm})
+
+	for _, c := range cases {
+		ev := NewFloat(c.m)
+		if got := passesOf(ev); got != [2]int64{1, 0} {
+			t.Errorf("%s: first NewFloat ran %v passes, want [1 0]", c.name, got)
+		}
+		phiEmpty, maxF := twoPassInvariants(c.m)
+		if !eqBits(ev.Phi(nil), phiEmpty) || !eqBits(ev.MaxF(), maxF) {
+			t.Errorf("%s: one-pass invariants %v/%v, two-pass %v/%v", c.name, ev.Phi(nil), ev.MaxF(), phiEmpty, maxF)
+		}
+	}
+	if ev := NewFloat(dcm); !math.IsInf(ev.Phi(nil), 1) || !math.IsInf(ev.MaxF(), 1) {
+		t.Errorf("diamond chain: Φ(∅) = %v, F(V) = %v; want +Inf both", ev.Phi(nil), ev.MaxF())
+	}
+
+	wm := MustModel(tw, []int{twSrc}).WithWeights(func(u, v int) float64 { return 0.5 })
+	ev := NewFloat(wm)
+	if got := passesOf(ev); got != [2]int64{2, 0} {
+		t.Errorf("weighted: first NewFloat ran %v passes, want [2 0]", got)
+	}
+	phiEmpty, maxF := twoPassInvariants(wm)
+	if !eqBits(ev.Phi(nil), phiEmpty) || !eqBits(ev.MaxF(), maxF) {
+		t.Errorf("weighted: invariants %v/%v, two-pass %v/%v", ev.Phi(nil), ev.MaxF(), phiEmpty, maxF)
 	}
 }

@@ -17,9 +17,10 @@ type passCount struct {
 // PassCounter is implemented by evaluators that count the topological
 // passes they execute. The counts are cumulative over the engine's
 // lifetime, including the Φ(∅)/F(V) invariant passes when the engine was
-// the first of its kind on its model (later engines find them cached);
-// callers interested in one placement's cost take a before/after delta,
-// as core.Place does for Result.Passes.
+// the first of its kind on its model — one forward pass for an unweighted
+// FloatEngine, two for a weighted one or a BigEngine — while later
+// engines find them cached. Callers interested in one placement's cost
+// take a before/after delta, as core.Place does for Result.Passes.
 //
 // Unlike OracleStats, pass counts reflect actual execution, so they are
 // a cost measurement rather than part of any determinism contract.

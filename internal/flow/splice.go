@@ -53,7 +53,6 @@ type Splicer struct {
 	// Per-call scratch for rebuildPlan.
 	depth  []int32
 	ordBuf []int
-	rowBuf []int32
 
 	rebuilds int64
 	last     SpliceStats
@@ -130,36 +129,41 @@ func (s *Splicer) rebuildPlan() *Plan {
 	n := s.view.N()
 	p := &Plan{n: n}
 	s.ordBuf = slices.Grow(s.ordBuf[:0], n)[:n]
-	m := 0
 	for v := 0; v < n; v++ {
 		s.ordBuf[s.view.OrdOf(v)] = v
-		m += len(s.view.In(v))
 	}
 	s.depth = slices.Grow(s.depth[:0], n)[:n]
 	p.layoutLevels(s.ordBuf, s.view.In, s.depth)
 
 	// The view's adjacency order is arbitrary (the overlay swap-deletes),
-	// so every row is sorted to restore the canonical ascending-id order.
-	fill := func(view func(int) []int) (off, adj []int32) {
-		off = make([]int32, n+1)
-		adj = make([]int32, 0, m)
-		for i := 0; i < n; i++ {
-			off[i] = int32(len(adj))
-			row := s.rowBuf[:0]
-			for _, q := range view(int(p.perm[i])) {
-				row = append(row, int32(q))
-			}
-			slices.Sort(row)
-			s.rowBuf = row
-			for _, q := range row {
-				adj = append(adj, p.pos[q])
-			}
-		}
-		off[n] = int32(len(adj))
-		return off, adj
+	// so rows are not copied from it. Instead each row is sized from its
+	// length, and both CSRs are filled in one sweep over original ids in
+	// ascending order: tail u is appended to the in-row of each head in
+	// Out(u), and head u to the out-row of each tail in In(u). Every row
+	// therefore comes out in ascending original-id order with no sort.
+	// off[i+1] serves as row i's fill cursor: it starts at row i's first
+	// slot and ends at its last slot + 1, which is row i+1's start.
+	p.inOff, p.outOff = make([]int32, n+1), make([]int32, n+1)
+	var ein, eout int32
+	for i, v := range p.perm {
+		p.inOff[i+1], p.outOff[i+1] = ein, eout
+		ein += int32(len(s.view.In(int(v))))
+		eout += int32(len(s.view.Out(int(v))))
 	}
-	p.inOff, p.inAdj = fill(s.view.In)
-	p.outOff, p.outAdj = fill(s.view.Out)
+	p.inAdj, p.outAdj = make([]int32, ein), make([]int32, eout)
+	for u := 0; u < n; u++ {
+		pu := p.pos[u]
+		for _, c := range s.view.Out(u) {
+			j := p.pos[c] + 1
+			p.inAdj[p.inOff[j]] = pu
+			p.inOff[j]++
+		}
+		for _, q := range s.view.In(u) {
+			j := p.pos[q] + 1
+			p.outAdj[p.outOff[j]] = pu
+			p.outOff[j]++
+		}
+	}
 
 	p.layoutChunks()
 	if s.plan != nil {

@@ -3,12 +3,15 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dyn"
 	"repro/internal/flow"
 	"repro/internal/gen"
 )
@@ -98,5 +101,77 @@ func TestObserveStageAfterDone(t *testing.T) {
 	}
 	if rebuild := timelineStages(held)["plan-rebuild"]; rebuild.Count != 1 {
 		t.Errorf("an earlier snapshot changed under a later merge: %+v", rebuild)
+	}
+}
+
+// TestPatchModelShared: a maintained PATCH installs the maintainer's model
+// of the new version as the registry's, so the next engine on it runs no
+// invariant pass, and that model reads exactly the Φ(∅,V) and F(V) of a
+// fresh model over the overlay's snapshot. Readers evaluate the served
+// model throughout the PATCH stream; under -race they race the shared
+// model against PATCH and maintain.
+func TestPatchModelShared(t *testing.T) {
+	g, src := gen.TwitterLike(0.02, 5)
+	r := NewRegistry(2, nil)
+	info := r.Add("tw", flow.MustModel(g, []int{src}))
+	maintain := func() {
+		mt, unlock, err := r.Maintainer(info.ID, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer unlock()
+		if _, err := mt.Maintain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	maintain()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m, _, _ := r.Get(info.ID)
+				ev := flow.NewFloat(m)
+				flow.Evaluate(ev, flow.MaskOf(m.N(), []int{1, 2}))
+				ev.ReleaseScratch()
+			}
+		}()
+	}
+
+	for i, mu := range gen.TwitterChurn(g, 8, 0.01, 5) {
+		if _, _, _, err := r.Patch(info.ID, dyn.Batch{Add: mu.Add, Remove: mu.Remove}); err != nil {
+			t.Fatal(err)
+		}
+		e, _ := r.entry(info.ID)
+		e.dynMu.Lock()
+		want, snap, sources := e.maintainer.Model(), e.dynamic.Snapshot(), e.dynamic.Sources()
+		e.dynMu.Unlock()
+		m, _, _ := r.Get(info.ID)
+		if m != want {
+			t.Fatalf("batch %d: the registry serves a model other than the maintainer's", i)
+		}
+		ev := flow.NewFloat(m)
+		if f, s := ev.Passes(); f != 0 || s != 0 {
+			t.Errorf("batch %d: NewFloat on the served model ran [%d %d] passes, want none", i, f, s)
+		}
+		fresh := flow.NewFloat(flow.MustModel(snap, sources))
+		if math.Float64bits(ev.Phi(nil)) != math.Float64bits(fresh.Phi(nil)) ||
+			math.Float64bits(ev.MaxF()) != math.Float64bits(fresh.MaxF()) {
+			t.Errorf("batch %d: served Φ(∅)/F(V) %v/%v, fresh model %v/%v",
+				i, ev.Phi(nil), ev.MaxF(), fresh.Phi(nil), fresh.MaxF())
+		}
+		maintain()
 	}
 }

@@ -253,6 +253,18 @@ type graphEntry struct {
 	splicer *flow.Splicer
 }
 
+// countSinks returns the number of nodes with out-degree zero — the
+// GraphInfo.Sinks figure — without materializing the sink list.
+func countSinks(g *graph.Digraph) int {
+	n := 0
+	for v := 0; v < g.N(); v++ {
+		if g.OutDegree(v) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // ErrUnknownGraph is returned by mutation paths when the graph id is not
 // registered (or already evicted).
 var ErrUnknownGraph = errors.New("server: unknown graph")
@@ -286,7 +298,7 @@ func (r *Registry) Add(name string, m *flow.Model) GraphInfo {
 			Nodes:     m.Graph().N(),
 			Edges:     m.Graph().M(),
 			Sources:   m.Sources(),
-			Sinks:     len(m.Graph().Sinks()),
+			Sinks:     countSinks(m.Graph()),
 			CreatedAt: time.Now().UTC(),
 		},
 		model: m,
@@ -328,7 +340,9 @@ func (r *Registry) entry(id string) (*graphEntry, bool) {
 // The refreshed model is NOT rebuilt from a snapshot: the entry's splicer
 // rebuilds the execution plan from the overlay and the model is stood up
 // over that plan in O(n+m), so subsequent placements (and the
-// auto-maintain job) reuse it directly.
+// auto-maintain job) reuse it directly. When the graph has a maintainer,
+// its model of the new version — Φ(∅,V) and F(V) already cached — is the
+// one installed, so evaluate's first engine runs no invariant pass.
 func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, flow.SpliceStats, error) {
 	e, ok := r.entry(id)
 	if !ok {
@@ -358,10 +372,12 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 		return GraphInfo{}, res, flow.SpliceStats{}, err
 	}
 	st := e.splicer.Last()
-	// The overlay pins the sources, so a model over the rebuilt plan
-	// cannot fail validation.
-	model, err := flow.NewModelFromPlan(e.splicer.Plan(), e.dynamic.Sources())
-	if err != nil {
+	var model *flow.Model
+	if e.maintainer != nil {
+		model = e.maintainer.Model()
+	} else if model, err = flow.NewModelFromPlan(e.splicer.Plan(), e.dynamic.Sources()); err != nil {
+		// The overlay pins the sources, so a model over the rebuilt plan
+		// cannot fail validation.
 		return GraphInfo{}, res, st, err
 	}
 
@@ -376,7 +392,7 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 	e.model = model
 	e.info.Nodes = e.dynamic.N()
 	e.info.Edges = e.dynamic.M()
-	e.info.Sinks = len(model.Graph().Sinks())
+	e.info.Sinks = countSinks(model.Graph())
 	e.info.Patches++
 	info := e.info
 	r.mu.Unlock()
