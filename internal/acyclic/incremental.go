@@ -101,6 +101,12 @@ func (d *IncrementalDAG) In(v int) []int { return d.in[v] }
 // OrdOf returns the position of v in the maintained topological order.
 func (d *IncrementalDAG) OrdOf(v int) int { return d.ord[v] }
 
+// Rows returns every node's in- and out-neighbors (arbitrary order) and
+// the maintained order, ord[v] being v's position. The slices alias
+// internal storage and stay valid until the next mutation; callers must
+// not modify them.
+func (d *IncrementalDAG) Rows() (in, out [][]int, ord []int) { return d.in, d.out, d.ord }
+
 // Order returns ord[v] for every v; it is always a valid topological order
 // of the current edges.
 func (d *IncrementalDAG) Order() []int { return append([]int(nil), d.ord...) }

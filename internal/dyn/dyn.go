@@ -158,6 +158,13 @@ func (d *Dynamic) In(v int) []int { return d.dag.In(v) }
 // OrdOf returns the position of v in the maintained topological order.
 func (d *Dynamic) OrdOf(v int) int { return d.dag.OrdOf(v) }
 
+// Rows returns every node's in- and out-neighbors (arbitrary order) and
+// the maintained topological order, ord[v] being v's position: the
+// flow.DynDigraph view the plan rebuild and the incremental evaluator
+// read. The slices alias internal storage and are invalidated by the next
+// Apply; callers must not modify them.
+func (d *Dynamic) Rows() (in, out [][]int, ord []int) { return d.dag.Rows() }
+
 // Order returns ord[v] for every node as a fresh slice; it is always a
 // valid topological order of the current edge set.
 func (d *Dynamic) Order() []int { return d.dag.Order() }

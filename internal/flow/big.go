@@ -2,6 +2,8 @@ package flow
 
 import (
 	"math/big"
+
+	"repro/internal/graph"
 )
 
 // BigEngine evaluates the deterministic objective in exact math/big integer
@@ -19,6 +21,9 @@ import (
 type BigEngine struct {
 	m *Model
 	p *Plan
+	// g is the model's digraph, whose ascending-id rows fix the exact
+	// accumulation order of the per-node kernels.
+	g *graph.Digraph
 	// phiEmpty, maxF and mul are read from the model's invariant cache and
 	// never mutated; shared by clones. mul holds the exact node
 	// multiplicities of a coarse model (nil entries for zero-weight nodes,
@@ -38,7 +43,7 @@ func NewBig(m *Model) *BigEngine {
 	if m.Weighted() {
 		panic("flow: BigEngine does not support weighted models")
 	}
-	e := &BigEngine{m: m, p: m.Plan(), pc: &passCount{}}
+	e := &BigEngine{m: m, p: m.Plan(), g: m.Graph(), pc: &passCount{}}
 	inv := m.inv
 	inv.bigOnce.Do(func() {
 		if m.mul != nil {
@@ -77,7 +82,7 @@ var bigOne = big.NewInt(1)
 // every parallelism.
 func (e *BigEngine) stepForwardBig(v int, filters []bool, rec, emit []*big.Int) {
 	r := new(big.Int)
-	for _, p := range e.m.g.In(v) {
+	for _, p := range e.g.In(v) {
 		r.Add(r, emit[p])
 	}
 	rec[v] = r
@@ -104,8 +109,8 @@ func (e *BigEngine) Passes() (forward, suffix int64) {
 // rec and emit are indexed by original id; entries of emit may alias
 // entries of rec or bigOne, and callers must not mutate them.
 func (e *BigEngine) forwardBig(filters []bool, procs int) (rec, emit []*big.Int) {
-	rec = make([]*big.Int, e.m.g.N())
-	emit = make([]*big.Int, e.m.g.N())
+	rec = make([]*big.Int, e.m.N())
+	emit = make([]*big.Int, e.m.N())
 	for l := 0; l < e.p.numLevels(); l++ {
 		e.p.runLevel(l, procs, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -154,7 +159,7 @@ func (e *BigEngine) stepSuffixBig(v int, filters []bool, suf []*big.Int) {
 		// unit of emission reaches each contracted interior receiver once.
 		s.Set(e.mul[v])
 	}
-	for _, c := range e.m.g.Out(v) {
+	for _, c := range e.g.Out(v) {
 		s.Add(s, bigOne)
 		if filters == nil || !filters[c] {
 			s.Add(s, suf[c])
@@ -168,7 +173,7 @@ func (e *BigEngine) stepSuffixBig(v int, filters []bool, suf []*big.Int) {
 // across procs scheduler chunks: out-neighbors always live in strictly
 // later levels, so their suffixes are final when a level runs.
 func (e *BigEngine) suffixBig(filters []bool, procs int) []*big.Int {
-	suf := make([]*big.Int, e.m.g.N())
+	suf := make([]*big.Int, e.m.N())
 	for l := e.p.numLevels() - 1; l >= 0; l-- {
 		e.p.runLevel(l, procs, func(lo, hi int) {
 			for i := lo; i < hi; i++ {

@@ -42,6 +42,8 @@
 // execution Plan (structural, shared by every model over the same graph
 // and weights) and its invariants — the plan-order source mask, Φ(∅,V)
 // and F(V) in each engine's arithmetic — which depend on the sources too.
+// A model stood up over a plan (NewModelFromPlan) also defers its digraph:
+// engines read only the plan, and Graph or Topo widen it on first call.
 // The first engine of a model builds what is missing (the plan, then the
 // invariants: one forward pass on an unweighted float model, two
 // otherwise); every later NewFloat or NewBig runs no pass and costs O(1)
@@ -67,10 +69,13 @@ var ErrNotDAG = errors.New("flow: communication graph must be acyclic")
 
 // Model binds a DAG to its information sources and optional edge weights.
 type Model struct {
-	g       *graph.Digraph
+	n       int
 	sources []int
 	isSrc   []bool
-	topo    []int
+	// gc holds the digraph and its topological order. NewModel fills it
+	// at construction; NewModelFromPlan leaves it to Graph or Topo to
+	// widen from the plan on first call. A pointer, so copies share it.
+	gc *graphCache
 	// weight returns the relay probability of edge (u,v); nil means the
 	// deterministic model (weight 1 everywhere).
 	weight func(u, v int) float64
@@ -95,6 +100,16 @@ type Model struct {
 type planCache struct {
 	once sync.Once
 	plan *Plan
+}
+
+// graphCache holds a Model's digraph and topological order. NewModel
+// sets both; a model built by NewModelFromPlan sets plan instead, and the
+// first Graph or Topo call materializes both from it.
+type graphCache struct {
+	plan *Plan
+	once sync.Once
+	g    *graph.Digraph
+	topo []int
 }
 
 // invariants holds what every engine of a model needs and no filter set
@@ -126,41 +141,48 @@ func NewModel(g *graph.Digraph, sources []int) (*Model, error) {
 	if err != nil {
 		return nil, ErrNotDAG
 	}
-	sources, isSrc, err := checkSources(g, sources)
+	sources, isSrc, err := checkSources(g.N(), g.InDegree, sources)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{g: g, sources: sources, isSrc: isSrc, topo: topo, pc: &planCache{}, inv: &invariants{}}, nil
+	return &Model{n: g.N(), sources: sources, isSrc: isSrc, gc: &graphCache{g: g, topo: topo}, pc: &planCache{}, inv: &invariants{}}, nil
 }
 
-// checkSources validates a source list against g — every source in range
-// with in-degree zero, the in-degree-zero nodes when the list is empty —
-// and returns a private copy of it with its node mask.
-func checkSources(g *graph.Digraph, sources []int) ([]int, []bool, error) {
+// checkSources validates a source list against a graph of n nodes with the
+// given in-degrees — every source in range with in-degree zero, the
+// in-degree-zero nodes in ascending order when the list is empty — and
+// returns a private copy of it with its node mask.
+func checkSources(n int, inDegree func(v int) int, sources []int) ([]int, []bool, error) {
 	if len(sources) == 0 {
-		sources = g.Sources()
-	}
-	isSrc := make([]bool, g.N())
-	for _, s := range sources {
-		if s < 0 || s >= g.N() {
-			return nil, nil, fmt.Errorf("flow: source %d out of range [0,%d)", s, g.N())
+		for v := 0; v < n; v++ {
+			if inDegree(v) == 0 {
+				sources = append(sources, v)
+			}
 		}
-		if g.InDegree(s) != 0 {
-			return nil, nil, fmt.Errorf("flow: source %d has in-degree %d; sources must have in-degree 0 (add a super-source instead)", s, g.InDegree(s))
+	}
+	isSrc := make([]bool, n)
+	for _, s := range sources {
+		if s < 0 || s >= n {
+			return nil, nil, fmt.Errorf("flow: source %d out of range [0,%d)", s, n)
+		}
+		if d := inDegree(s); d != 0 {
+			return nil, nil, fmt.Errorf("flow: source %d has in-degree %d; sources must have in-degree 0 (add a super-source instead)", s, d)
 		}
 		isSrc[s] = true
 	}
 	return append([]int(nil), sources...), isSrc, nil
 }
 
-// NewModelFromPlan stands up a Model over an already-built plan: the
-// digraph is materialized from the plan's CSR in O(n+m) (no sort, no
-// topological search — the plan's position order IS a topological
-// order), and the plan cache is pre-filled so no engine ever triggers a
-// buildPlan. This is how the server PATCH path turns a Splicer plan into
-// the registry's refreshed model without paying the from-scratch
-// snapshot+build cost. Only unweighted plans are supported — exactly
-// what the dynamic overlay produces.
+// NewModelFromPlan stands up a Model over an already-built plan. Sources
+// are validated against the plan's in-rows, and the plan cache is
+// pre-filled so no engine ever triggers a buildPlan; the engines, Evaluate
+// and every placement on the plan kernels run on the plan alone. The
+// digraph and topological order are not built here: the first Graph or
+// Topo call materializes them from the plan's CSR in O(n+m), once (no
+// sort, no topological search — the plan's position order IS a
+// topological order). This is how a PATCH turns a Splicer plan into the
+// version's model at the cost of its sources alone. Only unweighted plans
+// are supported — exactly what the dynamic overlay produces.
 func NewModelFromPlan(p *Plan, sources []int) (*Model, error) {
 	if p.Weighted() {
 		return nil, fmt.Errorf("flow: NewModelFromPlan supports only unweighted plans")
@@ -168,18 +190,13 @@ func NewModelFromPlan(p *Plan, sources []int) (*Model, error) {
 	if p.Coarse() {
 		return nil, fmt.Errorf("flow: NewModelFromPlan does not support coarse (quotient) plans")
 	}
-	g := p.Digraph()
-	sources, isSrc, err := checkSources(g, sources)
+	sources, isSrc, err := checkSources(p.n, p.inDegree, sources)
 	if err != nil {
 		return nil, err
 	}
-	topo := make([]int, p.n)
-	for i, v := range p.perm {
-		topo[i] = int(v)
-	}
 	pc := &planCache{plan: p}
 	pc.once.Do(func() {}) // the plan is already built; pin the cache
-	return &Model{g: g, sources: sources, isSrc: isSrc, topo: topo, pc: pc, inv: &invariants{}}, nil
+	return &Model{n: p.n, sources: sources, isSrc: isSrc, gc: &graphCache{plan: p}, pc: pc, inv: &invariants{}}, nil
 }
 
 // NewCoarseModel builds a model whose nodes carry multiplicity weights —
@@ -246,8 +263,11 @@ func (m *Model) WithWeights(w func(u, v int) float64) *Model {
 // copy shares the graph, edge weights, multiplicities, topological order
 // and plan cache, none of which depends on the sources, so it costs no
 // topological sort and no plan build; it gets a fresh invariant cache.
+// Sources are checked against Graph, so on a model built by
+// NewModelFromPlan the first call materializes the shared graph.
 func (m *Model) WithSources(sources []int) (*Model, error) {
-	sources, isSrc, err := checkSources(m.g, sources)
+	g := m.Graph()
+	sources, isSrc, err := checkSources(g.N(), g.InDegree, sources)
 	if err != nil {
 		return nil, err
 	}
@@ -289,8 +309,36 @@ func (m *Model) checkedWeight(u, v int) float64 {
 	return w
 }
 
-// Graph returns the underlying digraph.
-func (m *Model) Graph() *graph.Digraph { return m.g }
+// Graph returns the underlying digraph. A model built by NewModelFromPlan
+// materializes it from its plan on the first Graph or Topo call, once;
+// concurrent first calls all get the same graph.
+func (m *Model) Graph() *graph.Digraph {
+	m.gc.materialize()
+	return m.gc.g
+}
+
+// materialize widens a plan-built cache's CSR into the digraph and its
+// plan-order topological order on first call; it is a no-op on a cache
+// NewModel filled.
+func (c *graphCache) materialize() {
+	if c.plan == nil {
+		return
+	}
+	c.once.Do(func() {
+		c.g = c.plan.Digraph()
+		c.topo = make([]int, c.plan.n)
+		for i, v := range c.plan.perm {
+			c.topo[i] = int(v)
+		}
+	})
+}
+
+// HasLabels reports whether the model's graph carries node labels. A
+// model built by NewModelFromPlan has none, so it answers without
+// materializing the graph.
+func (m *Model) HasLabels() bool {
+	return m.gc.plan == nil && m.gc.g.HasLabels()
+}
 
 // Sources returns the designated source nodes.
 func (m *Model) Sources() []int { return m.sources }
@@ -298,8 +346,12 @@ func (m *Model) Sources() []int { return m.sources }
 // IsSource reports whether v is a source.
 func (m *Model) IsSource(v int) bool { return m.isSrc[v] }
 
-// Topo returns the cached deterministic topological order.
-func (m *Model) Topo() []int { return m.topo }
+// Topo returns the cached deterministic topological order, materialized
+// like Graph on a model built by NewModelFromPlan.
+func (m *Model) Topo() []int {
+	m.gc.materialize()
+	return m.gc.topo
+}
 
 // Weighted reports whether the model carries edge weights.
 func (m *Model) Weighted() bool { return m.weight != nil }
@@ -317,7 +369,7 @@ func (m *Model) NodeWeight(v int) int64 {
 }
 
 // N returns the node count of the underlying graph.
-func (m *Model) N() int { return m.g.N() }
+func (m *Model) N() int { return m.n }
 
 // Evaluator computes the paper's objective quantities for a model. The two
 // implementations are NewFloat (float64 arithmetic, supports probabilistic

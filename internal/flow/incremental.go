@@ -2,18 +2,19 @@ package flow
 
 import "fmt"
 
-// DynDigraph is the adjacency view the incremental evaluator consumes: a
-// directed acyclic graph that mutates between Update calls, exposing its
-// maintained topological order. dyn.Dynamic implements it; the interface
-// lives here so flow does not import the mutable overlay.
+// DynDigraph is the mutable graph view the incremental evaluator and the
+// Splicer consume: a directed acyclic graph that mutates between Update
+// calls and maintains a topological order. dyn.Dynamic implements it; the
+// interface lives here so flow does not import the mutable overlay.
 type DynDigraph interface {
-	N() int
-	Out(v int) []int
-	In(v int) []int
-	// OrdOf returns v's position in a maintained topological order; values
-	// form a permutation of [0, N()) and must be valid for the current edge
-	// set whenever Update or SetFilter runs.
-	OrdOf(v int) int
+	// Rows returns the view's adjacency and order as plain slices: in[v]
+	// and out[v] list v's in- and out-neighbors in arbitrary order, and
+	// ord[v] is v's position in a maintained topological order — a
+	// permutation of [0, len(ord)), valid for the current edge set
+	// whenever Update or SetFilter runs. The slices alias the view's
+	// storage and stay valid until its next mutation; callers only read
+	// them.
+	Rows() (in, out [][]int, ord []int)
 }
 
 // IncStats counts the nodes the incremental engine actually recomputed —
@@ -50,6 +51,7 @@ type Incremental struct {
 	suf     []float64
 
 	inQF, inQB []bool // queue-membership scratch
+	heap       []int  // Update's heap buffer, reused by both sweeps
 	stats      IncStats
 }
 
@@ -61,7 +63,8 @@ type Incremental struct {
 // Splicer's plan is). sources must have in-degree 0 now and forever (dyn
 // pins them).
 func NewIncrementalWith(g DynDigraph, sources, filters []int, p *Plan) *Incremental {
-	n := g.N()
+	_, _, ord := g.Rows()
+	n := len(ord)
 	if p.n != n || p.weighted {
 		panic(fmt.Sprintf("flow: Incremental over a plan of %d nodes (weighted %v), view has %d", p.n, p.weighted, n))
 	}
@@ -96,7 +99,8 @@ func (e *Incremental) alloc(n int) {
 // neither sources nor filters and must still be isolated — grow before
 // applying the batch's edge seeds via Update.
 func (e *Incremental) Grow() {
-	n := e.g.N()
+	_, _, ord := e.g.Rows()
+	n := len(ord)
 	if n <= len(e.rec) {
 		return
 	}
@@ -109,11 +113,11 @@ func (e *Incremental) Grow() {
 	e.inQB = append(e.inQB, make([]bool, k)...)
 }
 
-// recompute refreshes rec and emit at v from its in-neighbors, reporting
-// whether emit changed.
-func (e *Incremental) recompute(v int) bool {
+// recompute refreshes rec and emit at v from its in-neighbors in the
+// view's in-rows, reporting whether emit changed.
+func (e *Incremental) recompute(v int, in [][]int) bool {
 	r := 0.0
-	for _, p := range e.g.In(v) {
+	for _, p := range in[v] {
 		r += e.emit[p]
 	}
 	e.rec[v] = r
@@ -131,11 +135,11 @@ func (e *Incremental) recompute(v int) bool {
 	return changed
 }
 
-// recomputeSuf refreshes suffix at v from its out-neighbors, reporting
-// whether it changed.
-func (e *Incremental) recomputeSuf(v int) bool {
+// recomputeSuf refreshes suffix at v from its out-neighbors in the
+// view's out-rows, reporting whether it changed.
+func (e *Incremental) recomputeSuf(v int, out [][]int) bool {
 	s := 0.0
-	for _, c := range e.g.Out(v) {
+	for _, c := range out[v] {
 		if e.filters[c] {
 			s++
 		} else {
@@ -151,43 +155,44 @@ func (e *Incremental) recomputeSuf(v int) bool {
 // the heads of changed edges (their rec is stale), bwdSeeds the tails
 // (their suffix is stale). Recomputation visits only nodes whose values
 // actually change — the dirty cone — in topological order, so clean
-// inputs are read, never recomputed.
+// inputs are read, never recomputed. The view's rows are fetched once per
+// call; both sweeps read them as plain slices.
 func (e *Incremental) Update(fwdSeeds, bwdSeeds []int) {
 	if len(fwdSeeds) == 0 && len(bwdSeeds) == 0 {
 		return
 	}
+	in, out, ord := e.g.Rows()
 	// Forward sweep: ascending order positions, min-heap.
-	var hf ordHeap
-	hf.less = func(a, b int) bool { return e.g.OrdOf(a) < e.g.OrdOf(b) }
+	hf := ordHeap{a: e.heap[:0], ord: ord}
 	for _, v := range fwdSeeds {
 		hf.pushOnce(v, e.inQF)
 	}
-	for hf.len() > 0 {
+	for len(hf.a) > 0 {
 		v := hf.pop()
 		e.inQF[v] = false
 		e.stats.ForwardVisits++
-		if e.recompute(v) {
-			for _, w := range e.g.Out(v) {
+		if e.recompute(v, in) {
+			for _, w := range out[v] {
 				hf.pushOnce(w, e.inQF)
 			}
 		}
 	}
 	// Backward sweep: descending order positions, max-heap.
-	var hb ordHeap
-	hb.less = func(a, b int) bool { return e.g.OrdOf(a) > e.g.OrdOf(b) }
+	hb := ordHeap{a: hf.a, ord: ord, desc: true}
 	for _, v := range bwdSeeds {
 		hb.pushOnce(v, e.inQB)
 	}
-	for hb.len() > 0 {
+	for len(hb.a) > 0 {
 		v := hb.pop()
 		e.inQB[v] = false
 		e.stats.BackwardVisits++
-		if e.recomputeSuf(v) {
-			for _, p := range e.g.In(v) {
+		if e.recomputeSuf(v, out) {
+			for _, p := range in[v] {
 				hb.pushOnce(p, e.inQB)
 			}
 		}
 	}
+	e.heap = hb.a
 }
 
 // SetFilter toggles the filter at v and repairs the state: a filter change
@@ -199,7 +204,8 @@ func (e *Incremental) SetFilter(v int, on bool) {
 		return
 	}
 	e.filters[v] = on
-	e.Update([]int{v}, e.g.In(v))
+	in, _, _ := e.g.Rows()
+	e.Update([]int{v}, in[v])
 }
 
 // FilterNodes returns the current filter set, ascending.
@@ -250,14 +256,21 @@ func (e *Incremental) ArgmaxGain() (int, float64) {
 // Stats returns the cumulative recomputation counters.
 func (e *Incremental) Stats() IncStats { return e.stats }
 
-// ordHeap is a binary heap of node ids under a caller-supplied ordering,
+// ordHeap is a binary heap of node ids keyed by their position in the
+// view's topological order — a min-heap, or a max-heap when desc is set —
 // with O(1) duplicate suppression through a shared membership mask.
 type ordHeap struct {
 	a    []int
-	less func(a, b int) bool
+	ord  []int
+	desc bool
 }
 
-func (h *ordHeap) len() int { return len(h.a) }
+func (h *ordHeap) less(x, y int) bool {
+	if h.desc {
+		return h.ord[x] > h.ord[y]
+	}
+	return h.ord[x] < h.ord[y]
+}
 
 func (h *ordHeap) pushOnce(v int, inQ []bool) {
 	if inQ[v] {

@@ -35,10 +35,8 @@ func newIncremental(d DynDigraph, sources []int) *Incremental {
 	return NewIncrementalWith(d, sources, nil, NewSplicer(d, nil, SpliceOptions{}).Plan())
 }
 
-func (d *mutableDAG) N() int          { return len(d.ord) }
-func (d *mutableDAG) Out(v int) []int { return d.out[v] }
-func (d *mutableDAG) In(v int) []int  { return d.in[v] }
-func (d *mutableDAG) OrdOf(v int) int { return d.ord[v] }
+func (d *mutableDAG) N() int                             { return len(d.ord) }
+func (d *mutableDAG) Rows() (in, out [][]int, ord []int) { return d.in, d.out, d.ord }
 
 func (d *mutableDAG) addEdge(u, v int) {
 	d.out[u] = append(d.out[u], v)
@@ -280,18 +278,19 @@ func TestIncrementalGainMatchesImpacts(t *testing.T) {
 // check panics unless the engine state matches a from-scratch pass; test
 // hook.
 func (e *Incremental) check(tol float64) {
-	n := e.g.N()
+	in, out, ord := e.g.Rows()
+	n := len(ord)
 	order := make([]int, n)
 	for v := 0; v < n; v++ {
-		order[e.g.OrdOf(v)] = v
+		order[ord[v]] = v
 	}
 	fresh := &Incremental{g: e.g, isSrc: e.isSrc, filters: e.filters}
 	fresh.alloc(n)
 	for _, v := range order {
-		fresh.recompute(v)
+		fresh.recompute(v, in)
 	}
 	for i := n - 1; i >= 0; i-- {
-		fresh.recomputeSuf(order[i])
+		fresh.recomputeSuf(order[i], out)
 	}
 	for v := 0; v < n; v++ {
 		if diff(e.rec[v], fresh.rec[v]) > tol || diff(e.emit[v], fresh.emit[v]) > tol || diff(e.suf[v], fresh.suf[v]) > tol {

@@ -3,6 +3,8 @@ package flow
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -343,5 +345,135 @@ func TestModelInvariantsClosedForm(t *testing.T) {
 	phiEmpty, maxF := twoPassInvariants(wm)
 	if !eqBits(ev.Phi(nil), phiEmpty) || !eqBits(ev.MaxF(), maxF) {
 		t.Errorf("weighted: invariants %v/%v, two-pass %v/%v", ev.Phi(nil), ev.MaxF(), phiEmpty, maxF)
+	}
+}
+
+// TestModelFromPlanLazyGraph: a model stood up over a plan answers every
+// engine query from the plan alone, leaving its digraph unbuilt. The
+// first Graph call widens the plan once — concurrent callers share one
+// graph — into exactly Plan.Digraph, and sources are validated against
+// the plan's in-rows with NewModel's messages.
+func TestModelFromPlanLazyGraph(t *testing.T) {
+	// Relabel so plan positions and node ids differ.
+	tw, twSrc := gen.TwitterLike(0.02, 3)
+	perm := rand.New(rand.NewSource(3)).Perm(tw.N())
+	b := graph.NewBuilder(tw.N())
+	for u := 0; u < tw.N(); u++ {
+		for _, v := range tw.Out(u) {
+			b.AddEdge(perm[u], perm[v])
+		}
+	}
+	g, src := b.MustBuild(), perm[twSrc]
+	ref := MustModel(g, []int{src})
+	p := ref.Plan()
+	if p.identity {
+		t.Fatal("the relabeled plan is the identity")
+	}
+	m, err := NewModelFromPlan(p, []int{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbuilt := func(what string) {
+		t.Helper()
+		if m.gc.g != nil || m.gc.topo != nil {
+			t.Fatalf("%s materialized the graph", what)
+		}
+	}
+
+	if m.N() != g.N() || !slices.Equal(m.Sources(), ref.Sources()) || m.HasLabels() {
+		t.Fatalf("N/Sources/HasLabels = %d/%v/%v, want %d/%v/false", m.N(), m.Sources(), m.HasLabels(), g.N(), ref.Sources())
+	}
+	for v := 0; v < g.N(); v++ {
+		if m.IsSource(v) != ref.IsSource(v) {
+			t.Fatalf("IsSource(%d) = %v", v, m.IsSource(v))
+		}
+	}
+	ev, evRef := NewFloat(m), NewFloat(ref)
+	filters := make([]bool, g.N())
+	for v := 1; v < g.N(); v += 7 {
+		filters[v] = !ref.IsSource(v)
+	}
+	for _, fs := range [][]bool{nil, filters} {
+		if !eqBits(ev.Phi(fs), evRef.Phi(fs)) || !eqBits(ev.F(fs), evRef.F(fs)) {
+			t.Fatalf("Phi/F = %v/%v, want %v/%v", ev.Phi(fs), ev.F(fs), evRef.Phi(fs), evRef.F(fs))
+		}
+		checkBitsSlice(t, "Impacts", ev.Impacts(fs), evRef.Impacts(fs))
+		v, gain := ev.ArgmaxImpactP(fs, fs, 2)
+		rv, rgain := evRef.ArgmaxImpactP(fs, fs, 2)
+		if v != rv || !eqBits(gain, rgain) {
+			t.Fatalf("ArgmaxImpactP = (%d, %v), want (%d, %v)", v, gain, rv, rgain)
+		}
+		if got, want := Evaluate(ev, fs), Evaluate(evRef, fs); got != want {
+			t.Fatalf("Evaluate = %+v, want %+v", got, want)
+		}
+	}
+	unbuilt("an engine query")
+	def, err := NewModelFromPlan(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := g.Sources(); !slices.Equal(def.Sources(), want) || def.gc.g != nil {
+		t.Fatalf("default sources %v (graph built %v), want %v", def.Sources(), def.gc.g != nil, want)
+	}
+
+	got := make([]*graph.Digraph, 8)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = m.Graph()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, gi := range got {
+		if gi == nil || gi != got[0] {
+			t.Fatalf("goroutine %d got graph %p, goroutine 0 got %p", i, gi, got[0])
+		}
+	}
+	want := p.Digraph()
+	if got[0].N() != want.N() || got[0].M() != want.M() {
+		t.Fatalf("Graph has %d nodes, %d edges; Plan.Digraph %d, %d", got[0].N(), got[0].M(), want.N(), want.M())
+	}
+	for v := 0; v < want.N(); v++ {
+		if !slices.Equal(got[0].Out(v), want.Out(v)) || !slices.Equal(got[0].In(v), want.In(v)) {
+			t.Fatalf("node %d: rows %v/%v, Plan.Digraph %v/%v", v, got[0].Out(v), got[0].In(v), want.Out(v), want.In(v))
+		}
+	}
+	topo := m.Topo()
+	rank := make([]int, g.N())
+	for i := range rank {
+		rank[i] = -1
+	}
+	for i, v := range topo {
+		rank[v] = i
+	}
+	if len(topo) != g.N() || slices.Contains(rank, -1) {
+		t.Fatalf("Topo is not a permutation of [0,%d)", g.N())
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Out(u) {
+			if rank[u] >= rank[v] {
+				t.Fatalf("Topo puts %d at %d, after its out-neighbor %d at %d", u, rank[u], v, rank[v])
+			}
+		}
+	}
+
+	inner := g.Out(src)[0]
+	for _, bad := range [][]int{{inner}, {-1}, {g.N()}} {
+		_, errP := NewModelFromPlan(p, bad)
+		_, errG := NewModel(g, bad)
+		if errP == nil || errG == nil || errP.Error() != errG.Error() {
+			t.Errorf("sources %v: NewModelFromPlan error %v, NewModel error %v", bad, errP, errG)
+		}
+	}
+	if _, err := NewModelFromPlan(p, []int{inner}); err == nil || err.Error() != fmt.Sprintf("flow: source %d has in-degree %d; sources must have in-degree 0 (add a super-source instead)", inner, g.InDegree(inner)) {
+		t.Errorf("in-degree source error %v", err)
+	}
+	if _, err := NewModelFromPlan(p, []int{g.N()}); err == nil || err.Error() != fmt.Sprintf("flow: source %d out of range [0,%d)", g.N(), g.N()) {
+		t.Errorf("out-of-range source error %v", err)
 	}
 }

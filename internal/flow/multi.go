@@ -51,10 +51,6 @@ func NewMulti(g *graph.Digraph, items []Item) (*MultiEngine, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("flow: no items")
 	}
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return nil, ErrNotDAG
-	}
 	// The base model drives candidate pruning (Evaluator.Model): its
 	// sources default to the in-degree-zero nodes, which can never
 	// usefully filter any item because they receive nothing.
@@ -69,11 +65,11 @@ func NewMulti(g *graph.Digraph, items []Item) (*MultiEngine, error) {
 		}
 		isSrc := make([]bool, g.N())
 		isSrc[it.Source] = true
-		// Item models share the base model's plan cache: the plan is
-		// structural (graph + weights only), so one plan serves every
+		// Item models share the base model's graph and plan caches: both
+		// are structural (graph + weights only), so one plan serves every
 		// per-item engine. Each item's invariants depend on its source,
 		// so each model gets its own cache.
-		m := &Model{g: g, sources: []int{it.Source}, isSrc: isSrc, topo: topo, pc: base.pc, inv: &invariants{}}
+		m := &Model{n: base.n, sources: []int{it.Source}, isSrc: isSrc, gc: base.gc, pc: base.pc, inv: &invariants{}}
 		me.engines = append(me.engines, NewFloat(m))
 		rate := it.Rate
 		if rate <= 0 {

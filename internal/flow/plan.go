@@ -149,10 +149,20 @@ func (s *floatScratch) ensure(n int) {
 // through Model.Plan; weighted models have every edge weight validated
 // (and baked into the flat arrays) here, so kernels never re-check.
 func buildPlan(m *Model) *Plan {
-	g := m.g
+	g := m.Graph()
 	n := g.N()
 	p := &Plan{n: n, weighted: m.weight != nil}
-	p.layoutLevels(m.topo, g.In, make([]int32, n))
+	depth := make([]int32, n)
+	maxDepth := int32(-1)
+	for _, v := range m.Topo() {
+		var d int32
+		for _, q := range g.In(v) {
+			d = max(d, depth[q]+1)
+		}
+		depth[v] = d
+		maxDepth = max(maxDepth, d)
+	}
+	p.layoutLevels(depth, maxDepth)
 
 	// Re-index both CSRs to plan positions. Neighbor lists stay in
 	// ascending original-id order (Digraph.In/Out order), preserving the
@@ -200,27 +210,14 @@ func buildPlan(m *Model) *Plan {
 	return p
 }
 
-// layoutLevels lays out the canonical level-contiguous permutation. Each
-// node's forward depth is 1 + the max over its in-neighbors, computed in
-// the given topological order into the depth scratch (length n). A
-// counting sort by depth, stable in ascending original-id order, then
-// yields perm/pos/levelOff — still a valid topological order, since
-// edges always cross into a strictly deeper level.
-func (p *Plan) layoutLevels(topo []int, in func(int) []int, depth []int32) {
+// layoutLevels lays out the canonical level-contiguous permutation from
+// each node's forward depth — 0 for in-degree-0 nodes, else 1 + the max
+// over its in-neighbors — which the caller computes into depth (length n)
+// along with its maximum. A counting sort by depth, stable in ascending
+// original-id order, yields perm/pos/levelOff — still a valid topological
+// order, since edges always cross into a strictly deeper level.
+func (p *Plan) layoutLevels(depth []int32, maxDepth int32) {
 	n := p.n
-	maxDepth := int32(-1)
-	for _, v := range topo {
-		var d int32
-		for _, q := range in(v) {
-			if depth[q]+1 > d {
-				d = depth[q] + 1
-			}
-		}
-		depth[v] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
 	p.levelOff = make([]int32, maxDepth+2)
 	for v := 0; v < n; v++ {
 		p.levelOff[depth[v]+1]++
@@ -549,12 +546,30 @@ func (p *Plan) sumPhi(rec, emit []float64) float64 {
 	return total
 }
 
+// inDegree returns original node v's in-degree, read from its in-row.
+func (p *Plan) inDegree(v int) int {
+	i := p.pos[v]
+	return int(p.inOff[i+1] - p.inOff[i])
+}
+
+// SinkCount counts the nodes with out-degree zero: the plan's empty
+// out-rows.
+func (p *Plan) SinkCount() int {
+	k := 0
+	for i := 0; i < p.n; i++ {
+		if p.outOff[i] == p.outOff[i+1] {
+			k++
+		}
+	}
+	return k
+}
+
 // Digraph materializes the plan's edge set as an immutable graph.Digraph
 // in O(n+m) — no sorting, no edge map. Plan CSR rows are already in
 // ascending original-id order, the exact Digraph contract, so rows are a
-// straight position→id translation. NewModelFromPlan uses this to stand
-// up a fresh Model over a Splicer plan without paying the overlay
-// snapshot's O(m log m) sort.
+// straight position→id translation. Model.Graph uses this to widen a
+// model built by NewModelFromPlan on its first call, without paying the
+// overlay snapshot's O(m log m) sort.
 func (p *Plan) Digraph() *graph.Digraph {
 	n := p.n
 	outOff := make([]int, n+1)

@@ -25,11 +25,11 @@ func (e *refFloat) weight(u, v int) float64 {
 }
 
 func (e *refFloat) forward(filters []bool) (rec, emit []float64) {
-	rec = make([]float64, e.m.g.N())
-	emit = make([]float64, e.m.g.N())
-	for _, v := range e.m.topo {
+	rec = make([]float64, e.m.N())
+	emit = make([]float64, e.m.N())
+	for _, v := range e.m.Topo() {
 		r := 0.0
-		for _, p := range e.m.g.In(v) {
+		for _, p := range e.m.Graph().In(v) {
 			r += e.weight(p, v) * emit[p]
 		}
 		rec[v] = r
@@ -46,12 +46,12 @@ func (e *refFloat) forward(filters []bool) (rec, emit []float64) {
 }
 
 func (e *refFloat) suffix(filters []bool) []float64 {
-	suf := make([]float64, e.m.g.N())
-	topo := e.m.topo
+	suf := make([]float64, e.m.N())
+	topo := e.m.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
 		s := 0.0
-		for _, c := range e.m.g.Out(v) {
+		for _, c := range e.m.Graph().Out(v) {
 			w := e.weight(v, c)
 			if filters != nil && filters[c] {
 				s += w
@@ -111,10 +111,10 @@ func (e *refFloat) argmax(filters, banned []bool) (int, float64) {
 // forwardPartial is the scalar leak-aware forward pass the lossy-filter
 // engine ran before it moved onto the plan kernels.
 func (e *refFloat) forwardPartial(filters []bool, leak float64) (rec, emit []float64) {
-	g := e.m.g
+	g := e.m.Graph()
 	rec = make([]float64, g.N())
 	emit = make([]float64, g.N())
-	for _, v := range e.m.topo {
+	for _, v := range e.m.Topo() {
 		r := 0.0
 		for _, p := range g.In(v) {
 			r += e.weight(p, v) * emit[p]
@@ -148,9 +148,9 @@ func (e *refFloat) phiPartial(filters []bool, leak float64) float64 {
 
 // suffixPartial is the scalar leak-aware suffix pass.
 func (e *refFloat) suffixPartial(filters []bool, leak float64) []float64 {
-	g := e.m.g
+	g := e.m.Graph()
 	suf := make([]float64, g.N())
-	topo := e.m.topo
+	topo := e.m.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
 		s := 0.0
@@ -183,11 +183,11 @@ func (e *refFloat) impactsPartial(filters []bool, leak float64) []float64 {
 type refBig struct{ m *Model }
 
 func (e *refBig) forward(filters []bool) (rec, emit []*big.Int) {
-	rec = make([]*big.Int, e.m.g.N())
-	emit = make([]*big.Int, e.m.g.N())
-	for _, v := range e.m.topo {
+	rec = make([]*big.Int, e.m.N())
+	emit = make([]*big.Int, e.m.N())
+	for _, v := range e.m.Topo() {
 		r := new(big.Int)
-		for _, p := range e.m.g.In(v) {
+		for _, p := range e.m.Graph().In(v) {
 			r.Add(r, emit[p])
 		}
 		rec[v] = r
@@ -213,12 +213,12 @@ func (e *refBig) phi(filters []bool) *big.Int {
 }
 
 func (e *refBig) suffix(filters []bool) []*big.Int {
-	suf := make([]*big.Int, e.m.g.N())
-	topo := e.m.topo
+	suf := make([]*big.Int, e.m.N())
+	topo := e.m.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
 		s := new(big.Int)
-		for _, c := range e.m.g.Out(v) {
+		for _, c := range e.m.Graph().Out(v) {
 			s.Add(s, bigOne)
 			if filters == nil || !filters[c] {
 				s.Add(s, suf[c])

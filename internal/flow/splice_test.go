@@ -24,13 +24,18 @@ func newTestDyn(n int) *testDyn {
 	return &testDyn{out: make([][]int, n), in: make([][]int, n)}
 }
 
-func (d *testDyn) N() int          { return len(d.out) }
-func (d *testDyn) Out(v int) []int { return d.out[v] }
-func (d *testDyn) In(v int) []int  { return d.in[v] }
+func (d *testDyn) N() int { return len(d.out) }
 
-// OrdOf: edges are always low→high, so ascending id is a valid
-// topological order for every edge set these tests construct.
-func (d *testDyn) OrdOf(v int) int { return v }
+// Rows reports the identity order: edges are always low→high, so
+// ascending id is a valid topological order for every edge set these
+// tests construct.
+func (d *testDyn) Rows() (in, out [][]int, ord []int) {
+	ord = make([]int, len(d.out))
+	for v := range ord {
+		ord[v] = v
+	}
+	return d.in, d.out, ord
+}
 
 func (d *testDyn) has(u, v int) bool {
 	for _, w := range d.out[u] {

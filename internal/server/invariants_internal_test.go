@@ -107,7 +107,8 @@ func TestObserveStageAfterDone(t *testing.T) {
 // TestPatchModelShared: a maintained PATCH installs the maintainer's model
 // of the new version as the registry's, so the next engine on it runs no
 // invariant pass, and that model reads exactly the Φ(∅,V) and F(V) of a
-// fresh model over the overlay's snapshot. Readers evaluate the served
+// fresh model over the overlay's snapshot; the PATCH's GraphInfo counts
+// the snapshot's nodes, edges and sinks. Readers evaluate the served
 // model throughout the PATCH stream; under -race they race the shared
 // model against PATCH and maintain.
 func TestPatchModelShared(t *testing.T) {
@@ -151,13 +152,18 @@ func TestPatchModelShared(t *testing.T) {
 	}
 
 	for i, mu := range gen.TwitterChurn(g, 8, 0.01, 5) {
-		if _, _, _, err := r.Patch(info.ID, dyn.Batch{Add: mu.Add, Remove: mu.Remove}); err != nil {
+		got, _, _, err := r.Patch(info.ID, dyn.Batch{Add: mu.Add, Remove: mu.Remove})
+		if err != nil {
 			t.Fatal(err)
 		}
 		e, _ := r.entry(info.ID)
 		e.dynMu.Lock()
 		want, snap, sources := e.maintainer.Model(), e.dynamic.Snapshot(), e.dynamic.Sources()
 		e.dynMu.Unlock()
+		if got.Nodes != snap.N() || got.Edges != snap.M() || got.Sinks != len(snap.Sinks()) {
+			t.Errorf("batch %d: PATCH info nodes/edges/sinks %d/%d/%d, snapshot %d/%d/%d",
+				i, got.Nodes, got.Edges, got.Sinks, snap.N(), snap.M(), len(snap.Sinks()))
+		}
 		m, _, _ := r.Get(info.ID)
 		if m != want {
 			t.Fatalf("batch %d: the registry serves a model other than the maintainer's", i)

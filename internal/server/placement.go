@@ -257,7 +257,8 @@ func (sp *PlaceSpec) execute(ctx context.Context, m *flow.Model, graphID string,
 		cs := *pres.CoarsenStats
 		res.Coarsen = &cs
 	}
-	if g := m.Graph(); g.HasLabels() {
+	if m.HasLabels() {
+		g := m.Graph()
 		res.Labels = make([]string, len(filters))
 		for i, v := range filters {
 			res.Labels[i] = g.Label(v)

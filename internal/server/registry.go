@@ -254,7 +254,8 @@ type graphEntry struct {
 }
 
 // countSinks returns the number of nodes with out-degree zero — the
-// GraphInfo.Sinks figure — without materializing the sink list.
+// GraphInfo.Sinks figure of an upload — without materializing the sink
+// list. Patch counts the same figure from the new plan's out-rows.
 func countSinks(g *graph.Digraph) int {
 	n := 0
 	for v := 0; v < g.N(); v++ {
@@ -339,8 +340,8 @@ func (r *Registry) entry(id string) (*graphEntry, bool) {
 //
 // The refreshed model is NOT rebuilt from a snapshot: the entry's splicer
 // rebuilds the execution plan from the overlay and the model is stood up
-// over that plan in O(n+m), so subsequent placements (and the
-// auto-maintain job) reuse it directly. When the graph has a maintainer,
+// over that plan without widening it into a digraph, so subsequent
+// placements (and the auto-maintain job) reuse it directly. When the graph has a maintainer,
 // its model of the new version — Φ(∅,V) and F(V) already cached — is the
 // one installed, so evaluate's first engine runs no invariant pass.
 func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, flow.SpliceStats, error) {
@@ -392,7 +393,7 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 	e.model = model
 	e.info.Nodes = e.dynamic.N()
 	e.info.Edges = e.dynamic.M()
-	e.info.Sinks = countSinks(model.Graph())
+	e.info.Sinks = model.Plan().SinkCount()
 	e.info.Patches++
 	info := e.info
 	r.mu.Unlock()
