@@ -1,10 +1,6 @@
 package flow
 
-import (
-	"math/big"
-
-	"repro/internal/graph"
-)
+import "math/big"
 
 // BigEngine evaluates the deterministic objective in exact math/big integer
 // arithmetic. Path counts — and therefore copy counts — grow exponentially
@@ -18,12 +14,13 @@ import (
 // Like FloatEngine's, its invariants — exact Φ(∅,V), F(V) and node
 // multiplicities — live on the Model and are computed once per model: the
 // first NewBig runs two exact forward passes, every later one runs none.
+//
+// Its passes read the plan alone (rows and perm; integer sums do not
+// depend on term order), so it never widens a plan-built model. Its
+// vectors stay indexed by original id.
 type BigEngine struct {
 	m *Model
 	p *Plan
-	// g is the model's digraph, whose ascending-id rows fix the exact
-	// accumulation order of the per-node kernels.
-	g *graph.Digraph
 	// phiEmpty, maxF and mul are read from the model's invariant cache and
 	// never mutated; shared by clones. mul holds the exact node
 	// multiplicities of a coarse model (nil entries for zero-weight nodes,
@@ -43,7 +40,7 @@ func NewBig(m *Model) *BigEngine {
 	if m.Weighted() {
 		panic("flow: BigEngine does not support weighted models")
 	}
-	e := &BigEngine{m: m, p: m.Plan(), g: m.Graph(), pc: &passCount{}}
+	e := &BigEngine{m: m, p: m.Plan(), pc: &passCount{}}
 	inv := m.inv
 	inv.bigOnce.Do(func() {
 		if m.mul != nil {
@@ -76,14 +73,15 @@ func (e *BigEngine) Clone() Evaluator {
 
 var bigOne = big.NewInt(1)
 
-// stepForwardBig computes rec and emit at one node from its in-neighbors,
-// accumulating in ascending in-neighbor order. It is the exact engine's
-// one per-node forward kernel, so a pass yields the same integers at
-// every parallelism.
-func (e *BigEngine) stepForwardBig(v int, filters []bool, rec, emit []*big.Int) {
+// stepForwardBig computes rec and emit at the node at plan position i
+// from its plan in-row. It is the exact engine's one per-node forward
+// kernel, so a pass yields the same integers at every parallelism.
+func (e *BigEngine) stepForwardBig(i int, filters []bool, rec, emit []*big.Int) {
+	p := e.p
+	v := p.perm[i]
 	r := new(big.Int)
-	for _, p := range e.g.In(v) {
-		r.Add(r, emit[p])
+	for _, q := range p.inAdj[p.inOff[i]:p.inOff[i+1]] {
+		r.Add(r, emit[p.perm[q]])
 	}
 	rec[v] = r
 	switch {
@@ -114,7 +112,7 @@ func (e *BigEngine) forwardBig(filters []bool, procs int) (rec, emit []*big.Int)
 	for l := 0; l < e.p.numLevels(); l++ {
 		e.p.runLevel(l, procs, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e.stepForwardBig(int(e.p.perm[i]), filters, rec, emit)
+				e.stepForwardBig(i, filters, rec, emit)
 			}
 		})
 	}
@@ -150,16 +148,20 @@ func (e *BigEngine) FBig(filters []bool) *big.Int {
 	return new(big.Int).Sub(e.phiEmpty, e.phiBig(filters))
 }
 
-// stepSuffixBig computes the downstream amplification at one node from
-// its out-neighbors; the exact engine's one per-node suffix kernel.
-func (e *BigEngine) stepSuffixBig(v int, filters []bool, suf []*big.Int) {
+// stepSuffixBig computes the downstream amplification at the node at
+// plan position i from its plan out-row; the exact engine's one per-node
+// suffix kernel.
+func (e *BigEngine) stepSuffixBig(i int, filters []bool, suf []*big.Int) {
+	p := e.p
+	v := p.perm[i]
 	s := new(big.Int)
 	if e.mul != nil && e.mul[v] != nil {
 		// Coarse model: seed with the node's own multiplicity — one extra
 		// unit of emission reaches each contracted interior receiver once.
 		s.Set(e.mul[v])
 	}
-	for _, c := range e.g.Out(v) {
+	for _, j := range p.outAdj[p.outOff[i]:p.outOff[i+1]] {
+		c := p.perm[j]
 		s.Add(s, bigOne)
 		if filters == nil || !filters[c] {
 			s.Add(s, suf[c])
@@ -177,7 +179,7 @@ func (e *BigEngine) suffixBig(filters []bool, procs int) []*big.Int {
 	for l := e.p.numLevels() - 1; l >= 0; l-- {
 		e.p.runLevel(l, procs, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e.stepSuffixBig(int(e.p.perm[i]), filters, suf)
+				e.stepSuffixBig(i, filters, suf)
 			}
 		})
 	}

@@ -2,8 +2,7 @@ package flow
 
 import (
 	"fmt"
-
-	"repro/internal/graph"
+	"slices"
 )
 
 // Graph coarsening for multilevel placement: contract a Model into a
@@ -14,7 +13,7 @@ import (
 // The quotient is a plain unweighted DAG over SUPERNODES plus one integer
 // per supernode — its multiplicity weight w(u), the number of contracted
 // receivers the supernode stands for beyond its head. Engines evaluate
-// quotient models through NewCoarseModel's semantics:
+// quotient models (Model.Coarse) with these semantics:
 //
 //	Φ_q = Σ_u rec(u) + w(u)·emit(u)        suffix_q(u) = w(u) + Σ edge terms
 //
@@ -40,11 +39,20 @@ import (
 // absorbed nodes have no out-edges, and absorbing a sink credits its
 // feeder weight, so no feeder becomes an absorbable sink.
 //
-// Everything is deterministic: sweeps run in ascending node order or the
-// model's topological order, and quotient ids are assigned ascending by
-// head original id — which preserves argmax tie-breaking (quotient id
-// order == head id order) so quotient greedy picks exactly the original's
-// filters.
+// Everything reads the source model's plan, and nothing widens it: the
+// sweeps walk its rows in position order (perm), a canonical topological
+// order. Contraction is deterministic — its roots, weights and absorbed
+// set do not depend on the topological order swept — and quotient ids
+// ascend with head original id, which preserves argmax tie-breaking
+// (quotient id order == head id order) so quotient greedy picks exactly
+// the original's filters.
+//
+// The quotient is built straight into a plan: one sweep over the heads'
+// in-rows gives its rows, and layoutPlan lays them out in the order of
+// the source's perm restricted to heads. That order is topological: a
+// quotient edge ru→rv comes from an edge u→rv (a folded node's only
+// in-edge comes from inside its supernode), and ru is an ancestor of u.
+// The quotient Model stands over that plan, as NewModelFromPlan's do.
 
 // CoarsenOptions configures Coarsen. It has no fields: contraction always
 // runs both lossless rules.
@@ -113,7 +121,7 @@ func (cm *CoarsenMap) ProjectFilters(qFilters []int) []int {
 // coarsener is the working state of one contraction, all on ORIGINAL ids.
 type coarsener struct {
 	m        *Model
-	n        int
+	p        *Plan   // m's plan: the rows every sweep reads
 	parent   []int32 // union-find, path-halving; root == supernode head
 	w        []int64 // per-root multiplicity weight
 	absorbed []bool  // per-root: dissolved into pure weight
@@ -130,37 +138,21 @@ func (c *coarsener) find(v int32) int32 {
 	return v
 }
 
-func newCoarsener(m *Model) *coarsener {
-	n := m.N()
-	c := &coarsener{m: m, n: n}
-	c.parent = make([]int32, n)
-	for v := range c.parent {
-		c.parent[v] = int32(v)
-	}
-	c.w = make([]int64, n)
-	c.absorbed = make([]bool, n)
-	c.stats = CoarsenStats{NodesBefore: n, EdgesBefore: m.Graph().M()}
-	return c
-}
-
-// liveRoot reports whether v is the head of a live supernode.
-func (c *coarsener) liveRoot(v int32) bool {
-	return c.parent[v] == v && !c.absorbed[v]
-}
-
-// fold contracts every non-source node of in-degree exactly 1 (counted
-// with edge multiplicity) into its feeder's supernode. The topological
-// sweep folds each feeder first, so a whole chain or single-parent tree
-// collapses in one sweep.
+// fold contracts every node of in-degree exactly 1 (counted with edge
+// multiplicity; sources have in-degree 0) into its feeder's supernode.
+// The sweep runs in plan position order, a topological order, so it folds
+// each feeder first and a whole chain or single-parent tree collapses in
+// one sweep.
 func (c *coarsener) fold() {
-	g := c.m.Graph()
-	for _, v := range c.m.Topo() {
-		if c.m.IsSource(v) || g.InDegree(v) != 1 {
+	p := c.p
+	for i, r := range p.perm {
+		lo := p.inOff[i]
+		if p.inOff[i+1]-lo != 1 {
 			continue
 		}
-		r, p := int32(v), c.find(int32(g.In(v)[0]))
-		c.parent[r] = p
-		c.w[p] += 1 + c.w[r]
+		q := c.find(p.perm[p.inAdj[lo]])
+		c.parent[r] = q
+		c.w[q] += 1 + c.w[r]
 		c.stats.Folded++
 	}
 }
@@ -171,16 +163,15 @@ func (c *coarsener) fold() {
 // so crediting never changes which heads qualify and the sweep order does
 // not matter.
 func (c *coarsener) absorbSinks() {
-	g := c.m.Graph()
-	for v := 0; v < c.n; v++ {
-		r := int32(v)
-		if c.parent[r] != r || c.m.IsSource(v) || c.w[r] != 0 || g.OutDegree(v) != 0 {
+	p := c.p
+	for i, r := range p.perm {
+		if c.parent[r] != r || c.m.isSrc[r] || c.w[r] != 0 || p.outOff[i] != p.outOff[i+1] {
 			continue
 		}
 		c.absorbed[r] = true
 		c.stats.SinksAbsorbed++
-		for _, u := range g.In(v) {
-			c.w[c.find(int32(u))]++
+		for _, q := range p.inAdj[p.inOff[i]:p.inOff[i+1]] {
+			c.w[c.find(p.perm[q])]++
 		}
 	}
 }
@@ -188,10 +179,11 @@ func (c *coarsener) absorbSinks() {
 // Coarsen contracts m into a quotient model whose Φ, marginal gains and
 // argmax are bit-identical to m's at every matching filter set. The
 // returned model carries per-supernode multiplicity weights
-// (NewCoarseModel semantics), the map records the contraction reversibly,
-// and the stats say what fired. Weighted (probabilistic) models cannot be
+// (Model.Coarse), the map records the contraction reversibly, and the
+// stats say what fired. Weighted (probabilistic) models cannot be
 // coarsened — the fold identity needs exact unit relays — and neither can
-// a model that is already a quotient.
+// a model that is already a quotient. Coarsen reads m's plan only; a
+// model stood up over a plan keeps its digraph unbuilt.
 func Coarsen(m *Model, _ CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, error) {
 	if m.Weighted() {
 		return nil, nil, CoarsenStats{}, fmt.Errorf("flow: cannot coarsen a weighted model")
@@ -199,7 +191,12 @@ func Coarsen(m *Model, _ CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, err
 	if m.Coarse() {
 		return nil, nil, CoarsenStats{}, fmt.Errorf("flow: cannot coarsen an already-coarse model")
 	}
-	c := newCoarsener(m)
+	n, p := m.N(), m.Plan()
+	c := &coarsener{m: m, p: p, parent: make([]int32, n), w: make([]int64, n), absorbed: make([]bool, n)}
+	for v := range c.parent {
+		c.parent[v] = int32(v)
+	}
+	c.stats = CoarsenStats{NodesBefore: n, EdgesBefore: p.M()}
 	c.fold()
 	c.absorbSinks()
 	qm, cm, err := c.buildQuotient()
@@ -207,86 +204,109 @@ func Coarsen(m *Model, _ CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, err
 		return nil, nil, CoarsenStats{}, err
 	}
 	c.stats.NodesAfter = cm.qn
-	c.stats.EdgesAfter = qm.Graph().M()
+	c.stats.EdgesAfter = qm.Plan().M()
 	return qm, cm, c.stats, nil
 }
 
-// buildQuotient materializes the quotient model and the coarsen map from
-// the union-find state. Quotient ids ascend with head original ids.
+// buildQuotient materializes the coarsen map from the union-find state
+// and lays out the quotient model's plan. Quotient ids ascend with head
+// original ids.
 func (c *coarsener) buildQuotient() (*Model, *CoarsenMap, error) {
-	n := c.n
+	n, p := len(c.parent), c.p
 	cm := &CoarsenMap{n: n, origTo: make([]int32, n)}
-	qid := make([]int32, n)
-	for v := range qid {
-		qid[v] = -1
-	}
+	// Live heads take quotient ids in ascending order; absorbed nodes are
+	// memberless roots and map to -1; every other node takes its root's id.
 	for v := int32(0); v < int32(n); v++ {
-		if c.liveRoot(v) {
-			qid[v] = int32(cm.qn)
+		switch {
+		case c.absorbed[v]:
+			cm.origTo[v] = -1
+			cm.absorbed = append(cm.absorbed, v)
+		case c.parent[v] == v:
+			cm.origTo[v] = int32(cm.qn)
 			cm.heads = append(cm.heads, v)
 			cm.qn++
 		}
 	}
-	mul := make([]int64, cm.qn)
-	for q, h := range cm.heads {
-		mul[q] = c.w[h]
-	}
-	// Fibers: every non-absorbed node belongs to its root's supernode.
-	// Two-pass counting sort keeps members ascending within each fiber.
-	cm.fiberOff = make([]int32, cm.qn+1)
+	qn := cm.qn
+	// Fibers: two-pass counting sort keeps members ascending per fiber.
+	cm.fiberOff = make([]int32, qn+1)
 	for v := int32(0); v < int32(n); v++ {
-		r := c.find(v)
-		if c.absorbed[r] {
-			cm.origTo[v] = -1
-			cm.absorbed = append(cm.absorbed, v)
-			continue
+		if c.parent[v] != v {
+			cm.origTo[v] = cm.origTo[c.find(v)]
 		}
-		cm.origTo[v] = qid[r]
-		cm.fiberOff[qid[r]+1]++
+		if q := cm.origTo[v]; q >= 0 {
+			cm.fiberOff[q+1]++
+		}
 	}
-	for q := 1; q <= cm.qn; q++ {
+	for q := 1; q <= qn; q++ {
 		cm.fiberOff[q] += cm.fiberOff[q-1]
 	}
-	cm.fiberMem = make([]int32, cm.fiberOff[cm.qn])
-	next := append([]int32(nil), cm.fiberOff[:cm.qn]...)
+	cm.fiberMem = make([]int32, cm.fiberOff[qn])
+	next := append([]int32(nil), cm.fiberOff[:qn]...)
 	for v := int32(0); v < int32(n); v++ {
 		if q := cm.origTo[v]; q >= 0 {
 			cm.fiberMem[next[q]] = v
 			next[q]++
 		}
 	}
-	// Quotient edges: every original edge between two distinct live
-	// supernodes (absorbed nodes have no out-edges, so only targets need
-	// the check), translated to quotient ids. Parallel edges are kept —
-	// they carry reception multiplicity (two edges from one feeder mean
-	// two copies received).
-	b := graph.NewBuilder(cm.qn).AllowParallelEdges()
-	g := c.m.Graph()
-	for u := int32(0); u < int32(n); u++ {
-		ru := c.find(u)
-		for _, v := range g.Out(int(u)) {
-			rv := c.find(int32(v))
-			if ru == rv || c.absorbed[rv] {
-				continue
-			}
-			b.AddEdge(int(qid[ru]), int(qid[rv]))
+	mul := make([]int64, qn)
+	for q, h := range cm.heads {
+		mul[q] = c.w[h]
+	}
+	if !slices.ContainsFunc(mul, func(w int64) bool { return w != 0 }) {
+		mul = nil // all-zero weights: an ordinary model
+	}
+
+	// Quotient rows: a quotient edge is an original edge into a live head
+	// from another supernode, and every in-edge of a head is one — its
+	// tail is neither absorbed (absorbed nodes have no out-edges) nor a
+	// member of the head's own supernode (members descend from the head).
+	// So a head's in-row, mapped through origTo, is its quotient in-row;
+	// parallel edges stay, as they carry reception multiplicity (two edges
+	// from one feeder mean two copies received). Walked in the source's
+	// plan order, the heads also give the quotient's topological order
+	// (see the header). The out-rows are the in-rows' transpose.
+	in, topo := make([][]int, qn), make([]int, 0, qn)
+	inAdj := make([]int, 0, p.M())
+	for i, v := range p.perm {
+		if c.parent[v] != v || c.absorbed[v] {
+			continue
+		}
+		q, start := cm.origTo[v], len(inAdj)
+		for _, j := range p.inAdj[p.inOff[i]:p.inOff[i+1]] {
+			inAdj = append(inAdj, int(cm.origTo[p.perm[j]]))
+		}
+		in[q] = inAdj[start:]
+		topo = append(topo, int(q))
+	}
+	off := make([]int, qn+1)
+	for _, qu := range inAdj {
+		off[qu+1]++
+	}
+	out, outAdj := make([][]int, qn), make([]int, len(inAdj))
+	for q := range out {
+		off[q+1] += off[q]
+		out[q] = outAdj[off[q]:off[q]:off[q+1]]
+	}
+	for qv, row := range in {
+		for _, qu := range row {
+			out[qu] = append(out[qu], qv)
 		}
 	}
-	qg, err := b.Build()
-	if err != nil {
-		return nil, nil, fmt.Errorf("flow: quotient build: %w", err)
-	}
+	qp := layoutPlan(topo, in, out, make([]int32, qn), nil, mul)
+	qp.arena = newPlanArena()
+
 	// Sources survive contraction untouched (in-degree 0 nodes never
 	// fold or absorb), so they map 1:1 onto quotient ids.
 	qsources := make([]int, len(c.m.Sources()))
 	for i, s := range c.m.Sources() {
-		q := qid[int32(s)]
+		q := cm.origTo[s]
 		if q < 0 || int(cm.heads[q]) != s {
 			return nil, nil, fmt.Errorf("flow: source %d lost by contraction (internal invariant)", s)
 		}
 		qsources[i] = int(q)
 	}
-	qm, err := NewCoarseModel(qg, qsources, mul)
+	qm, err := NewModelFromPlan(qp, qsources)
 	if err != nil {
 		return nil, nil, fmt.Errorf("flow: quotient model: %w", err)
 	}

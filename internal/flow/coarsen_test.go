@@ -111,6 +111,57 @@ func randomTestDAG(t testing.TB, n int, p float64, seed int64) *graph.Digraph {
 	return g
 }
 
+// coarseModel is a model over g whose nodes carry the multiplicities mul
+// (nil: none), with its plan laid out by buildPlan — a quotient model built
+// the long way, from a digraph, as reference for Coarsen's.
+func coarseModel(t testing.TB, g *graph.Digraph, sources []int, mul []int64) *Model {
+	t.Helper()
+	m, err := NewModel(g, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mul != nil {
+		m.mul = append([]int64(nil), mul...)
+	}
+	return m
+}
+
+// checkQuotientPlan checks Coarsen's quotient plan against a reference
+// derived here: every original edge mapped through cm.Quotient (parallel
+// edges kept, absorbed targets and supernode-internal edges dropped), laid
+// out by buildPlan over that digraph with the quotient's multiplicities.
+// The quotient plan must pass checkPlanInvariants against the reference
+// digraph and equal the reference plan array for array.
+func checkQuotientPlan(t testing.TB, m, qm *Model, cm *CoarsenMap) {
+	t.Helper()
+	g := m.Graph()
+	b := graph.NewBuilder(cm.QN()).AllowParallelEdges()
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Out(u) {
+			if qu, qv := cm.Quotient(u), cm.Quotient(v); qv >= 0 && qu != qv {
+				b.AddEdge(qu, qv)
+			}
+		}
+	}
+	ref, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mul []int64
+	if qm.Coarse() {
+		mul = make([]int64, qm.N())
+		for q := range mul {
+			mul[q] = qm.NodeWeight(q)
+		}
+	}
+	rm := coarseModel(t, ref, qm.Sources(), mul)
+	// The reference model's digraph paired with the quotient's plan.
+	chk := *rm
+	chk.pc = qm.pc
+	checkPlanInvariants(t, &chk)
+	plansEqual(t, "quotient plan", qm.Plan(), rm.Plan())
+}
+
 // maskFromQuotient projects a quotient filter mask to the matching
 // original mask (filters at supernode heads).
 func maskFromQuotient(cm *CoarsenMap, qmask []bool) []bool {
@@ -311,21 +362,8 @@ func TestCoarsenDeterminism(t *testing.T) {
 			t.Fatalf("mul of q%d differs", q)
 		}
 	}
-	g1, g2 := qm1.Graph(), qm2.Graph()
-	if g1.M() != g2.M() {
-		t.Fatalf("edge counts differ: %d vs %d", g1.M(), g2.M())
-	}
-	for v := 0; v < g1.N(); v++ {
-		o1, o2 := g1.Out(v), g2.Out(v)
-		if len(o1) != len(o2) {
-			t.Fatalf("out-degree of q%d differs", v)
-		}
-		for j := range o1 {
-			if o1[j] != o2[j] {
-				t.Fatalf("out-edge %d of q%d differs", j, v)
-			}
-		}
-	}
+	plansEqual(t, "second run", qm2.Plan(), qm1.Plan())
+	checkQuotientPlan(t, m, qm1, cm1)
 }
 
 func TestCoarsenRejects(t *testing.T) {
@@ -408,6 +446,7 @@ func FuzzCoarsen(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkFiberPartition(t, m, cm)
+		checkQuotientPlan(t, m, qm, cm)
 		for q := 0; q < cm.QN(); q++ {
 			if qm.NodeWeight(q) < int64(len(cm.Fiber(q))-1) {
 				t.Fatalf("q%d weight %d below member count %d", q, qm.NodeWeight(q), len(cm.Fiber(q))-1)

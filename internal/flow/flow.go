@@ -38,18 +38,21 @@
 // O(Δ·|E|) plist bookkeeping; tests verify it against brute-force
 // re-evaluation of Φ.
 //
-// Where the work lives. A Model owns two lazily filled caches: its
-// execution Plan (structural, shared by every model over the same graph
-// and weights) and its invariants — the plan-order source mask, Φ(∅,V)
-// and F(V) in each engine's arithmetic — which depend on the sources too.
-// A model stood up over a plan (NewModelFromPlan) also defers its digraph:
-// engines read only the plan, and Graph or Topo widen it on first call.
-// The first engine of a model builds what is missing (the plan, then the
+// Where the work lives. The execution Plan is the one graph format the
+// engines build and read: layoutPlan lays out every plan (a model's, a
+// Splicer's, a Coarsen quotient's), and the engines and Coarsen walk its
+// rows. A Model owns two lazily filled caches: its Plan (structural,
+// shared by every model over the same graph and weights) and its
+// invariants — the plan-order source mask, Φ(∅,V) and F(V) in each
+// engine's arithmetic — which depend on the sources too. A model stood up
+// over a plan (NewModelFromPlan, every Coarsen quotient) defers its
+// digraph: only Graph or Topo widen it, on first call. The first
+// engine of a model builds what is missing (the plan, then the
 // invariants: one forward pass on an unweighted float model, two
 // otherwise); every later NewFloat or NewBig runs no pass and costs O(1)
 // plus, for the float engine, a scratch arena borrowed from the plan's
-// pool on first use and returned by ReleaseScratch. Evaluate then reports Φ(∅,V), Φ(A,V), F(A) and FR(A)
-// for a filter set from one forward pass.
+// pool on first use and returned by ReleaseScratch. Evaluate then reports
+// Φ(∅,V), Φ(A,V), F(A) and FR(A) for a filter set from one forward pass.
 package flow
 
 import (
@@ -181,56 +184,27 @@ func checkSources(n int, inDegree func(v int) int, sources []int) ([]int, []bool
 // Topo call materializes them from the plan's CSR in O(n+m), once (no
 // sort, no topological search — the plan's position order IS a
 // topological order). This is how a PATCH turns a Splicer plan into the
-// version's model at the cost of its sources alone. Only unweighted plans
-// are supported — exactly what the dynamic overlay produces.
+// version's model at the cost of its sources alone, and how Coarsen
+// stands up its quotient: a coarse plan's multiplicities are read back
+// from its mulW. Weighted plans are not supported.
 func NewModelFromPlan(p *Plan, sources []int) (*Model, error) {
 	if p.Weighted() {
 		return nil, fmt.Errorf("flow: NewModelFromPlan supports only unweighted plans")
-	}
-	if p.Coarse() {
-		return nil, fmt.Errorf("flow: NewModelFromPlan does not support coarse (quotient) plans")
 	}
 	sources, isSrc, err := checkSources(p.n, p.inDegree, sources)
 	if err != nil {
 		return nil, err
 	}
+	var mul []int64
+	if p.mulW != nil {
+		mul = make([]int64, p.n)
+		for i, w := range p.mulW {
+			mul[p.perm[i]] = int64(w)
+		}
+	}
 	pc := &planCache{plan: p}
 	pc.once.Do(func() {}) // the plan is already built; pin the cache
-	return &Model{n: p.n, sources: sources, isSrc: isSrc, gc: &graphCache{plan: p}, pc: pc, inv: &invariants{}}, nil
-}
-
-// NewCoarseModel builds a model whose nodes carry multiplicity weights —
-// the quotient-graph form produced by Coarsen, where supernode v stands
-// for mul[v] contracted receivers beyond itself. Evaluation semantics:
-// every engine adds mul[v]·emit(v) to Φ and seeds v's suffix with mul[v],
-// so the closed-form gain (rec−1)·suffix prices the contracted interior
-// without ever expanding it. Weights must be non-negative; a nil or
-// all-zero mul is equivalent to NewModel. Coarse models are always
-// unweighted (deterministic relay).
-func NewCoarseModel(g *graph.Digraph, sources []int, mul []int64) (*Model, error) {
-	m, err := NewModel(g, sources)
-	if err != nil {
-		return nil, err
-	}
-	if mul == nil {
-		return m, nil
-	}
-	if len(mul) != g.N() {
-		return nil, fmt.Errorf("flow: mul length %d != node count %d", len(mul), g.N())
-	}
-	allZero := true
-	for v, w := range mul {
-		if w < 0 {
-			return nil, fmt.Errorf("flow: mul[%d] = %d is negative", v, w)
-		}
-		if w != 0 {
-			allZero = false
-		}
-	}
-	if !allZero {
-		m.mul = append([]int64(nil), mul...)
-	}
-	return m, nil
+	return &Model{n: p.n, sources: sources, isSrc: isSrc, gc: &graphCache{plan: p}, mul: mul, pc: pc, inv: &invariants{}}, nil
 }
 
 // MustModel is NewModel that panics on error, for tests and examples over
@@ -263,11 +237,16 @@ func (m *Model) WithWeights(w func(u, v int) float64) *Model {
 // copy shares the graph, edge weights, multiplicities, topological order
 // and plan cache, none of which depends on the sources, so it costs no
 // topological sort and no plan build; it gets a fresh invariant cache.
-// Sources are checked against Graph, so on a model built by
-// NewModelFromPlan the first call materializes the shared graph.
+// A model stood up over a plan checks the sources against the plan's
+// in-rows, so its digraph stays unbuilt.
 func (m *Model) WithSources(sources []int) (*Model, error) {
-	g := m.Graph()
-	sources, isSrc, err := checkSources(g.N(), g.InDegree, sources)
+	var inDegree func(v int) int
+	if m.gc.plan != nil {
+		inDegree = m.gc.plan.inDegree
+	} else {
+		inDegree = m.gc.g.InDegree
+	}
+	sources, isSrc, err := checkSources(m.n, inDegree, sources)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +336,7 @@ func (m *Model) Topo() []int {
 func (m *Model) Weighted() bool { return m.weight != nil }
 
 // Coarse reports whether the model carries node multiplicity weights
-// (it was built by NewCoarseModel over a contracted quotient graph).
+// (Coarsen built it over a contracted quotient graph).
 func (m *Model) Coarse() bool { return m.mul != nil }
 
 // NodeWeight returns node v's multiplicity weight (0 on ordinary models).

@@ -64,14 +64,7 @@ func TestModelInvariantsCoarse(t *testing.T) {
 	for v := range mul {
 		mul[v] = int64(v % 3)
 	}
-	m, err := NewCoarseModel(g, []int{src}, mul)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewCoarseModel(g, []int{src}, mul)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ref := coarseModel(t, g, []int{src}, mul), coarseModel(t, g, []int{src}, mul)
 	NewBig(m) // fills the cache
 	second, fresh := NewBig(m), NewBig(ref)
 	if passesOf(second) != [2]int64{0, 0} {
@@ -349,10 +342,10 @@ func TestModelInvariantsClosedForm(t *testing.T) {
 }
 
 // TestModelFromPlanLazyGraph: a model stood up over a plan answers every
-// engine query from the plan alone, leaving its digraph unbuilt. The
-// first Graph call widens the plan once — concurrent callers share one
-// graph — into exactly Plan.Digraph, and sources are validated against
-// the plan's in-rows with NewModel's messages.
+// engine query and WithSources from the plan alone, leaving its digraph
+// unbuilt. The first Graph call widens the plan once — concurrent callers
+// share one graph — into exactly Plan.Digraph, and sources are validated
+// against the plan's in-rows with NewModel's messages.
 func TestModelFromPlanLazyGraph(t *testing.T) {
 	// Relabel so plan positions and node ids differ.
 	tw, twSrc := gen.TwitterLike(0.02, 3)
@@ -415,6 +408,18 @@ func TestModelFromPlanLazyGraph(t *testing.T) {
 	if want := g.Sources(); !slices.Equal(def.Sources(), want) || def.gc.g != nil {
 		t.Fatalf("default sources %v (graph built %v), want %v", def.Sources(), def.gc.g != nil, want)
 	}
+	ws, err := m.WithSources(nil)
+	if err != nil || !slices.Equal(ws.Sources(), g.Sources()) {
+		t.Fatalf("WithSources(nil) = %v, %v; want %v", ws, err, g.Sources())
+	}
+	for _, bad := range [][]int{{g.Out(src)[0]}, {-1}, {g.N()}} {
+		_, errW := m.WithSources(bad)
+		_, errG := NewModel(g, bad)
+		if errW == nil || errG == nil || errW.Error() != errG.Error() {
+			t.Errorf("sources %v: WithSources error %v, NewModel error %v", bad, errW, errG)
+		}
+	}
+	unbuilt("WithSources")
 
 	got := make([]*graph.Digraph, 8)
 	var wg sync.WaitGroup

@@ -50,9 +50,10 @@ import (
 // drops the per-candidate sharding in core.Place to ~zero steady-state
 // allocations.
 //
-// Plans are built lazily by Model.Plan and are safe for concurrent use;
-// all exported and unexported methods are read-only with respect to the
-// plan itself.
+// Every plan is laid out by layoutPlan — lazily by Model.Plan, by a
+// Splicer after each mutation batch, and by Coarsen for its quotient.
+// Plans are safe for concurrent use; all exported and unexported methods
+// are read-only with respect to the plan itself.
 type Plan struct {
 	n        int
 	weighted bool
@@ -145,18 +146,42 @@ func (s *floatScratch) ensure(n int) {
 	s.rec, s.emit, s.suf, s.fmask = s.rec[:n], s.emit[:n], s.suf[:n], s.fmask[:n]
 }
 
-// buildPlan computes the plan of a model. It is called once per Model
-// through Model.Plan; weighted models have every edge weight validated
-// (and baked into the flat arrays) here, so kernels never re-check.
+// buildPlan computes the plan of a model over a graph.Digraph (NewModel's
+// models and their WithWeights copies). It is called once per Model
+// through Model.Plan and hands the digraph's rows to layoutPlan; weighted
+// models have every edge weight validated (and baked into the flat
+// arrays) there, so kernels never re-check.
 func buildPlan(m *Model) *Plan {
 	g := m.Graph()
 	n := g.N()
-	p := &Plan{n: n, weighted: m.weight != nil}
-	depth := make([]int32, n)
+	in, out := make([][]int, n), make([][]int, n)
+	for v := range n {
+		in[v], out[v] = g.In(v), g.Out(v)
+	}
+	var weight func(u, v int) float64
+	if m.weight != nil {
+		weight = m.checkedWeight
+	}
+	p := layoutPlan(m.Topo(), in, out, make([]int32, n), weight, m.mul)
+	p.arena = newPlanArena()
+	return p
+}
+
+// layoutPlan is the one plan builder (for buildPlan, Splicer.rebuildPlan
+// and Coarsen). It takes a topological order of the n = len(topo) nodes,
+// each node's in- and out-row in any order (parallel edges repeat) and
+// depth, scratch of length n. Rows come out in ascending original-id
+// order, so equal edge multisets give array-for-array equal plans
+// whatever the input's row or topological order. weight, when non-nil,
+// is baked into per-edge arrays, and mul, when non-nil, into a coarse
+// plan's mulW. The caller sets the arena.
+func layoutPlan(topo []int, in, out [][]int, depth []int32, weight func(u, v int) float64, mul []int64) *Plan {
+	n := len(topo)
+	p := &Plan{n: n, weighted: weight != nil}
 	maxDepth := int32(-1)
-	for _, v := range m.Topo() {
+	for _, v := range topo {
 		var d int32
-		for _, q := range g.In(v) {
+		for _, q := range in[v] {
 			d = max(d, depth[q]+1)
 		}
 		depth[v] = d
@@ -164,49 +189,59 @@ func buildPlan(m *Model) *Plan {
 	}
 	p.layoutLevels(depth, maxDepth)
 
-	// Re-index both CSRs to plan positions. Neighbor lists stay in
-	// ascending original-id order (Digraph.In/Out order), preserving the
-	// pre-plan float accumulation order bit for bit.
-	p.inOff = make([]int32, n+1)
-	p.outOff = make([]int32, n+1)
-	p.inAdj = make([]int32, g.M())
-	p.outAdj = make([]int32, g.M())
-	if p.weighted {
-		p.inW = make([]float64, g.M())
-		p.outW = make([]float64, g.M())
-	}
+	// Rows are not copied from the input, whose order is arbitrary (the
+	// overlay swap-deletes). Instead each row is sized from its length,
+	// and both CSRs are filled in one sweep over original ids in ascending
+	// order: tail u is appended to the in-row of each head in out[u], and
+	// head u to the out-row of each tail in in[u]. Every row therefore
+	// comes out in ascending original-id order — the pre-plan kernels'
+	// accumulation order — with no sort. off[i+1] serves as row i's fill
+	// cursor: it starts at row i's first slot and ends at its last slot
+	// + 1, which is row i+1's start.
+	inOff, outOff := make([]int32, n+1), make([]int32, n+1)
 	var ein, eout int32
-	for i := 0; i < n; i++ {
-		v := int(p.perm[i])
-		p.inOff[i] = ein
-		for _, q := range g.In(v) {
-			p.inAdj[ein] = p.pos[q]
-			if p.weighted {
-				p.inW[ein] = m.checkedWeight(q, v)
-			}
-			ein++
+	for i, v := range p.perm {
+		inOff[i+1], outOff[i+1] = ein, eout
+		ein += int32(len(in[v]))
+		eout += int32(len(out[v]))
+	}
+	inAdj, outAdj := make([]int32, ein), make([]int32, eout)
+	pos := p.pos
+	for u := range n {
+		pu := pos[u]
+		for _, c := range out[u] {
+			j := pos[c] + 1
+			inAdj[inOff[j]] = pu
+			inOff[j]++
 		}
-		p.outOff[i] = eout
-		for _, c := range g.Out(v) {
-			p.outAdj[eout] = p.pos[c]
-			if p.weighted {
-				p.outW[eout] = m.checkedWeight(v, c)
-			}
-			eout++
+		for _, q := range in[u] {
+			j := pos[q] + 1
+			outAdj[outOff[j]] = pu
+			outOff[j]++
 		}
 	}
-	p.inOff[n] = ein
-	p.outOff[n] = eout
+	p.inOff, p.inAdj, p.outOff, p.outAdj = inOff, inAdj, outOff, outAdj
 
-	if m.mul != nil {
+	// Weights are baked after the sweep, not in it: a closure call inside
+	// the sweep's loops slowed the unweighted overlay rebuild by a fifth.
+	if weight != nil {
+		p.inW, p.outW = make([]float64, ein), make([]float64, eout)
+		for i, v := range p.perm {
+			for j := inOff[i]; j < inOff[i+1]; j++ {
+				p.inW[j] = weight(int(p.perm[inAdj[j]]), int(v))
+			}
+			for j := outOff[i]; j < outOff[i+1]; j++ {
+				p.outW[j] = weight(int(v), int(p.perm[outAdj[j]]))
+			}
+		}
+	}
+	if mul != nil {
 		p.mulW = make([]float64, n)
-		for i := 0; i < n; i++ {
-			p.mulW[i] = float64(m.mul[p.perm[i]])
+		for i, v := range p.perm {
+			p.mulW[i] = float64(mul[v])
 		}
 	}
-
 	p.layoutChunks()
-	p.arena = newPlanArena()
 	return p
 }
 

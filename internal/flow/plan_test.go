@@ -415,8 +415,8 @@ func TestPlanBigGolden(t *testing.T) {
 // --- Plan invariants.
 
 // checkPlanInvariants asserts the structural contract of a plan against
-// its model: permutation validity, level-monotone order, CSR consistency
-// and chunk-table sanity.
+// its model: permutation validity, level-monotone order, CSR consistency,
+// baked weights and multiplicities, and chunk-table sanity.
 func checkPlanInvariants(t testing.TB, m *Model) {
 	t.Helper()
 	g := m.Graph()
@@ -451,15 +451,27 @@ func checkPlanInvariants(t testing.TB, m *Model) {
 		}
 		for i := lo; i < hi; i++ {
 			levelOfPos[i] = l
+			if i > lo && p.perm[i-1] >= p.perm[i] {
+				t.Fatalf("level %d not in ascending id order at position %d", l, i)
+			}
 		}
 	}
 
-	// Every edge goes to a strictly later level (level-monotone order),
-	// and both CSRs reproduce the graph's adjacency in the graph's own
-	// neighbor order.
+	// Every node sits at its depth, 1 + the deepest in-neighbor's level (0
+	// without one), so every edge goes to a strictly later level; and both
+	// CSRs reproduce the graph's adjacency in the graph's own neighbor
+	// order. With the ascending ids within a level, this pins the
+	// canonical layout.
 	for i := 0; i < n; i++ {
 		v := int(p.perm[i])
 		in := g.In(v)
+		depth := 0
+		for _, q := range in {
+			depth = max(depth, levelOfPos[p.pos[q]]+1)
+		}
+		if levelOfPos[i] != depth {
+			t.Fatalf("node %d at level %d, want its depth %d", v, levelOfPos[i], depth)
+		}
 		if int(p.inOff[i+1]-p.inOff[i]) != len(in) {
 			t.Fatalf("in-degree mismatch at position %d (node %d)", i, v)
 		}
@@ -475,6 +487,11 @@ func checkPlanInvariants(t testing.TB, m *Model) {
 				if want := m.weight(q, v); p.inW[j] != want {
 					t.Fatalf("inW[%d] = %v, want %v", j, p.inW[j], want)
 				}
+			}
+		}
+		if p.mulW != nil {
+			if want := float64(m.NodeWeight(v)); p.mulW[i] != want {
+				t.Fatalf("mulW[%d] = %v, want %v (node %d)", i, p.mulW[i], want, v)
 			}
 		}
 		out := g.Out(v)

@@ -124,61 +124,20 @@ func (s *Splicer) fullRebuild(reason string) *Plan {
 }
 
 // rebuildPlan builds a canonical plan from the view's current state —
-// the same layout buildPlan produces for a Model over the equivalent
-// immutable snapshot — reusing the existing plan's scratch arena. It
-// fetches the view's rows once and runs every loop over them as plain
-// slices, so each node costs no interface call.
+// array-for-array the plan buildPlan lays out for a Model over the
+// equivalent immutable snapshot, since both go through layoutPlan —
+// reusing the existing plan's scratch arena. It fetches the view's rows
+// once and hands them to layoutPlan as plain slices, so each node costs no
+// interface call.
 func (s *Splicer) rebuildPlan() *Plan {
 	in, out, ord := s.view.Rows()
 	n := len(ord)
-	p := &Plan{n: n}
 	s.ordBuf = slices.Grow(s.ordBuf[:0], n)[:n]
 	for v, o := range ord {
 		s.ordBuf[o] = v
 	}
 	s.depth = slices.Grow(s.depth[:0], n)[:n]
-	maxDepth := int32(-1)
-	for _, v := range s.ordBuf {
-		var d int32
-		for _, q := range in[v] {
-			d = max(d, s.depth[q]+1)
-		}
-		s.depth[v] = d
-		maxDepth = max(maxDepth, d)
-	}
-	p.layoutLevels(s.depth, maxDepth)
-
-	// The view's adjacency order is arbitrary (the overlay swap-deletes),
-	// so rows are not copied from it. Instead each row is sized from its
-	// length, and both CSRs are filled in one sweep over original ids in
-	// ascending order: tail u is appended to the in-row of each head in
-	// out[u], and head u to the out-row of each tail in in[u]. Every row
-	// therefore comes out in ascending original-id order with no sort.
-	// off[i+1] serves as row i's fill cursor: it starts at row i's first
-	// slot and ends at its last slot + 1, which is row i+1's start.
-	p.inOff, p.outOff = make([]int32, n+1), make([]int32, n+1)
-	var ein, eout int32
-	for i, v := range p.perm {
-		p.inOff[i+1], p.outOff[i+1] = ein, eout
-		ein += int32(len(in[v]))
-		eout += int32(len(out[v]))
-	}
-	p.inAdj, p.outAdj = make([]int32, ein), make([]int32, eout)
-	for u := 0; u < n; u++ {
-		pu := p.pos[u]
-		for _, c := range out[u] {
-			j := p.pos[c] + 1
-			p.inAdj[p.inOff[j]] = pu
-			p.inOff[j]++
-		}
-		for _, q := range in[u] {
-			j := p.pos[q] + 1
-			p.outAdj[p.outOff[j]] = pu
-			p.outOff[j]++
-		}
-	}
-
-	p.layoutChunks()
+	p := layoutPlan(s.ordBuf, in, out, s.depth, nil, nil)
 	if s.plan != nil {
 		p.arena = s.plan.arena
 	} else {

@@ -129,8 +129,9 @@ func (d *testDyn) model(t testing.TB) *Model {
 }
 
 // plansEqual asserts two plans are array-for-array identical — the
-// Splicer's contract: a repaired plan must be indistinguishable from
-// buildPlan run from scratch on the mutated graph.
+// Splicer's contract (a repaired plan must be indistinguishable from
+// buildPlan run from scratch on the mutated graph) and Coarsen's (a
+// quotient plan equals buildPlan's over the quotient digraph).
 func plansEqual(t testing.TB, what string, got, want *Plan) {
 	t.Helper()
 	if got.n != want.n || got.weighted != want.weighted || got.identity != want.identity {
@@ -149,9 +150,14 @@ func plansEqual(t testing.TB, what string, got, want *Plan) {
 	eq32("inAdj", got.inAdj, want.inAdj)
 	eq32("outOff", got.outOff, want.outOff)
 	eq32("outAdj", got.outAdj, want.outAdj)
-	if (got.inW != nil) != (want.inW != nil) || (got.outW != nil) != (want.outW != nil) {
-		t.Fatalf("%s: weight array presence mismatch", what)
+	eqF := func(field string, a, b []float64) {
+		if (a == nil) != (b == nil) || !slices.Equal(a, b) {
+			t.Fatalf("%s: %s mismatch:\n got %v\nwant %v", what, field, a, b)
+		}
 	}
+	eqF("inW", got.inW, want.inW)
+	eqF("outW", got.outW, want.outW)
+	eqF("mulW", got.mulW, want.mulW)
 	if len(got.falseMask) != len(want.falseMask) {
 		t.Fatalf("%s: falseMask length %d != %d", what, len(got.falseMask), len(want.falseMask))
 	}
