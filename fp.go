@@ -445,8 +445,9 @@ func ParseMutations(text string) (MutationBatch, error) { return dyn.ParseBatch(
 // fallback when the accumulated dirty cones exceed a fixed drift bound.
 type Maintainer = dyn.Maintainer
 
-// MaintainOptions configures a Maintainer: the budget K, the Greedy_All
-// parallelism, and optionally a shared plan splicer.
+// MaintainOptions configures a Maintainer: the budget K and the
+// Greedy_All parallelism. The Maintainer reads each graph version's model
+// from the overlay (DynamicGraph.Model), so it keeps no plan of its own.
 type MaintainOptions = dyn.Options
 
 // MaintainReport describes one maintenance pass: strategy, objective

@@ -11,7 +11,9 @@
 // a typed error — in time proportional to the affected region between the
 // edge's endpoints rather than the whole graph. Batches are atomic: a
 // rejected batch leaves the edge set AND the maintained topological order
-// exactly as they were.
+// exactly as they were. Each committed version also has one immutable
+// flow.Model, built on demand over a plan rebuilt from the overlay's rows,
+// that every consumer of that version shares.
 //
 // Maintainer (maintain.go) keeps a filter placement fresh across mutation
 // batches: it warm-starts from the previous filter set and repairs it over
@@ -27,6 +29,7 @@ import (
 	"slices"
 
 	"repro/internal/acyclic"
+	"repro/internal/flow"
 	"repro/internal/graph"
 )
 
@@ -102,15 +105,23 @@ type ApplyResult struct {
 
 // Dynamic is a mutable DAG overlay: an acyclic.IncrementalDAG — the
 // same Pearce–Kelly structure the Acyclic algorithm runs — plus pinned
-// sources, an edge count and a mutation generation. It is not safe for
-// concurrent use; callers serialize access (the fpd registry guards each
-// entry with a mutex).
+// sources, an edge count, a mutation generation and the current
+// generation's Model. It is not safe for concurrent use; callers
+// serialize access (the fpd registry guards each entry with a mutex).
 type Dynamic struct {
 	dag     *acyclic.IncrementalDAG
 	pinned  []bool
 	sources []int
 	edges   int
 	gen     uint64
+
+	// splicer rebuilds the execution plan from the overlay's rows, so
+	// successive versions' plans share one scratch arena; nil until the
+	// first Model call of an overlay built by FromDigraph.
+	splicer *flow.Splicer
+	// model is generation modelGen's Model; nil until first built.
+	model    *flow.Model
+	modelGen uint64
 }
 
 // FromDigraph builds a Dynamic overlay from an immutable DAG. sources
@@ -139,6 +150,58 @@ func FromDigraph(g *graph.Digraph, sources []int) (*Dynamic, error) {
 	}
 	d.sources = append([]int(nil), sources...)
 	return d, nil
+}
+
+// FromModel builds a Dynamic overlay from an immutable model's DAG and
+// sources. When the model's plan is deterministic (unweighted, not coarse)
+// it is adopted as-is and the model itself becomes generation 0's, so
+// seeding the overlay from an uploaded model builds no plan and no model;
+// otherwise generation 0's model is rebuilt over the overlay.
+func FromModel(m *flow.Model) (*Dynamic, error) {
+	d, err := FromDigraph(m.Graph(), m.Sources())
+	if err != nil {
+		return nil, err
+	}
+	d.splicer = flow.NewSplicer(d, m.Plan(), flow.SpliceOptions{})
+	if d.splicer.Plan() == m.Plan() {
+		d.model = m
+	} else {
+		d.model = d.modelOver(d.splicer.Plan())
+	}
+	return d, nil
+}
+
+// Model returns the current generation's model: deterministic, over a plan
+// laid out from the overlay's rows and array-identical to the one
+// flow.NewModel(Snapshot(), Sources()) builds. It is built on the first
+// call after a committed batch and then cached until the next one, so
+// every consumer of a version — the placement maintainer, fpd's readers —
+// shares one plan and one invariant cache. The model is immutable and
+// safe to share across goroutines; Model itself is not.
+func (d *Dynamic) Model() *flow.Model {
+	if d.model != nil && d.modelGen == d.gen {
+		return d.model
+	}
+	var p *flow.Plan
+	if d.splicer == nil {
+		d.splicer = flow.NewSplicer(d, nil, flow.SpliceOptions{})
+		p = d.splicer.Plan()
+	} else {
+		p, _ = d.splicer.Apply(nil, nil, 0)
+	}
+	d.model, d.modelGen = d.modelOver(p), d.gen
+	return d.model
+}
+
+// modelOver stands the overlay's model up over plan p. The sources are
+// pinned — nothing ever inserts an edge into one — and the splicer's
+// plans are unweighted, so validation cannot fail.
+func (d *Dynamic) modelOver(p *flow.Plan) *flow.Model {
+	m, err := flow.NewModelFromPlan(p, d.sources)
+	if err != nil {
+		panic(fmt.Sprintf("dyn: overlay model: %v", err))
+	}
+	return m
 }
 
 // N returns the current node count.

@@ -2,11 +2,14 @@ package dyn
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
+	"repro/internal/flow"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -239,5 +242,83 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	snap := d.Snapshot()
 	if snap.N() != 5 || snap.M() != 6 || !snap.HasEdge(1, 4) {
 		t.Fatalf("snapshot = %d nodes %d edges", snap.N(), snap.M())
+	}
+}
+
+// TestDynamicModelPerGeneration pins the overlay's one-model-per-version
+// contract: Model returns the same model while Gen is unchanged (a
+// rejected batch included), a fresh one after every committed batch whose
+// observables are bit-identical to a from-scratch model over Snapshot,
+// and FromModel adopts a deterministic model as generation 0's.
+func TestDynamicModelPerGeneration(t *testing.T) {
+	g, root := gen.RandomDAG(300, 0.02, 21)
+	m := flow.MustModel(g, []int{root})
+	d, err := FromModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Model() != m {
+		t.Fatal("FromModel did not adopt the model as generation 0's")
+	}
+	weighted := m.WithWeights(func(u, v int) float64 { return 0.5 })
+	w, err := FromModel(weighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wm := w.Model(); wm == weighted || wm.Plan().Weighted() {
+		t.Fatal("FromModel adopted a weighted model instead of rebuilding")
+	}
+
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	prev := d.Model()
+	for i, mu := range gen.TwitterChurn(g, 6, 0.02, 22) {
+		b := Batch{Add: mu.Add, Remove: mu.Remove}
+		if i == 2 {
+			b.AddNodes = 3
+			b.Add = append(b.Add, [2]int{root, d.N()}, [2]int{d.N(), d.N() + 2})
+		}
+		gen0 := d.Gen()
+		// A cycle-creating batch is rejected and leaves the version alone.
+		var back [2]int
+		for v := 0; v < d.N(); v++ {
+			if out := d.Out(v); len(out) > 0 {
+				back = [2]int{out[0], v}
+				break
+			}
+		}
+		if _, err := d.Apply(Batch{Add: [][2]int{back}}); !errors.Is(err, ErrCycle) {
+			t.Fatalf("batch %d: back edge %v: err = %v, want ErrCycle", i, back, err)
+		}
+		if d.Gen() != gen0 || d.Model() != prev {
+			t.Fatalf("batch %d: a rejected batch changed the version's model", i)
+		}
+
+		if _, err := d.Apply(b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		cur := d.Model()
+		if cur == prev || d.Model() != cur {
+			t.Fatalf("batch %d: want one fresh model per committed batch", i)
+		}
+		prev = cur
+
+		ref := flow.MustModel(d.Snapshot(), d.Sources())
+		got, want := flow.NewFloat(cur), flow.NewFloat(ref)
+		if math.Float64bits(got.Phi(nil)) != math.Float64bits(want.Phi(nil)) {
+			t.Fatalf("batch %d: Φ(∅) = %v, from scratch %v", i, got.Phi(nil), want.Phi(nil))
+		}
+		mask := flow.MaskOf(cur.N(), []int{1, 5, 17, 40})
+		if gp, wp := got.Phi(mask), want.Phi(mask); math.Float64bits(gp) != math.Float64bits(wp) {
+			t.Fatalf("batch %d: Φ(A) = %v, from scratch %v", i, gp, wp)
+		}
+		if gi, wi := bits(got.Impacts(mask)), bits(want.Impacts(mask)); !reflect.DeepEqual(gi, wi) {
+			t.Fatalf("batch %d: impacts differ from a from-scratch model", i)
+		}
 	}
 }

@@ -17,11 +17,6 @@ type Options struct {
 	// initial placement and the drift fallback); ≤ 1 is serial. Placements
 	// are bit-for-bit identical at any setting (see core.Place).
 	Parallelism int
-	// Splicer, when non-nil, is the plan splicer the Maintainer keeps in
-	// sync with the overlay (the server registry shares one splicer between
-	// the maintainer and the placement path). It must be built over the
-	// same overlay. When nil, the Maintainer creates its own.
-	Splicer *flow.Splicer
 }
 
 // Repair tuning.
@@ -77,8 +72,8 @@ type Report struct {
 
 // Maintainer keeps a filter placement fresh on a mutating graph. It owns
 // one incremental flow state — the current placement's, repaired per batch
-// within the dirty cone only — and one immutable flow.Model per graph
-// version, stood up over each fresh splicer plan. Φ(∅,V) and F(V), the
+// within the dirty cone only — and reads each graph version's immutable
+// flow.Model from the overlay (Dynamic.Model). Φ(∅,V) and F(V), the
 // Filter-Ratio denominator, come from that model's invariant cache (one
 // forward pass), so whoever serves the model next (the server registry
 // does) reads them for free. Maintain then fixes the placement itself:
@@ -95,15 +90,8 @@ type Maintainer struct {
 	opts Options
 	cur  *flow.Incremental // the maintained placement
 
-	// splicer keeps an execution plan current with the overlay, so
-	// re-initializations, invariants and recompute placements run on the
-	// flat plan kernels, and so the server can reuse the repaired plan
-	// for placements without rebuilding it from a snapshot.
-	splicer *flow.Splicer
-	// model is the current graph version's model over the splicer's plan,
-	// with its float invariants already cached; phiEmpty and maxF are
-	// Φ(∅,V) and F(V) read from them.
-	model          *flow.Model
+	// phiEmpty and maxF are Φ(∅,V) and F(V) of the version lastGen, read
+	// from its model's invariant cache.
 	phiEmpty, maxF float64
 
 	lastGen uint64
@@ -133,25 +121,13 @@ func NewMaintainer(d *Dynamic, opts Options, initial []int) (*Maintainer, error)
 			return nil, fmt.Errorf("%w: initial filter %d is a source", ErrBadNode, v)
 		}
 	}
-	sp := opts.Splicer
-	if sp == nil {
-		sp = flow.NewSplicer(d, nil, flow.SpliceOptions{})
-	}
-	p := sp.Plan()
-	if p.N() != n {
-		p = sp.Rebuild()
-	}
 	mt := &Maintainer{
-		d:       d,
-		opts:    opts,
-		splicer: sp,
-		cur:     flow.NewIncrementalWith(d, d.Sources(), initial, p),
+		d:    d,
+		opts: opts,
+		cur:  flow.NewIncrementalWith(d, d.Sources(), initial, d.Model().Plan()),
 	}
-	if err := mt.setPlan(p); err != nil {
-		return nil, err
-	}
+	mt.readInvariants()
 	mt.placed = len(initial) > 0
-	mt.lastGen = d.Gen()
 	mt.lastStats = mt.cur.Stats()
 	return mt, nil
 }
@@ -179,10 +155,10 @@ func (mt *Maintainer) Filters() []int { return mt.cur.FilterNodes() }
 func (mt *Maintainer) Objective() float64 { return mt.phiEmpty - mt.cur.Phi() }
 
 // Apply routes a batch through the overlay and, on success, repairs the
-// placement's flow state within the dirty cone, rebuilds the splicer's
-// plan and stands the new version's Model up over it. A rejected batch
-// (e.g. a cycle-creating edge) leaves both the overlay and all flow state
-// untouched.
+// placement's flow state within the dirty cone and reads the new
+// version's Φ(∅,V) and F(V) through its model, which the overlay builds
+// here. A rejected batch (e.g. a cycle-creating edge) leaves both the
+// overlay and all flow state untouched.
 func (mt *Maintainer) Apply(b Batch) (ApplyResult, error) {
 	res, err := mt.d.Apply(b)
 	if err != nil {
@@ -190,37 +166,18 @@ func (mt *Maintainer) Apply(b Batch) (ApplyResult, error) {
 	}
 	mt.cur.Grow()
 	mt.cur.Update(res.DirtyFwd, res.DirtyBwd)
-	p, _ := mt.splicer.Apply(res.DirtyFwd, res.DirtyBwd, res.NodesAdded)
-	if err := mt.setPlan(p); err != nil {
-		// lastGen stays behind, so the next Maintain resyncs.
-		return res, err
-	}
-	mt.lastGen = mt.d.Gen()
+	mt.readInvariants()
 	return res, nil
 }
 
-// setPlan makes a model over the splicer plan p the current version's and
-// reads Φ(∅,V) and F(V) through its invariant cache.
-func (mt *Maintainer) setPlan(p *flow.Plan) error {
-	m, err := flow.NewModelFromPlan(p, mt.d.Sources())
-	if err != nil {
-		return err
-	}
-	ev := flow.NewFloat(m)
-	mt.model, mt.phiEmpty, mt.maxF = m, ev.Phi(nil), ev.MaxF()
-	return nil
+// readInvariants reads Φ(∅,V) and F(V) of the overlay's current version
+// through its model's invariant cache, filling the cache on the version's
+// first read, and marks that version as the one the Maintainer tracks.
+func (mt *Maintainer) readInvariants() {
+	ev := flow.NewFloat(mt.d.Model())
+	mt.phiEmpty, mt.maxF = ev.Phi(nil), ev.MaxF()
+	mt.lastGen = mt.d.Gen()
 }
-
-// Model returns the current graph version's model, built over
-// Splicer().Plan() with its float invariants cached. It is immutable and
-// safe to share: the server registry serves it to readers after a PATCH
-// instead of building a second model over the same plan.
-func (mt *Maintainer) Model() *flow.Model { return mt.model }
-
-// Splicer returns the plan splicer the Maintainer keeps in sync with the
-// overlay; Splicer().Plan() is always current after a successful Apply or
-// Maintain.
-func (mt *Maintainer) Splicer() *flow.Splicer { return mt.splicer }
 
 // Maintain refreshes the placement after one or more Apply calls and
 // reports what moved. Strategy selection: the first call places from
@@ -230,21 +187,16 @@ func (mt *Maintainer) Splicer() *flow.Splicer { return mt.splicer }
 // repaired in place ("incremental").
 func (mt *Maintainer) Maintain(ctx context.Context) (*Report, error) {
 	if mt.d.Gen() != mt.lastGen {
-		// Missed batches: the cached flow state is unsound. Rebuild the
-		// plan once, then the placement's flow state and the version's
-		// model on its flat kernels. The fresh state's whole-graph
-		// initialization counts as drift, past the bound, so the placement
-		// is recomputed below.
+		// Missed batches: the cached flow state is unsound. Re-read the
+		// version's model from the overlay (building its plan if no one
+		// has yet), then rebuild the placement's flow state on its flat
+		// kernels. The fresh state's whole-graph initialization counts as
+		// drift, past the bound, so the placement is recomputed below.
 		span := obs.TraceFrom(ctx).Begin("plan-rebuild")
-		p := mt.splicer.Rebuild()
-		mt.cur = flow.NewIncrementalWith(mt.d, mt.d.Sources(), mt.cur.FilterNodes(), p)
-		err := mt.setPlan(p)
+		mt.cur = flow.NewIncrementalWith(mt.d, mt.d.Sources(), mt.cur.FilterNodes(), mt.d.Model().Plan())
+		mt.readInvariants()
 		span.End()
-		if err != nil {
-			return nil, err
-		}
 		mt.lastStats = flow.IncStats{}
-		mt.lastGen = mt.d.Gen()
 	}
 
 	prev := mt.cur.FilterNodes()
@@ -300,7 +252,8 @@ func (mt *Maintainer) Maintain(ctx context.Context) (*Report, error) {
 // version's model — no overlay snapshot, no plan rebuild, no invariant
 // pass — so the fallback path, too, runs on the flat kernels.
 func (mt *Maintainer) recompute(ctx context.Context) error {
-	ev := flow.NewFloat(mt.model)
+	m := mt.d.Model()
+	ev := flow.NewFloat(m)
 	res, err := core.Place(ctx, ev, mt.opts.K, core.Options{
 		Strategy:    core.StrategyGreedyAll,
 		Parallelism: mt.opts.Parallelism,
@@ -309,7 +262,7 @@ func (mt *Maintainer) recompute(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	mt.cur = flow.NewIncrementalWith(mt.d, mt.d.Sources(), res.Filters, mt.splicer.Plan())
+	mt.cur = flow.NewIncrementalWith(mt.d, mt.d.Sources(), res.Filters, m.Plan())
 	return nil
 }
 

@@ -349,8 +349,8 @@ func TestMaintainParallelismDeterministic(t *testing.T) {
 }
 
 // TestMaintainerPlanTracksOverlay is the plan-repair integration check:
-// across a churn stream routed through the maintainer, the shared
-// splicer's plan must describe exactly the overlay's current graph — same
+// across a churn stream routed through the maintainer, the overlay
+// model's plan must describe exactly the overlay's current graph — same
 // shape and bit-identical evaluator observables as a from-scratch model.
 func TestMaintainerPlanTracksOverlay(t *testing.T) {
 	g, root := gen.RandomDAG(400, 0.015, 11)
@@ -368,7 +368,8 @@ func TestMaintainerPlanTracksOverlay(t *testing.T) {
 
 	check := func(round int) {
 		t.Helper()
-		p := mt.Splicer().Plan()
+		mp := d.Model()
+		p := mp.Plan()
 		ref, err := flow.NewModel(d.Snapshot(), d.Sources())
 		if err != nil {
 			t.Fatalf("round %d: reference model: %v", round, err)
@@ -380,25 +381,21 @@ func TestMaintainerPlanTracksOverlay(t *testing.T) {
 				round, p.N(), p.M(), p.Levels(), p.MaxWidth(),
 				refPlan.N(), refPlan.M(), refPlan.Levels(), refPlan.MaxWidth())
 		}
-		mp, err := flow.NewModelFromPlan(p, d.Sources())
-		if err != nil {
-			t.Fatalf("round %d: model over spliced plan: %v", round, err)
-		}
 		got, want := flow.NewFloat(mp), flow.NewFloat(ref)
 		if gp, wp := got.Phi(nil), want.Phi(nil); gp != wp {
-			t.Fatalf("round %d: phi over spliced plan = %v, from scratch = %v", round, gp, wp)
+			t.Fatalf("round %d: phi over the overlay plan = %v, from scratch = %v", round, gp, wp)
 		}
 		fm := flow.MaskOf(mp.N(), mt.Filters())
 		gi, wi := got.Impacts(fm), want.Impacts(fm)
 		for v := range gi {
 			if gi[v] != wi[v] {
-				t.Fatalf("round %d: impact[%d] over spliced plan = %v, from scratch = %v", round, v, gi[v], wi[v])
+				t.Fatalf("round %d: impact[%d] over the overlay plan = %v, from scratch = %v", round, v, gi[v], wi[v])
 			}
 		}
 		gv, gg := got.ArgmaxImpact(fm, fm)
 		wv, wg := want.ArgmaxImpact(fm, fm)
 		if gv != wv || gg != wg {
-			t.Fatalf("round %d: argmax over spliced plan = (%d, %v), from scratch = (%d, %v)", round, gv, gg, wv, wg)
+			t.Fatalf("round %d: argmax over the overlay plan = (%d, %v), from scratch = (%d, %v)", round, gv, gg, wv, wg)
 		}
 	}
 	check(0)
@@ -412,26 +409,5 @@ func TestMaintainerPlanTracksOverlay(t *testing.T) {
 			t.Fatalf("maintain %d: %v", i, err)
 		}
 		check(i + 1)
-	}
-}
-
-// TestMaintainerSharedSplicer checks the server wiring contract: a
-// maintainer built over an externally supplied splicer repairs that
-// splicer's plan rather than creating its own.
-func TestMaintainerSharedSplicer(t *testing.T) {
-	d := diamond(t)
-	sp := flow.NewSplicer(d, nil, flow.SpliceOptions{})
-	mt, err := NewMaintainer(d, Options{K: 2, Splicer: sp}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt.Splicer() != sp {
-		t.Fatal("maintainer did not adopt the supplied splicer")
-	}
-	if _, err := mt.Apply(Batch{AddNodes: 1, Add: [][2]int{{4, 5}}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.Plan().N(); got != d.N() {
-		t.Fatalf("shared splicer plan has n = %d, overlay has %d", got, d.N())
 	}
 }

@@ -183,7 +183,7 @@ func checkSources(n int, inDegree func(v int) int, sources []int) ([]int, []bool
 // digraph and topological order are not built here: the first Graph or
 // Topo call materializes them from the plan's CSR in O(n+m), once (no
 // sort, no topological search — the plan's position order IS a
-// topological order). This is how a PATCH turns a Splicer plan into the
+// topological order). This is how dyn.Dynamic turns a Splicer plan into the
 // version's model at the cost of its sources alone, and how Coarsen
 // stands up its quotient: a coarse plan's multiplicities are read back
 // from its mulW. Weighted plans are not supported.

@@ -6,27 +6,12 @@ import "slices"
 // repair is a rebuild from the view.
 type SpliceOptions struct{}
 
-// SpliceStats describes what one Splicer.Apply or Rebuild call did.
+// SpliceStats describes what one Splicer.Apply call did.
 type SpliceStats struct {
 	// Spliced is always false: the plan is rebuilt from the view on every
-	// repair, and Reason says what triggered it ("batch" for Apply,
-	// "forced" for Rebuild).
+	// repair, and Reason says what triggered it ("batch").
 	Spliced bool   `json:"spliced"`
 	Reason  string `json:"reason,omitempty"`
-	// NodesAdded is the batch's node growth.
-	NodesAdded int `json:"nodes_added,omitempty"`
-	// DepthVisits, Moved, Window and RowsRebuilt are whole-graph figures:
-	// a rebuild re-derives every node's depth, position and CSR rows.
-	DepthVisits int `json:"depth_visits"`
-	Moved       int `json:"moved"`
-	Window      int `json:"window"`
-	RowsRebuilt int `json:"rows_rebuilt"`
-}
-
-// Work returns the node-visit cost of the repair — the quantity tenant
-// accounting charges for plan maintenance.
-func (st SpliceStats) Work() int64 {
-	return int64(st.DepthVisits) + int64(st.Window) + int64(st.RowsRebuilt)
 }
 
 // Splicer keeps an execution Plan in step with a mutable graph view, so
@@ -44,8 +29,7 @@ func (st SpliceStats) Work() int64 {
 //
 // A Splicer supports only deterministic (unweighted) plans — the only
 // kind a dynamic overlay serves. It is not safe for concurrent use;
-// callers serialize Apply with plan consumers they hand the result to
-// (the server does this under the per-graph mutation lock).
+// dyn.Dynamic owns one and builds each graph version's Model with it.
 type Splicer struct {
 	view DynDigraph
 	plan *Plan
@@ -53,16 +37,13 @@ type Splicer struct {
 	// Per-call scratch for rebuildPlan.
 	depth  []int32
 	ordBuf []int
-
-	rebuilds int64
-	last     SpliceStats
 }
 
 // NewSplicer builds a splicer over the mutable view. When adopt is
-// non-nil, unweighted and sized to the view's current node count, it
-// becomes the starting plan (the registry hands over the model's already
-// built plan this way, skipping a redundant build); otherwise the
-// starting plan is built from the view. opts is ignored.
+// non-nil, unweighted, not coarse and sized to the view's current node
+// count, it becomes the starting plan (an uploaded model's already built
+// plan is handed over this way, skipping a redundant build); otherwise
+// the starting plan is built from the view. opts is ignored.
 func NewSplicer(view DynDigraph, adopt *Plan, _ SpliceOptions) *Splicer {
 	s := &Splicer{view: view}
 	_, _, ord := view.Rows()
@@ -78,49 +59,14 @@ func NewSplicer(view DynDigraph, adopt *Plan, _ SpliceOptions) *Splicer {
 // one rather than mutating it.
 func (s *Splicer) Plan() *Plan { return s.plan }
 
-// Counters returns the cumulative number of incremental splices (always
-// 0) and full rebuilds performed.
-func (s *Splicer) Counters() (splices, rebuilds int64) {
-	return 0, s.rebuilds
-}
-
-// Last returns the stats of the most recent Apply or Rebuild.
-func (s *Splicer) Last() SpliceStats { return s.last }
-
-// Rebuild forces a plan build against the view's current state — the
-// resync path when the view mutated without Apply being told
-// (dyn.Maintainer uses it for missed batches).
-func (s *Splicer) Rebuild() *Plan {
-	return s.fullRebuild("forced")
-}
-
-// Apply repairs the plan after a committed mutation batch; the view must
-// already reflect the batch. The dirty cones and nodesAdded describe the
-// batch (dyn.ApplyResult supplies them); the rebuild reads the view
-// directly, so only nodesAdded is recorded. It returns the new plan — a
-// fresh immutable Plan sharing the old plan's scratch arena — plus what
-// the repair did.
-func (s *Splicer) Apply(_, _ []int, nodesAdded int) (*Plan, SpliceStats) {
-	p := s.fullRebuild("batch")
-	s.last.NodesAdded = nodesAdded
-	return p, s.last
-}
-
-// fullRebuild rebuilds the plan from the view and records the stats and
-// counters of the repair.
-func (s *Splicer) fullRebuild(reason string) *Plan {
-	p := s.rebuildPlan()
-	n := p.n
-	s.plan = p
-	s.rebuilds++
-	s.last = SpliceStats{
-		Reason:      reason,
-		DepthVisits: n,
-		Moved:       n,
-		Window:      n,
-		RowsRebuilt: n,
-	}
-	return p
+// Apply rebuilds the plan after one or more mutations of the view; the
+// view must already reflect them. The dirty cones and node growth of the
+// batch are ignored: the rebuild reads the view directly. It returns the
+// new plan — a fresh immutable Plan sharing the old plan's scratch arena
+// — and what the repair did.
+func (s *Splicer) Apply(_, _ []int, _ int) (*Plan, SpliceStats) {
+	s.plan = s.rebuildPlan()
+	return s.plan, SpliceStats{Reason: "batch"}
 }
 
 // rebuildPlan builds a canonical plan from the view's current state —

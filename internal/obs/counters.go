@@ -78,7 +78,6 @@ var (
 	JobRunTime             = duration("job_run_seconds", "Wall time async jobs spent running.")
 	SchedQueueWait         = duration("sched_queue_wait_seconds", "Scheduler queue wait of oracle tasks.")
 	SchedTasks             = counter("", "sched_tasks", "Scheduler tasks executed.")
-	PlanRepairWork         = counter("", "plan_repair_work", "Abstract plan-repair cost (visits + moves + CSR rows).")
 )
 
 // Counters lists every ledger row in definition order.

@@ -94,12 +94,6 @@ func (r *Registry) CounterVec(name, help, label string, fn func() []LabeledValue
 	r.registerFamily(name, help, label, "counter", fn)
 }
 
-// GaugeVec registers a gauge family partitioned by one label, sampled
-// from fn at scrape time.
-func (r *Registry) GaugeVec(name, help, label string, fn func() []LabeledValue) {
-	r.registerFamily(name, help, label, "gauge", fn)
-}
-
 func (r *Registry) registerFamily(name, help, label, kind string, fn func() []LabeledValue) {
 	if !metricNameRE.MatchString(label) {
 		panic(fmt.Sprintf("obs: invalid label name %q", label))

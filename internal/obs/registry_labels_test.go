@@ -51,20 +51,6 @@ func TestInfoExposition(t *testing.T) {
 	}
 }
 
-func TestGaugeVecExposition(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeVec("test_depth", "Depth per queue.", "queue", func() []LabeledValue {
-		return []LabeledValue{{Label: "deferred", Value: 2.5}}
-	})
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `test_depth{queue="deferred"} 2.5`) {
-		t.Errorf("gauge family sample missing:\n%s", buf.String())
-	}
-}
-
 func TestRegisterFamilyPanicsOnBadLabel(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -114,11 +114,10 @@ type TenantUsage struct {
 	SchedQueueWaitSeconds float64 `json:"sched_queue_wait_seconds"`
 	SchedTasks            int64   `json:"sched_tasks"`
 	// PlanSplices/PlanRebuilds split the tenant's PATCH-driven plan
-	// repairs; PlanSplices stays 0 because every repair is a rebuild.
-	// PlanRepairWork is their accumulated abstract cost.
-	PlanSplices    int64 `json:"plan_splices"`
-	PlanRebuilds   int64 `json:"plan_rebuilds"`
-	PlanRepairWork int64 `json:"plan_repair_work"`
+	// repairs: one rebuild per PATCH. PlanSplices stays 0 because every
+	// repair is a rebuild; it keeps its key for existing readers.
+	PlanSplices  int64 `json:"plan_splices"`
+	PlanRebuilds int64 `json:"plan_rebuilds"`
 	// CoarsenPlacements counts the tenant's multilevel (mlcelf)
 	// placements; CoarsenNodesContracted the nodes their coarsening
 	// removed before the quotient solve.

@@ -46,29 +46,6 @@ type Trace struct {
 	// entered stage X", not one event per merged span of a 50-round
 	// placement.
 	onStage func(name string)
-	// traceparent carries the W3C trace identity the job runs under, so
-	// any holder of the trace can correlate it across processes.
-	traceparent string
-}
-
-// SetTraceParent attaches a W3C traceparent value to the trace.
-func (t *Trace) SetTraceParent(tp string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.traceparent = tp
-	t.mu.Unlock()
-}
-
-// TraceParent returns the trace's W3C traceparent value, if set.
-func (t *Trace) TraceParent() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traceparent
 }
 
 // SetStageObserver installs fn to be called the first time each distinct

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	crand "crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -113,18 +112,4 @@ func (tc TraceContext) Child() TraceContext {
 		out.SpanID[7] ^= 0xff
 	}
 	return out
-}
-
-// traceCtxKey is the context key WithTraceContext stores under.
-type traceCtxKey struct{}
-
-// WithTraceContext attaches a trace identity to a context.
-func WithTraceContext(ctx context.Context, tc TraceContext) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tc)
-}
-
-// TraceContextFrom extracts the context's trace identity, if any.
-func TraceContextFrom(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(TraceContext)
-	return tc, ok
 }

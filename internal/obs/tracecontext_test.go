@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -78,17 +77,5 @@ func TestNewTraceContextAndChild(t *testing.T) {
 func TestTraceContextZeroString(t *testing.T) {
 	if got := (TraceContext{}).String(); got != "" {
 		t.Errorf("zero context String() = %q, want \"\"", got)
-	}
-}
-
-func TestWithTraceContext(t *testing.T) {
-	if _, ok := TraceContextFrom(context.Background()); ok {
-		t.Fatal("empty context reported a trace context")
-	}
-	tc := NewTraceContext()
-	ctx := WithTraceContext(context.Background(), tc)
-	got, ok := TraceContextFrom(ctx)
-	if !ok || got != tc {
-		t.Fatalf("TraceContextFrom = %+v, %v; want the stored context", got, ok)
 	}
 }

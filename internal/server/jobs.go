@@ -239,8 +239,7 @@ func (e *JobEngine) Submit(graphID string, spec PlaceSpec, key string, meta JobM
 	e.nextID++
 	j.id = fmt.Sprintf("j%d", e.nextID)
 	j.state = JobQueued
-	j.trace = obs.NewTrace() // t0 = submission; stage offsets are relative to it
-	j.trace.SetTraceParent(meta.Traceparent)
+	j.trace = obs.NewTrace()          // t0 = submission; stage offsets are relative to it
 	j.created = j.trace.Start().UTC() // the epoch a retired job's timeline merges against
 	j.done = make(chan struct{})
 	e.jobs[j.id] = j

@@ -258,12 +258,12 @@ func TestCounterLedgerMoves(t *testing.T) {
 		if v, _ := usage[c.Usage()].(float64); v <= 0 {
 			t.Errorf("%s: tenant usage %v did not move", name, usage[c.Usage()])
 		}
-		// Only requests rejected before their tenant is known and
-		// maintain-time plan resyncs land on the fleet row.
+		// Only requests rejected before their tenant is known land on the
+		// fleet row: every plan rebuild is a PATCH's, charged to its tenant.
 		switch row := fleet.Value(c); {
 		case c == obs.Requests && row != 1:
 			t.Errorf("requests on the fleet row = %d, want 1 (the invalid-tenant 400)", row)
-		case c != obs.Requests && c != obs.PlanRebuilds && row != 0:
+		case c != obs.Requests && row != 0:
 			t.Errorf("%s: %d recorded on the fleet row, want 0", name, row)
 		}
 		if c.Key() == "" {

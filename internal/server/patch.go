@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/dyn"
-	"repro/internal/flow"
 	"repro/internal/obs"
 )
 
@@ -65,36 +64,8 @@ type PatchResult struct {
 	EdgesRemoved int       `json:"edges_removed"`
 	Reordered    int       `json:"reordered"`
 	Invalidated  int       `json:"cache_invalidated"`
-	// PlanSpliced is always false: the execution plan is rebuilt from the
-	// overlay on every PATCH. PlanRepair carries the rebuild's cost.
-	PlanSpliced bool            `json:"plan_spliced"`
-	PlanRepair  *PlanRepairInfo `json:"plan_repair,omitempty"`
-	Job         *JobInfo        `json:"job,omitempty"`
-	JobError    string          `json:"job_error,omitempty"`
-}
-
-// PlanRepairInfo breaks down what one PATCH's execution-plan repair did.
-type PlanRepairInfo struct {
-	Spliced bool `json:"spliced"`
-	// Reason names what triggered the rebuild ("batch" for a PATCH).
-	Reason      string  `json:"reason,omitempty"`
-	DepthVisits int     `json:"depth_visits"`
-	Moved       int     `json:"moved"`
-	Window      int     `json:"window"`
-	RowsRebuilt int     `json:"rows_rebuilt"`
-	DurationMS  float64 `json:"duration_ms"`
-}
-
-func planRepairInfo(st flow.SpliceStats, d time.Duration) *PlanRepairInfo {
-	return &PlanRepairInfo{
-		Spliced:     st.Spliced,
-		Reason:      st.Reason,
-		DepthVisits: st.DepthVisits,
-		Moved:       st.Moved,
-		Window:      st.Window,
-		RowsRebuilt: st.RowsRebuilt,
-		DurationMS:  float64(d) / float64(time.Millisecond),
-	}
+	Job          *JobInfo  `json:"job,omitempty"`
+	JobError     string    `json:"job_error,omitempty"`
 }
 
 // MaintainInfo augments a PlaceResult produced by an auto-maintain job.
@@ -132,7 +103,7 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 	}
 
 	patchStart := time.Now()
-	info, res, st, err := s.registry.Patch(id, b)
+	info, res, err := s.registry.Patch(id, b)
 	patchDur := time.Since(patchStart)
 	switch {
 	case errors.Is(err, ErrUnknownGraph):
@@ -145,11 +116,9 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusUnprocessableEntity, "rejected: %v", err)
 		return
 	}
-	// Plan repair ran synchronously on the requester's dime: charge the
-	// rebuild and its abstract cost to the tenant.
-	tc := s.tenantCounters(r)
-	tc.Add(obs.PlanRebuilds, 1)
-	tc.Add(obs.PlanRepairWork, st.Work())
+	// The new version's plan was rebuilt synchronously on the requester's
+	// dime: charge the rebuild to the tenant.
+	s.tenantCounters(r).Add(obs.PlanRebuilds, 1)
 
 	out := &PatchResult{
 		Graph:        info,
@@ -159,8 +128,6 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 		Reordered:    res.Reordered,
 		// Every cached placement for this graph is stale now.
 		Invalidated: s.cache.invalidateGraph(id),
-		PlanSpliced: st.Spliced,
-		PlanRepair:  planRepairInfo(st, patchDur),
 	}
 
 	if spec.Maintain {
@@ -210,15 +177,7 @@ func (s *Server) runMaintain(ctx context.Context, id string, k int) (*PlaceResul
 	}
 	defer unlock()
 	sp := obs.TraceFrom(ctx).Begin("maintain")
-	// Maintain may resync its plan internally (missed batches force a
-	// rebuild); diff the shared splicer's counter around the run so those
-	// rebuilds land on the fleet row — they have no tenant. Patch-time
-	// rebuilds are charged to the PATCHing tenant, so the two never
-	// double-count.
-	_, r0 := mt.Splicer().Counters()
 	rep, err := mt.Maintain(ctx)
-	_, r1 := mt.Splicer().Counters()
-	s.acct.Fleet().Add(obs.PlanRebuilds, r1-r0)
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -229,35 +229,49 @@ func TestPatchAutoMaintain(t *testing.T) {
 }
 
 // TestPatchPlanSpliceReporting pins the plan-repair observability surface:
-// the PATCH response describes the rebuild, /metrics counts it, and its
-// cost is charged to the requesting tenant.
+// every PATCH counts one rebuild and no splice on /metrics and on the
+// requesting tenant's usage, the response carries no repair figures, and
+// the maintain job that follows a PATCH rebuilds nothing more.
 func TestPatchPlanSpliceReporting(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	info := uploadDiamond(t, ts.URL)
 
-	var pr server.PatchResult
-	if code := patchJSON(t, ts.URL, info.ID,
-		server.PatchSpec{AddNodes: 1, Add: [][2]int{{3, 5}}}, &pr); code != http.StatusOK {
-		t.Fatalf("patch: status %d", code)
-	}
-	if pr.PlanSpliced || pr.PlanRepair == nil || pr.PlanRepair.Spliced {
-		t.Fatalf("plan repair not reported as a rebuild: %+v (repair %+v)", pr, pr.PlanRepair)
-	}
-	if pr.PlanRepair.Reason != "batch" || pr.PlanRepair.RowsRebuilt != 6 {
-		t.Fatalf("plan repair = %+v, want a batch rebuild of all 6 rows", pr.PlanRepair)
-	}
-
-	snap := metricsSnapshot(t, ts.URL)
-	if snap.PlanSplices != 0 || snap.PlanRebuilds != 1 {
-		t.Errorf("plan repair metrics = %d splices / %d rebuilds, want 0 / 1",
-			snap.PlanSplices, snap.PlanRebuilds)
-	}
-	var usage obs.TenantUsage
-	if code := doJSON(t, "GET", ts.URL+"/v1/tenants/default/usage", nil, &usage); code != http.StatusOK {
-		t.Fatalf("tenant usage: status %d", code)
-	}
-	if usage.PlanRebuilds != 1 || usage.PlanSplices != 0 || usage.PlanRepairWork <= 0 {
-		t.Errorf("tenant plan accounting = %+v, want 1 rebuild with positive work", usage)
+	for i, spec := range []server.PatchSpec{
+		{AddNodes: 1, Add: [][2]int{{3, 5}}},
+		{Add: [][2]int{{1, 5}}, Maintain: true, K: 1},
+	} {
+		var body map[string]any
+		if code := doJSON(t, "PATCH", ts.URL+"/v1/graphs/"+info.ID+"/edges", spec, &body); code != http.StatusOK {
+			t.Fatalf("patch %d: status %d", i, code)
+		}
+		for _, key := range []string{"plan_repair", "plan_spliced"} {
+			if _, ok := body[key]; ok {
+				t.Errorf("patch %d: response carries %q: %v", i, key, body)
+			}
+		}
+		want := int64(i + 1)
+		snap := metricsSnapshot(t, ts.URL)
+		if snap.PlanSplices != 0 || snap.PlanRebuilds != want {
+			t.Errorf("patch %d: plan repair metrics = %d splices / %d rebuilds, want 0 / %d",
+				i, snap.PlanSplices, snap.PlanRebuilds, want)
+		}
+		var usage obs.TenantUsage
+		if code := doJSON(t, "GET", ts.URL+"/v1/tenants/default/usage", nil, &usage); code != http.StatusOK {
+			t.Fatalf("tenant usage: status %d", code)
+		}
+		if usage.PlanRebuilds != want || usage.PlanSplices != 0 {
+			t.Errorf("patch %d: tenant plan accounting = %+v, want %d rebuilds and no splice", i, usage, want)
+		}
+		job, _ := body["job"].(map[string]any)
+		if job == nil {
+			continue
+		}
+		if done := waitJob(t, ts.URL, job["id"].(string)); done.State != server.JobDone {
+			t.Fatalf("maintain job = %+v", done)
+		}
+		if got := metricsSnapshot(t, ts.URL).PlanRebuilds; got != want {
+			t.Errorf("plan_rebuilds after the maintain job = %d, want %d: maintain rebuilt a plan", got, want)
+		}
 	}
 }
 
@@ -337,8 +351,8 @@ func TestPatchStormSpliceStress(t *testing.T) {
 					fail("mutator %d round %d: status %d err %v", w, i, code, err)
 					return
 				}
-				if pr.PlanRepair == nil {
-					fail("mutator %d round %d: no plan repair reported", w, i)
+				if pr.Graph.Patches == 0 {
+					fail("mutator %d round %d: response reports no committed batch", w, i)
 					return
 				}
 				if pr.Job != nil {
@@ -395,8 +409,8 @@ func TestPatchStormSpliceStress(t *testing.T) {
 	if snap.GraphsPatched != mutators*rounds {
 		t.Fatalf("graphs_patched = %d, want %d", snap.GraphsPatched, mutators*rounds)
 	}
-	if snap.PlanSplices+snap.PlanRebuilds < snap.GraphsPatched {
-		t.Fatalf("plan repairs %d+%d < patches %d: a batch skipped plan repair",
+	if snap.PlanSplices != 0 || snap.PlanRebuilds != snap.GraphsPatched {
+		t.Fatalf("plan repairs %d splices + %d rebuilds for %d patches, want one rebuild per patch",
 			snap.PlanSplices, snap.PlanRebuilds, snap.GraphsPatched)
 	}
 	// The fan's Φ(∅): root emits 1 copy to each of its 40 children.

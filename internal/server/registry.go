@@ -238,7 +238,9 @@ type GraphInfo struct {
 // and its maintainer — created lazily on the first PATCH — mutate under
 // dynMu, which is never acquired while holding the registry lock (the
 // reverse order, dynMu → registry lock, is the one mutation and maintain
-// paths use).
+// paths use). After each PATCH, model is the overlay's Model of the new
+// version, so readers, auto-maintain and the overlay share one plan and
+// one invariant cache per version.
 type graphEntry struct {
 	info  GraphInfo
 	model *flow.Model
@@ -246,11 +248,6 @@ type graphEntry struct {
 	dynMu      sync.Mutex
 	dynamic    *dyn.Dynamic
 	maintainer *dyn.Maintainer
-	// splicer rebuilds the entry's execution plan per PATCH batch
-	// (guarded by dynMu, like the overlay it watches). It is shared with
-	// the maintainer, so auto-maintain and the placement path run on the
-	// same plan instead of each rebuilding their own.
-	splicer *flow.Splicer
 }
 
 // countSinks returns the number of nodes with out-degree zero — the
@@ -332,55 +329,43 @@ func (r *Registry) entry(id string) (*graphEntry, bool) {
 }
 
 // Patch applies a mutation batch to graph id, upgrading the entry to a
-// dynamic overlay on first use and swapping in a refreshed immutable model
-// for readers. It returns the updated info, the overlay's apply result and
-// what the plan repair did; a rejected batch (cycle, bad edge) changes
+// dynamic overlay on first use and swapping in the new version's
+// immutable model for readers. It returns the updated info and the
+// overlay's apply result; a rejected batch (cycle, bad edge) changes
 // nothing. The entry's dynMu serializes mutations and maintenance per
 // graph while other graphs stay fully concurrent.
 //
-// The refreshed model is NOT rebuilt from a snapshot: the entry's splicer
-// rebuilds the execution plan from the overlay and the model is stood up
-// over that plan without widening it into a digraph, so subsequent
-// placements (and the auto-maintain job) reuse it directly. When the graph has a maintainer,
-// its model of the new version — Φ(∅,V) and F(V) already cached — is the
-// one installed, so evaluate's first engine runs no invariant pass.
-func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, flow.SpliceStats, error) {
+// The installed model is the overlay's own (Dynamic.Model): its plan is
+// rebuilt from the overlay's rows, never from a snapshot, and is not
+// widened into a digraph, so subsequent placements and the auto-maintain
+// job reuse it directly. When the graph has a maintainer, its Apply has
+// already read the version's Φ(∅,V) and F(V) through that model, so
+// evaluate's first engine runs no invariant pass.
+func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, error) {
 	e, ok := r.entry(id)
 	if !ok {
-		return GraphInfo{}, dyn.ApplyResult{}, flow.SpliceStats{}, ErrUnknownGraph
+		return GraphInfo{}, dyn.ApplyResult{}, ErrUnknownGraph
 	}
 	e.dynMu.Lock()
 	defer e.dynMu.Unlock()
 	if err := r.upgradeLocked(e); err != nil {
-		return GraphInfo{}, dyn.ApplyResult{}, flow.SpliceStats{}, err
+		return GraphInfo{}, dyn.ApplyResult{}, err
 	}
 	var (
 		res dyn.ApplyResult
 		err error
 	)
 	// Route through the maintainer when one exists so its incremental flow
-	// state stays warm; otherwise mutate the overlay directly. Either way
-	// the shared splicer ends up holding the rebuilt plan.
+	// state stays warm; otherwise mutate the overlay directly.
 	if e.maintainer != nil {
 		res, err = e.maintainer.Apply(b)
 	} else {
 		res, err = e.dynamic.Apply(b)
-		if err == nil {
-			e.splicer.Apply(res.DirtyFwd, res.DirtyBwd, res.NodesAdded)
-		}
 	}
 	if err != nil {
-		return GraphInfo{}, res, flow.SpliceStats{}, err
+		return GraphInfo{}, res, err
 	}
-	st := e.splicer.Last()
-	var model *flow.Model
-	if e.maintainer != nil {
-		model = e.maintainer.Model()
-	} else if model, err = flow.NewModelFromPlan(e.splicer.Plan(), e.dynamic.Sources()); err != nil {
-		// The overlay pins the sources, so a model over the rebuilt plan
-		// cannot fail validation.
-		return GraphInfo{}, res, st, err
-	}
+	model := e.dynamic.Model()
 
 	r.mu.Lock()
 	// The entry may have been evicted between entry() and here; the
@@ -388,7 +373,7 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 	// gone rather than a confirmed patch on a 404-ing id.
 	if cur, ok := r.entries.peek(id); !ok || cur != e {
 		r.mu.Unlock()
-		return GraphInfo{}, res, st, ErrUnknownGraph
+		return GraphInfo{}, res, ErrUnknownGraph
 	}
 	e.model = model
 	e.info.Nodes = e.dynamic.N()
@@ -401,7 +386,7 @@ func (r *Registry) Patch(id string, b dyn.Batch) (GraphInfo, dyn.ApplyResult, fl
 	r.fleet.Add(obs.GraphsPatched, 1)
 	r.fleet.Add(obs.EdgesAdded, int64(res.EdgesAdded))
 	r.fleet.Add(obs.EdgesRemoved, int64(res.EdgesRemoved))
-	return info, res, st, nil
+	return info, res, nil
 }
 
 // Maintainer returns graph id's placement maintainer with budget k,
@@ -421,7 +406,7 @@ func (r *Registry) Maintainer(id string, k, parallelism int) (*dyn.Maintainer, f
 		return nil, nil, err
 	}
 	if e.maintainer == nil {
-		mt, err := dyn.NewMaintainer(e.dynamic, dyn.Options{K: k, Parallelism: parallelism, Splicer: e.splicer}, nil)
+		mt, err := dyn.NewMaintainer(e.dynamic, dyn.Options{K: k, Parallelism: parallelism}, nil)
 		if err != nil {
 			e.dynMu.Unlock()
 			return nil, nil, err
@@ -435,7 +420,8 @@ func (r *Registry) Maintainer(id string, k, parallelism int) (*dyn.Maintainer, f
 }
 
 // upgradeLocked creates the dynamic overlay from the current immutable
-// model; the caller holds e.dynMu.
+// model, which becomes the overlay's generation 0, so upgrading builds no
+// plan; the caller holds e.dynMu.
 func (r *Registry) upgradeLocked(e *graphEntry) error {
 	if e.dynamic != nil {
 		return nil
@@ -443,13 +429,11 @@ func (r *Registry) upgradeLocked(e *graphEntry) error {
 	r.mu.Lock()
 	m := e.model
 	r.mu.Unlock()
-	d, err := dyn.FromDigraph(m.Graph(), m.Sources())
+	d, err := dyn.FromModel(m)
 	if err != nil {
 		return err
 	}
 	e.dynamic = d
-	// Adopt the model's already-built plan so upgrading costs no build.
-	e.splicer = flow.NewSplicer(d, m.Plan(), flow.SpliceOptions{})
 	return nil
 }
 
