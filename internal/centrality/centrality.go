@@ -10,10 +10,7 @@
 // Ratio trailing every impact-aware algorithm.
 package centrality
 
-import (
-	"math/rand"
-	"sort"
-)
+import "sort"
 
 // Graph is the minimal digraph view the algorithms need; satisfied by
 // *graph.Digraph.
@@ -32,31 +29,6 @@ func Betweenness(g Graph) []float64 {
 	acc := newAccumulator(g)
 	for s := 0; s < g.N(); s++ {
 		acc.addSource(s)
-	}
-	return acc.cb
-}
-
-// BetweennessSample estimates betweenness from a uniform sample of source
-// pivots (Brandes–Pich style): dependencies are accumulated from `samples`
-// distinct sources and scaled by n/samples, an unbiased estimator of the
-// exact scores. When samples ≥ n it degenerates to the exact algorithm.
-// Use it on graphs where O(n·(n+m)) is prohibitive.
-func BetweennessSample(g Graph, samples int, seed int64) []float64 {
-	n := g.N()
-	if samples >= n {
-		return Betweenness(g)
-	}
-	if samples < 1 {
-		samples = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	acc := newAccumulator(g)
-	for _, s := range rng.Perm(n)[:samples] {
-		acc.addSource(s)
-	}
-	scale := float64(n) / float64(samples)
-	for v := range acc.cb {
-		acc.cb[v] *= scale
 	}
 	return acc.cb
 }

@@ -152,62 +152,6 @@ func TestBetweennessMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestBetweennessSampleExactWhenFull(t *testing.T) {
-	g, _ := gen.QuoteLike(2)
-	exact := Betweenness(g)
-	sampled := BetweennessSample(g, g.N()+10, 1)
-	for v := range exact {
-		if !almostEqual(exact[v], sampled[v]) {
-			t.Fatalf("full sample differs at %d: %v vs %v", v, exact[v], sampled[v])
-		}
-	}
-}
-
-func TestBetweennessSampleApproximates(t *testing.T) {
-	// With half the pivots, the estimator should still rank the heavy
-	// hitters near the top. A deep layered graph spreads each node's
-	// centrality over many pivots, which is the regime source-sampling is
-	// designed for (on shallow hub graphs, a node's centrality can hinge
-	// on a handful of ancestors and the variance is unbounded).
-	g, _ := gen.Layered(10, 30, 1, 4, 3)
-	exact := Betweenness(g)
-	best := 0
-	for v := range exact {
-		if exact[v] > exact[best] {
-			best = v
-		}
-	}
-	sampled := BetweennessSample(g, g.N()/2, 7)
-	if len(sampled) != g.N() {
-		t.Fatal("size mismatch")
-	}
-	rank := 0
-	for v := range sampled {
-		if sampled[v] > sampled[best] {
-			rank++
-		}
-	}
-	if rank >= 5 {
-		t.Errorf("exact argmax ranked %d-th in sampled scores", rank)
-	}
-	// Total sampled mass is within a factor ~2 of the exact mass.
-	sumE, sumS := 0.0, 0.0
-	for v := range exact {
-		sumE += exact[v]
-		sumS += sampled[v]
-	}
-	if sumS < sumE/2 || sumS > 2*sumE {
-		t.Errorf("sampled mass %v far from exact %v", sumS, sumE)
-	}
-}
-
-func TestBetweennessSampleClampsSamples(t *testing.T) {
-	g := graph.MustFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	if got := BetweennessSample(g, 0, 1); len(got) != 4 {
-		t.Errorf("samples=0: %v", got)
-	}
-}
-
 func TestTopKProperties(t *testing.T) {
 	g, _ := gen.QuoteLike(1)
 	top := TopK(g, 5)

@@ -349,35 +349,24 @@ func (p *evalPool) gains(ctx context.Context, filters []bool, cands []int) ([]fl
 		}
 		return out, nil
 	}
-	procs := min(len(p.clones), len(cands))
-	chunk := (len(cands) + procs - 1) / procs
-	errs := make([]error, procs)
-	batch := sched.Default().NewBatch().SetTag(p.tag)
-	for w := 0; w < procs; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(cands))
-		if lo >= hi {
-			break
-		}
-		w, lo, hi := w, lo, hi
-		batch.Go(func() {
-			// The shard→clone binding is by shard index, not by executing
-			// goroutine, so the arithmetic is identical wherever the
-			// scheduler runs the task.
-			ev, mask := p.clones[w], p.masks[w]
-			copy(mask, filters)
-			for i := lo; i < hi; i++ {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				v := cands[i]
-				mask[v] = true
-				out[i] = base - ev.Phi(mask)
-				mask[v] = false
+	errs := make([]error, len(p.clones))
+	sched.Split(p.tag, 0, len(cands), len(p.clones), func(w, lo, hi int) {
+		// The shard→clone binding is by chunk index, not by executing
+		// goroutine, so the arithmetic is identical wherever the
+		// scheduler runs the task.
+		ev, mask := p.clones[w], p.masks[w]
+		copy(mask, filters)
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				errs[w] = err
+				return
 			}
-		})
-	}
-	batch.Wait()
+			v := cands[i]
+			mask[v] = true
+			out[i] = base - ev.Phi(mask)
+			mask[v] = false
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

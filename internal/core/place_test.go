@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 // placeTestModel builds a random DAG model (edges low→high id, always
@@ -74,6 +76,43 @@ func TestPlaceParallelDeterminism(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPlacePoolSizeInvariance: greedy-all, celf and ml-celf at P = 2 on
+// both engines return the serial run's filters, OracleStats and pass
+// counts with the process-wide scheduler resized to 0, 1 and 4 workers.
+// The twitter graph's levels are wide enough that every pass shards, so
+// this pins that chunk boundaries never follow the pool size.
+func TestPlacePoolSizeInvariance(t *testing.T) {
+	old := sched.Default().Workers()
+	t.Cleanup(func() { sched.Default().Resize(old) })
+	g, src := gen.TwitterLike(0.02, 1)
+	m, err := flow.NewModel(g, []int{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, strat := range []Strategy{StrategyGreedyAll, StrategyCELF, StrategyMLCELF} {
+		for engName, ev := range map[string]flow.Evaluator{"float": flow.NewFloat(m), "big": flow.NewBig(m)} {
+			serial, err := Place(ctx, ev, 6, Options{Strategy: strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{0, 1, 4} {
+				sched.Default().Resize(workers)
+				par, err := Place(ctx, ev, 6, Options{Strategy: strat, Parallelism: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(par.Filters, serial.Filters) || par.Stats != serial.Stats || par.Passes != serial.Passes {
+					t.Errorf("%s/%s workers=%d: filters %v stats %+v passes %+v, serial %v %+v %+v",
+						engName, strat, workers, par.Filters, par.Stats, par.Passes,
+						serial.Filters, serial.Stats, serial.Passes)
+				}
+			}
+			sched.Default().Resize(old)
 		}
 	}
 }

@@ -110,7 +110,7 @@ func (e *BigEngine) forwardBig(filters []bool, procs int) (rec, emit []*big.Int)
 	rec = make([]*big.Int, e.m.N())
 	emit = make([]*big.Int, e.m.N())
 	for l := 0; l < e.p.numLevels(); l++ {
-		e.p.runLevel(l, procs, func(lo, hi int) {
+		e.p.runLevel(l, procs, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e.stepForwardBig(i, filters, rec, emit)
 			}
@@ -177,7 +177,7 @@ func (e *BigEngine) stepSuffixBig(i int, filters []bool, suf []*big.Int) {
 func (e *BigEngine) suffixBig(filters []bool, procs int) []*big.Int {
 	suf := make([]*big.Int, e.m.N())
 	for l := e.p.numLevels() - 1; l >= 0; l-- {
-		e.p.runLevel(l, procs, func(lo, hi int) {
+		e.p.runLevel(l, procs, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e.stepSuffixBig(i, filters, suf)
 			}
@@ -204,7 +204,7 @@ func (e *BigEngine) impactsBig(filters []bool, procs int) []*big.Int {
 	suf := e.suffixBig(filters, procs)
 	gains := make([]*big.Int, len(rec))
 	zero := new(big.Int)
-	parallelFor(len(gains), procs, func(lo, hi int) {
+	split(0, len(gains), procs, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			gains[v] = e.gainAt(v, filters, rec, suf, zero)
 		}
@@ -266,14 +266,16 @@ func (e *BigEngine) ArgmaxImpactP(filters, banned []bool, procs int) (int, float
 		v    int
 		gain *big.Int
 	}
-	locals := parallelForChunks(len(gains), procs, func(lo, hi int) local {
+	// A slot no chunk writes keeps a nil gain and is skipped.
+	locals := make([]local, max(procs, 1))
+	split(0, len(gains), procs, func(i, lo, hi int) {
 		v, gn := argmaxOver(gains, banned, lo, hi)
-		return local{v, gn}
+		locals[i] = local{v, gn}
 	})
 	best := -1
 	var bestGain *big.Int
 	for _, l := range locals {
-		if l.v >= 0 && (bestGain == nil || l.gain.Cmp(bestGain) > 0) {
+		if l.gain != nil && (bestGain == nil || l.gain.Cmp(bestGain) > 0) {
 			best, bestGain = l.v, l.gain
 		}
 	}

@@ -128,14 +128,15 @@ func (e *FloatEngine) scratch() *floatScratch {
 // passes runs the forward (and optionally suffix) pass into the engine's
 // scratch arena and returns it, translating the original-id filter mask
 // into plan order first. Every filter leaks a leak fraction of its
-// duplicates; 0 is the paper's perfect filter.
-func (e *FloatEngine) passes(filters []bool, leak float64, withSuffix bool) *floatScratch {
+// duplicates; 0 is the paper's perfect filter. procs > 1 shards each
+// topological level across that many scheduler chunks.
+func (e *FloatEngine) passes(filters []bool, leak float64, withSuffix bool, procs int) *floatScratch {
 	sc := e.scratch()
 	fm := e.p.fillMask(sc.fmask, filters)
-	e.p.forwardRange(e.src, fm, leak, sc.rec, sc.emit, 0, e.p.n)
+	e.p.forwardLevels(e.src, fm, leak, sc.rec, sc.emit, procs)
 	e.pc.fwd.Add(1)
 	if withSuffix {
-		e.p.suffixRange(fm, leak, sc.suf, 0, e.p.n)
+		e.p.suffixLevels(fm, leak, sc.suf, procs)
 		e.pc.suf.Add(1)
 	}
 	return sc
@@ -147,7 +148,7 @@ func (e *FloatEngine) Passes() (forward, suffix int64) {
 }
 
 func (e *FloatEngine) phi(filters []bool) float64 {
-	sc := e.passes(filters, 0, false)
+	sc := e.passes(filters, 0, false, 1)
 	return e.p.sumPhi(sc.rec, sc.emit)
 }
 
@@ -161,7 +162,7 @@ func (e *FloatEngine) Phi(filters []bool) float64 {
 
 // Received implements Evaluator.
 func (e *FloatEngine) Received(filters []bool) []float64 {
-	sc := e.passes(filters, 0, false)
+	sc := e.passes(filters, 0, false, 1)
 	return e.p.scatter(sc.rec)
 }
 
@@ -188,7 +189,7 @@ func (e *FloatEngine) gainsInto(gains []float64, sc *floatScratch, filters []boo
 }
 
 // Impacts implements Evaluator.
-func (e *FloatEngine) Impacts(filters []bool) []float64 { return e.ImpactsPartial(filters, 0) }
+func (e *FloatEngine) Impacts(filters []bool) []float64 { return e.ImpactsP(filters, 1) }
 
 // argmaxGains scans original ids [lo, hi) for the strictly largest
 // positive gain, ties toward the smaller node id — the selection rule
@@ -217,8 +218,7 @@ func (e *FloatEngine) argmaxGains(sc *floatScratch, filters, banned []bool, lo, 
 // ArgmaxImpact implements Evaluator. It is the Greedy_All inner loop and
 // runs allocation-free over the engine's borrowed arena.
 func (e *FloatEngine) ArgmaxImpact(filters, banned []bool) (int, float64) {
-	sc := e.passes(filters, 0, true)
-	return e.argmaxGains(sc, filters, banned, 0, e.p.n)
+	return e.ArgmaxImpactP(filters, banned, 1)
 }
 
 // F implements Evaluator.

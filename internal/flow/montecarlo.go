@@ -50,12 +50,13 @@ func mcShardSeed(seed int64, s int) int64 {
 
 // MonteCarlo estimates Φ(A, V) under true probabilistic semantics for a
 // weighted model by running the event-level simulator `runs` times,
-// sharded across the process-wide scheduler. For unweighted models a
-// single run suffices (the process is deterministic) and the standard
-// error is zero. Same seed ⇒ same result at any worker count; see
-// MonteCarloP to bound the parallelism explicitly.
+// sharded across the process-wide scheduler with its worker count as the
+// concurrency bound (a zero-worker pool runs serially). For unweighted
+// models a single run suffices (the process is deterministic) and the
+// standard error is zero. Same seed ⇒ same result at any worker count;
+// see MonteCarloP to bound the parallelism explicitly.
 func MonteCarlo(m *Model, filters []bool, runs int, seed int64) (MCResult, error) {
-	return MonteCarloP(m, filters, runs, seed, sched.Default().ChunkHint())
+	return MonteCarloP(m, filters, runs, seed, sched.Default().Workers())
 }
 
 // MonteCarloP is MonteCarlo with the shard concurrency bounded by procs

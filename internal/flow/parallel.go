@@ -7,19 +7,17 @@ import "repro/internal/sched"
 // backward topological pass, and the passes themselves decompose by
 // topological level: every node of a level depends only on nodes of
 // earlier levels, so a level's nodes can be computed concurrently. The
-// level structure, the level-packed iteration order and the precomputed
-// chunk boundaries all live in the model's shared Plan; each node is still
-// computed by the same flat kernel (forwardRange/suffixRange for floats,
-// stepForwardBig/stepSuffixBig for exact integers) with the same neighbor
-// accumulation order as the serial pass, so parallel results are
-// bit-for-bit identical to serial ones regardless of worker count or
-// shard boundaries.
+// level structure and the level-packed iteration order live in the
+// model's shared Plan; each node is still computed by the same flat kernel
+// (forwardRange/suffixRange for floats, stepForwardBig/stepSuffixBig for
+// exact integers) with the same neighbor accumulation order as the serial
+// pass, so parallel results are bit-for-bit identical to serial ones
+// regardless of worker count or chunk boundaries.
 //
-// Execution runs on the process-wide sched.Default pool: the pass
-// machinery only SPLITS work (into the same chunks at any setting) and
-// submits the chunks as one sched batch, so concurrent placements from
-// many graphs interleave on the shared workers instead of spawning
-// goroutines per call.
+// Chunks are cut by sched.Split (through split below, which keeps short
+// spans inline) and run as one batch on the process-wide scheduler, so
+// concurrent placements from many graphs interleave on the shared workers
+// instead of spawning goroutines per call.
 
 // Cloner is implemented by evaluators that can duplicate themselves
 // cheaply for concurrent use: the clone shares the immutable Model (and
@@ -63,77 +61,34 @@ type ParallelEvaluator interface {
 // scheduling chunks costs more than computing a few dozen nodes.
 const minParallelSpan = 128
 
-// parallelFor splits [0, n) into at most procs contiguous chunks and runs
-// fn on each through the shared scheduler, returning when all complete.
-// Small spans run inline. Chunk boundaries depend only on (n, procs),
-// never on pool size, so any fn whose chunks are independent produces
-// identical results at every setting.
-func parallelFor(n, procs int, fn func(lo, hi int)) {
-	if procs > n {
-		procs = n
+// split runs fn over [lo, hi) in at most procs chunks on the shared
+// scheduler (sched.Split); spans shorter than minParallelSpan run inline.
+func split(lo, hi, procs int, fn func(i, lo, hi int)) {
+	if hi-lo < minParallelSpan {
+		procs = 1
 	}
-	if procs <= 1 || n < minParallelSpan {
-		fn(0, n)
-		return
-	}
-	chunk := (n + procs - 1) / procs
-	b := sched.Default().NewBatch()
-	for lo := 0; lo < n; lo += chunk {
-		lo, hi := lo, min(lo+chunk, n)
-		b.Go(func() { fn(lo, hi) })
-	}
-	b.Wait()
-}
-
-// parallelForChunks is parallelFor returning fn's per-chunk results in
-// ascending chunk order, so callers can reduce them with the same
-// left-to-right rule a serial scan would apply.
-func parallelForChunks[T any](n, procs int, fn func(lo, hi int) T) []T {
-	if procs > n {
-		procs = n
-	}
-	if procs <= 1 || n < minParallelSpan {
-		return []T{fn(0, n)}
-	}
-	chunk := (n + procs - 1) / procs
-	out := make([]T, (n+chunk-1)/chunk)
-	b := sched.Default().NewBatch()
-	for i := range out {
-		i, lo, hi := i, i*chunk, min((i+1)*chunk, n)
-		b.Go(func() { out[i] = fn(lo, hi) })
-	}
-	b.Wait()
-	return out
-}
-
-// passesP is passes with level-parallel plan execution.
-func (e *FloatEngine) passesP(filters []bool, procs int) *floatScratch {
-	sc := e.scratch()
-	fm := e.p.fillMask(sc.fmask, filters)
-	e.p.forwardLevels(e.src, fm, sc.rec, sc.emit, procs)
-	e.p.suffixLevels(fm, sc.suf, procs)
-	e.pc.fwd.Add(1)
-	e.pc.suf.Add(1)
-	return sc
+	sched.Split("", lo, hi, procs, fn)
 }
 
 // ArgmaxImpactP implements ParallelEvaluator. The scan shards into
 // contiguous original-id ranges whose local maxima are reduced in
 // ascending order under the same strict-improvement rule as the serial
 // scan, so ties break toward the smaller node id exactly as ArgmaxImpact
-// does.
+// does. procs ≤ 1 scans directly, allocation-free.
 func (e *FloatEngine) ArgmaxImpactP(filters, banned []bool, procs int) (int, float64) {
+	sc := e.passes(filters, 0, true, procs)
 	if procs <= 1 {
-		return e.ArgmaxImpact(filters, banned)
+		return e.argmaxGains(sc, filters, banned, 0, e.p.n)
 	}
-	sc := e.passesP(filters, procs)
 	type local struct {
 		v    int
 		gain float64
 	}
-	locals := parallelForChunks(e.p.n, procs, func(lo, hi int) local {
+	// A slot no chunk writes keeps gain 0, which never wins the scan.
+	locals := make([]local, procs)
+	split(0, e.p.n, procs, func(i, lo, hi int) {
 		v, gain := e.argmaxGains(sc, filters, banned, lo, hi)
-		return local{v, gain}
+		locals[i] = local{v, gain}
 	})
 	best, bestGain := -1, 0.0
 	for _, l := range locals {
@@ -146,13 +101,20 @@ func (e *FloatEngine) ArgmaxImpactP(filters, banned []bool, procs int) (int, flo
 
 // ImpactsP implements ParallelEvaluator.
 func (e *FloatEngine) ImpactsP(filters []bool, procs int) []float64 {
-	if procs <= 1 {
-		return e.Impacts(filters)
-	}
-	sc := e.passesP(filters, procs)
+	return e.impacts(filters, 0, procs)
+}
+
+// impacts returns the ρ-leaky marginal gain of every node from passes
+// and an assembly loop sharded across procs chunks.
+func (e *FloatEngine) impacts(filters []bool, leak float64, procs int) []float64 {
+	sc := e.passes(filters, leak, true, procs)
 	gains := make([]float64, e.p.n)
-	parallelFor(e.p.n, procs, func(lo, hi int) {
-		e.gainsInto(gains, sc, filters, 0, lo, hi)
+	if procs <= 1 {
+		e.gainsInto(gains, sc, filters, leak, 0, e.p.n)
+		return gains
+	}
+	split(0, e.p.n, procs, func(_, lo, hi int) {
+		e.gainsInto(gains, sc, filters, leak, lo, hi)
 	})
 	return gains
 }

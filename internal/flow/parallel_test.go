@@ -1,11 +1,13 @@
 package flow
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -107,11 +109,44 @@ func TestCloneConcurrentHammer(t *testing.T) {
 	}
 }
 
+// wideModel is a twitter graph whose widest level is at least
+// minParallelSpan, so level-parallel sweeps over it really shard.
+func wideModel(t *testing.T) *Model {
+	t.Helper()
+	g, src := gen.TwitterLike(0.02, 1)
+	m, err := NewModel(g, []int{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := m.Plan().MaxWidth(); w < minParallelSpan {
+		t.Fatalf("twitter graph's widest level is %d < %d", w, minParallelSpan)
+	}
+	return m
+}
+
+// poisonScratch fills the engine's pass buffers with NaN, so a pass that
+// skips a node cannot pass on the value an earlier pass left there.
+func poisonScratch(e *FloatEngine) {
+	sc := e.scratch()
+	for _, buf := range [][]float64{sc.rec, sc.emit, sc.suf} {
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+	}
+}
+
 // TestParallelPassesBitIdentical checks ArgmaxImpactP and ImpactsP against
 // the serial pass across worker counts, filter sets and weighted models.
+// The random DAGs' levels are narrower than minParallelSpan, so only their
+// gain scans shard; seed 5, a twitter graph, has levels wide enough that
+// the sweeps shard too.
 func TestParallelPassesBitIdentical(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		m := randomDAGModel(t, 300, 0.03, seed)
+	twitter := wideModel(t)
+	for seed := int64(1); seed <= 5; seed++ {
+		m := twitter
+		if seed < 5 {
+			m = randomDAGModel(t, 300, 0.03, seed)
+		}
 		if seed%2 == 0 {
 			m = m.WithWeights(func(u, v int) float64 {
 				return 0.25 + 0.5*float64((u+v)%3)/2
@@ -123,12 +158,14 @@ func TestParallelPassesBitIdentical(t *testing.T) {
 			wantGains := e.Impacts(filters)
 			wantV, wantG := e.ArgmaxImpact(filters, filters)
 			for _, procs := range []int{1, 2, 4, runtime.GOMAXPROCS(0) + 3} {
+				poisonScratch(e)
 				gains := e.ImpactsP(filters, procs)
 				for v := range gains {
 					if gains[v] != wantGains[v] {
 						t.Fatalf("seed %d procs %d: ImpactsP[%d] = %v, serial %v", seed, procs, v, gains[v], wantGains[v])
 					}
 				}
+				poisonScratch(e)
 				v, g := e.ArgmaxImpactP(filters, filters, procs)
 				if v != wantV || g != wantG {
 					t.Fatalf("seed %d procs %d: ArgmaxImpactP (%d,%v), serial (%d,%v)", seed, procs, v, g, wantV, wantG)
@@ -142,15 +179,50 @@ func TestParallelPassesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFloatHotPathAllocs pins the float engine's allocation contract on a
+// warm engine: the serial Greedy_All inner loop (ArgmaxImpact) and Phi
+// allocate nothing, and ArgmaxImpactP at P = 2 allocates per level and
+// chunk, never per node — the same count on a graph five times larger
+// with the same level count.
+func TestFloatHotPathAllocs(t *testing.T) {
+	parAllocs := make([]float64, 0, 2)
+	for _, scale := range []float64{0.05, 0.25} {
+		g, src := gen.TwitterLike(scale, 1)
+		m, err := NewModel(g, []int{src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewFloat(m)
+		filters := make([]bool, m.N())
+		v, _ := e.ArgmaxImpact(filters, nil) // borrows the scratch arena
+		filters[v] = true
+		if a := testing.AllocsPerRun(20, func() { e.ArgmaxImpact(filters, nil) }); a != 0 {
+			t.Errorf("scale %v: ArgmaxImpact makes %v allocations, want 0", scale, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { e.Phi(filters) }); a != 0 {
+			t.Errorf("scale %v: Phi makes %v allocations, want 0", scale, a)
+		}
+		parAllocs = append(parAllocs, testing.AllocsPerRun(20, func() { e.ArgmaxImpactP(filters, nil, 2) }))
+	}
+	if parAllocs[1] > parAllocs[0] {
+		t.Errorf("ArgmaxImpactP(…, 2) allocations grow with n: %v", parAllocs)
+	}
+}
+
 // TestBigParallelPassesBitIdentical checks the exact engine's
 // level-parallel passes: ArgmaxImpactP and ImpactsP must reproduce the
 // serial big-integer results exactly (same filters chosen, same float
 // projections) across worker counts and evolving filter sets. Deep graphs
 // make the path counts overflow float64 precision, so this also exercises
-// selections only exact arithmetic gets right.
+// selections only exact arithmetic gets right. Seed 4, a twitter graph,
+// has levels wide enough that the sweeps shard.
 func TestBigParallelPassesBitIdentical(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		m := randomDAGModel(t, 300, 0.04, seed)
+	twitter := wideModel(t)
+	for seed := int64(1); seed <= 4; seed++ {
+		m := twitter
+		if seed < 4 {
+			m = randomDAGModel(t, 300, 0.04, seed)
+		}
 		e := NewBig(m)
 		filters := make([]bool, m.N())
 		for round := 0; round < 5; round++ {

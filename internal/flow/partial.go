@@ -43,7 +43,7 @@ func checkLeak(leak float64) {
 // PhiPartial implements PartialEvaluator.
 func (e *FloatEngine) PhiPartial(filters []bool, leak float64) float64 {
 	checkLeak(leak)
-	sc := e.passes(filters, leak, false)
+	sc := e.passes(filters, leak, false, 1)
 	return e.p.sumPhi(sc.rec, sc.emit)
 }
 
@@ -52,7 +52,7 @@ func (e *FloatEngine) SuffixPartial(filters []bool, leak float64) []float64 {
 	checkLeak(leak)
 	sc := e.scratch()
 	fm := e.p.fillMask(sc.fmask, filters)
-	e.p.suffixRange(fm, leak, sc.suf, 0, e.p.n)
+	e.p.suffixLevels(fm, leak, sc.suf, 1)
 	e.pc.suf.Add(1)
 	return e.p.scatter(sc.suf)
 }
@@ -60,10 +60,7 @@ func (e *FloatEngine) SuffixPartial(filters []bool, leak float64) []float64 {
 // ImpactsPartial implements PartialEvaluator.
 func (e *FloatEngine) ImpactsPartial(filters []bool, leak float64) []float64 {
 	checkLeak(leak)
-	sc := e.passes(filters, leak, true)
-	gains := make([]float64, e.p.n)
-	e.gainsInto(gains, sc, filters, leak, 0, e.p.n)
-	return gains
+	return e.impacts(filters, leak, 1)
 }
 
 // FPartial is Φ(∅,V) − Φ_ρ(A,V): the reduction achieved by ρ-leaky filters

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 // Plan is a per-graph, immutable execution plan: everything about HOW a
@@ -34,9 +33,6 @@ import (
 //   - Edge weights (probabilistic models) are flattened into per-edge
 //     arrays aligned with the CSR, so the weighted kernel reads w[j]
 //     instead of calling a closure per edge.
-//   - Chunk boundaries for level-parallel execution are precomputed for
-//     the shared scheduler's worker count (sched.Default().ChunkHint()),
-//     so the steady-state parallel pass does no chunk arithmetic.
 //
 // The flat kernels (forwardRange/suffixRange) are written index-based with
 // hoisted bounds checks and branch-light filter masking so a GOAMD64=v3
@@ -94,12 +90,6 @@ type Plan struct {
 	// falseMask is a shared all-false mask handed to kernels when the
 	// caller passes nil filters; it is never written.
 	falseMask []bool
-
-	// chunkHint is the scheduler worker count the precomputed chunk
-	// tables were sized for; levelChunks[l] holds the absolute position
-	// boundaries of level l's chunks (nil for levels run serially).
-	chunkHint   int
-	levelChunks [][]int32
 
 	// arena holds the pooled scratch buffers. It is SHARED across the
 	// lineage of a plan (every Splicer repair hands the new plan
@@ -241,7 +231,7 @@ func layoutPlan(topo []int, in, out [][]int, depth []int32, weight func(u, v int
 			p.mulW[i] = float64(mul[v])
 		}
 	}
-	p.layoutChunks()
+	p.falseMask = make([]bool, n)
 	return p
 }
 
@@ -272,21 +262,6 @@ func (p *Plan) layoutLevels(depth []int32, maxDepth int32) {
 	p.checkIdentity()
 }
 
-// layoutChunks allocates the all-false mask and precomputes per-level
-// chunk boundaries for the scheduler's current worker count. The tables
-// are a perf hint only: chunking never affects results (per-node kernels
-// are independent within a level), and passes asked for a different
-// parallelism fall back to the same arithmetic inline.
-func (p *Plan) layoutChunks() {
-	p.falseMask = make([]bool, p.n)
-	p.chunkHint = sched.Default().ChunkHint()
-	p.levelChunks = make([][]int32, p.numLevels())
-	for l := range p.levelChunks {
-		lo, hi := p.level(l)
-		p.levelChunks[l] = p.chunksFor(lo, hi)
-	}
-}
-
 // checkIdentity recomputes the identity flag — the common generated-graph
 // case where node ids are already level-contiguous in canonical order.
 func (p *Plan) checkIdentity() {
@@ -297,28 +272,6 @@ func (p *Plan) checkIdentity() {
 			break
 		}
 	}
-}
-
-// chunksFor computes the precomputed chunk boundaries for one level's
-// position range [lo, hi) against the plan's scheduler hint, or nil when
-// the level runs serially. Boundaries depend only on (size, chunkHint),
-// never on contents, so every build of the same graph computes the same
-// tables.
-func (p *Plan) chunksFor(lo, hi int) []int32 {
-	size := hi - lo
-	if size < minParallelSpan || p.chunkHint <= 1 {
-		return nil
-	}
-	procs := p.chunkHint
-	if procs > size {
-		procs = size
-	}
-	chunk := (size + procs - 1) / procs
-	bounds := []int32{int32(lo)}
-	for c := lo + chunk; c < hi; c += chunk {
-		bounds = append(bounds, int32(c))
-	}
-	return append(bounds, int32(hi))
 }
 
 // N returns the node count the plan was built for.
@@ -640,51 +593,42 @@ func (p *Plan) scatter(vals []float64) []float64 {
 	return out
 }
 
-// runLevel executes fn over level l's position range, split into at most
-// procs contiguous chunks on the shared scheduler. Chunk boundaries come
-// from the precomputed table when procs matches the plan's scheduler
-// hint, and from the same arithmetic inline otherwise; either way they
-// depend only on (level size, procs), and per-node kernels are
-// independent within a level, so results never depend on chunking.
-func (p *Plan) runLevel(l, procs int, fn func(lo, hi int)) {
+// runLevel runs fn over level l's position range in at most procs
+// scheduler chunks. Per-node kernels are independent within a level, so
+// results never depend on the chunking.
+func (p *Plan) runLevel(l, procs int, fn func(i, lo, hi int)) {
 	lo, hi := p.level(l)
-	size := hi - lo
-	if procs <= 1 || size < minParallelSpan {
-		fn(lo, hi)
-		return
-	}
-	if procs == p.chunkHint && p.levelChunks[l] != nil {
-		bounds := p.levelChunks[l]
-		b := sched.Default().NewBatch()
-		for c := 0; c+1 < len(bounds); c++ {
-			clo, chi := int(bounds[c]), int(bounds[c+1])
-			b.Go(func() { fn(clo, chi) })
-		}
-		b.Wait()
-		return
-	}
-	// Off-hint parallelism: same split arithmetic, computed inline.
-	parallelFor(size, procs, func(clo, chi int) { fn(lo+clo, lo+chi) })
+	split(lo, hi, procs, fn)
 }
 
 // forwardLevels is forwardRange over every level in ascending order with
-// each level sharded across procs scheduler chunks.
-func (p *Plan) forwardLevels(src, fmask []bool, rec, emit []float64, procs int) {
+// each level sharded across procs scheduler chunks; procs ≤ 1 is one
+// sequential sweep over [0, n), the same level order.
+func (p *Plan) forwardLevels(src, fmask []bool, leak float64, rec, emit []float64, procs int) {
+	if procs <= 1 {
+		p.forwardRange(src, fmask, leak, rec, emit, 0, p.n)
+		return
+	}
 	for l := 0; l < p.numLevels(); l++ {
-		p.runLevel(l, procs, func(lo, hi int) {
-			p.forwardRange(src, fmask, 0, rec, emit, lo, hi)
+		p.runLevel(l, procs, func(_, lo, hi int) {
+			p.forwardRange(src, fmask, leak, rec, emit, lo, hi)
 		})
 	}
 }
 
 // suffixLevels is suffixRange over every level in descending order with
-// each level sharded across procs scheduler chunks. Out-neighbors always
-// live in strictly later levels, so by the time level l runs every suf
-// value it reads is final.
-func (p *Plan) suffixLevels(fmask []bool, suf []float64, procs int) {
+// each level sharded across procs scheduler chunks; procs ≤ 1 is one
+// sequential descending sweep over [0, n). Out-neighbors always live in
+// strictly later levels, so by the time level l runs every suf value it
+// reads is final.
+func (p *Plan) suffixLevels(fmask []bool, leak float64, suf []float64, procs int) {
+	if procs <= 1 {
+		p.suffixRange(fmask, leak, suf, 0, p.n)
+		return
+	}
 	for l := p.numLevels() - 1; l >= 0; l-- {
-		p.runLevel(l, procs, func(lo, hi int) {
-			p.suffixRange(fmask, 0, suf, lo, hi)
+		p.runLevel(l, procs, func(_, lo, hi int) {
+			p.suffixRange(fmask, leak, suf, lo, hi)
 		})
 	}
 }

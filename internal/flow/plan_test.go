@@ -508,22 +508,6 @@ func checkPlanInvariants(t testing.TB, m *Model) {
 			}
 		}
 	}
-
-	// Chunk tables, when present, tile their level exactly.
-	for l, bounds := range p.levelChunks {
-		if bounds == nil {
-			continue
-		}
-		lo, hi := p.level(l)
-		if int(bounds[0]) != lo || int(bounds[len(bounds)-1]) != hi {
-			t.Fatalf("level %d chunks %v do not tile [%d, %d)", l, bounds, lo, hi)
-		}
-		for c := 1; c < len(bounds); c++ {
-			if bounds[c] <= bounds[c-1] {
-				t.Fatalf("level %d chunk bounds %v not increasing", l, bounds)
-			}
-		}
-	}
 }
 
 func TestPlanInvariants(t *testing.T) {

@@ -92,8 +92,8 @@ type SampleOptions struct {
 	// bit-for-bit at any Parallelism.
 	Seed int64
 	// Parallelism bounds the level-parallel sharding of each sampled
-	// pass on the shared scheduler. 0 means the scheduler's chunk hint;
-	// 1 runs serially. It never affects results.
+	// pass on the shared scheduler. 0 means the scheduler's worker
+	// count; 1 runs serially, as does a pool of zero workers. It never affects results.
 	Parallelism int
 }
 
@@ -125,7 +125,7 @@ func (o SampleOptions) normalized() SampleOptions {
 		o.MinEdges = DefaultMinSampleEdges
 	}
 	if o.Parallelism == 0 {
-		o.Parallelism = sched.Default().ChunkHint()
+		o.Parallelism = sched.Default().Workers()
 	}
 	if o.Parallelism < 1 {
 		o.Parallelism = 1
@@ -385,7 +385,7 @@ func (e *SamplingEngine) estimate(filters []bool, withSuffix bool) *sampleAcc {
 	for s := 0; s < e.opts.Samples; s++ {
 		ps := e.passSeed(s)
 		for l := 0; l < e.p.numLevels(); l++ {
-			e.p.runLevel(l, procs, func(lo, hi int) {
+			e.p.runLevel(l, procs, func(_, lo, hi int) {
 				e.sampledForwardRange(ps, fm, sc.rec, sc.emit, lo, hi)
 			})
 		}
@@ -398,7 +398,7 @@ func (e *SamplingEngine) estimate(filters []bool, withSuffix bool) *sampleAcc {
 			continue
 		}
 		for l := e.p.numLevels() - 1; l >= 0; l-- {
-			e.p.runLevel(l, procs, func(lo, hi int) {
+			e.p.runLevel(l, procs, func(_, lo, hi int) {
 				e.sampledSuffixRange(ps, fm, sc.suf, lo, hi)
 			})
 		}
@@ -483,7 +483,7 @@ func (e *SamplingEngine) Suffix(filters []bool) []float64 {
 	for s := 0; s < e.opts.Samples; s++ {
 		ps := e.passSeed(s)
 		for l := e.p.numLevels() - 1; l >= 0; l-- {
-			e.p.runLevel(l, procs, func(lo, hi int) {
+			e.p.runLevel(l, procs, func(_, lo, hi int) {
 				e.sampledSuffixRange(ps, fm, sc.suf, lo, hi)
 			})
 		}

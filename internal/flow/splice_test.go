@@ -161,17 +161,6 @@ func plansEqual(t testing.TB, what string, got, want *Plan) {
 	if len(got.falseMask) != len(want.falseMask) {
 		t.Fatalf("%s: falseMask length %d != %d", what, len(got.falseMask), len(want.falseMask))
 	}
-	if got.chunkHint != want.chunkHint {
-		t.Fatalf("%s: chunkHint %d != %d", what, got.chunkHint, want.chunkHint)
-	}
-	if len(got.levelChunks) != len(want.levelChunks) {
-		t.Fatalf("%s: levelChunks count %d != %d", what, len(got.levelChunks), len(want.levelChunks))
-	}
-	for l := range got.levelChunks {
-		if !slices.Equal(got.levelChunks[l], want.levelChunks[l]) {
-			t.Fatalf("%s: levelChunks[%d] %v != %v", what, l, got.levelChunks[l], want.levelChunks[l])
-		}
-	}
 }
 
 // checkSpliceObservables pins every engine observable of a model stood up

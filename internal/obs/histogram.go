@@ -49,15 +49,7 @@ func NewHistogram(bounds []float64) *Histogram {
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
-	h.observeSeconds(d.Seconds(), int64(d))
-}
-
-// ObserveSeconds records one observation given in seconds.
-func (h *Histogram) ObserveSeconds(s float64) {
-	h.observeSeconds(s, int64(s*float64(time.Second)))
-}
-
-func (h *Histogram) observeSeconds(s float64, ns int64) {
+	s := d.Seconds()
 	// Linear scan: the bucket list is short (≤ ~20) and latencies cluster
 	// in the low buckets, so this beats binary search in practice and
 	// keeps the fast path branch-predictable.
@@ -67,7 +59,7 @@ func (h *Histogram) observeSeconds(s float64, ns int64) {
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	h.sumNS.Add(ns)
+	h.sumNS.Add(int64(d))
 }
 
 // HistSnapshot is a point-in-time copy of a histogram. Counts are

@@ -12,12 +12,12 @@ import (
 // semantics), one epsilon above lands in the next.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	h := NewHistogram([]float64{0.001, 0.01, 0.1})
-	h.ObserveSeconds(0.001)  // == bound 0 → bucket 0
-	h.ObserveSeconds(0.0011) // just above → bucket 1
-	h.ObserveSeconds(0.01)   // == bound 1 → bucket 1
-	h.ObserveSeconds(0.05)   // → bucket 2
-	h.ObserveSeconds(0.5)    // beyond all bounds → +Inf bucket
-	h.ObserveSeconds(0)      // zero → bucket 0
+	h.Observe(time.Millisecond)        // == bound 0 → bucket 0
+	h.Observe(1100 * time.Microsecond) // just above → bucket 1
+	h.Observe(10 * time.Millisecond)   // == bound 1 → bucket 1
+	h.Observe(50 * time.Millisecond)   // → bucket 2
+	h.Observe(500 * time.Millisecond)  // beyond all bounds → +Inf bucket
+	h.Observe(0)                       // zero → bucket 0
 
 	s := h.Snapshot()
 	want := []uint64{2, 2, 1, 1}
@@ -34,7 +34,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 func TestHistogramSumAndQuantiles(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
 	for i := 0; i < 100; i++ {
-		h.ObserveSeconds(0.5) // all in bucket [0,1]
+		h.Observe(500 * time.Millisecond) // all in bucket [0,1]
 	}
 	s := h.Snapshot()
 	if got := s.Quantile(0.5); got <= 0 || got > 1 {
@@ -46,7 +46,7 @@ func TestHistogramSumAndQuantiles(t *testing.T) {
 
 	// Overflow observations clamp to the largest finite bound.
 	h2 := NewHistogram([]float64{1, 2})
-	h2.ObserveSeconds(100)
+	h2.Observe(100 * time.Second)
 	if got := h2.Snapshot().Quantile(0.99); got != 2 {
 		t.Errorf("overflow p99 = %v, want clamp to 2", got)
 	}
@@ -63,8 +63,8 @@ func TestHistogramSumAndQuantiles(t *testing.T) {
 func TestHistogramQuantileInterpolation(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
 	for i := 0; i < 50; i++ {
-		h.ObserveSeconds(0.5)
-		h.ObserveSeconds(1.5)
+		h.Observe(500 * time.Millisecond)
+		h.Observe(1500 * time.Millisecond)
 	}
 	s := h.Snapshot()
 	if got := s.Quantile(0.25); math.Abs(got-0.5) > 1e-9 {

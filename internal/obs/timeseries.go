@@ -61,17 +61,6 @@ func (r *SeriesRing) Len() int {
 // Cap reports the ring capacity.
 func (r *SeriesRing) Cap() int { return len(r.buf) }
 
-// Last returns the most recent sample, if any.
-func (r *SeriesRing) Last() (Sample, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.count == 0 {
-		return Sample{}, false
-	}
-	i := (r.next - 1 + len(r.buf)) % len(r.buf)
-	return r.buf[i].clone(), true
-}
-
 // Window returns the retained samples no older than window before now,
 // oldest first. window <= 0 returns everything. Samples are deep-copied;
 // mutating the result cannot corrupt the ring.

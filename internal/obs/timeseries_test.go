@@ -6,13 +6,22 @@ import (
 	"time"
 )
 
+// last returns the ring's newest sample, if any, through Window.
+func last(r *SeriesRing) (Sample, bool) {
+	all := r.Window(0, time.Time{})
+	if len(all) == 0 {
+		return Sample{}, false
+	}
+	return all[len(all)-1], true
+}
+
 func TestSeriesRingFillAndRollover(t *testing.T) {
 	r := NewSeriesRing(3)
 	if r.Cap() != 3 || r.Len() != 0 {
 		t.Fatalf("fresh ring: cap=%d len=%d, want 3, 0", r.Cap(), r.Len())
 	}
-	if _, ok := r.Last(); ok {
-		t.Fatal("Last on empty ring reported ok")
+	if _, ok := last(r); ok {
+		t.Fatal("empty ring returned a sample")
 	}
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 5; i++ {
@@ -21,9 +30,9 @@ func TestSeriesRingFillAndRollover(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("Len after 5 adds into cap-3 ring = %d, want 3", r.Len())
 	}
-	last, ok := r.Last()
-	if !ok || last.Values["v"] != 4 {
-		t.Fatalf("Last = %+v, %v; want v=4", last, ok)
+	newest, ok := last(r)
+	if !ok || newest.Values["v"] != 4 {
+		t.Fatalf("newest = %+v, %v; want v=4", newest, ok)
 	}
 	// Oldest two (v=0, v=1) must have been overwritten; order oldest-first.
 	got := r.Window(0, base.Add(time.Hour))
@@ -60,12 +69,12 @@ func TestSeriesRingCopiesValues(t *testing.T) {
 	vals := map[string]float64{"v": 1}
 	r.Add(time.Unix(0, 0), vals)
 	vals["v"] = 99 // caller reuses its map; the ring must not see it
-	last, _ := r.Last()
-	if last.Values["v"] != 1 {
-		t.Errorf("ring saw caller's mutation: v = %v, want 1", last.Values["v"])
+	newest, _ := last(r)
+	if newest.Values["v"] != 1 {
+		t.Errorf("ring saw caller's mutation: v = %v, want 1", newest.Values["v"])
 	}
-	last.Values["v"] = 77 // and mutating a read must not corrupt the ring
-	again, _ := r.Last()
+	newest.Values["v"] = 77 // and mutating a read must not corrupt the ring
+	again, _ := last(r)
 	if again.Values["v"] != 1 {
 		t.Errorf("reader mutation reached the ring: v = %v, want 1", again.Values["v"])
 	}
@@ -78,8 +87,8 @@ func TestSeriesRingMinCapacity(t *testing.T) {
 	}
 	r.Add(time.Unix(1, 0), map[string]float64{"v": 1})
 	r.Add(time.Unix(2, 0), map[string]float64{"v": 2})
-	if last, _ := r.Last(); last.Values["v"] != 2 {
-		t.Errorf("cap-1 ring kept %v, want the newest sample", last.Values["v"])
+	if newest, _ := last(r); newest.Values["v"] != 2 {
+		t.Errorf("cap-1 ring kept %v, want the newest sample", newest.Values["v"])
 	}
 }
 
@@ -107,7 +116,6 @@ func TestSeriesRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				r.Window(0, time.Unix(1<<40, 0))
-				r.Last()
 				r.Len()
 			}
 		}()

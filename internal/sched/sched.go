@@ -23,10 +23,12 @@
 //     cannot starve a small interactive one: each runnable batch gives up
 //     one task per scheduling turn.
 //
-// Determinism is untouched by construction: the scheduler only decides
-// WHERE a task runs, never how work is split or reduced. Callers keep
-// their serial chunking and left-to-right reduction, so placements remain
-// bit-for-bit identical at every pool size (including zero).
+// Determinism is untouched by construction. Split is the one place that
+// cuts a span into chunks, and its boundaries depend only on the span and
+// the caller's part count, never on the pool size; the pool only decides
+// WHERE a chunk runs. Callers reduce per-chunk results left to right, so
+// placements remain bit-for-bit identical at every pool size (including
+// zero).
 package sched
 
 import (
@@ -110,18 +112,6 @@ func (p *Pool) Workers() int {
 	return p.target
 }
 
-// ChunkHint returns the chunk count a caller should split one span of
-// level-parallel work into to keep every worker busy without
-// oversplitting: the current target worker count, floored at 1.
-// flow.Plan snapshots it when precomputing per-level chunk boundaries; it
-// is a performance hint only and never affects results.
-func (p *Pool) ChunkHint() int {
-	if w := p.Workers(); w > 1 {
-		return w
-	}
-	return 1
-}
-
 // SetQueueWaitSampler installs fn to observe every task's queue wait —
 // the time from Batch.Go to the task starting, whether it starts on a
 // stealing pool worker or on the submitter helping inline. tag is the
@@ -154,6 +144,33 @@ func (p *Pool) Close() {
 	p.target = 0
 	p.mu.Unlock()
 	p.cond.Broadcast()
+}
+
+// Split runs fn over [lo, hi) cut into at most parts contiguous chunks:
+// chunk i is [lo+i·c, min(lo+(i+1)·c, hi)) with c = ⌈(hi−lo)/min(parts,
+// hi−lo)⌉. The chunks run as one batch on the Default pool, tagged for
+// the queue-wait sampler, and Split returns when all of them have. It is
+// the only code in the module that computes a chunk boundary, and the
+// boundaries depend only on (lo, hi, parts). parts ≤ 1 runs fn(0, lo, hi)
+// inline with no scheduling at all; any larger parts schedules, even a
+// one-item span. An empty span runs nothing.
+func Split(tag string, lo, hi, parts int, fn func(i, lo, hi int)) {
+	n := hi - lo
+	if n <= 0 {
+		return
+	}
+	if parts <= 1 {
+		fn(0, lo, hi)
+		return
+	}
+	c := (n + min(parts, n) - 1) / min(parts, n)
+	b := Default().NewBatch().SetTag(tag)
+	b.tasks = make([]func(), 0, (n+c-1)/c)
+	for i, clo := 0, lo; clo < hi; i, clo = i+1, clo+c {
+		chi := min(clo+c, hi)
+		b.Go(func() { fn(i, clo, chi) })
+	}
+	b.Wait()
 }
 
 // Batch is one caller's gang of tasks. Submit with Go, then call Wait

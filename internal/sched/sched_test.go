@@ -2,6 +2,8 @@ package sched
 
 import (
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -246,5 +248,109 @@ func TestQueueWaitSampler(t *testing.T) {
 		if samples.Load() != tasks {
 			t.Errorf("workers=%d: sampler fired after uninstall", workers)
 		}
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestSplit pins Split's contract on the Default pool at 0, 1 and 4
+// workers: chunk i is [lo+i·c, min(lo+(i+1)·c, hi)) with c = ⌈n/min(parts,
+// n)⌉, so the chunks tile the span in order, number at most parts and are
+// the same at every pool size; each chunk is one task the sampler sees
+// once, with the batch's tag; parts ≤ 1 runs inline on the caller with no
+// sampler call, a one-item span at parts = 2 is still one sampled task,
+// and an empty span runs nothing.
+func TestSplit(t *testing.T) {
+	old := Default().Workers()
+	t.Cleanup(func() {
+		Default().SetQueueWaitSampler(nil)
+		Default().Resize(old)
+	})
+	var samples atomic.Int64
+	var wrongTag atomic.Int64
+	Default().SetQueueWaitSampler(func(tag string, _ time.Duration) {
+		samples.Add(1)
+		if tag != "split-test" {
+			wrongTag.Add(1)
+		}
+	})
+	type chunk struct{ lo, hi int }
+	cases := []struct{ lo, hi, parts int }{
+		{0, 10, 3}, {0, 10, 4}, {3, 103, 7}, {0, 7, 7}, {0, 5, 8},
+		{5, 6, 2}, {2, 9, 1}, {2, 9, 0}, {2, 9, -3}, {4, 4, 3}, {4, 4, 1},
+	}
+	var first [][]chunk
+	for _, workers := range []int{0, 1, 4} {
+		Default().Resize(workers)
+		for ci, tc := range cases {
+			n := tc.hi - tc.lo
+			var mu sync.Mutex
+			got := map[int]chunk{}
+			caller, inline := goid(), true
+			samples.Store(0)
+			Split("split-test", tc.lo, tc.hi, tc.parts, func(i, lo, hi int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if _, dup := got[i]; dup {
+					t.Errorf("workers=%d %+v: chunk %d ran twice", workers, tc, i)
+				}
+				got[i] = chunk{lo, hi}
+				inline = inline && goid() == caller
+			})
+			chunks := make([]chunk, len(got))
+			for i := range chunks {
+				c, ok := got[i]
+				if !ok {
+					t.Fatalf("workers=%d %+v: chunk indices %v not 0..%d", workers, tc, got, len(got)-1)
+				}
+				chunks[i] = c
+			}
+			if len(chunks) > max(tc.parts, 1) {
+				t.Fatalf("workers=%d %+v: %d chunks exceed parts", workers, tc, len(chunks))
+			}
+			next := tc.lo
+			for _, c := range chunks {
+				if c.lo != next || c.hi <= c.lo {
+					t.Fatalf("workers=%d %+v: chunks %v do not tile [%d, %d)", workers, tc, chunks, tc.lo, tc.hi)
+				}
+				next = c.hi
+			}
+			if next != tc.hi {
+				t.Fatalf("workers=%d %+v: chunks %v stop at %d", workers, tc, chunks, next)
+			}
+			var want []chunk
+			if n > 0 {
+				k := min(max(tc.parts, 1), n)
+				c := (n + k - 1) / k
+				for lo := tc.lo; lo < tc.hi; lo += c {
+					want = append(want, chunk{lo, min(lo+c, tc.hi)})
+				}
+			}
+			if !slices.Equal(chunks, want) {
+				t.Fatalf("workers=%d %+v: chunks %v, want %v", workers, tc, chunks, want)
+			}
+			wantSamples := int64(len(chunks))
+			if tc.parts <= 1 {
+				wantSamples = 0
+				if !inline {
+					t.Errorf("workers=%d %+v: parts ≤ 1 left the calling goroutine", workers, tc)
+				}
+			}
+			if s := samples.Load(); s != wantSamples {
+				t.Errorf("workers=%d %+v: %d sampled tasks, want %d", workers, tc, s, wantSamples)
+			}
+			if workers == 0 {
+				first = append(first, chunks)
+			} else if !slices.Equal(chunks, first[ci]) {
+				t.Fatalf("workers=%d %+v: boundaries %v differ from 0 workers' %v", workers, tc, chunks, first[ci])
+			}
+		}
+	}
+	if wrongTag.Load() != 0 {
+		t.Errorf("%d samples carried the wrong tag", wrongTag.Load())
 	}
 }

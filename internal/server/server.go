@@ -243,10 +243,6 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 	}
 }
 
-// Obs exposes the latency registry (tests and embedders scrape it
-// without going through the HTTP endpoint).
-func (s *Server) Obs() *obs.Registry { return s.obs.reg }
-
 // Routes maps "METHOD /pattern" to handlers; exported so tests and docs
 // stay in sync with the actual surface.
 func (s *Server) Routes() map[string]http.HandlerFunc {

@@ -6,10 +6,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // CDF is an empirical cumulative distribution over integer samples.
@@ -75,27 +73,6 @@ func (c *CDF) Points() (values []int, cum []float64) {
 	return append([]int(nil), c.values...), append([]float64(nil), c.cum...)
 }
 
-// Render draws the CDF as a fixed-width ASCII curve with the given number
-// of columns, one row per decile, for terminal output.
-func (c *CDF) Render(width int) string {
-	if width < 8 {
-		width = 8
-	}
-	var sb strings.Builder
-	lo, hi := c.Min(), c.Max()
-	span := hi - lo
-	if span == 0 {
-		span = 1
-	}
-	fmt.Fprintf(&sb, "x in [%d, %d], n = %d\n", lo, hi, c.n)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0} {
-		v := c.Quantile(q)
-		bar := int(float64(v-lo) / float64(span) * float64(width-1))
-		fmt.Fprintf(&sb, "P≤%4.2f %s▏ %d\n", q, strings.Repeat("─", bar), v)
-	}
-	return sb.String()
-}
-
 // Welford accumulates a running mean and variance (Welford's method); it is
 // used to average the randomized placement baselines across repetitions.
 type Welford struct {
@@ -147,11 +124,3 @@ func (h *Histogram) Count(x int) int { return h.counts[x] }
 
 // Total returns the number of samples recorded.
 func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of samples equal to x.
-func (h *Histogram) Fraction(x int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[x]) / float64(h.total)
-}
