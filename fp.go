@@ -182,10 +182,12 @@ func AllFilters(m *Model) []bool { return flow.AllFilters(m) }
 type PlaceStrategy = core.Strategy
 
 // The strategies Place accepts. StrategyGreedyAll is the paper's
-// (1−1/e)-approximation; StrategyCELF is another name for it, and
-// StrategyNaive runs it at the paper's cost profile (same filter sets,
-// counted oracle calls); the rest are the paper's heuristics and
-// baselines.
+// (1−1/e)-approximation; it coarsens the model losslessly first (Coarsen)
+// when a size check says the smaller sweeps repay the contraction, and
+// the Placement then carries CoarsenStats. StrategyCELF and
+// StrategyMLCELF are other names for it, and StrategyNaive runs it at the
+// paper's cost profile (same filter sets, counted oracle calls); the rest
+// are the paper's heuristics and baselines.
 const (
 	StrategyGreedyAll = core.StrategyGreedyAll
 	StrategyCELF      = core.StrategyCELF
@@ -203,10 +205,10 @@ const (
 	// SampleBudget/SampleSeed) in PlaceOptions tunes it; the Result
 	// carries a sampled confidence interval on Φ(A).
 	StrategyApproxCELF = core.StrategyApproxCELF
-	// StrategyMLCELF is multilevel placement: coarsen the model losslessly
-	// (Coarsen), run exact greedy on the quotient and project each pick to
-	// its supernode head. The filters are bit-for-bit greedy-all's; the
-	// Placement carries the contraction's CoarsenStats.
+	// StrategyMLCELF names multilevel placement — coarsen the model
+	// losslessly, run exact greedy on the quotient and project each pick to
+	// its supernode head — which StrategyGreedyAll already does wherever
+	// it pays; its Placement is greedy-all's.
 	StrategyMLCELF = core.StrategyMLCELF
 )
 
@@ -544,8 +546,8 @@ type CoarsenMap = flow.CoarsenMap
 // folding and sink absorption. Per-supernode multiplicity weights make the
 // quotient's Φ, marginal gains and argmax equal the original's at every
 // matching filter set, and the contraction is deterministic for a given
-// model. StrategyMLCELF runs this under the hood; call it directly to
-// inspect or reuse a quotient.
+// model. The exact strategies run this under the hood when it pays; call
+// it directly to inspect or reuse a quotient.
 func Coarsen(m *Model, opts CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, error) {
 	return flow.Coarsen(m, opts)
 }

@@ -23,8 +23,13 @@ func TestPlacePassStats(t *testing.T) {
 	}
 	// Greedy_All costs exactly one forward + one suffix pass per round,
 	// and every round (including a final unproductive one, if any) scans
-	// all n candidates.
-	rounds := int64(res.Stats.GainEvaluations / m.N())
+	// all n candidates of the graph it ran on: the quotient's, when it
+	// coarsened first.
+	n := m.N()
+	if cs := res.CoarsenStats; cs != nil {
+		n = cs.NodesAfter
+	}
+	rounds := int64(res.Stats.GainEvaluations / n)
 	if res.Passes.Forward != rounds || res.Passes.Suffix != rounds {
 		t.Errorf("greedy-all passes = %+v, want forward=suffix=%d rounds", res.Passes, rounds)
 	}

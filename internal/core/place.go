@@ -103,16 +103,18 @@ type Result struct {
 	Parallelism int
 	// Passes counts the topological passes this placement executed, when
 	// the evaluator exposes them (flow.PassCounter); zero otherwise. It is
-	// an execution measurement of the caller's engine (plus ml-celf's
-	// quotient engine), not part of the deterministic contract Stats
-	// carries; approx-celf's sampled passes are not counted here.
+	// an execution measurement of the caller's engine (plus the quotient
+	// engine when the exact path coarsened), not part of the deterministic
+	// contract Stats carries; approx-celf's sampled passes are not counted
+	// here.
 	Passes PassStats
 	// PhiCI, set by approx-celf only, is the sampling engine's confidence
 	// interval on Φ(A) for the returned filter set.
 	PhiCI *flow.MCResult
-	// CoarsenStats, set by ml-celf only, reports what the contraction did.
-	// It is nil when ml-celf ran greedy-all on a model or engine it cannot
-	// coarsen.
+	// CoarsenStats reports what the contraction did when greedy-all, celf
+	// or ml-celf ran on a lossless quotient. It is nil when the placement
+	// ran on the original graph: coarsening would not have paid, or the
+	// model or engine cannot be coarsened.
 	CoarsenStats *flow.CoarsenStats
 }
 
@@ -157,14 +159,12 @@ func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result,
 	}
 	var err error
 	switch opts.Strategy {
-	case StrategyGreedyAll, StrategyCELF:
-		err = placeGreedyAll(ctx, ev, k, opts, &res)
+	case StrategyGreedyAll, StrategyCELF, StrategyMLCELF:
+		err = placeExact(ctx, ev, k, opts, &res)
 	case StrategyNaive:
 		err = placeNaive(ctx, ev, k, opts, &res)
 	case StrategyApproxCELF:
 		err = placeApproxCELF(ctx, ev, k, opts, &res)
-	case StrategyMLCELF:
-		err = placeMultilevel(ctx, ev, k, opts, &res)
 	case StrategyGreedyMax:
 		n := ev.Model().N()
 		res.Filters = topK(impactsOf(ev, nil, opts.Parallelism, &res), k)
@@ -185,8 +185,8 @@ func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result,
 		return Result{}, fmt.Errorf("core: strategy %q has no implementation", opts.Strategy)
 	}
 	if hasPasses {
-		// Accumulate rather than assign: ml-celf has already charged its
-		// quotient engine's passes to res.Passes.
+		// Accumulate rather than assign: a placement that ran on a quotient
+		// has already charged the quotient engine's passes to res.Passes.
 		f, s := passCounter.Passes()
 		res.Passes.Forward += f - passF0
 		res.Passes.Suffix += s - passS0
@@ -221,46 +221,6 @@ func impactsOf(ev flow.Evaluator, filters []bool, procs int, res *Result) []floa
 		}
 	}
 	return ev.Impacts(filters)
-}
-
-// placeGreedyAll runs the closed-form greedy: per round one forward and
-// one backward pass yield every candidate's exact gain.
-func placeGreedyAll(ctx context.Context, ev flow.Evaluator, k int, opts Options, res *Result) error {
-	n := ev.Model().N()
-	pe, canPar := ev.(flow.ParallelEvaluator)
-	procs := opts.Parallelism
-	if procs > 1 && canPar {
-		res.Parallelism = procs
-	} else {
-		procs = 1
-	}
-	filters := make([]bool, n)
-	chosen := make([]int, 0, k)
-	for len(chosen) < k {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sp := opts.Trace.Begin("greedy-round")
-		var v int
-		var gain float64
-		if procs > 1 {
-			v, gain = pe.ArgmaxImpactP(filters, filters, procs)
-		} else {
-			v, gain = ev.ArgmaxImpact(filters, filters)
-		}
-		sp.AddEvals(int64(n))
-		sp.SetWorkers(procs)
-		sp.End()
-		res.Stats.GainEvaluations += n
-		if v < 0 || gain <= 0 {
-			break // no further filter reduces multiplicity
-		}
-		filters[v] = true
-		chosen = append(chosen, v)
-		res.Stats.Iterations++
-	}
-	res.Filters = chosen
-	return nil
 }
 
 // evalPool shards per-candidate exact gain evaluations Φ(A) − Φ(A∪{v})

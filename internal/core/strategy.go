@@ -10,15 +10,19 @@ type Strategy string
 
 const (
 	// StrategyGreedyAll is the paper's Greedy_All via the closed-form
-	// marginal gain: one forward + one backward pass per round. With
+	// marginal gain: one forward + one backward pass per round. It first
+	// contracts the graph with flow.Coarsen's lossless rules when a size
+	// check says the smaller sweeps repay the contraction, then projects
+	// each quotient pick to its supernode head; the filters are the same
+	// either way, and Result.CoarsenStats says when it coarsened. With
 	// Parallelism > 1 on a flow.ParallelEvaluator the passes shard by
 	// topological level.
 	StrategyGreedyAll Strategy = "greedy-all"
 	// StrategyCELF names CELF lazy evaluation and runs StrategyGreedyAll's
-	// loop: one closed-form sweep prices every candidate of a round, so a
+	// path: one closed-form sweep prices every candidate of a round, so a
 	// lazy heap would save no passes, and greedy-all's argmax compares the
-	// big engine's gains exactly. Its Result (filters, Stats, Passes) is
-	// greedy-all's.
+	// big engine's gains exactly. Its Result (filters, Stats, Passes,
+	// CoarsenStats) is greedy-all's.
 	StrategyCELF Strategy = "celf"
 	// StrategyNaive is Greedy_All at the paper's cost profile with no
 	// laziness: every candidate re-evaluates every round. Candidates shard
@@ -31,11 +35,9 @@ const (
 	// the target relative error; Result.PhiCI reports the sampled
 	// confidence interval on Φ(A).
 	StrategyApproxCELF Strategy = "approx-celf"
-	// StrategyMLCELF is multilevel greedy: contract the graph with
-	// flow.Coarsen's lossless rules, run StrategyGreedyAll's loop on the
-	// quotient and project each pick to its supernode head. The filters
-	// are bit-for-bit StrategyGreedyAll's; only the sweeps are smaller.
-	// Result.CoarsenStats reports the contraction.
+	// StrategyMLCELF names multilevel greedy and runs StrategyGreedyAll's
+	// path, which already coarsens first wherever that pays. Its Result is
+	// greedy-all's; the name stays for callers and caches that use it.
 	StrategyMLCELF Strategy = "ml-celf"
 	// StrategyGreedyMax is the paper's Greedy_Max (impacts once, top k).
 	StrategyGreedyMax Strategy = "greedy-max"

@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Graph coarsening for multilevel placement: contract a Model into a
@@ -120,12 +121,37 @@ func (cm *CoarsenMap) ProjectFilters(qFilters []int) []int {
 
 // coarsener is the working state of one contraction, all on ORIGINAL ids.
 type coarsener struct {
-	m        *Model
-	p        *Plan   // m's plan: the rows every sweep reads
+	m *Model
+	p *Plan // m's plan: the rows every sweep reads
+	coarsenScratch
+	// absorbedIn counts the in-edges of absorbed sinks, which leave the
+	// quotient with them.
+	absorbedIn int
+	stats      CoarsenStats
+}
+
+// coarsenScratch is the per-node state a contraction needs only while it
+// runs. It is pooled: the exact path may coarsen on every placement, and
+// these arrays are most of what a contraction would otherwise allocate.
+type coarsenScratch struct {
 	parent   []int32 // union-find, path-halving; root == supernode head
 	w        []int64 // per-root multiplicity weight
 	absorbed []bool  // per-root: dissolved into pure weight
-	stats    CoarsenStats
+}
+
+var coarsenPool = sync.Pool{New: func() any { return new(coarsenScratch) }}
+
+// reset sizes the scratch to n singleton supernodes of weight 0.
+func (s *coarsenScratch) reset(n int) {
+	if cap(s.parent) < n {
+		s.parent, s.w, s.absorbed = make([]int32, n), make([]int64, n), make([]bool, n)
+	}
+	s.parent, s.w, s.absorbed = s.parent[:n], s.w[:n], s.absorbed[:n]
+	for v := range s.parent {
+		s.parent[v] = int32(v)
+	}
+	clear(s.w)
+	clear(s.absorbed)
 }
 
 // find returns the root (head) of v's supernode with path halving.
@@ -170,10 +196,47 @@ func (c *coarsener) absorbSinks() {
 		}
 		c.absorbed[r] = true
 		c.stats.SinksAbsorbed++
+		c.absorbedIn += int(p.inOff[i+1] - p.inOff[i])
 		for _, q := range p.inAdj[p.inOff[i]:p.inOff[i+1]] {
 			c.w[c.find(p.perm[q])]++
 		}
 	}
+}
+
+// CoarsenSize returns the node and edge counts of the quotient Coarsen
+// would build from m — its CoarsenStats.NodesAfter and EdgesAfter — from
+// one pass over the plan's row offsets, before any union-find runs. Fold
+// takes exactly the nodes of in-degree 1, each with its one in-edge.
+// Absorption takes exactly the other non-source nodes with no out-edges:
+// with no children nothing folds or absorbs into them, so their weight is
+// always 0. Each such sink removes its in-edges with it. m must be one
+// Coarsen accepts (unweighted, not coarse). The counts are cached with
+// the model's other invariants, so only a model's first call pays.
+func CoarsenSize(m *Model) (nodes, edges int) {
+	m.inv.sizeOnce.Do(func() { m.inv.qNodes, m.inv.qEdges = coarsenSize(m) })
+	return m.inv.qNodes, m.inv.qEdges
+}
+
+func coarsenSize(m *Model) (nodes, edges int) {
+	p, src := m.Plan(), m.planSources()
+	nodes, edges = p.n, p.M()
+	inOff, outOff, src := p.inOff[:p.n+1], p.outOff[:p.n+1], src[:p.n]
+	// Branch-free: in-degree 1 is a coin flip on graphs like twitter.
+	for i := 0; i < p.n; i++ {
+		in := int(inOff[i+1] - inOff[i])
+		fold := b2i(in == 1)
+		sink := b2i(outOff[i] == outOff[i+1]) &^ fold &^ b2i(src[i])
+		nodes -= fold + sink
+		edges -= fold + sink*in
+	}
+	return nodes, edges
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Coarsen contracts m into a quotient model whose Φ, marginal gains and
@@ -192,10 +255,10 @@ func Coarsen(m *Model, _ CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, err
 		return nil, nil, CoarsenStats{}, fmt.Errorf("flow: cannot coarsen an already-coarse model")
 	}
 	n, p := m.N(), m.Plan()
-	c := &coarsener{m: m, p: p, parent: make([]int32, n), w: make([]int64, n), absorbed: make([]bool, n)}
-	for v := range c.parent {
-		c.parent[v] = int32(v)
-	}
+	scratch := coarsenPool.Get().(*coarsenScratch)
+	defer coarsenPool.Put(scratch)
+	scratch.reset(n)
+	c := &coarsener{m: m, p: p, coarsenScratch: *scratch}
 	c.stats = CoarsenStats{NodesBefore: n, EdgesBefore: p.M()}
 	c.fold()
 	c.absorbSinks()
@@ -213,7 +276,11 @@ func Coarsen(m *Model, _ CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, err
 // original ids.
 func (c *coarsener) buildQuotient() (*Model, *CoarsenMap, error) {
 	n, p := len(c.parent), c.p
-	cm := &CoarsenMap{n: n, origTo: make([]int32, n)}
+	// Every array below is sized exactly: fold removed one node and its
+	// in-edge per fold, absorption one node and its in-edges per sink.
+	qn, qe := n-c.stats.Folded-c.stats.SinksAbsorbed, p.M()-c.stats.Folded-c.absorbedIn
+	cm := &CoarsenMap{n: n, qn: qn, origTo: make([]int32, n),
+		heads: make([]int32, 0, qn), absorbed: make([]int32, 0, c.stats.SinksAbsorbed)}
 	// Live heads take quotient ids in ascending order; absorbed nodes are
 	// memberless roots and map to -1; every other node takes its root's id.
 	for v := int32(0); v < int32(n); v++ {
@@ -222,12 +289,10 @@ func (c *coarsener) buildQuotient() (*Model, *CoarsenMap, error) {
 			cm.origTo[v] = -1
 			cm.absorbed = append(cm.absorbed, v)
 		case c.parent[v] == v:
-			cm.origTo[v] = int32(cm.qn)
+			cm.origTo[v] = int32(len(cm.heads))
 			cm.heads = append(cm.heads, v)
-			cm.qn++
 		}
 	}
-	qn := cm.qn
 	// Fibers: two-pass counting sort keeps members ascending per fiber.
 	cm.fiberOff = make([]int32, qn+1)
 	for v := int32(0); v < int32(n); v++ {
@@ -267,7 +332,7 @@ func (c *coarsener) buildQuotient() (*Model, *CoarsenMap, error) {
 	// plan order, the heads also give the quotient's topological order
 	// (see the header). The out-rows are the in-rows' transpose.
 	in, topo := make([][]int, qn), make([]int, 0, qn)
-	inAdj := make([]int, 0, p.M())
+	inAdj := make([]int, 0, qe)
 	for i, v := range p.perm {
 		if c.parent[v] != v || c.absorbed[v] {
 			continue

@@ -445,6 +445,9 @@ func FuzzCoarsen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if qn, qe := CoarsenSize(m); qn != st.NodesAfter || qe != st.EdgesAfter {
+			t.Fatalf("CoarsenSize predicted %d nodes, %d edges; Coarsen built %+v", qn, qe, st)
+		}
 		checkFiberPartition(t, m, cm)
 		checkQuotientPlan(t, m, qm, cm)
 		for q := 0; q < cm.QN(); q++ {

@@ -122,7 +122,8 @@ type graphCache struct {
 // of a model pays the forward passes of its arithmetic — one for an
 // unweighted float model, whose F(V) has a closed form over the Φ(∅)
 // pass, two for a weighted one and for BigEngine; every later engine
-// reads the cache and runs none.
+// reads the cache and runs none. The exact greedy path's size check
+// (CoarsenSize) is cached here too.
 type invariants struct {
 	srcOnce sync.Once
 	src     []bool
@@ -133,6 +134,9 @@ type invariants struct {
 	bigOnce              sync.Once
 	bigMul               []*big.Int
 	bigPhiEmpty, bigMaxF *big.Int
+
+	sizeOnce       sync.Once
+	qNodes, qEdges int
 }
 
 // NewModel validates and builds a propagation model. sources lists the

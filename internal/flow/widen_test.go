@@ -12,11 +12,12 @@ import (
 	"repro/internal/graph"
 )
 
-// TestPlanBuiltModelNeverWidens: the exact and multilevel paths read the
-// plan alone. On a model stood up over a plan (a PATCHed version), Coarsen,
-// the big engine and ml-celf on both engines leave its digraph unbuilt —
-// and the quotient's too — and return exactly what they return on the
-// twin built from the digraph.
+// TestPlanBuiltModelNeverWidens: the exact path reads the plan alone. On a
+// model stood up over a plan (a PATCHed version), Coarsen, the big engine
+// and greedy-all, celf and ml-celf on both engines — each of which
+// coarsens this chain graph first — leave its digraph unbuilt, and the
+// quotient's too, and return exactly what they return on the twin built
+// from the digraph.
 func TestPlanBuiltModelNeverWidens(t *testing.T) {
 	// Relabel so plan positions and node ids differ.
 	cg, csrc := gen.ChainDAG(3000, 8, 1)
@@ -84,18 +85,20 @@ func TestPlanBuiltModelNeverWidens(t *testing.T) {
 		"big":   func(mm *flow.Model) flow.Evaluator { return flow.NewBig(mm) },
 	}
 	for name, mk := range engines {
-		opts := core.Options{Strategy: core.StrategyMLCELF, Parallelism: 2}
-		got, err := core.Place(context.Background(), mk(m), 5, opts)
-		if err != nil {
-			t.Fatal(err)
+		for _, strat := range []core.Strategy{core.StrategyGreedyAll, core.StrategyCELF, core.StrategyMLCELF} {
+			opts := core.Options{Strategy: strat, Parallelism: 2}
+			got, err := core.Place(context.Background(), mk(m), 5, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Place(context.Background(), mk(twin), 5, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.CoarsenStats == nil || *got.CoarsenStats != st || !reflect.DeepEqual(got.Filters, want.Filters) || got.Stats != want.Stats {
+				t.Fatalf("%s %s: filters %v stats %+v coarsen %v, twin %v %+v", name, strat, got.Filters, got.Stats, got.CoarsenStats, want.Filters, want.Stats)
+			}
+			unbuilt(name+" "+string(strat), m)
 		}
-		want, err := core.Place(context.Background(), mk(twin), 5, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.CoarsenStats == nil || *got.CoarsenStats != st || !reflect.DeepEqual(got.Filters, want.Filters) || got.Stats != want.Stats {
-			t.Fatalf("%s ml-celf: filters %v stats %+v coarsen %v, twin %v %+v", name, got.Filters, got.Stats, got.CoarsenStats, want.Filters, want.Stats)
-		}
-		unbuilt(name+" ml-celf", m)
 	}
 }

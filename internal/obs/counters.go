@@ -69,8 +69,8 @@ var (
 	ApproxPlacements       = counter("approx_placements_total", "", "Placements driven by sampled gain estimates.")
 	SampledEvaluations     = counter("approx_sampled_evaluations_total", "sampled_evaluations", "Sampled (approximate-engine) gain estimates.")
 	ApproxExactRechecks    = counter("approx_exact_rechecks_total", "", "Exact oracle evaluations spent by estimate-driven placements.")
-	CoarsenPlacements      = counter("coarsen_placements_total", "coarsen_placements", "Multilevel placements run through graph coarsening.")
-	CoarsenNodesContracted = counter("coarsen_nodes_contracted_total", "coarsen_nodes_contracted", "Nodes removed by graph coarsening.")
+	CoarsenPlacements      = counter("coarsen_placements_total", "coarsen_placements", "Exact greedy placements (greedy-all, celf, ml-celf) run on a coarsened quotient.")
+	CoarsenNodesContracted = counter("coarsen_nodes_contracted_total", "coarsen_nodes_contracted", "Nodes removed by the coarsening of exact greedy placements.")
 	Placements             = counter("", "placements", "Placements executed.")
 	ForwardPasses          = counter("", "forward_passes", "Forward topological passes executed.")
 	SuffixPasses           = counter("", "suffix_passes", "Suffix topological passes executed.")

@@ -118,9 +118,10 @@ type TenantUsage struct {
 	// repair is a rebuild; it keeps its key for existing readers.
 	PlanSplices  int64 `json:"plan_splices"`
 	PlanRebuilds int64 `json:"plan_rebuilds"`
-	// CoarsenPlacements counts the tenant's multilevel (mlcelf)
-	// placements; CoarsenNodesContracted the nodes their coarsening
-	// removed before the quotient solve.
+	// CoarsenPlacements counts the tenant's exact greedy placements
+	// (gall, celf, mlcelf) that ran on a coarsened quotient;
+	// CoarsenNodesContracted the nodes their coarsening removed before
+	// the quotient solve.
 	CoarsenPlacements      int64 `json:"coarsen_placements"`
 	CoarsenNodesContracted int64 `json:"coarsen_nodes_contracted"`
 }

@@ -107,7 +107,7 @@ func ledgerWorkload(t *testing.T, s *Server, base string, joined func() int64) {
 	var first, g, p GraphInfo
 	expect("upload", ledgerCall(t, "POST", base+"/v1/graphs", tenant, GraphSpec{Edges: diamond}, &first), http.StatusCreated)
 	expect("upload", ledgerCall(t, "POST", base+"/v1/graphs", tenant,
-		GraphSpec{Generator: "layered", Levels: 4, PerLevel: 8, Seed: 5}, &g), http.StatusCreated)
+		GraphSpec{Generator: "quote", Seed: 5}, &g), http.StatusCreated)
 	expect("upload", ledgerCall(t, "POST", base+"/v1/graphs", tenant, GraphSpec{Edges: diamond}, &p), http.StatusCreated)
 
 	// An SSE subscriber that never reads: publishes past its one-slot

@@ -10,13 +10,18 @@ import (
 )
 
 // TestMLCELFPlacementEndToEnd drives multilevel placement through the
-// HTTP surface: an async "mlcelf" job returns celf's filters plus
+// HTTP surface: an async "mlcelf" job returns celf's filters and
 // coarsening stats, its timeline records the coarsen stage, the
 // fpd_coarsen_* counters move, and the tenant is charged for the
 // contraction.
 func TestMLCELFPlacementEndToEnd(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
-	info := uploadLayered(t, ts.URL, 23)
+	// twitter contracts to a handful of supernodes, so the exact path
+	// coarsens first at any budget.
+	var info server.GraphInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", server.GraphSpec{Generator: "twitter", Scale: 0.05, Seed: 23}, &info); code != http.StatusCreated {
+		t.Fatalf("upload twitter: status %d", code)
+	}
 
 	var ji server.JobInfo
 	code, _ := doJSONHeaders(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place",
@@ -49,7 +54,9 @@ func TestMLCELFPlacementEndToEnd(t *testing.T) {
 		}
 	}
 
-	// An mlcelf placement equals celf's on the same graph.
+	// An mlcelf placement equals celf's on the same graph: both run one
+	// exact path, which coarsened here, so celf reports the same
+	// contraction and oracle work.
 	var celfJob server.JobInfo
 	code, _ = doJSONHeaders(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place", nil,
 		server.PlaceSpec{Algorithm: "celf", K: 3}, &celfJob)
@@ -59,6 +66,12 @@ func TestMLCELFPlacementEndToEnd(t *testing.T) {
 	celfDone := waitJob(t, ts.URL, celfJob.ID)
 	if celfDone.Result == nil {
 		t.Fatalf("celf job state %s", celfDone.State)
+	}
+	if c := celfDone.Result.Coarsen; c == nil || *c != *res.Coarsen {
+		t.Errorf("celf coarsen %+v, mlcelf %+v", c, res.Coarsen)
+	}
+	if o := celfDone.Result.Oracle; o == nil || res.Oracle == nil || *o != *res.Oracle {
+		t.Errorf("celf oracle %+v, mlcelf %+v", o, res.Oracle)
 	}
 	if want := celfDone.Result.Filters; len(want) != len(res.Filters) {
 		t.Errorf("mlcelf filters %v, celf filters %v", res.Filters, want)
