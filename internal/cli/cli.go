@@ -71,60 +71,19 @@ func RunFpexp(args []string, stdout, stderr io.Writer) error {
 func RunFpgen(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fpgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var p gen.Params
 	var (
-		dataset  = fs.String("dataset", "", "quote | twitter | citation | layered | dag | powerlaw | tree | chain | deep | fig1 | fig2 | fig3")
-		out      = fs.String("out", "-", "output file ('-' for stdout)")
-		seed     = fs.Int64("seed", 1, "generator seed")
-		scale    = fs.Float64("scale", 1, "twitter: level-size scale in (0,1]")
-		x        = fs.Float64("x", 1, "layered: edge-probability numerator")
-		y        = fs.Float64("y", 4, "layered: edge-probability base")
-		levels   = fs.Int("levels", 10, "layered: number of levels")
-		perLevel = fs.Int("perlevel", 100, "layered: expected nodes per level")
-		n        = fs.Int("n", 1000, "dag/powerlaw/tree/chain/deep: node count")
-		p        = fs.Float64("p", 0.01, "dag: edge probability; tree: source-link probability")
-		epn      = fs.Int("epn", 3, "powerlaw: average edges per node")
-		chainLen = fs.Int("chainlen", 8, "chain: mean relay-chain length")
-		depth    = fs.Int("depth", 50, "deep: level count")
+		dataset = fs.String("dataset", "", strings.Join(gen.Names(), " | "))
+		out     = fs.String("out", "-", "output file ('-' for stdout)")
 	)
+	fs.Int64Var(&p.Seed, "seed", 1, "generator seed (0 means 1)")
+	datasetFlags(fs, &p)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var g *graph.Digraph
-	var sources []int
-	single := func(gg *graph.Digraph, s int) {
-		g, sources = gg, []int{s}
-	}
-	switch *dataset {
-	case "quote":
-		single(gen.QuoteLike(*seed))
-	case "twitter":
-		if *scale <= 0 || *scale > 1 {
-			return fmt.Errorf("fpgen: -scale %v outside (0,1]", *scale)
-		}
-		single(gen.TwitterLike(*scale, *seed))
-	case "citation":
-		single(gen.CitationLike(*seed))
-	case "layered":
-		single(gen.Layered(*levels, *perLevel, *x, *y, *seed))
-	case "dag":
-		single(gen.RandomDAG(*n, *p, *seed))
-	case "powerlaw":
-		single(gen.PowerLawDAG(*n, *epn, *seed))
-	case "tree":
-		single(gen.RandomCTree(*n, *p, *seed))
-	case "chain":
-		single(gen.ChainDAG(*n, *chainLen, *seed))
-	case "deep":
-		single(gen.DeepDAG(*n, *depth, *seed))
-	case "fig1":
-		single(gen.Figure1())
-	case "fig2":
-		single(gen.Figure2())
-	case "fig3":
-		gg, ss := gen.Figure3()
-		g, sources = gg, ss
-	default:
-		return fmt.Errorf("fpgen: unknown dataset %q", *dataset)
+	g, sources, err := gen.Build(*dataset, p)
+	if err != nil {
+		return fmt.Errorf("fpgen: %w", err)
 	}
 
 	w := stdout
@@ -141,6 +100,27 @@ func RunFpgen(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "fpgen: %d nodes, %d edges, source(s) %v\n", g.N(), g.M(), sources)
 	return nil
+}
+
+// datasetFlags registers one flag per dataset-table parameter, bound to
+// its field of p. A flag defaults to 0, which gives each dataset its own
+// default; the help text lists every dataset that reads the flag.
+func datasetFlags(fs *flag.FlagSet, p *gen.Params) {
+	for _, d := range gen.Datasets() {
+		for _, prm := range d.Params {
+			help := fmt.Sprintf("%s: %s (default %v)", d.Name, prm.Usage, prm.Def)
+			if f := fs.Lookup(prm.Name); f != nil {
+				f.Usage += "; " + help
+				continue
+			}
+			switch v := p.Field(prm.Name).(type) {
+			case *int:
+				fs.IntVar(v, prm.Name, 0, help)
+			case *float64:
+				fs.Float64Var(v, prm.Name, 0, help)
+			}
+		}
+	}
 }
 
 // RunFpplace is the fpplace command: place filters on one edge-list graph,
@@ -185,6 +165,13 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 			return fmt.Errorf("fpplace: %w", err)
 		}
 	}
+	if err := flow.CheckEngine(*engine, *weighted); err != nil {
+		return fmt.Errorf("fpplace: %w", err)
+	}
+	if *weighted && *acyclicF {
+		return fmt.Errorf("fpplace: -weighted requires an acyclic input (no -acyclic)")
+	}
+	l := &loader{stdin: stdin, stderr: stderr, engine: *engine, source: *source, weighted: *weighted, acyclic: *acyclicF}
 	if len(inputs) > 1 {
 		if *acyclicF || *weighted || *impacts || *dotOut != "" || *algo == "tree" {
 			return fmt.Errorf("fpplace: batched placement over %d files supports plain placement only (no -acyclic, -weighted, -impacts, -dot or tree)", len(inputs))
@@ -192,81 +179,16 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 		if slices.Contains(inputs, "-") {
 			return fmt.Errorf("fpplace: stdin ('-') cannot be combined with batched placement; pass files only")
 		}
-		return runFpplaceBatch(inputs, *k, opts, *engine, *source, *quiet, stdout, stderr)
+		return runFpplaceBatch(inputs, l, *k, opts, *quiet, stdout, stderr)
 	}
-	*in = inputs[0]
-
-	var g *graph.Digraph
-	var weightFn func(u, v int) float64
-	var err error
-	read := func(r io.Reader) {
-		if *weighted {
-			g, weightFn, err = graph.ReadWeightedEdgeList(r)
-		} else {
-			g, err = graph.ReadEdgeList(r)
-		}
-	}
-	if *in == "-" {
-		read(stdin)
-	} else {
-		var f *os.File
-		f, err = os.Open(*in)
-		if err == nil {
-			read(f)
-			f.Close()
-		}
-	}
+	g, ev, err := l.load(inputs[0])
 	if err != nil {
 		return fmt.Errorf("fpplace: %w", err)
 	}
-	if *weighted && (*acyclicF || *engine == "big") {
-		return fmt.Errorf("fpplace: -weighted requires the float engine and an acyclic input")
-	}
-	sources := []int{}
-	if *source >= 0 {
-		sources = []int{*source}
-	}
-
-	if *acyclicF {
-		var st acyclic.BuildStats
-		if *source >= 0 {
-			g, st, err = acyclic.Build(g, *source)
-		} else {
-			var root int
-			g, root, st, err = acyclic.BestRoot(g)
-			sources = []int{root}
-			if err == nil {
-				fmt.Fprintf(stderr, "fpplace: best acyclic root = %s\n", g.Label(root))
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("fpplace: %w", err)
-		}
-		fmt.Fprintf(stderr, "fpplace: acyclic: visited %d nodes, %d tree + %d extra edges, %d rejected\n",
-			st.Visited, st.TreeEdges, st.ExtraEdges, st.Rejected)
-	}
-
 	if *showStats {
 		ins, outs := g.InDegreeStats(), g.OutDegreeStats()
 		fmt.Fprintf(stderr, "fpplace: %d nodes, %d edges; indeg mean %.2f max %d; outdeg mean %.2f max %d; %d sinks\n",
 			g.N(), g.M(), ins.Mean, ins.Max, outs.Mean, outs.Max, len(g.Sinks()))
-	}
-
-	m, err := flow.NewModel(g, sources)
-	if err != nil {
-		return fmt.Errorf("fpplace: %w", err)
-	}
-	if weightFn != nil {
-		m = m.WithWeights(weightFn)
-	}
-	var ev flow.Evaluator
-	switch *engine {
-	case "float":
-		ev = flow.NewFloat(m)
-	case "big":
-		ev = flow.NewBig(m)
-	default:
-		return fmt.Errorf("fpplace: unknown engine %q", *engine)
 	}
 
 	if *impacts {
@@ -283,10 +205,11 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	var phiCI *flow.MCResult
 	var coarsenStats *flow.CoarsenStats
 	if *algo == "tree" {
-		if len(m.Sources()) != 1 {
-			return fmt.Errorf("fpplace: tree DP needs exactly one source, have %d", len(m.Sources()))
+		sources := ev.Model().Sources()
+		if len(sources) != 1 {
+			return fmt.Errorf("fpplace: tree DP needs exactly one source, have %d", len(sources))
 		}
-		filters, _, err = core.TreeDP(g, m.Sources()[0], *k)
+		filters, _, err = core.TreeDP(g, sources[0], *k)
 		if err != nil {
 			return fmt.Errorf("fpplace: %w", err)
 		}
@@ -372,39 +295,88 @@ func placeOptions(algo string, procs int, seed int64, quality float64) (core.Opt
 	return opts, opts.Validate()
 }
 
+// loader reads each fpplace input: the solo and batch runs turn a file
+// into its graph, model and engine by this one path.
+type loader struct {
+	stdin             io.Reader
+	stderr            io.Writer
+	engine            string
+	source            int
+	weighted, acyclic bool
+}
+
+// load reads the edge list at path ('-' for stdin) and builds its engine.
+// The model's sources are the -source node, or every in-degree-0 node;
+// with -acyclic the maximal acyclic subgraph is extracted first (paper
+// §4.3), rooted at -source or at the best root.
+func (l *loader) load(path string) (*graph.Digraph, flow.Evaluator, error) {
+	r := l.stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	var (
+		g      *graph.Digraph
+		weight func(u, v int) float64
+		err    error
+	)
+	if l.weighted {
+		g, weight, err = graph.ReadWeightedEdgeList(r)
+	} else {
+		g, err = graph.ReadEdgeList(r)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	sources := []int{}
+	if l.source >= 0 {
+		sources = []int{l.source}
+	}
+	if l.acyclic {
+		var st acyclic.BuildStats
+		if l.source >= 0 {
+			g, st, err = acyclic.Build(g, l.source)
+		} else {
+			var root int
+			g, root, st, err = acyclic.BestRoot(g)
+			sources = []int{root}
+			if err == nil {
+				fmt.Fprintf(l.stderr, "fpplace: best acyclic root = %s\n", g.Label(root))
+			}
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(l.stderr, "fpplace: acyclic: visited %d nodes, %d tree + %d extra edges, %d rejected\n",
+			st.Visited, st.TreeEdges, st.ExtraEdges, st.Rejected)
+	}
+	m, err := flow.NewModel(g, sources)
+	if err != nil {
+		return nil, nil, err
+	}
+	if weight != nil {
+		m = m.WithWeights(weight)
+	}
+	ev, err := flow.NewEngine(l.engine, m)
+	return g, ev, err
+}
+
 // runFpplaceBatch places the same options on every input file as one gang
 // through core.PlaceBatch. Results per graph are bit-identical to a solo
 // fpplace run on that file; only scheduling is shared.
-func runFpplaceBatch(inputs []string, k int, opts core.Options, engine string, source int, quiet bool, stdout, stderr io.Writer) error {
+func runFpplaceBatch(inputs []string, l *loader, k int, opts core.Options, quiet bool, stdout, stderr io.Writer) error {
 	graphs := make([]*graph.Digraph, len(inputs))
 	evs := make([]flow.Evaluator, len(inputs))
 	for i, path := range inputs {
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("fpplace: %w", err)
-		}
-		g, err := graph.ReadEdgeList(f)
-		f.Close()
+		g, ev, err := l.load(path)
 		if err != nil {
 			return fmt.Errorf("fpplace: %s: %w", path, err)
 		}
-		sources := []int{}
-		if source >= 0 {
-			sources = []int{source}
-		}
-		m, err := flow.NewModel(g, sources)
-		if err != nil {
-			return fmt.Errorf("fpplace: %s: %w", path, err)
-		}
-		graphs[i] = g
-		switch engine {
-		case "float":
-			evs[i] = flow.NewFloat(m)
-		case "big":
-			evs[i] = flow.NewBig(m)
-		default:
-			return fmt.Errorf("fpplace: unknown engine %q", engine)
-		}
+		graphs[i], evs[i] = g, ev
 	}
 	results, err := core.PlaceBatch(context.Background(), evs, k, opts)
 	if err != nil {

@@ -388,6 +388,34 @@ type Evaluator interface {
 	MaxF() float64
 }
 
+// NewEngine builds the evaluator named engine over m: "" or "float" gives
+// NewFloat, "big" gives NewBig. It refuses what CheckEngine refuses.
+func NewEngine(engine string, m *Model) (Evaluator, error) {
+	if err := CheckEngine(engine, m.Weighted()); err != nil {
+		return nil, err
+	}
+	if engine == "big" {
+		return NewBig(m), nil
+	}
+	return NewFloat(m), nil
+}
+
+// CheckEngine reports whether NewEngine accepts engine for a model with
+// or without relay probabilities, without building anything: an unknown
+// name, or the big engine on a weighted model, is an error.
+func CheckEngine(engine string, weighted bool) error {
+	switch engine {
+	case "", "float":
+		return nil
+	case "big":
+		if weighted {
+			return errors.New("the big engine has no weighted model (have float)")
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown engine %q (have float, big)", engine)
+}
+
 // FR returns the paper's Filter Ratio F(A)/F(V) for the given filter set,
 // clamped to [0, 1]. By convention FR is 1 when F(V) = 0 (a filter-less
 // graph with no redundancy at all cannot be improved, so any placement is

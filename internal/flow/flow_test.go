@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -498,4 +499,28 @@ func randomSourcedDAG(rng *rand.Rand, n int, p float64) *graph.Digraph {
 		}
 	}
 	return b.MustBuild()
+}
+
+// TestNewEngine: engine names map to their evaluators, and the big engine
+// on a weighted model, or an unknown name, is an error instead of a panic.
+func TestNewEngine(t *testing.T) {
+	m := MustModel(fig1(t), nil)
+	for name, want := range map[string]any{"": &FloatEngine{}, "float": &FloatEngine{}, "big": &BigEngine{}} {
+		ev, err := NewEngine(name, m)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if got, want := fmt.Sprintf("%T", ev), fmt.Sprintf("%T", want); got != want {
+			t.Errorf("%q built %s, want %s", name, got, want)
+		}
+	}
+	weighted := m.WithWeights(func(u, v int) float64 { return 0.5 })
+	for _, tc := range []struct {
+		name string
+		m    *Model
+	}{{"big", weighted}, {"exact", m}} {
+		if ev, err := NewEngine(tc.name, tc.m); err == nil {
+			t.Errorf("%q on weighted=%v built %T", tc.name, tc.m.Weighted(), ev)
+		}
+	}
 }

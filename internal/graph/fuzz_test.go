@@ -2,12 +2,20 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
 
-// FuzzReadEdgeList checks the parser never panics on arbitrary input, and
-// that accepted inputs survive a write/read round trip.
+// fuzzLimits keeps fuzzed numeric ids small enough that no input makes
+// the builder allocate more than a few megabytes.
+var fuzzLimits = Limits{MaxEdges: 1 << 16, MaxNodeID: 1 << 16}
+
+// FuzzReadEdgeList checks the bounded parser never panics on arbitrary
+// input, that accepted inputs survive a write/read round trip, and that
+// the weighted reader, fed the same lines with a probability column
+// appended, accepts exactly the same inputs and agrees on the node set and
+// on numeric vs. label mode.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("# comment\nalpha beta\n\nbeta gamma\n")
@@ -15,16 +23,41 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("a  b\t\n")
 	f.Add("0 1 2\n")
 	f.Add(strings.Repeat("1 2\n", 100))
+	f.Add("0 2000000000\n")
+	f.Add("+1 2000000000\n")
+	f.Add("007 7\r\n0 99999999999999999999\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadEdgeList(strings.NewReader(input))
+		g, err := ReadEdgeListWithin(strings.NewReader(input), fuzzLimits)
+		if errors.Is(err, errLimit) {
+			return // the unbounded weighted reader would allocate it all
+		}
+		gw, w, werr := ReadWeightedEdgeList(strings.NewReader(withProbability(input)))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("readers disagree: plain %v, weighted %v", err, werr)
+		}
 		if err != nil {
 			return
 		}
+		if gw.N() != g.N() || gw.M() != g.M() || gw.HasLabels() != g.HasLabels() {
+			t.Fatalf("weighted read (%d nodes, %d edges, labels %v) differs from plain (%d, %d, %v)",
+				gw.N(), gw.M(), gw.HasLabels(), g.N(), g.M(), g.HasLabels())
+		}
+		for v := 0; v < g.N(); v++ {
+			if gw.Label(v) != g.Label(v) {
+				t.Fatalf("node %d: weighted label %q, plain %q", v, gw.Label(v), g.Label(v))
+			}
+		}
+		for _, e := range g.Edges() {
+			if p := w(e[0], e[1]); p != 0.5 {
+				t.Fatalf("edge %v: weight %v, want 0.5", e, p)
+			}
+		}
+
 		var buf bytes.Buffer
 		if err := WriteEdgeList(&buf, g); err != nil {
 			t.Fatalf("write after successful read: %v", err)
 		}
-		g2, err := ReadEdgeList(&buf)
+		g2, err := ReadEdgeListWithin(&buf, fuzzLimits)
 		if err != nil {
 			t.Fatalf("re-read of own output: %v", err)
 		}
@@ -32,6 +65,24 @@ func FuzzReadEdgeList(f *testing.F) {
 			t.Fatalf("round trip changed edge count %d → %d", g.M(), g2.M())
 		}
 	})
+}
+
+// withProbability appends a probability column to every edge line of an
+// edge list, leaving comments and blank lines as they are.
+func withProbability(input string) string {
+	var sb strings.Builder
+	for line := range strings.Lines(input) {
+		if f := strings.Fields(line); len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			sb.WriteString(line)
+			continue
+		}
+		body, nl := strings.CutSuffix(line, "\n")
+		sb.WriteString(body + " 0.5")
+		if nl {
+			sb.WriteString("\n")
+		}
+	}
+	return sb.String()
 }
 
 // FuzzBuilder checks that arbitrary edge batches either build a consistent

@@ -514,6 +514,24 @@ func TestEdgeListMalformed(t *testing.T) {
 	}
 }
 
+// TestEdgeListWithin: the bounded reader refuses lists past either limit,
+// and an id past MaxNodeID only while the list is in numeric mode.
+func TestEdgeListWithin(t *testing.T) {
+	lim := Limits{MaxEdges: 2, MaxNodeID: 10}
+	for _, in := range []string{"0 1\n1 2\n2 3\n", "0 11\n", "0 99999999999999999999\n"} {
+		if _, err := ReadEdgeListWithin(strings.NewReader(in), lim); err == nil {
+			t.Errorf("%q accepted within %+v", in, lim)
+		}
+	}
+	g, err := ReadEdgeListWithin(strings.NewReader("# c\n+1 2000000000\n"), lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 2 || !g.HasLabels() || g.Label(1) != "2000000000" {
+		t.Errorf("label-mode list read as %d nodes, labels %v", g.N(), g.HasLabels())
+	}
+}
+
 func TestEdgeListEmpty(t *testing.T) {
 	g, err := ReadEdgeList(strings.NewReader("# nothing\n"))
 	if err != nil {

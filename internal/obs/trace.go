@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"time"
 )
@@ -130,34 +129,23 @@ func (t *Trace) Observe(name string, start time.Time, d time.Duration) {
 
 func (t *Trace) record(name string, start time.Time, d time.Duration, evals int64, workers int) {
 	t.mu.Lock()
-	if i, ok := t.byName[name]; ok {
+	i, ok := t.byName[name]
+	if !ok && len(t.stages) >= maxTraceStages {
+		name = "(dropped)"
+		i, ok = t.byName[name]
+	}
+	var first func(name string)
+	if ok {
 		r := &t.stages[i]
 		r.DurationMS += float64(d) / float64(time.Millisecond)
 		r.Count++
 		r.Evals += evals
-		if workers > r.Workers {
-			r.Workers = workers
-		}
+		r.Workers = max(r.Workers, workers)
 	} else {
-		if len(t.stages) >= maxTraceStages {
-			name = "(dropped)"
-			if i, ok := t.byName[name]; ok {
-				r := &t.stages[i]
-				r.DurationMS += float64(d) / float64(time.Millisecond)
-				r.Count++
-				r.Evals += evals
-				t.mu.Unlock()
-				t.sinkObserve(name, d)
-				return
-			}
-		}
 		// Callers may pass timestamps taken just before the trace existed
 		// (a job's created stamp predates its NewTrace by nanoseconds);
 		// clamp so offsets never go negative.
-		offset := start.Sub(t.t0)
-		if offset < 0 {
-			offset = 0
-		}
+		offset := max(start.Sub(t.t0), 0)
 		t.byName[name] = len(t.stages)
 		t.stages = append(t.stages, StageRecord{
 			Name:       name,
@@ -167,14 +155,12 @@ func (t *Trace) record(name string, start time.Time, d time.Duration, evals int6
 			Evals:      evals,
 			Workers:    workers,
 		})
-		if fn := t.onStage; fn != nil {
-			t.mu.Unlock()
-			fn(name)
-			t.sinkObserve(name, d)
-			return
-		}
+		first = t.onStage
 	}
 	t.mu.Unlock()
+	if first != nil {
+		first(name)
+	}
 	t.sinkObserve(name, d)
 }
 
@@ -207,37 +193,6 @@ func (t *Trace) Snapshot() []StageRecord {
 	out := make([]StageRecord, len(t.stages))
 	copy(out, t.stages)
 	return out
-}
-
-// MergeStage folds one span into a frozen timeline (a Snapshot whose
-// Trace is gone) by the rules Trace applies: a known stage name
-// accumulates duration and count, a new one is appended at its offset
-// from t0, clamped at zero, and names past the distinct-stage bound go to
-// "(dropped)". The input is never modified, so snapshots already handed
-// out stay valid; the result is exactly sized.
-func MergeStage(stages []StageRecord, t0 time.Time, name string, start time.Time, d time.Duration) []StageRecord {
-	byName := func(r StageRecord) bool { return r.Name == name }
-	i := slices.IndexFunc(stages, byName)
-	if i < 0 && len(stages) >= maxTraceStages {
-		name = "(dropped)"
-		i = slices.IndexFunc(stages, byName)
-	}
-	ms := float64(d) / float64(time.Millisecond)
-	if i >= 0 {
-		out := slices.Clone(stages)
-		out[i].DurationMS += ms
-		out[i].Count++
-		return out
-	}
-	out := make([]StageRecord, len(stages), len(stages)+1)
-	copy(out, stages)
-	offset := max(start.Sub(t0), 0)
-	return append(out, StageRecord{
-		Name:       name,
-		StartMS:    float64(offset) / float64(time.Millisecond),
-		DurationMS: ms,
-		Count:      1,
-	})
 }
 
 // traceKey is the context key TraceFrom looks under.

@@ -113,39 +113,3 @@ func TestTraceContextRoundTrip(t *testing.T) {
 		t.Errorf("TraceFrom(empty) = %v, want nil", got)
 	}
 }
-
-// TestMergeStage: a frozen timeline merges spans by Trace's rules without
-// touching the slice it was given.
-func TestMergeStage(t *testing.T) {
-	t0 := time.Now()
-	tr := NewTrace()
-	tr.Observe("run", t0, 4*time.Millisecond)
-	frozen := tr.Snapshot()
-
-	added := MergeStage(frozen, t0, "plan-rebuild", t0.Add(-time.Second), 2*time.Millisecond)
-	if len(added) != 2 || cap(added) != 2 {
-		t.Fatalf("append: len %d cap %d, want an exactly sized 2", len(added), cap(added))
-	}
-	if r := added[1]; r.Name != "plan-rebuild" || r.StartMS != 0 || r.DurationMS != 2 || r.Count != 1 {
-		t.Errorf("appended record %+v", r)
-	}
-	merged := MergeStage(added, t0, "run", t0.Add(time.Second), 6*time.Millisecond)
-	if r := merged[0]; r.DurationMS != 10 || r.Count != 2 {
-		t.Errorf("merged record %+v, want 10 ms over 2 spans", r)
-	}
-	if frozen[0].Count != 1 || added[0].Count != 1 || len(frozen) != 1 {
-		t.Error("MergeStage modified its input")
-	}
-
-	full := make([]StageRecord, maxTraceStages)
-	for i := range full {
-		full[i].Name = fmt.Sprintf("s%d", i)
-	}
-	over := MergeStage(full, t0, "one-too-many", t0, time.Millisecond)
-	if len(over) != maxTraceStages+1 || over[maxTraceStages].Name != "(dropped)" {
-		t.Errorf("past the stage bound got %d records, last %q", len(over), over[len(over)-1].Name)
-	}
-	if again := MergeStage(over, t0, "another", t0, time.Millisecond); len(again) != len(over) || again[maxTraceStages].Count != 2 {
-		t.Error("a second excess name did not fold into (dropped)")
-	}
-}

@@ -2,13 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dyn"
@@ -30,8 +26,14 @@ func TestRequestPassBudget(t *testing.T) {
 	}
 	for _, engine := range []string{"float", "big"} {
 		sp := &PlaceSpec{Algorithm: "gmax", K: 3, Engine: engine}
-		sp.newEvaluator(m) // the model's first engine of this kind fills the cache
-		ev := sp.newEvaluator(m)
+		// The model's first engine of this kind fills the cache.
+		if _, err := flow.NewEngine(engine, m); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := flow.NewEngine(engine, m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := passes(ev); got != [2]int64{0, 0} {
 			t.Errorf("%s: engine build ran %v passes, want none", engine, got)
 		}
@@ -52,55 +54,6 @@ func TestRequestPassBudget(t *testing.T) {
 		if out.PhiEmpty != res.PhiEmpty {
 			t.Errorf("%s: gmax Φ(∅) %v, evaluate %v", engine, out.PhiEmpty, res.PhiEmpty)
 		}
-	}
-}
-
-// TestObserveStageAfterDone: PATCH may stamp its plan-rebuild span onto an
-// auto-maintain job that has already finished. The span must still merge
-// into the retired job's frozen timeline by name and show in
-// GET /v1/jobs/{id}, without disturbing snapshots handed out earlier.
-func TestObserveStageAfterDone(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	info, err := s.jobs.Submit("g1", PlaceSpec{Algorithm: "maintain", K: 1}, "k", JobMeta{}, nil, okFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitState(t, s.jobs, info.ID, JobDone)
-	if _, ok := timelineStages(done)["run"]; !ok {
-		t.Fatalf("done job timeline lacks the run stage: %+v", done.Timeline)
-	}
-
-	getJob := func() JobInfo {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+info.ID, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET job: status %d", rec.Code)
-		}
-		var got JobInfo
-		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	start := time.Now().Add(-time.Hour) // predates the job: offset clamps to 0
-	s.jobs.ObserveStage(info.ID, "plan-rebuild", start, 2*time.Millisecond)
-	first := getJob()
-	rebuild, ok := timelineStages(first)["plan-rebuild"]
-	if !ok || rebuild.Count != 1 || rebuild.DurationMS != 2 || rebuild.StartMS != 0 {
-		t.Fatalf("plan-rebuild after done: %+v (present %v)", rebuild, ok)
-	}
-	if len(first.Timeline) != len(done.Timeline)+1 {
-		t.Errorf("timeline grew from %d to %d stages, want one more", len(done.Timeline), len(first.Timeline))
-	}
-
-	held, _ := s.jobs.Get(info.ID)
-	s.jobs.ObserveStage(info.ID, "plan-rebuild", start, 3*time.Millisecond)
-	if rebuild := timelineStages(getJob())["plan-rebuild"]; rebuild.Count != 2 || rebuild.DurationMS != 5 {
-		t.Errorf("second plan-rebuild did not merge by name: %+v", rebuild)
-	}
-	if rebuild := timelineStages(held)["plan-rebuild"]; rebuild.Count != 1 {
-		t.Errorf("an earlier snapshot changed under a later merge: %+v", rebuild)
 	}
 }
 

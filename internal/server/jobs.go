@@ -101,8 +101,8 @@ type job struct {
 	// threads it through the run context so core.Place stages land
 	// on it too. Retirement freezes it into timeline and drops it.
 	trace *obs.Trace
-	// timeline is a terminal job's frozen stage list, exactly sized. It is
-	// replaced, never modified, so JobInfo snapshots may share it.
+	// timeline is a terminal job's frozen stage list, exactly sized. It
+	// never changes, so JobInfo snapshots may share it.
 	timeline []obs.StageRecord
 	cancel   context.CancelFunc
 	done     chan struct{}
@@ -239,8 +239,8 @@ func (e *JobEngine) Submit(graphID string, spec PlaceSpec, key string, meta JobM
 	e.nextID++
 	j.id = fmt.Sprintf("j%d", e.nextID)
 	j.state = JobQueued
-	j.trace = obs.NewTrace()          // t0 = submission; stage offsets are relative to it
-	j.created = j.trace.Start().UTC() // the epoch a retired job's timeline merges against
+	j.trace = obs.NewTrace() // t0 = submission; stage offsets are relative to it
+	j.created = j.trace.Start().UTC()
 	j.done = make(chan struct{})
 	e.jobs[j.id] = j
 	e.order = append(e.order, j.id)
@@ -493,26 +493,6 @@ func (e *JobEngine) Get(id string) (JobInfo, bool) {
 		return JobInfo{}, false
 	}
 	return e.infoLocked(j), true
-}
-
-// ObserveStage stamps a pre-measured span onto job id's timeline. The
-// PATCH handler uses it to attach the synchronous plan rebuild to the
-// auto-maintain job it enqueued — the handler holds no live trace of its
-// own, and the span predates the job's t0 (the offset is clamped). The
-// job may already be done, so a frozen timeline merges the span by name
-// just as the live trace would.
-func (e *JobEngine) ObserveStage(id, name string, start time.Time, d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j, ok := e.jobs[id]
-	if !ok {
-		return
-	}
-	if j.trace != nil {
-		j.trace.Observe(name, start, d)
-		return
-	}
-	j.timeline = obs.MergeStage(j.timeline, j.created, name, start, d)
 }
 
 // Cancel requests cancellation of job id: a queued job leaves the queue

@@ -29,8 +29,8 @@ type PatchSpec struct {
 
 // maxPatchAddNodes bounds node growth per batch: edge lists cost body
 // bytes, but a tiny "add_nodes" number would otherwise allocate adjacency
-// state for billions of nodes (the same OOM vector checkEdgeListBounds
-// closes for uploads).
+// state for billions of nodes (the same OOM vector uploadLimits closes
+// for uploads).
 const maxPatchAddNodes = 1_000_000
 
 // batch merges the structural and text mutation forms.
@@ -131,7 +131,7 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if spec.Maintain {
-		job, err := s.submitMaintain(id, spec.K, jobMetaOf(r))
+		job, err := s.submitMaintain(id, spec.K, jobMetaOf(r), patchStart, patchDur)
 		if err != nil {
 			// The mutation is committed either way; report the job failure
 			// in-band instead of failing the whole request.
@@ -139,9 +139,6 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 		} else {
 			out.Job = &job
 			w.Header().Set("Location", "/v1/jobs/"+job.ID)
-			// Stamp the synchronous repair onto the job's timeline so the
-			// per-job view shows the full PATCH→maintain pipeline.
-			s.jobs.ObserveStage(job.ID, "plan-rebuild", patchStart, patchDur)
 		}
 	}
 	s.writeJSON(w, r, http.StatusOK, out)
@@ -151,8 +148,11 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 // k-filter placement against its current version. The cache key carries
 // the patch count (read under the registry lock — the overlay's dynMu may
 // be held by a long maintain run), so each graph version computes at most
-// once and concurrent identical requests dedup onto one job.
-func (s *Server) submitMaintain(id string, k int, meta JobMeta) (JobInfo, error) {
+// once and concurrent identical requests dedup onto one job. When the job
+// starts it records the PATCH's synchronous plan rebuild, which began at
+// rebuildStart and took rebuild, on its own trace, so the per-job view
+// shows the whole PATCH→maintain pipeline.
+func (s *Server) submitMaintain(id string, k int, meta JobMeta, rebuildStart time.Time, rebuild time.Duration) (JobInfo, error) {
 	_, info, ok := s.registry.Get(id)
 	if !ok {
 		return JobInfo{}, ErrUnknownGraph
@@ -160,6 +160,7 @@ func (s *Server) submitMaintain(id string, k int, meta JobMeta) (JobInfo, error)
 	key := fmt.Sprintf("%s|maintain|%d|float|v%d|", id, k, info.Patches)
 	spec := PlaceSpec{Algorithm: "maintain", K: k, Engine: "float"}
 	job, err := s.jobs.Submit(id, spec, key, meta, nil, func(ctx context.Context) (*PlaceResult, error) {
+		obs.TraceFrom(ctx).Observe("plan-rebuild", rebuildStart, rebuild)
 		return s.runMaintain(ctx, id, k)
 	})
 	if err == nil {

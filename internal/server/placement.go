@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -94,13 +95,10 @@ func (sp *PlaceSpec) validate(m *flow.Model, maxParallelism int) (core.StrategyI
 	} else if n := m.N(); sp.K < 1 || sp.K > n {
 		return info, fmt.Errorf("k = %d outside [1, %d]", sp.K, n)
 	}
-	switch sp.Engine {
-	case "":
-		sp.Engine = "float"
-	case "float", "big":
-	default:
-		return info, fmt.Errorf("unknown engine %q (have float, big)", sp.Engine)
+	if err := flow.CheckEngine(sp.Engine, m.Weighted()); err != nil {
+		return info, err
 	}
+	sp.Engine = cmp.Or(sp.Engine, "float")
 	if info.Sampling == core.NoSampling {
 		sp.Quality, sp.SampleBudget = 0, 0
 	}
@@ -134,16 +132,6 @@ func (sp *PlaceSpec) options() core.Options {
 		SampleBudget: sp.SampleBudget,
 		SampleSeed:   sp.Seed,
 	}
-}
-
-// newEvaluator builds a fresh evaluator for the model. Engines reuse
-// scratch buffers internally, so one is built per request/job rather than
-// shared; the build itself is O(1) once the model's invariants are cached.
-func (sp *PlaceSpec) newEvaluator(m *flow.Model) flow.Evaluator {
-	if sp.Engine == "big" {
-		return flow.NewBig(m)
-	}
-	return flow.NewFloat(m)
 }
 
 // releaseScratch hands a request-scoped engine's scratch arena back to its
@@ -211,9 +199,15 @@ func (sp *PlaceSpec) execute(ctx context.Context, m *flow.Model, graphID string,
 		return nil, err
 	}
 	tr := obs.TraceFrom(ctx)
+	// Engines reuse scratch buffers internally, so one is built per
+	// request or job rather than shared; the build is O(1) once the
+	// model's invariants are cached.
 	bsp := tr.Begin("build-evaluator")
-	ev := sp.newEvaluator(m)
+	ev, err := flow.NewEngine(sp.Engine, m)
 	bsp.End()
+	if err != nil {
+		return nil, err
+	}
 	defer releaseScratch(ev)
 	opts := sp.options()
 	opts.Trace, opts.Tenant, opts.Account = tr, tc.Name(), tc

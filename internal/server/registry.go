@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -18,8 +17,8 @@ import (
 // GraphSpec is the POST /v1/graphs request body. Exactly one of Edges or
 // Generator must be set: Edges carries an inline edge list in the fpgen
 // text format ("u v" per line, '#' comments, non-numeric tokens become
-// labels); Generator names one of the internal/gen dataset generators with
-// the same parameters the fpgen CLI exposes.
+// labels); Generator names a row of the internal/gen dataset table, and
+// the parameter fields are that table's parameters, as fpgen's flags are.
 type GraphSpec struct {
 	Name    string `json:"name,omitempty"`
 	Edges   string `json:"edges,omitempty"`
@@ -27,192 +26,51 @@ type GraphSpec struct {
 
 	Generator string  `json:"generator,omitempty"`
 	Seed      int64   `json:"seed,omitempty"`
-	Scale     float64 `json:"scale,omitempty"`    // twitter
-	X         float64 `json:"x,omitempty"`        // layered
-	Y         float64 `json:"y,omitempty"`        // layered
-	Levels    int     `json:"levels,omitempty"`   // layered
-	PerLevel  int     `json:"perlevel,omitempty"` // layered
-	N         int     `json:"n,omitempty"`        // dag | powerlaw | tree
-	P         float64 `json:"p,omitempty"`        // dag | tree
-	EPN       int     `json:"epn,omitempty"`      // powerlaw
-	Width     int     `json:"width,omitempty"`    // bottleneck
-	ChainLen  int     `json:"chainlen,omitempty"` // bottleneck
-	Depth     int     `json:"depth,omitempty"`    // bottleneck
+	Scale     float64 `json:"scale,omitempty"`
+	X         float64 `json:"x,omitempty"`
+	Y         float64 `json:"y,omitempty"`
+	Levels    int     `json:"levels,omitempty"`
+	PerLevel  int     `json:"perlevel,omitempty"`
+	N         int     `json:"n,omitempty"`
+	P         float64 `json:"p,omitempty"`
+	EPN       int     `json:"epn,omitempty"`
+	Width     int     `json:"width,omitempty"`
+	ChainLen  int     `json:"chainlen,omitempty"`
+	Depth     int     `json:"depth,omitempty"`
 }
 
 // Generators lists the generator names accepted by GraphSpec.Generator.
-func Generators() []string {
-	return []string{"quote", "twitter", "citation", "layered", "dag",
-		"powerlaw", "tree", "bottleneck", "fig1", "fig2", "fig3"}
-}
+func Generators() []string { return gen.Names() }
 
-// Upload bounds: node ids allocate O(maxID) adjacency state in the graph
-// builder, so a tiny body like "0 2000000000" would otherwise OOM the
-// daemon despite MaxBodyBytes.
-const (
-	maxUploadNodeID = 5_000_000
-	maxUploadEdges  = 2_000_000
-)
+// uploadLimits bounds an uploaded edge list. Node ids allocate O(max id)
+// adjacency state in the graph builder, so a tiny body like "0 2000000000"
+// would otherwise OOM the daemon despite MaxBodyBytes.
+var uploadLimits = graph.Limits{MaxEdges: 2_000_000, MaxNodeID: 5_000_000}
 
-// checkEdgeListBounds pre-scans an uploaded edge list, rejecting numeric
-// node ids beyond maxUploadNodeID (when the file is in numeric-id mode,
-// mirroring graph.ReadEdgeList's rules) and more than maxUploadEdges
-// lines. Label-mode files are safe by construction: distinct labels are
-// bounded by the edge count.
-func checkEdgeListBounds(text string) error {
-	edges, maxID, numeric := 0, 0, true
-	for line := range strings.Lines(text) {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		edges++
-		if edges > maxUploadEdges {
-			return fmt.Errorf("edge list exceeds %d edges", maxUploadEdges)
-		}
-		for _, tok := range strings.Fields(line) {
-			n, err := strconv.Atoi(tok)
-			if err != nil || n < 0 {
-				numeric = false
-				continue
-			}
-			maxID = max(maxID, n)
-		}
-	}
-	if numeric && maxID > maxUploadNodeID {
-		return fmt.Errorf("node id %d exceeds the upload limit of %d", maxID, maxUploadNodeID)
-	}
-	return nil
-}
-
-// Build materializes the spec into a graph and its default sources. Every
-// generator parameter is range-checked first: the quadratic generators
-// (dag, layered) are capped at 20K nodes and the linear ones at 2M, so a
-// single request can't wedge or OOM the daemon; edge-list uploads go
-// through checkEdgeListBounds.
+// Build materializes the spec into a graph and its default sources. An
+// upload is parsed within uploadLimits; a generator's parameters are
+// defaulted and range-checked by the dataset table.
 func (sp *GraphSpec) Build() (*graph.Digraph, []int, error) {
 	if (sp.Edges != "") == (sp.Generator != "") {
 		return nil, nil, fmt.Errorf("exactly one of \"edges\" and \"generator\" must be set")
 	}
 	if sp.Edges != "" {
-		if err := checkEdgeListBounds(sp.Edges); err != nil {
-			return nil, nil, err
-		}
-		g, err := graph.ReadEdgeList(strings.NewReader(sp.Edges))
+		g, err := graph.ReadEdgeListWithin(strings.NewReader(sp.Edges), uploadLimits)
 		if err != nil {
 			return nil, nil, err
 		}
 		return g, sp.Sources, nil
 	}
-
-	seed := sp.Seed
-	if seed == 0 {
-		seed = 1
+	g, sources, err := gen.Build(sp.Generator, gen.Params{
+		Seed: sp.Seed, Scale: sp.Scale, X: sp.X, Y: sp.Y,
+		Levels: sp.Levels, PerLevel: sp.PerLevel, N: sp.N, P: sp.P, EPN: sp.EPN,
+		Width: sp.Width, ChainLen: sp.ChainLen, Depth: sp.Depth,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	or := func(v, def int) int {
-		if v == 0 {
-			return def
-		}
-		return v
-	}
-	orF := func(v, def float64) float64 {
-		if v == 0 {
-			return def
-		}
-		return v
-	}
-	// The check helpers collect the first parameter-range violation;
-	// generators panic or allocate unboundedly on garbage, so the API
-	// rejects it here with a 400 instead.
-	var paramErr error
-	checkInt := func(name string, v, lo, hi int) int {
-		if paramErr == nil && (v < lo || v > hi) {
-			paramErr = fmt.Errorf("%s = %d outside [%d, %d]", name, v, lo, hi)
-		}
-		return v
-	}
-	checkFloat := func(name string, v, lo, hi float64) float64 {
-		if paramErr == nil && (v < lo || v > hi) {
-			paramErr = fmt.Errorf("%s = %v outside [%v, %v]", name, v, lo, hi)
-		}
-		return v
-	}
-	var (
-		g   *graph.Digraph
-		src int
-	)
-	switch sp.Generator {
-	case "quote":
-		g, src = gen.QuoteLike(seed)
-	case "twitter":
-		scale := orF(sp.Scale, 1)
-		if scale <= 0 || scale > 1 {
-			return nil, nil, fmt.Errorf("twitter scale %v outside (0,1]", scale)
-		}
-		g, src = gen.TwitterLike(scale, seed)
-	case "citation":
-		g, src = gen.CitationLike(seed)
-	case "layered":
-		levels := checkInt("levels", or(sp.Levels, 10), 1, 20000)
-		perLevel := checkInt("perlevel", or(sp.PerLevel, 100), 1, 20000)
-		if paramErr == nil && levels*perLevel > 20000 {
-			paramErr = fmt.Errorf("levels*perlevel = %d exceeds 20000 (the generator is quadratic)", levels*perLevel)
-		}
-		x := checkFloat("x", orF(sp.X, 1), 0, 1e6)
-		y := checkFloat("y", orF(sp.Y, 4), 1, 1e6)
-		if paramErr != nil {
-			return nil, nil, paramErr
-		}
-		g, src = gen.Layered(levels, perLevel, x, y, seed)
-	case "dag":
-		n := checkInt("n", or(sp.N, 1000), 1, 20000)
-		p := checkFloat("p", orF(sp.P, 0.01), 0, 1)
-		if paramErr != nil {
-			return nil, nil, paramErr
-		}
-		g, src = gen.RandomDAG(n, p, seed)
-	case "powerlaw":
-		n := checkInt("n", or(sp.N, 1000), 1, 2000000)
-		epn := checkInt("epn", or(sp.EPN, 3), 1, 100)
-		if paramErr == nil && n*epn > 4000000 {
-			paramErr = fmt.Errorf("n*epn = %d exceeds 4000000 edges", n*epn)
-		}
-		if paramErr != nil {
-			return nil, nil, paramErr
-		}
-		g, src = gen.PowerLawDAG(n, epn, seed)
-	case "tree":
-		n := checkInt("n", or(sp.N, 1000), 1, 2000000)
-		p := checkFloat("p", orF(sp.P, 0.01), 0, 1)
-		if paramErr != nil {
-			return nil, nil, paramErr
-		}
-		g, src = gen.RandomCTree(n, p, seed)
-	case "bottleneck":
-		width := checkInt("width", or(sp.Width, 10), 1, 1000000)
-		chainLen := checkInt("chainlen", or(sp.ChainLen, 5), 1, 1000000)
-		depth := checkInt("depth", or(sp.Depth, 3), 1, 20)
-		if paramErr != nil {
-			return nil, nil, paramErr
-		}
-		g, src = gen.BottleneckChain(width, chainLen, depth, seed)
-	case "fig1":
-		g, src = gen.Figure1()
-	case "fig2":
-		g, src = gen.Figure2()
-	case "fig3":
-		gg, srcs := gen.Figure3()
-		if len(sp.Sources) > 0 {
-			srcs = sp.Sources
-		}
-		return gg, srcs, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown generator %q (have %s)",
-			sp.Generator, strings.Join(Generators(), ", "))
-	}
-	sources := sp.Sources
-	if len(sources) == 0 {
-		sources = []int{src}
+	if len(sp.Sources) > 0 {
+		sources = sp.Sources
 	}
 	return g, sources, nil
 }

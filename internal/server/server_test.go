@@ -117,6 +117,20 @@ func TestGraphUploadAndInfo(t *testing.T) {
 	}
 }
 
+// TestUploadSignedTokenIsLabel: "+1" is not a numeric id, so the list is
+// in label mode and the large token is a label, not an id past the upload
+// limit.
+func TestUploadSignedTokenIsLabel(t *testing.T) {
+	ts := newTestServer(t, server.Config{})
+	var info server.GraphInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", server.GraphSpec{Edges: "+1 2000000000\n"}, &info); code != http.StatusCreated {
+		t.Fatalf("status %d, want 201", code)
+	}
+	if info.Nodes != 2 || info.Edges != 1 || len(info.Sources) != 1 || info.Sources[0] != 0 {
+		t.Errorf("info = %+v, want 2 labeled nodes, 1 edge, source 0", info)
+	}
+}
+
 func TestGraphFromGenerator(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	var info server.GraphInfo
