@@ -411,3 +411,43 @@ func TestMaintainerPlanTracksOverlay(t *testing.T) {
 		check(i + 1)
 	}
 }
+
+// TestVersionModelMatchesSnapshot: a version's model, stood up over the
+// overlay's rebuilt plan, answers the same topological order and the same
+// greedy-l filters as NewModel over a snapshot of that version, on a
+// twitter-like graph and on one TwitterChurn version of it.
+func TestVersionModelMatchesSnapshot(t *testing.T) {
+	g, root := gen.TwitterLike(0.05, 3)
+	d, err := FromDigraph(g, []int{root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(version string) {
+		t.Helper()
+		dm := d.Model()
+		sm, err := flow.NewModel(d.Snapshot(), d.Sources())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dm.Topo(), sm.Topo()) {
+			t.Fatalf("%s: the overlay model's Topo differs from the snapshot model's", version)
+		}
+		var filters [2][]int
+		for i, m := range []*flow.Model{dm, sm} {
+			res, err := core.Place(context.Background(), flow.NewFloat(m), 12, core.Options{Strategy: core.StrategyGreedyL})
+			if err != nil {
+				t.Fatal(err)
+			}
+			filters[i] = res.Filters
+		}
+		if len(filters[0]) == 0 || !reflect.DeepEqual(filters[0], filters[1]) {
+			t.Fatalf("%s: greedy-l filters %v on the overlay model, %v on the snapshot's", version, filters[0], filters[1])
+		}
+	}
+	check("generation 0")
+	mu := gen.TwitterChurn(g, 1, 0.01, 9)[0]
+	if _, err := d.Apply(Batch{Add: mu.Add, Remove: mu.Remove}); err != nil {
+		t.Fatal(err)
+	}
+	check("one churn batch")
+}

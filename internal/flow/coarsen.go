@@ -49,11 +49,11 @@ import (
 // the original's filters.
 //
 // The quotient is built straight into a plan: one sweep over the heads'
-// in-rows gives its rows, and layoutPlan lays them out in the order of
-// the source's perm restricted to heads. That order is topological: a
-// quotient edge ru→rv comes from an edge u→rv (a folded node's only
-// in-edge comes from inside its supernode), and ru is an ancestor of u.
-// The quotient Model stands over that plan, as NewModelFromPlan's do.
+// in-rows gives its rows, and layoutPlan finds their levels. The quotient
+// is acyclic: a quotient edge ru→rv comes from an edge u→rv (a folded
+// node's only in-edge comes from inside its supernode), and ru is an
+// ancestor of u. The quotient Model stands over that plan, as
+// NewModelFromPlan's do.
 
 // CoarsenOptions configures Coarsen. It has no fields: contraction always
 // runs both lossless rules.
@@ -328,10 +328,9 @@ func (c *coarsener) buildQuotient() (*Model, *CoarsenMap, error) {
 	// member of the head's own supernode (members descend from the head).
 	// So a head's in-row, mapped through origTo, is its quotient in-row;
 	// parallel edges stay, as they carry reception multiplicity (two edges
-	// from one feeder mean two copies received). Walked in the source's
-	// plan order, the heads also give the quotient's topological order
-	// (see the header). The out-rows are the in-rows' transpose.
-	in, topo := make([][]int, qn), make([]int, 0, qn)
+	// from one feeder mean two copies received). The out-rows are the
+	// in-rows' transpose.
+	in := make([][]int, qn)
 	inAdj := make([]int, 0, qe)
 	for i, v := range p.perm {
 		if c.parent[v] != v || c.absorbed[v] {
@@ -342,7 +341,6 @@ func (c *coarsener) buildQuotient() (*Model, *CoarsenMap, error) {
 			inAdj = append(inAdj, int(cm.origTo[p.perm[j]]))
 		}
 		in[q] = inAdj[start:]
-		topo = append(topo, int(q))
 	}
 	off := make([]int, qn+1)
 	for _, qu := range inAdj {
@@ -358,8 +356,10 @@ func (c *coarsener) buildQuotient() (*Model, *CoarsenMap, error) {
 			out[qu] = append(out[qu], qv)
 		}
 	}
-	qp := layoutPlan(topo, in, out, make([]int32, qn), nil, mul)
-	qp.arena = newPlanArena()
+	qp, err := layoutPlan(in, out, nil, mul)
+	if err != nil {
+		return nil, nil, fmt.Errorf("flow: quotient plan: %w", err)
+	}
 
 	// Sources survive contraction untouched (in-degree 0 nodes never
 	// fold or absorb), so they map 1:1 onto quotient ids.

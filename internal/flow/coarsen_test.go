@@ -112,16 +112,18 @@ func randomTestDAG(t testing.TB, n int, p float64, seed int64) *graph.Digraph {
 }
 
 // coarseModel is a model over g whose nodes carry the multiplicities mul
-// (nil: none), with its plan laid out by buildPlan — a quotient model built
-// the long way, from a digraph, as reference for Coarsen's.
+// (nil: none), with its plan laid out from g's rows — a quotient model
+// built the long way, from a digraph, as reference for Coarsen's.
 func coarseModel(t testing.TB, g *graph.Digraph, sources []int, mul []int64) *Model {
 	t.Helper()
-	m, err := NewModel(g, sources)
+	in, out := rowsOf(g)
+	p, err := layoutPlan(in, out, nil, mul)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mul != nil {
-		m.mul = append([]int64(nil), mul...)
+	m, err := newModel(p, g, sources)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return m
 }
@@ -129,7 +131,7 @@ func coarseModel(t testing.TB, g *graph.Digraph, sources []int, mul []int64) *Mo
 // checkQuotientPlan checks Coarsen's quotient plan against a reference
 // derived here: every original edge mapped through cm.Quotient (parallel
 // edges kept, absorbed targets and supernode-internal edges dropped), laid
-// out by buildPlan over that digraph with the quotient's multiplicities.
+// out from that digraph's rows with the quotient's multiplicities.
 // The quotient plan must pass checkPlanInvariants against the reference
 // digraph and equal the reference plan array for array.
 func checkQuotientPlan(t testing.TB, m, qm *Model, cm *CoarsenMap) {
@@ -157,7 +159,7 @@ func checkQuotientPlan(t testing.TB, m, qm *Model, cm *CoarsenMap) {
 	rm := coarseModel(t, ref, qm.Sources(), mul)
 	// The reference model's digraph paired with the quotient's plan.
 	chk := *rm
-	chk.pc = qm.pc
+	chk.plan = qm.plan
 	checkPlanInvariants(t, &chk)
 	plansEqual(t, "quotient plan", qm.Plan(), rm.Plan())
 }

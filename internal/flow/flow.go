@@ -40,19 +40,20 @@
 //
 // Where the work lives. The execution Plan is the one graph format the
 // engines build and read: layoutPlan lays out every plan (a model's, a
-// Splicer's, a Coarsen quotient's), and the engines and Coarsen walk its
-// rows. A Model owns two lazily filled caches: its Plan (structural,
-// shared by every model over the same graph and weights) and its
-// invariants — the plan-order source mask, Φ(∅,V) and F(V) in each
-// engine's arithmetic — which depend on the sources too. A model stood up
-// over a plan (NewModelFromPlan, every Coarsen quotient) defers its
-// digraph: only Graph or Topo widen it, on first call. The first
-// engine of a model builds what is missing (the plan, then the
-// invariants: one forward pass on an unweighted float model, two
-// otherwise); every later NewFloat or NewBig runs no pass and costs O(1)
-// plus, for the float engine, a scratch arena borrowed from the plan's
-// pool on first use and returned by ReleaseScratch. Evaluate then reports
-// Φ(∅,V), Φ(A,V), F(A) and FR(A) for a filter set from one forward pass.
+// Splicer's, a Coarsen quotient's) from rows alone, finding the levels
+// with one Kahn pass, and the engines and Coarsen walk its rows. Every
+// Model is built over its plan: NewModel lays it out at construction (the
+// Kahn pass is its acyclicity check), NewModelFromPlan takes one ready,
+// and Model.Topo reads its level order. A model stood up over a plan
+// defers its digraph: only Graph widens it, on first call. What a model
+// fills lazily is its invariants — the plan-order source mask, Φ(∅,V)
+// and F(V) in each engine's arithmetic — which depend on the sources.
+// The first engine of a model computes them (one forward pass on an
+// unweighted float model, two otherwise); every later NewFloat or NewBig
+// runs no pass and costs O(1) plus, for the float engine, a scratch arena
+// borrowed from the plan's pool on first use and returned by
+// ReleaseScratch. Evaluate then reports Φ(∅,V), Φ(A,V), F(A) and FR(A)
+// for a filter set from one forward pass.
 package flow
 
 import (
@@ -60,6 +61,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -75,10 +77,12 @@ type Model struct {
 	n       int
 	sources []int
 	isSrc   []bool
-	// gc holds the digraph and its topological order. NewModel fills it
-	// at construction; NewModelFromPlan leaves it to Graph or Topo to
-	// widen from the plan on first call. A pointer, so copies share it.
-	gc *graphCache
+	// plan is the model's execution plan, laid out at construction and
+	// shared by every copy with the same edge weights.
+	plan *Plan
+	// g holds the digraph: NewModel's own, labels and all, or the plan's
+	// widening on the first Graph call. A pointer, so copies share it.
+	g *atomic.Pointer[graph.Digraph]
 	// weight returns the relay probability of edge (u,v); nil means the
 	// deterministic model (weight 1 everywhere).
 	weight func(u, v int) float64
@@ -89,30 +93,10 @@ type Model struct {
 	// Φ = Σ_v rec(v) + mul[v]·emit(v), and suffix passes seed each node
 	// with mul[v]. nil (every ordinary model) means mul ≡ 0 everywhere.
 	mul []int64
-	// pc caches the model's execution plan. It is a pointer so the
-	// copy-on-write constructors (WithWeights) can give the copy a fresh
-	// cache without copying a used sync.Once.
-	pc *planCache
 	// inv caches the model's source-dependent invariants. Models that
 	// share a plan (WithSources copies, MultiEngine items) each get their
 	// own, because every invariant depends on the source set.
 	inv *invariants
-}
-
-// planCache lazily builds and then shares a Model's execution plan.
-type planCache struct {
-	once sync.Once
-	plan *Plan
-}
-
-// graphCache holds a Model's digraph and topological order. NewModel
-// sets both; a model built by NewModelFromPlan sets plan instead, and the
-// first Graph or Topo call materializes both from it.
-type graphCache struct {
-	plan *Plan
-	once sync.Once
-	g    *graph.Digraph
-	topo []int
 }
 
 // invariants holds what every engine of a model needs and no filter set
@@ -142,17 +126,47 @@ type invariants struct {
 // NewModel validates and builds a propagation model. sources lists the
 // information origins; when empty, every node with in-degree zero is a
 // source. Every source must have in-degree zero, every node must be in
-// range, and the graph must be a DAG.
+// range, and the graph must be a DAG. The model's plan is laid out here;
+// its Kahn pass is the acyclicity check.
 func NewModel(g *graph.Digraph, sources []int) (*Model, error) {
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return nil, ErrNotDAG
-	}
-	sources, isSrc, err := checkSources(g.N(), g.InDegree, sources)
+	in, out := rowsOf(g)
+	p, err := layoutPlan(in, out, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{n: g.N(), sources: sources, isSrc: isSrc, gc: &graphCache{g: g, topo: topo}, pc: &planCache{}, inv: &invariants{}}, nil
+	return newModel(p, g, sources)
+}
+
+// rowsOf returns g's in- and out-rows, the form layoutPlan reads.
+func rowsOf(g *graph.Digraph) (in, out [][]int) {
+	in, out = make([][]int, g.N()), make([][]int, g.N())
+	for v := range in {
+		in[v], out[v] = g.In(v), g.Out(v)
+	}
+	return in, out
+}
+
+// newModel is NewModel's and NewModelFromPlan's shared body: it validates
+// the sources against the plan's in-rows and reads a coarse plan's
+// multiplicities back from its mulW. g, when non-nil, presets the
+// model's digraph.
+func newModel(p *Plan, g *graph.Digraph, sources []int) (*Model, error) {
+	sources, isSrc, err := checkSources(p.n, p.inDegree, sources)
+	if err != nil {
+		return nil, err
+	}
+	var mul []int64
+	if p.mulW != nil {
+		mul = make([]int64, p.n)
+		for i, w := range p.mulW {
+			mul[p.perm[i]] = int64(w)
+		}
+	}
+	m := &Model{n: p.n, sources: sources, isSrc: isSrc, plan: p, g: new(atomic.Pointer[graph.Digraph]), mul: mul, inv: &invariants{}}
+	if g != nil {
+		m.g.Store(g)
+	}
+	return m, nil
 }
 
 // checkSources validates a source list against a graph of n nodes with the
@@ -180,35 +194,20 @@ func checkSources(n int, inDegree func(v int) int, sources []int) ([]int, []bool
 	return append([]int(nil), sources...), isSrc, nil
 }
 
-// NewModelFromPlan stands up a Model over an already-built plan. Sources
-// are validated against the plan's in-rows, and the plan cache is
-// pre-filled so no engine ever triggers a buildPlan; the engines, Evaluate
-// and every placement on the plan kernels run on the plan alone. The
-// digraph and topological order are not built here: the first Graph or
-// Topo call materializes them from the plan's CSR in O(n+m), once (no
-// sort, no topological search — the plan's position order IS a
-// topological order). This is how dyn.Dynamic turns a Splicer plan into the
-// version's model at the cost of its sources alone, and how Coarsen
-// stands up its quotient: a coarse plan's multiplicities are read back
-// from its mulW. Weighted plans are not supported.
+// NewModelFromPlan stands up a Model over an already-built plan, with
+// sources validated as NewModel does. The engines, Evaluate and every
+// placement on the plan kernels run on the plan alone; the digraph is not
+// built here: the first Graph call widens it from the plan's CSR in
+// O(n+m), with no sort and no topological search. This is how
+// dyn.Dynamic turns a Splicer plan into the version's model at the cost
+// of its sources alone, and how Coarsen stands up its quotient: a coarse
+// plan's multiplicities are read back from its mulW. Weighted plans are
+// not supported.
 func NewModelFromPlan(p *Plan, sources []int) (*Model, error) {
 	if p.Weighted() {
 		return nil, fmt.Errorf("flow: NewModelFromPlan supports only unweighted plans")
 	}
-	sources, isSrc, err := checkSources(p.n, p.inDegree, sources)
-	if err != nil {
-		return nil, err
-	}
-	var mul []int64
-	if p.mulW != nil {
-		mul = make([]int64, p.n)
-		for i, w := range p.mulW {
-			mul[p.perm[i]] = int64(w)
-		}
-	}
-	pc := &planCache{plan: p}
-	pc.once.Do(func() {}) // the plan is already built; pin the cache
-	return &Model{n: p.n, sources: sources, isSrc: isSrc, gc: &graphCache{plan: p}, mul: mul, pc: pc, inv: &invariants{}}, nil
+	return newModel(p, nil, sources)
 }
 
 // MustModel is NewModel that panics on error, for tests and examples over
@@ -222,35 +221,39 @@ func MustModel(g *graph.Digraph, sources []int) *Model {
 }
 
 // WithWeights returns a copy of the model using w(u,v) as the relay
-// probability of each edge. Weights must lie in [0, 1]; they are checked
-// lazily (engines validate the values they read). Only the Float engine
-// supports weighted models.
+// probability of each edge, with its own weighted plan laid out here.
+// Weights must lie in [0, 1]; every edge's weight is read and checked
+// when the copy is made, and an out-of-range one panics. Only the Float
+// engine supports weighted models.
 func (m *Model) WithWeights(w func(u, v int) float64) *Model {
 	if m.mul != nil {
 		panic("flow: coarse (multiplicity-weighted) models do not support edge weights")
 	}
+	checked := func(u, v int) float64 {
+		x := w(u, v)
+		if x < 0 || x > 1 {
+			panic(fmt.Sprintf("flow: weight(%d,%d) = %v outside [0,1]", u, v, x))
+		}
+		return x
+	}
+	in, out := rowsOf(m.Graph())
+	p, err := layoutPlan(in, out, checked, nil)
+	if err != nil {
+		panic(err) // the rows are the model's own DAG
+	}
 	c := *m
-	c.weight = w
-	c.pc = &planCache{} // weights are baked into the plan; the copy needs its own
-	c.inv = &invariants{}
+	c.weight, c.plan, c.inv = w, p, &invariants{}
 	return &c
 }
 
 // WithSources returns a copy of the model with another source set,
 // validated like NewModel's (empty means the in-degree-zero nodes). The
-// copy shares the graph, edge weights, multiplicities, topological order
-// and plan cache, none of which depends on the sources, so it costs no
-// topological sort and no plan build; it gets a fresh invariant cache.
-// A model stood up over a plan checks the sources against the plan's
-// in-rows, so its digraph stays unbuilt.
+// copy shares the plan, digraph, edge weights and multiplicities, none of
+// which depends on the sources, so it builds nothing; it gets a fresh
+// invariant cache. Sources are checked against the plan's in-rows, so a
+// model stood up over a plan keeps its digraph unbuilt.
 func (m *Model) WithSources(sources []int) (*Model, error) {
-	var inDegree func(v int) int
-	if m.gc.plan != nil {
-		inDegree = m.gc.plan.inDegree
-	} else {
-		inDegree = m.gc.g.InDegree
-	}
-	sources, isSrc, err := checkSources(m.n, inDegree, sources)
+	sources, isSrc, err := checkSources(m.n, m.plan.inDegree, sources)
 	if err != nil {
 		return nil, err
 	}
@@ -260,13 +263,10 @@ func (m *Model) WithSources(sources []int) (*Model, error) {
 }
 
 // Plan returns the model's execution plan — the level-packed iteration
-// order, re-indexed CSR and scratch arena every engine's passes run over —
-// building it on first use. Plans are immutable and safe to share across
-// engines, clones and goroutines.
-func (m *Model) Plan() *Plan {
-	m.pc.once.Do(func() { m.pc.plan = buildPlan(m) })
-	return m.pc.plan
-}
+// order, re-indexed CSR and scratch arena every engine's passes run over.
+// Plans are immutable and safe to share across engines, clones and
+// goroutines.
+func (m *Model) Plan() *Plan { return m.plan }
 
 // planSources returns the model's source mask in plan order, the form
 // the float kernels read; built once and shared by every engine.
@@ -282,45 +282,22 @@ func (m *Model) planSources() []bool {
 	return m.inv.src
 }
 
-// checkedWeight returns the relay probability of edge (u,v), validating
-// its range; the plan builder bakes the result into flat per-edge arrays.
-func (m *Model) checkedWeight(u, v int) float64 {
-	w := m.weight(u, v)
-	if w < 0 || w > 1 {
-		panic(fmt.Sprintf("flow: weight(%d,%d) = %v outside [0,1]", u, v, w))
-	}
-	return w
-}
-
-// Graph returns the underlying digraph. A model built by NewModelFromPlan
-// materializes it from its plan on the first Graph or Topo call, once;
-// concurrent first calls all get the same graph.
+// Graph returns the underlying digraph. A model built by
+// NewModelFromPlan widens it from its plan on the first call; concurrent
+// first calls all get the same graph.
 func (m *Model) Graph() *graph.Digraph {
-	m.gc.materialize()
-	return m.gc.g
-}
-
-// materialize widens a plan-built cache's CSR into the digraph and its
-// plan-order topological order on first call; it is a no-op on a cache
-// NewModel filled.
-func (c *graphCache) materialize() {
-	if c.plan == nil {
-		return
+	if g := m.g.Load(); g != nil {
+		return g
 	}
-	c.once.Do(func() {
-		c.g = c.plan.Digraph()
-		c.topo = make([]int, c.plan.n)
-		for i, v := range c.plan.perm {
-			c.topo[i] = int(v)
-		}
-	})
+	m.g.CompareAndSwap(nil, m.plan.Digraph())
+	return m.g.Load()
 }
 
 // HasLabels reports whether the model's graph carries node labels. A
-// model built by NewModelFromPlan has none, so it answers without
-// materializing the graph.
+// graph widened from a plan has none, so it answers without widening.
 func (m *Model) HasLabels() bool {
-	return m.gc.plan == nil && m.gc.g.HasLabels()
+	g := m.g.Load()
+	return g != nil && g.HasLabels()
 }
 
 // Sources returns the designated source nodes.
@@ -329,11 +306,15 @@ func (m *Model) Sources() []int { return m.sources }
 // IsSource reports whether v is a source.
 func (m *Model) IsSource(v int) bool { return m.isSrc[v] }
 
-// Topo returns the cached deterministic topological order, materialized
-// like Graph on a model built by NewModelFromPlan.
+// Topo returns a topological order of the model's nodes: the plan's
+// level order (by depth, ascending id within a level), the same for
+// every model over the same edges. Each call returns a fresh slice.
 func (m *Model) Topo() []int {
-	m.gc.materialize()
-	return m.gc.topo
+	topo := make([]int, m.n)
+	for i, v := range m.plan.perm {
+		topo[i] = int(v)
+	}
+	return topo
 }
 
 // Weighted reports whether the model carries edge weights.

@@ -368,8 +368,8 @@ func TestModelFromPlanLazyGraph(t *testing.T) {
 	}
 	unbuilt := func(what string) {
 		t.Helper()
-		if m.gc.g != nil || m.gc.topo != nil {
-			t.Fatalf("%s materialized the graph", what)
+		if m.g.Load() != nil {
+			t.Fatalf("%s widened the graph", what)
 		}
 	}
 
@@ -405,8 +405,8 @@ func TestModelFromPlanLazyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := g.Sources(); !slices.Equal(def.Sources(), want) || def.gc.g != nil {
-		t.Fatalf("default sources %v (graph built %v), want %v", def.Sources(), def.gc.g != nil, want)
+	if want := g.Sources(); !slices.Equal(def.Sources(), want) || def.g.Load() != nil {
+		t.Fatalf("default sources %v (graph built %v), want %v", def.Sources(), def.g.Load() != nil, want)
 	}
 	ws, err := m.WithSources(nil)
 	if err != nil || !slices.Equal(ws.Sources(), g.Sources()) {

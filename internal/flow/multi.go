@@ -65,11 +65,11 @@ func NewMulti(g *graph.Digraph, items []Item) (*MultiEngine, error) {
 		}
 		isSrc := make([]bool, g.N())
 		isSrc[it.Source] = true
-		// Item models share the base model's graph and plan caches: both
-		// are structural (graph + weights only), so one plan serves every
+		// Item models share the base model's plan and digraph: both are
+		// structural (graph + weights only), so one plan serves every
 		// per-item engine. Each item's invariants depend on its source,
 		// so each model gets its own cache.
-		m := &Model{n: base.n, sources: []int{it.Source}, isSrc: isSrc, gc: base.gc, pc: base.pc, inv: &invariants{}}
+		m := &Model{n: base.n, sources: []int{it.Source}, isSrc: isSrc, plan: base.plan, g: base.g, inv: &invariants{}}
 		me.engines = append(me.engines, NewFloat(m))
 		rate := it.Rate
 		if rate <= 0 {

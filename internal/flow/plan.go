@@ -21,11 +21,11 @@ import (
 //     (depth), and within a level nodes are ordered by ascending original
 //     id. The level-contiguous order is itself a topological order, so a
 //     serial pass is one strictly sequential sweep over positions 0..n-1
-//     — no index vector in the loop at all. The within-level order is
-//     CANONICAL — a pure function of the edge set, independent of which
-//     topological order the model happened to cache — which is what lets
-//     a plan rebuilt from a mutable overlay (see Splicer) be
-//     array-for-array identical to a from-scratch build.
+//     — no index vector in the loop at all. The layout is CANONICAL — a
+//     pure function of the edge set, independent of the order rows are
+//     given in — which is what lets a plan rebuilt from a mutable overlay
+//     (see Splicer) be array-for-array identical to a from-scratch build,
+//     and every model over the same edges answer the same Model.Topo.
 //   - The in- and out-adjacency CSR is RE-INDEXED to plan positions, with
 //     each node's neighbor list kept in ascending ORIGINAL id order — the
 //     exact accumulation order of the pre-plan kernels, which is what
@@ -46,10 +46,12 @@ import (
 // drops the per-candidate sharding in core.Place to ~zero steady-state
 // allocations.
 //
-// Every plan is laid out by layoutPlan — lazily by Model.Plan, by a
-// Splicer after each mutation batch, and by Coarsen for its quotient.
-// Plans are safe for concurrent use; all exported and unexported methods
-// are read-only with respect to the plan itself.
+// Every plan is laid out by layoutPlan from rows alone — by NewModel and
+// WithWeights when the model is made, by a Splicer after each mutation
+// batch, and by Coarsen for its quotient — whose Kahn pass finds the
+// levels and rejects cycles. Plans are safe for concurrent use; all
+// exported and unexported methods are read-only with respect to the plan
+// itself.
 type Plan struct {
 	n        int
 	weighted bool
@@ -136,48 +138,52 @@ func (s *floatScratch) ensure(n int) {
 	s.rec, s.emit, s.suf, s.fmask = s.rec[:n], s.emit[:n], s.suf[:n], s.fmask[:n]
 }
 
-// buildPlan computes the plan of a model over a graph.Digraph (NewModel's
-// models and their WithWeights copies). It is called once per Model
-// through Model.Plan and hands the digraph's rows to layoutPlan; weighted
-// models have every edge weight validated (and baked into the flat
-// arrays) there, so kernels never re-check.
-func buildPlan(m *Model) *Plan {
-	g := m.Graph()
-	n := g.N()
-	in, out := make([][]int, n), make([][]int, n)
-	for v := range n {
-		in[v], out[v] = g.In(v), g.Out(v)
-	}
-	var weight func(u, v int) float64
-	if m.weight != nil {
-		weight = m.checkedWeight
-	}
-	p := layoutPlan(m.Topo(), in, out, make([]int32, n), weight, m.mul)
-	p.arena = newPlanArena()
-	return p
-}
-
-// layoutPlan is the one plan builder (for buildPlan, Splicer.rebuildPlan
-// and Coarsen). It takes a topological order of the n = len(topo) nodes,
-// each node's in- and out-row in any order (parallel edges repeat) and
-// depth, scratch of length n. Rows come out in ascending original-id
-// order, so equal edge multisets give array-for-array equal plans
-// whatever the input's row or topological order. weight, when non-nil,
-// is baked into per-edge arrays, and mul, when non-nil, into a coarse
-// plan's mulW. The caller sets the arena.
-func layoutPlan(topo []int, in, out [][]int, depth []int32, weight func(u, v int) float64, mul []int64) *Plan {
-	n := len(topo)
-	p := &Plan{n: n, weighted: weight != nil}
-	maxDepth := int32(-1)
-	for _, v := range topo {
-		var d int32
-		for _, q := range in[v] {
-			d = max(d, depth[q]+1)
+// layoutPlan is the one plan builder (for NewModel, WithWeights,
+// Splicer.rebuildPlan and Coarsen). It takes each of the n = len(in)
+// nodes' in- and out-row in any order (parallel edges repeat; out must be
+// in's transpose) and finds the levels itself with one FIFO Kahn pass
+// (Kahn, CACM 1962), which is also the acyclicity check: it returns
+// ErrNotDAG when fewer than n nodes drain. Rows come out in ascending
+// original-id order, so equal edge multisets give array-for-array equal
+// plans whatever the input's row order. weight, when non-nil, is baked
+// into per-edge arrays, and mul, when non-nil, into a coarse plan's mulW.
+// The plan gets a fresh scratch arena.
+func layoutPlan(in, out [][]int, weight func(u, v int) float64, mul []int64) (*Plan, error) {
+	n := len(in)
+	p := &Plan{n: n, weighted: weight != nil, perm: make([]int32, n), pos: make([]int32, n), arena: newPlanArena()}
+	// The Kahn pass runs in the plan's own arrays: perm holds the queue and
+	// pos each node's count of undrained in-edges, overwritten by its depth
+	// (0 for in-degree-0 nodes, else 1 + the max over its in-neighbors)
+	// once the count reaches zero. FIFO order drains nodes in nondecreasing
+	// depth, so the in-neighbor that drains a node last is its deepest.
+	queue, depth := p.perm, p.pos
+	tail := 0
+	for v, row := range in {
+		depth[v] = int32(len(row))
+		if depth[v] == 0 {
+			queue[tail] = int32(v)
+			tail++
 		}
-		depth[v] = d
-		maxDepth = max(maxDepth, d)
 	}
-	p.layoutLevels(depth, maxDepth)
+	for head := 0; head < tail; head++ {
+		v := queue[head]
+		d := depth[v] + 1
+		for _, c := range out[v] {
+			if depth[c]--; depth[c] == 0 {
+				depth[c] = d
+				queue[tail] = int32(c)
+				tail++
+			}
+		}
+	}
+	if tail < n {
+		return nil, ErrNotDAG
+	}
+	maxDepth := int32(-1)
+	if n > 0 {
+		maxDepth = depth[queue[n-1]]
+	}
+	p.layoutLevels(maxDepth)
 
 	// Rows are not copied from the input, whose order is arbitrary (the
 	// overlay swap-deletes). Instead each row is sized from its length,
@@ -232,30 +238,29 @@ func layoutPlan(topo []int, in, out [][]int, depth []int32, weight func(u, v int
 		}
 	}
 	p.falseMask = make([]bool, n)
-	return p
+	return p, nil
 }
 
 // layoutLevels lays out the canonical level-contiguous permutation from
-// each node's forward depth — 0 for in-degree-0 nodes, else 1 + the max
-// over its in-neighbors — which the caller computes into depth (length n)
-// along with its maximum. A counting sort by depth, stable in ascending
-// original-id order, yields perm/pos/levelOff — still a valid topological
-// order, since edges always cross into a strictly deeper level.
-func (p *Plan) layoutLevels(depth []int32, maxDepth int32) {
+// each node's depth, which layoutPlan's Kahn pass leaves in pos, and the
+// maximum depth. A counting sort by depth, stable in ascending original-id
+// order, yields perm/pos/levelOff — still a valid topological order,
+// since edges always cross into a strictly deeper level. pos is rewritten
+// in place: node v's depth is read just before its position replaces it.
+func (p *Plan) layoutLevels(maxDepth int32) {
 	n := p.n
 	p.levelOff = make([]int32, maxDepth+2)
-	for v := 0; v < n; v++ {
-		p.levelOff[depth[v]+1]++
+	for _, d := range p.pos {
+		p.levelOff[d+1]++
 	}
 	for l := 1; l < len(p.levelOff); l++ {
 		p.levelOff[l] += p.levelOff[l-1]
 	}
-	p.perm = make([]int32, n)
-	p.pos = make([]int32, n)
 	next := append([]int32(nil), p.levelOff...)
 	for v := 0; v < n; v++ {
-		i := next[depth[v]]
-		next[depth[v]]++
+		d := p.pos[v]
+		i := next[d]
+		next[d]++
 		p.perm[i] = int32(v)
 		p.pos[v] = i
 	}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"math/rand"
@@ -531,23 +532,28 @@ func TestPlanInvariants(t *testing.T) {
 	checkPlanInvariants(t, MustModel(star, nil))
 }
 
-// FuzzPlanBuild feeds random DAGs (edges forced low→high, so always
-// acyclic) through the plan builder and asserts the structural
-// invariants, plus bit-identical Phi/Impacts between the plan-backed
-// engine and the reference kernels.
+// FuzzPlanBuild feeds random edge sets through the plan builder. With
+// nRaw's top bit clear, edges are forced low→high, so the graph is
+// acyclic; with it set, they keep their direction and may close cycles.
+// NewModel must return ErrNotDAG exactly when graph.TopoOrder finds a
+// cycle. On acyclic inputs it asserts the structural invariants, that
+// Topo is a topological order equal to the plan's perm, and bit-identical
+// Phi/Impacts between the plan-backed engine and the reference kernels.
 func FuzzPlanBuild(f *testing.F) {
 	f.Add(uint8(5), []byte{0, 1, 1, 2, 0, 3, 3, 4})
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(12), []byte{0, 11, 1, 2, 2, 9, 9, 10, 3, 4, 4, 5, 5, 6, 0, 7})
+	f.Add(uint8(0x80|5), []byte{0, 1, 1, 2, 2, 3, 3, 1, 3, 4})
+	f.Add(uint8(0x80|6), []byte{5, 4, 4, 3, 0, 3, 3, 1, 2, 1})
 	f.Fuzz(func(t *testing.T, nRaw uint8, raw []byte) {
-		n := int(nRaw%64) + 1
+		n, directed := int(nRaw%64)+1, nRaw&0x80 != 0
 		b := graph.NewBuilder(n)
 		for i := 0; i+1 < len(raw) && i < 256; i += 2 {
 			u, v := int(raw[i])%n, int(raw[i+1])%n
 			if u == v {
 				continue
 			}
-			if u > v {
+			if u > v && !directed {
 				u, v = v, u // low→high keeps the graph acyclic
 			}
 			b.AddEdge(u, v)
@@ -556,11 +562,36 @@ func FuzzPlanBuild(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
+		_, topoErr := g.TopoOrder()
 		m, err := NewModel(g, nil)
+		if (topoErr != nil) != errors.Is(err, ErrNotDAG) {
+			t.Fatalf("TopoOrder error %v, NewModel error %v", topoErr, err)
+		}
+		if topoErr != nil {
+			return
+		}
 		if err != nil {
-			t.Skip() // e.g. no valid sources
+			t.Fatalf("NewModel on a DAG: %v", err)
 		}
 		checkPlanInvariants(t, m)
+		topo := m.Topo()
+		if len(topo) != n {
+			t.Fatalf("Topo has %d nodes, want %d", len(topo), n)
+		}
+		rank := make([]int, n)
+		for i, v := range topo {
+			if int32(v) != m.Plan().perm[i] {
+				t.Fatalf("Topo[%d] = %d, plan perm %d", i, v, m.Plan().perm[i])
+			}
+			rank[v] = i
+		}
+		for u := 0; u < n; u++ {
+			for _, v := range g.Out(u) {
+				if rank[u] >= rank[v] {
+					t.Fatalf("Topo puts %d at %d, after its out-neighbor %d at %d", u, rank[u], v, rank[v])
+				}
+			}
+		}
 
 		ev := NewFloat(m)
 		ref := &refFloat{m}

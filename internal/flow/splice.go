@@ -1,7 +1,5 @@
 package flow
 
-import "slices"
-
 // SpliceOptions configures a Splicer. It has no settings: every plan
 // repair is a rebuild from the view.
 type SpliceOptions struct{}
@@ -22,8 +20,9 @@ type SpliceStats struct {
 // incremental re-levelling would touch as much of the plan as a rebuild.
 //
 // Each result is a FRESH Plan — in-flight evaluations over the old plan
-// stay valid — that is array-for-array identical to buildPlan run from
-// scratch on the mutated graph (splice_test pins this). Successive plans
+// stay valid — laid out by layoutPlan from the view's rows, so it is
+// array-for-array identical to NewModel's plan over a snapshot of the
+// mutated graph (splice_test pins this). Successive plans
 // share one scratch arena, so the pooled buffers stay warm across
 // mutations and grow in place when AddNodes extends the graph.
 //
@@ -33,10 +32,6 @@ type SpliceStats struct {
 type Splicer struct {
 	view DynDigraph
 	plan *Plan
-
-	// Per-call scratch for rebuildPlan.
-	depth  []int32
-	ordBuf []int
 }
 
 // NewSplicer builds a splicer over the mutable view. When adopt is
@@ -46,8 +41,8 @@ type Splicer struct {
 // the starting plan is built from the view. opts is ignored.
 func NewSplicer(view DynDigraph, adopt *Plan, _ SpliceOptions) *Splicer {
 	s := &Splicer{view: view}
-	_, _, ord := view.Rows()
-	if adopt != nil && !adopt.weighted && adopt.mulW == nil && adopt.n == len(ord) {
+	in, _, _ := view.Rows()
+	if adopt != nil && !adopt.weighted && adopt.mulW == nil && adopt.n == len(in) {
 		s.plan = adopt
 		return s
 	}
@@ -70,24 +65,19 @@ func (s *Splicer) Apply(_, _ []int, _ int) (*Plan, SpliceStats) {
 }
 
 // rebuildPlan builds a canonical plan from the view's current state —
-// array-for-array the plan buildPlan lays out for a Model over the
-// equivalent immutable snapshot, since both go through layoutPlan —
-// reusing the existing plan's scratch arena. It fetches the view's rows
-// once and hands them to layoutPlan as plain slices, so each node costs no
-// interface call.
+// array-for-array the plan NewModel lays out over the equivalent
+// immutable snapshot, since both go through layoutPlan — reusing the
+// existing plan's scratch arena. It fetches the view's rows once and
+// hands them to layoutPlan as plain slices, so each node costs no
+// interface call; the view's own order is not read.
 func (s *Splicer) rebuildPlan() *Plan {
-	in, out, ord := s.view.Rows()
-	n := len(ord)
-	s.ordBuf = slices.Grow(s.ordBuf[:0], n)[:n]
-	for v, o := range ord {
-		s.ordBuf[o] = v
+	in, out, _ := s.view.Rows()
+	p, err := layoutPlan(in, out, nil, nil)
+	if err != nil {
+		panic("flow: Splicer view is cyclic") // the view keeps itself a DAG
 	}
-	s.depth = slices.Grow(s.depth[:0], n)[:n]
-	p := layoutPlan(s.ordBuf, in, out, s.depth, nil, nil)
 	if s.plan != nil {
 		p.arena = s.plan.arena
-	} else {
-		p.arena = newPlanArena()
 	}
 	return p
 }

@@ -130,8 +130,8 @@ func (d *testDyn) model(t testing.TB) *Model {
 
 // plansEqual asserts two plans are array-for-array identical — the
 // Splicer's contract (a repaired plan must be indistinguishable from
-// buildPlan run from scratch on the mutated graph) and Coarsen's (a
-// quotient plan equals buildPlan's over the quotient digraph).
+// NewModel's plan over a snapshot of the mutated graph) and Coarsen's (a
+// quotient plan equals the one laid out from the quotient digraph).
 func plansEqual(t testing.TB, what string, got, want *Plan) {
 	t.Helper()
 	if got.n != want.n || got.weighted != want.weighted || got.identity != want.identity {
@@ -240,7 +240,7 @@ func randomBatch(rng *rand.Rand, d *testDyn) testBatch {
 
 // TestPlanSpliceGolden drives a Splicer through a long random mutation
 // sequence (edge churn + node growth) and asserts after every batch that
-// the repaired plan is array-identical to a from-scratch buildPlan and
+// the repaired plan is array-identical to a from-scratch NewModel plan and
 // that every engine observable over it is bit-identical, float and big,
 // serial and parallel.
 func TestPlanSpliceGolden(t *testing.T) {
@@ -315,7 +315,7 @@ func TestSplicerAdoptAndRebuild(t *testing.T) {
 
 // FuzzPlanSplice feeds random DAGs plus random mutation batches through
 // the Splicer and asserts its rebuilt plan is array-identical to a
-// from-scratch buildPlan after every batch, with bit-identical float
+// from-scratch NewModel plan after every batch, with bit-identical float
 // phi/impacts over a model on that plan.
 func FuzzPlanSplice(f *testing.F) {
 	f.Add(uint8(6), []byte{0, 1, 1, 2, 2, 3}, []byte{0, 0, 3, 1, 1, 4, 2, 0, 0})

@@ -108,19 +108,6 @@ type graphEntry struct {
 	maintainer *dyn.Maintainer
 }
 
-// countSinks returns the number of nodes with out-degree zero — the
-// GraphInfo.Sinks figure of an upload — without materializing the sink
-// list. Patch counts the same figure from the new plan's out-rows.
-func countSinks(g *graph.Digraph) int {
-	n := 0
-	for v := 0; v < g.N(); v++ {
-		if g.OutDegree(v) == 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // ErrUnknownGraph is returned by mutation paths when the graph id is not
 // registered (or already evicted).
 var ErrUnknownGraph = errors.New("server: unknown graph")
@@ -147,14 +134,15 @@ func (r *Registry) Add(name string, m *flow.Model) GraphInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextID++
+	p := m.Plan()
 	e := &graphEntry{
 		info: GraphInfo{
 			ID:        fmt.Sprintf("g%d", r.nextID),
 			Name:      name,
-			Nodes:     m.Graph().N(),
-			Edges:     m.Graph().M(),
+			Nodes:     p.N(),
+			Edges:     p.M(),
 			Sources:   m.Sources(),
-			Sinks:     countSinks(m.Graph()),
+			Sinks:     p.SinkCount(),
 			CreatedAt: time.Now().UTC(),
 		},
 		model: m,
